@@ -14,10 +14,10 @@ from wavepot.schrodinger import (
     PotentialSpec,
     QuantumParams,
     WaveFunction,
-    crank_nicolson_step,
     dense_eigensystem,
     eigenpairs_small,
     exact_propagate_small,
+    propagate_cn,
 )
 from wavepot.wavepotential import run_verlet, stationary_phi, to_wavefunction
 
@@ -39,9 +39,7 @@ def main() -> None:
     ref = exact_propagate_small(psi, V, t_final, eig=eig)
     dts, errs = [], []
     for steps in (60, 120, 240, 480):
-        state = psi
-        for _ in range(steps):
-            state = crank_nicolson_step(state, V, t_final / steps)
+        state = propagate_cn(psi, V, t_final / steps, steps, sink=None)
         dts.append(t_final / steps)
         errs.append(l2_norm(ComplexSampleField(grid, state.psi.values - ref.psi.values)))
     print(f"Crank-Nicolson order: {fit_order(dts, errs):.3f} (expected 2)")
@@ -52,8 +50,7 @@ def main() -> None:
     ref = exact_propagate_small(psi_init, V, t_final, eig=eig)
     dts, errs = [], []
     for steps in (500, 1000, 2000):
-        _, snaps = run_verlet(state0, t_final / steps, steps, snapshot_stride=steps)
-        mapped = to_wavefunction(snaps[-1]).psi
+        mapped = to_wavefunction(run_verlet(state0, t_final / steps, steps, sink=None)).psi
         dts.append(t_final / steps)
         errs.append(l2_norm(ComplexSampleField(grid, mapped.values - ref.psi.values)))
     print(f"velocity-Verlet order: {fit_order(dts, errs):.3f} (expected 2)")
@@ -69,9 +66,9 @@ def main() -> None:
     period = 2 * np.pi
     dts, errs = [], []
     for steps in (80, 160, 320):
-        _, snaps = run_rk4(state, src, period / steps, steps, snapshot_stride=steps)
+        final = run_rk4(state, src, period / steps, steps, sink=None)
         dts.append(period / steps)
-        errs.append(max(l2_norm(snaps[-1].e - state.e), l2_norm(snaps[-1].b - state.b)))
+        errs.append(max(l2_norm(final.e - state.e), l2_norm(final.b - state.b)))
     print(f"RK4 order: {fit_order(dts, errs):.3f} (expected 4)")
 
 

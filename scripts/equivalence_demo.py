@@ -48,22 +48,27 @@ def main() -> None:
     dt = 0.1 * stable_dt(V, params)
     total = args.periods * 2 * np.pi * params.hbar / e0
     steps = int(round(total / dt))
-    times, snaps = run_verlet(state0, dt, steps, snapshot_stride=max(1, steps // 8))
     print(f"forward map: {steps} Verlet steps at dt = {dt:.3e}")
     print(f"{'time':>10} {'L2 vs reference':>18}")
-    for t, snap in zip(times, snaps):
+
+    def report(n, snap):
         mapped = to_wavefunction(snap).psi
-        ref = exact_propagate_small(psi_init, V, t, eig=eig).psi
+        ref = exact_propagate_small(psi_init, V, n * dt, eig=eig).psi
         err = l2_norm(ComplexSampleField(grid, mapped.values - ref.values))
-        print(f"{t:10.4f} {err:18.3e}")
+        print(f"{n * dt:10.4f} {err:18.3e}")
+
+    run_verlet(state0, dt, steps, sink=report, snapshot_stride=max(1, steps // 8))
 
     x = grid.axis_coordinates(0)
     packet = np.exp(-((x - 0.6 * args.length) ** 2) / 2).astype(complex)
     packet /= np.sqrt(np.sum(np.abs(packet) ** 2) * grid.cell_volume)
     psi = WaveFunction(ComplexSampleField(grid, packet), params)
     cn_dt, cn_steps = 1e-3, 2000
-    cn_times, cn_snaps = propagate_cn(psi, V, cn_dt, cn_steps)
-    traj = TrajectoryRecord.of_waves(cn_times, cn_snaps)
+    record = {}
+    propagate_cn(psi, V, cn_dt, cn_steps, sink=record.__setitem__)
+    traj = TrajectoryRecord.of_waves(
+        [n * cn_dt for n in record], [wave.psi for wave in record.values()]
+    )
     states = reconstruct_phi(traj, V, params)
     worst = max(
         l2_norm(ComplexSampleField(grid, to_wavefunction(s).psi.values - f.values))

@@ -44,14 +44,17 @@ def main() -> None:
     src = SourceSpec.vacuum()
     period = 2 * np.pi
 
-    _, f_snaps = run_rk4(fields, src, period / 600, 600, snapshot_stride=60)
-    _, p_snaps = run_potential_verlet(potential, src, period / 6000, 6000, snapshot_stride=600)
+    f_snaps, p_snaps = {}, {}
+    run_rk4(fields, src, period / 600, 600, sink=f_snaps.__setitem__, snapshot_stride=60)
+    run_potential_verlet(
+        potential, src, period / 6000, 6000, sink=p_snaps.__setitem__, snapshot_stride=600
+    )
     ref = l2_norm(fields.e)
     j0 = src.current_at(0.0, grid)
     h0 = em_hamiltonians(fields, j0)[1]
     print(f"vacuum plane wave on {args.points}^3, one period")
     print(f"{'time':>8} {'|fields - mapped potential|':>28} {'H-prime drift':>16} {'div B':>12}")
-    for n, (fs, ps) in enumerate(zip(f_snaps, p_snaps)):
+    for n, (fs, ps) in enumerate(zip(f_snaps.values(), p_snaps.values())):
         mapped = potential_to_fields(ps)
         diff = max(l2_norm(mapped.e - fs.e), l2_norm(mapped.b - fs.b)) / ref
         drift = abs(em_hamiltonians(fs, j0)[1] - h0) / h0
@@ -59,8 +62,13 @@ def main() -> None:
         print(f"{n * period / 10:8.4f} {diff:28.3e} {drift:16.3e} {div_b:12.3e}")
 
     steps = 341
-    times, snaps = run_rk4(fields, src, 0.15 / steps, steps, snapshot_stride=1)
-    pstates = reconstruct_vector_potential(TrajectoryRecord.of_fields(times, snaps))
+    dt = 0.15 / steps
+    record = {}
+    run_rk4(fields, src, dt, steps, sink=record.__setitem__)
+    snaps = list(record.values())
+    pstates = reconstruct_vector_potential(
+        TrajectoryRecord.of_fields([n * dt for n in record], snaps)
+    )
     worst = max(
         max(
             l2_norm(potential_to_fields(ps).e - fr.e),

@@ -35,17 +35,6 @@ USAGE_ERRORS = (
 )
 NUMERICAL_ERRORS = (StabilityError, SolverError, NonFiniteSampleError)
 
-RUN_COMMANDS = (
-    "schrodinger",
-    "phi",
-    "maxwell-fields",
-    "maxwell-potential",
-    "reconstruct-phi",
-    "reconstruct-a",
-    "compare",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavepot",
@@ -53,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "Maxwell/vector-potential runs, reconstructions, and comparisons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUN_COMMANDS:
+    for name in scn.KINDS:
         p = sub.add_parser(name, help=f"run a kind={name} scenario")
         p.add_argument("--scenario", required=True, help="path to the scenario file")
         p.add_argument("--out", required=True, help="output directory for this run")

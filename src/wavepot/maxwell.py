@@ -38,6 +38,7 @@ from .operators import (
     laplacian_array,
     max_wavenumber,
 )
+from .stepping import drive
 
 __all__ = [
     "EMState",
@@ -45,13 +46,11 @@ __all__ = [
     "SourceSpec",
     "em_rhs",
     "rk4_dt_bound",
-    "rk4_step",
     "run_rk4",
     "constraint_residual",
     "riemann_silberstein_residual",
     "potential_acceleration",
     "potential_dt_bound",
-    "potential_verlet_step",
     "run_potential_verlet",
     "potential_to_fields",
     "potential_constraint_residual",
@@ -153,15 +152,20 @@ class SourceSpec:
     def continuity_residual(
         self, t: float, grid: Grid, dt: float, method: str = "spectral"
     ) -> tuple[float, float]:
-        """(max |d rho/dt + div J|, scale) at time t."""
+        """(max |d rho/dt + div J|, scale) at time t.
+
+        The scale sums max |d rho/dt| and max |d_a J_a| over each axis a, so a
+        divergence-free current is judged against the size of its terms, not
+        against the roundoff of their cancelling sum.
+        """
         h = dt / 100.0
         rho_plus = expressions.sample(self.rho, grid, self.bindings, t + h).values
         rho_minus = expressions.sample(self.rho, grid, self.bindings, t - h).values
         drho = (rho_plus - rho_minus) / (2.0 * h)
         jv = self.current_at(t, grid).values
-        div_j = sum(first_derivative_array(jv[a], grid, a, method) for a in range(3))
-        residual = float(np.max(np.abs(drho + div_j)))
-        scale = float(np.max(np.abs(drho)) + np.max(np.abs(div_j)))
+        terms = [first_derivative_array(jv[a], grid, a, method) for a in range(3)]
+        residual = float(np.max(np.abs(drho + sum(terms))))
+        scale = float(np.max(np.abs(drho)) + sum(np.max(np.abs(d)) for d in terms))
         return residual, scale
 
     def validate_continuity(
@@ -192,8 +196,7 @@ def em_rhs(
     grid = state.grid
     if current.grid != grid:
         raise GridMismatchError("current must live on the field grid")
-    de = state.c * _curl_arrays(state.b.values, grid, method) - current.values
-    db = -state.c * _curl_arrays(state.e.values, grid, method)
+    de, db = _em_rhs_arrays(state.e.values, state.b.values, current.values, state.c, grid, method)
     return VectorSampleField3(grid, de), VectorSampleField3(grid, db)
 
 
@@ -213,54 +216,30 @@ def _em_rhs_arrays(
     return c * _curl_arrays(b, grid, method) - j, -c * _curl_arrays(e, grid, method)
 
 
-def rk4_step(
-    state: EMState,
-    sources: SourceSpec,
-    t: float,
-    dt: float,
-    method: str = "spectral",
-) -> EMState:
-    """Classical RK4 step with sources sampled at the substage times."""
-    grid = state.grid
-    _require_cfl(dt, rk4_dt_bound(grid, state.c), "RK4 CFL")
-    c = state.c
-    j0 = sources.current_at(t, grid).values
-    j_half = sources.current_at(t + 0.5 * dt, grid).values
-    j1 = sources.current_at(t + dt, grid).values
-    e, b = state.e.values, state.b.values
-
-    ke1, kb1 = _em_rhs_arrays(e, b, j0, c, grid, method)
-    ke2, kb2 = _em_rhs_arrays(e + 0.5 * dt * ke1, b + 0.5 * dt * kb1, j_half, c, grid, method)
-    ke3, kb3 = _em_rhs_arrays(e + 0.5 * dt * ke2, b + 0.5 * dt * kb2, j_half, c, grid, method)
-    ke4, kb4 = _em_rhs_arrays(e + dt * ke3, b + dt * kb3, j1, c, grid, method)
-
-    e_new = e + (dt / 6.0) * (ke1 + 2.0 * ke2 + 2.0 * ke3 + ke4)
-    b_new = b + (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-    return EMState(VectorSampleField3(grid, e_new), VectorSampleField3(grid, b_new), c)
-
-
 def run_rk4(
     state: EMState,
     sources: SourceSpec,
     dt: float,
     steps: int,
     *,
+    sink: Callable[[int, EMState], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
     observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    observe_stride: int = 1,
-) -> tuple[np.ndarray, list[EMState]]:
-    """Integrate the field system, snapshotting every ``snapshot_stride`` steps."""
+) -> EMState:
+    """Classical RK4 from t=0; see ``stepping.drive``.
+
+    Sources are sampled at the substage times; the observer sees the raw
+    (E, B) arrays.
+    """
     grid = state.grid
     _require_cfl(dt, rk4_dt_bound(grid, state.c), "RK4 CFL")
     c = state.c
     e = state.e.values.copy()
     b = state.b.values.copy()
-    times = [0.0]
-    snaps = [state]
-    if observer is not None:
-        observer(0, e, b)
-    for n in range(1, steps + 1):
+
+    def advance(n: int) -> None:
+        nonlocal e, b
         t = (n - 1) * dt
         j0 = sources.current_at(t, grid).values
         j_half = sources.current_at(t + 0.5 * dt, grid).values
@@ -271,16 +250,11 @@ def run_rk4(
         ke4, kb4 = _em_rhs_arrays(e + dt * ke3, b + dt * kb3, j1, c, grid, method)
         e += (dt / 6.0) * (ke1 + 2.0 * ke2 + 2.0 * ke3 + ke4)
         b += (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        if observer is not None and n % observe_stride == 0:
-            observer(n, e, b)
-        if n % snapshot_stride == 0 or n == steps:
-            times.append(n * dt)
-            snaps.append(
-                EMState(
-                    VectorSampleField3(grid, e.copy()), VectorSampleField3(grid, b.copy()), c
-                )
-            )
-    return np.array(times), snaps
+
+    def box() -> EMState:
+        return EMState(VectorSampleField3(grid, e.copy()), VectorSampleField3(grid, b.copy()), c)
+
+    return drive(advance, box, lambda: (e, b), steps, snapshot_stride, sink, observer)
 
 
 def constraint_residual(state: EMState, rho: ScalarSampleField, method: str = "spectral") -> tuple[float, float]:
@@ -328,11 +302,7 @@ def potential_acceleration(
     grid = state.grid
     if current.grid != grid:
         raise GridMismatchError("current must live on the potential grid")
-    a = state.a.values
-    lap = laplacian_array(a, grid, method)
-    div = sum(first_derivative_array(a[i], grid, i, method) for i in range(3))
-    grad_div = np.stack(gradient_arrays(div, grid, method))
-    acc = state.c**2 * (lap - grad_div) + state.c * current.values
+    acc = _potential_accel_arrays(state.a.values, current.values, state.c, grid, method)
     return VectorSampleField3(grid, acc)
 
 
@@ -362,67 +332,43 @@ def _potential_accel_arrays(
     return c * c * (lap - grad_div) + c * j
 
 
-def potential_verlet_step(
-    state: PotentialState,
-    sources: SourceSpec,
-    t: float,
-    dt: float,
-    method: str = "spectral",
-) -> PotentialState:
-    """Velocity-Verlet step of the second-order potential dynamics."""
-    grid = state.grid
-    _require_cfl(dt, potential_dt_bound(grid, state.c), "potential Verlet")
-    c = state.c
-    j0 = sources.current_at(t, grid).values
-    j1 = sources.current_at(t + dt, grid).values
-    a0 = _potential_accel_arrays(state.a.values, j0, c, grid, method)
-    v_half = state.a_dot.values + 0.5 * dt * a0
-    a_new = state.a.values + dt * v_half
-    a1 = _potential_accel_arrays(a_new, j1, c, grid, method)
-    v_new = v_half + 0.5 * dt * a1
-    return PotentialState(
-        VectorSampleField3(grid, a_new), VectorSampleField3(grid, v_new), c
-    )
-
-
 def run_potential_verlet(
     state: PotentialState,
     sources: SourceSpec,
     dt: float,
     steps: int,
     *,
+    sink: Callable[[int, PotentialState], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
     observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    observe_stride: int = 1,
-) -> tuple[np.ndarray, list[PotentialState]]:
+) -> PotentialState:
+    """Velocity-Verlet of the potential dynamics from t=0; see ``stepping.drive``.
+
+    The observer sees the raw (A, dA/dt) arrays.
+    """
     grid = state.grid
     _require_cfl(dt, potential_dt_bound(grid, state.c), "potential Verlet")
     c = state.c
     a = state.a.values.copy()
     vel = state.a_dot.values.copy()
-    times = [0.0]
-    snaps = [state]
-    if observer is not None:
-        observer(0, a, vel)
     accel = _potential_accel_arrays(a, sources.current_at(0.0, grid).values, c, grid, method)
-    for n in range(1, steps + 1):
+
+    def advance(n: int) -> None:
+        nonlocal a, vel, accel
         vel += 0.5 * dt * accel
         a += dt * vel
         accel = _potential_accel_arrays(
             a, sources.current_at(n * dt, grid).values, c, grid, method
         )
         vel += 0.5 * dt * accel
-        if observer is not None and n % observe_stride == 0:
-            observer(n, a, vel)
-        if n % snapshot_stride == 0 or n == steps:
-            times.append(n * dt)
-            snaps.append(
-                PotentialState(
-                    VectorSampleField3(grid, a.copy()), VectorSampleField3(grid, vel.copy()), c
-                )
-            )
-    return np.array(times), snaps
+
+    def box() -> PotentialState:
+        return PotentialState(
+            VectorSampleField3(grid, a.copy()), VectorSampleField3(grid, vel.copy()), c
+        )
+
+    return drive(advance, box, lambda: (a, vel), steps, snapshot_stride, sink, observer)
 
 
 def potential_to_fields(state: PotentialState, method: str = "spectral") -> EMState:

@@ -55,15 +55,6 @@ def _check_method(method: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _spectral_wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Full FFT wavenumbers per axis, Nyquist included with its natural sign."""
-    return tuple(
-        2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-        for n, dx in zip(grid.points, grid.spacings)
-    )
-
-
-@lru_cache(maxsize=None)
 def _deriv_symbols(grid: Grid, method: str) -> tuple[np.ndarray, ...]:
     """Imaginary part s_a of each axis derivative symbol i*s_a, shaped for broadcasting."""
     out = []

@@ -59,7 +59,9 @@ class TrajectoryRecord:
     """Uniformly sampled snapshots starting at t = 0.
 
     Frames are ComplexSampleField (wave functions) or EMState (field pairs),
-    homogeneous within one record.
+    homogeneous within one record. The last interval may be shorter than the
+    rest: a run whose step count is not a multiple of its stride records its
+    final step off the uniform grid.
     """
 
     times: np.ndarray
@@ -79,7 +81,8 @@ class TrajectoryRecord:
         if np.any(dts <= 0):
             raise ValueError("times must ascend")
         dt = dts[0]
-        if np.max(np.abs(dts - dt)) > 1e-12 * dt:
+        uniform = dts[:-1] if dts[-1] < dt else dts
+        if np.max(np.abs(uniform - dt)) > 1e-12 * dt:
             raise ValueError("trajectory samples must be uniformly spaced")
         kinds = {type(f) for f in self.frames}
         if len(kinds) != 1:
@@ -92,6 +95,14 @@ class TrajectoryRecord:
     @property
     def grid(self) -> Grid:
         return self.frames[0].grid
+
+    def cumulative_integral(self, samples: np.ndarray) -> np.ndarray:
+        """``time_integrate`` of per-frame samples, honouring a short last interval."""
+        out = time_integrate(samples, self.dt)
+        last = float(self.times[-1] - self.times[-2])
+        if abs(last - self.dt) > 1e-12 * self.dt:
+            out[-1] = out[-2] + 0.5 * last * (samples[-1] + samples[-2])
+        return out
 
     @classmethod
     def of_waves(cls, times, psis: Sequence[ComplexSampleField]) -> "TrajectoryRecord":
@@ -230,7 +241,7 @@ def reconstruct_phi(
         method,
         tol=elliptic_tol,
     )
-    integral = time_integrate(p_stack, traj.dt) / params.hbar
+    integral = traj.cumulative_integral(p_stack) / params.hbar
     states = []
     for n in range(len(traj.frames)):
         phi = ScalarSampleField(grid, integral[n] + c0.values)
@@ -306,7 +317,7 @@ def reconstruct_vector_potential(
     c = traj.frames[0].c
     k0 = curl_inverse(traj.frames[0].b, method)
     e_stack = np.stack([frame.e.values for frame in traj.frames])
-    integral = time_integrate(e_stack, traj.dt)
+    integral = traj.cumulative_integral(e_stack)
     states = []
     for n in range(len(traj.frames)):
         a = VectorSampleField3(grid, -c * integral[n] + k0.values)

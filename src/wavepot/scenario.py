@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import expressions, maxwell, reconstruction, schrodinger, wavepotential
+from . import expressions, maxwell, reconstruction, schrodinger, stepping, wavepotential
 from .errors import MonitorError, ScenarioError, WavepotError
 from .expressions import Expression
 from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3
-from .operators import METHODS, _curl_arrays, first_derivative_array
+from .operators import METHODS, _curl_arrays, first_derivative_array, solenoidal_projection
 from .snapshots import (
     DiagnosticsWriter,
     SnapshotData,
@@ -141,24 +141,15 @@ def _get(parser, section, key, *, required=True, default=None) -> str | None:
     return default
 
 
-def _get_float(parser, section, key, *, required=True, default=None) -> float | None:
+def _get_number(parser, section, key, cast, *, required=True, default=None):
     raw = _get(parser, section, key, required=required, default=None)
     if raw is None:
         return default
     try:
-        return float(raw)
+        return cast(raw)
     except ValueError:
-        raise ScenarioError(f"field [{section}] {key} must be a number, got {raw!r}") from None
-
-
-def _get_int(parser, section, key, *, required=True, default=None) -> int | None:
-    raw = _get(parser, section, key, required=required, default=None)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"field [{section}] {key} must be an integer, got {raw!r}") from None
+        noun = "an integer" if cast is int else "a number"
+        raise ScenarioError(f"field [{section}] {key} must be {noun}, got {raw!r}") from None
 
 
 def load_scenario(path: str | Path, overrides=()) -> Scenario:
@@ -183,13 +174,10 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         digest.update(item.encode())
     sha = digest.hexdigest()
 
-    kind = _get(parser, "scenario", "kind")
-    kind = kind.strip().lower()
-    if kind == "reconstruct-A".lower():
-        kind = "reconstruct-a"
+    kind = _get(parser, "scenario", "kind").strip().lower()
     if kind not in KINDS:
         raise ScenarioError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    seed = _get_int(parser, "scenario", "seed", required=False, default=0)
+    seed = _get_number(parser, "scenario", "seed", int, required=False, default=0)
 
     backend = _get(parser, "operators", "backend", required=False, default="spectral")
     if backend not in METHODS:
@@ -198,7 +186,7 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     constants: dict[str, float] = {"hbar": 1.0, "m": 1.0, "c": 1.0}
     if parser.has_section("constants"):
         for key in parser["constants"]:
-            constants[key] = _get_float(parser, "constants", key)
+            constants[key] = _get_number(parser, "constants", key, float)
 
     scenario = Scenario(
         kind=kind, path=path, sha256=sha, seed=seed, backend=backend, constants=constants
@@ -267,18 +255,20 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         raise ScenarioError("missing field [initial] (initial data section)")
     scenario.initial = dict(parser["initial"])
 
-    steps = _get_int(parser, "integrator", "steps")
+    steps = _get_number(parser, "integrator", "steps", int)
     if steps <= 0:
         raise ScenarioError("[integrator] steps must be positive")
     scenario.steps = steps
-    scenario.snapshot_stride = _get_int(
-        parser, "integrator", "snapshot_stride", required=False, default=1
+    scenario.snapshot_stride = _get_number(
+        parser, "integrator", "snapshot_stride", int, required=False, default=1
     )
     if scenario.snapshot_stride <= 0:
         raise ScenarioError("[integrator] snapshot_stride must be positive")
-    scenario.safety = _get_float(parser, "integrator", "safety", required=False, default=None)
+    scenario.safety = _get_number(parser, "integrator", "safety", float, required=False)
     dt_raw = _get(parser, "integrator", "dt")
-    dt_scale = _get_float(parser, "integrator", "dt_scale", required=False, default=1.0)
+    dt_scale = _get_number(
+        parser, "integrator", "dt_scale", float, required=False, default=1.0
+    )
     if dt_raw.strip() == "auto":
         scenario.dt = dt_scale * _auto_dt(scenario)
     else:
@@ -291,7 +281,7 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
 
     if parser.has_section("monitors"):
         for key in parser["monitors"]:
-            scenario.monitors[key] = _get_float(parser, "monitors", key)
+            scenario.monitors[key] = _get_number(parser, "monitors", key, float)
 
     _validate_initial(scenario)
     return scenario
@@ -393,18 +383,10 @@ def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
     outputs if a configured ceiling was exceeded."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if scenario.kind == "schrodinger":
-        report = _run_schrodinger(scenario, out_dir)
-    elif scenario.kind == "phi":
-        report = _run_phi(scenario, out_dir)
-    elif scenario.kind == "maxwell-fields":
-        report = _run_maxwell_fields(scenario, out_dir)
-    elif scenario.kind == "maxwell-potential":
-        report = _run_maxwell_potential(scenario, out_dir)
-    elif scenario.kind == "reconstruct-phi":
-        report = _run_reconstruct_phi(scenario, out_dir)
-    elif scenario.kind == "reconstruct-a":
-        report = _run_reconstruct_a(scenario, out_dir)
+    if scenario.kind in RUN_KINDS:
+        report = _run_evolving(scenario, out_dir)
+    elif scenario.kind in ("reconstruct-phi", "reconstruct-a"):
+        report = _run_reconstruct(scenario, out_dir)
     elif scenario.kind == "compare":
         report = _run_compare(scenario, out_dir)
     else:
@@ -415,17 +397,59 @@ def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
     return report
 
 
-def _snapshot_count(steps: int, stride: int) -> int:
-    count = 1 + steps // stride
-    if steps % stride != 0:
-        count += 1
-    return count
+# a recorded state's arrays in the FIELD_NAMES order of its kind
+_FRAME_ARRAYS = {
+    "schrodinger": lambda s: [s.psi.values.real, s.psi.values.imag],
+    "phi": lambda s: [s.phi.values, s.phi_dot.values],
+    "maxwell-fields": lambda s: [*s.e.values, *s.b.values],
+    "maxwell-potential": lambda s: [*s.a.values, *s.a_dot.values],
+}
 
 
-def _run_schrodinger(scenario: Scenario, out_dir: Path) -> RunReport:
+def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
+    """Step any evolving kind, streaming frames and diagnostics rows to disk.
+
+    The kind's setup fills ``peaks`` and ``summary`` with their start values
+    and returns the initial state, the diagnostics columns, and an observer
+    that maps the integrator's raw arrays at one step to a diagnostics row.
+    """
+    kind = scenario.kind
+    peaks, summary = {}, {}
+    state, columns, observe = _EVOLUTIONS[kind](scenario, peaks, summary)
+    dt, steps, stride = scenario.dt, scenario.steps, scenario.snapshot_stride
+    frame = _FRAME_ARRAYS[kind]
+    with SnapshotWriter(
+        out_dir / SNAPSHOT_FILE,
+        kind=kind,
+        grid=scenario.grid,
+        fields=FIELD_NAMES[kind],
+        time_start=0.0,
+        time_step=dt * stride,
+        frame_count=len(stepping.frame_steps(steps, stride)),
+        time_end=steps * dt if steps % stride else None,
+        provenance=scenario.provenance(),
+    ) as snap, DiagnosticsWriter(out_dir / DIAGNOSTICS_FILE, columns) as diag:
+        options = dict(
+            sink=lambda n, recorded: snap.write_frame(frame(recorded)),
+            snapshot_stride=stride,
+            method=scenario.backend,
+            observer=lambda step, *arrays: diag.write_row(observe(step, *arrays)),
+        )
+        # looked up on their modules at call time, so wrappers installed there see every run
+        if kind == "schrodinger":
+            schrodinger.propagate_cn(state, scenario.potential, dt, steps, **options)
+        elif kind == "phi":
+            wavepotential.run_verlet(state, dt, steps, **options)
+        elif kind == "maxwell-fields":
+            maxwell.run_rk4(state, scenario.sources, dt, steps, **options)
+        else:
+            maxwell.run_potential_verlet(state, scenario.sources, dt, steps, **options)
+    return RunReport(kind, out_dir, peaks, summary)
+
+
+def _schrodinger_evolution(scenario: Scenario, peaks: dict, summary: dict):
     grid = scenario.grid
     params = scenario.params
-    V = scenario.potential
     init = scenario.initial
     if init.get("type", "expressions") == "random":
         psi0 = _random_band_limited(scenario) + 1j * _random_band_limited(scenario, 1)
@@ -439,49 +463,29 @@ def _run_schrodinger(scenario: Scenario, out_dir: Path) -> RunReport:
             raise ScenarioError("cannot normalize a zero initial wave function")
         psi0 = psi0 / nrm
     state = schrodinger.WaveFunction(ComplexSampleField(grid, psi0), params)
-
-    norm0 = schrodinger.norm_functional(state)
-    peaks = {"norm_drift": 0.0, "energy_drift": 0.0}
-    v = V.sampled.values
+    v = scenario.potential.sampled.values
 
     def energy(values: np.ndarray) -> float:
         h_psi = schrodinger.hamiltonian_array(values, v, grid, params, scenario.backend)
         return float(np.vdot(values, h_psi).real * grid.cell_volume / (2.0 * params.hbar))
 
-    e0 = energy(psi0)
-    scale_e = max(abs(e0), 1e-30)
-    scale_n = max(abs(norm0), 1e-30)
+    summary.update(norm0=schrodinger.norm_functional(state), energy0=energy(psi0))
+    scale_n = max(abs(summary["norm0"]), 1e-30)
+    scale_e = max(abs(summary["energy0"]), 1e-30)
+    peaks.update(norm_drift=0.0, energy_drift=0.0)
 
-    with SnapshotWriter(
-        out_dir / SNAPSHOT_FILE,
-        kind="schrodinger",
-        grid=grid,
-        fields=FIELD_NAMES["schrodinger"],
-        time_start=0.0,
-        time_step=scenario.dt * scenario.snapshot_stride,
-        frame_count=_snapshot_count(scenario.steps, scenario.snapshot_stride),
-        provenance=scenario.provenance(),
-    ) as snap, DiagnosticsWriter(
-        out_dir / DIAGNOSTICS_FILE, ("step", "time", "norm", "energy")
-    ) as diag:
-        psi_vals = state.psi.values
-        diag.write_row([0, 0.0, norm0, e0])
-        snap.write_frame([psi_vals.real, psi_vals.imag])
-        current = state
-        for n in range(1, scenario.steps + 1):
-            current = schrodinger.crank_nicolson_step(current, V, scenario.dt, scenario.backend)
-            vals = current.psi.values
-            nrm = schrodinger.norm_functional(current)
-            en = energy(vals)
-            diag.write_row([n, n * scenario.dt, nrm, en])
-            peaks["norm_drift"] = max(peaks["norm_drift"], abs(nrm - norm0) / scale_n)
-            peaks["energy_drift"] = max(peaks["energy_drift"], abs(en - e0) / scale_e)
-            if n % scenario.snapshot_stride == 0 or n == scenario.steps:
-                snap.write_frame([vals.real, vals.imag])
-    return RunReport("schrodinger", out_dir, peaks, {"norm0": norm0, "energy0": e0})
+    def observer(step: int, values: np.ndarray) -> list:
+        wave = schrodinger.WaveFunction(ComplexSampleField(grid, values), params)
+        nrm = schrodinger.norm_functional(wave)
+        en = energy(values)
+        peaks["norm_drift"] = max(peaks["norm_drift"], abs(nrm - summary["norm0"]) / scale_n)
+        peaks["energy_drift"] = max(peaks["energy_drift"], abs(en - summary["energy0"]) / scale_e)
+        return [step, step * scenario.dt, nrm, en]
+
+    return state, ("step", "time", "norm", "energy"), observer
 
 
-def _run_phi(scenario: Scenario, out_dir: Path) -> RunReport:
+def _phi_evolution(scenario: Scenario, peaks: dict, summary: dict):
     grid = scenario.grid
     params = scenario.params
     V = scenario.potential
@@ -512,53 +516,29 @@ def _run_phi(scenario: Scenario, out_dir: Path) -> RunReport:
 
     hbar = params.hbar
     vol = grid.cell_volume
-    peaks = {"norm_drift": 0.0, "identity_residual": 0.0}
-    rows_state = {"norm0": None}
+    peaks.update(norm_drift=0.0, identity_residual=0.0)
+    summary["norm0"] = None
 
-    with SnapshotWriter(
-        out_dir / SNAPSHOT_FILE,
-        kind="phi",
-        grid=grid,
-        fields=FIELD_NAMES["phi"],
-        time_start=0.0,
-        time_step=scenario.dt * scenario.snapshot_stride,
-        frame_count=_snapshot_count(scenario.steps, scenario.snapshot_stride),
-        provenance=scenario.provenance(),
-    ) as snap, DiagnosticsWriter(
-        out_dir / DIAGNOSTICS_FILE,
-        ("step", "time", "psi_norm", "total_energy", "identity_residual"),
-    ) as diag:
+    def observer(step: int, lphi: np.ndarray, vel: np.ndarray) -> list:
+        psi = -lphi + 1j * hbar * vel
+        psi_sq = np.abs(psi) ** 2
+        kinetic = 0.5 * hbar * vel**2
+        potential = 0.5 / hbar * lphi**2
+        dens2 = 2.0 * hbar * (kinetic + potential)
+        norm = float(psi_sq.sum() * vol)
+        total_energy = float((kinetic + potential).sum() * vol)
+        scale = max(float(psi_sq.max()), 1e-300)
+        identity_rel = float(np.max(np.abs(psi_sq - dens2))) / scale
+        if summary["norm0"] is None:
+            summary["norm0"] = norm
+        elif summary["norm0"] > 0:
+            peaks["norm_drift"] = max(
+                peaks["norm_drift"], abs(norm - summary["norm0"]) / summary["norm0"]
+            )
+        peaks["identity_residual"] = max(peaks["identity_residual"], identity_rel)
+        return [step, step * scenario.dt, norm, total_energy, identity_rel]
 
-        def observer(step: int, lphi: np.ndarray, vel: np.ndarray) -> None:
-            psi = -lphi + 1j * hbar * vel
-            psi_sq = np.abs(psi) ** 2
-            kinetic = 0.5 * hbar * vel**2
-            potential = 0.5 / hbar * lphi**2
-            dens2 = 2.0 * hbar * (kinetic + potential)
-            norm = float(psi_sq.sum() * vol)
-            total_energy = float((kinetic + potential).sum() * vol)
-            scale = max(float(psi_sq.max()), 1e-300)
-            identity_rel = float(np.max(np.abs(psi_sq - dens2))) / scale
-            diag.write_row([step, step * scenario.dt, norm, total_energy, identity_rel])
-            if rows_state["norm0"] is None:
-                rows_state["norm0"] = norm
-            elif rows_state["norm0"] > 0:
-                peaks["norm_drift"] = max(
-                    peaks["norm_drift"], abs(norm - rows_state["norm0"]) / rows_state["norm0"]
-                )
-            peaks["identity_residual"] = max(peaks["identity_residual"], identity_rel)
-
-        times, snaps = wavepotential.run_verlet(
-            state,
-            scenario.dt,
-            scenario.steps,
-            snapshot_stride=scenario.snapshot_stride,
-            method=scenario.backend,
-            observer=observer,
-        )
-        for s in snaps:
-            snap.write_frame([s.phi.values, s.phi_dot.values])
-    return RunReport("phi", out_dir, peaks, {"norm0": rows_state["norm0"]})
+    return state, ("step", "time", "psi_norm", "total_energy", "identity_residual"), observer
 
 
 def _maxwell_initial(scenario: Scenario, keys: tuple[str, ...]) -> VectorSampleField3:
@@ -566,23 +546,19 @@ def _maxwell_initial(scenario: Scenario, keys: tuple[str, ...]) -> VectorSampleF
     return VectorSampleField3.from_components(*comps)
 
 
-def _run_maxwell_fields(scenario: Scenario, out_dir: Path) -> RunReport:
+def _maxwell_fields_evolution(scenario: Scenario, peaks: dict, summary: dict):
     grid = scenario.grid
     c = scenario.light_speed
     sources = scenario.sources
     e0 = _maxwell_initial(scenario, ("e_x", "e_y", "e_z"))
     b0 = _maxwell_initial(scenario, ("b_x", "b_y", "b_z"))
     if scenario.initial.get("fix_divergence", "false").lower() == "true":
-        from .operators import inverse_div_grad, gradient_arrays, solenoidal_projection
-
-        rho0 = sources.rho_at(0.0, grid)
         div_e = sum(
             first_derivative_array(e0.values[a], grid, a, scenario.backend) for a in range(3)
         )
-        u = inverse_div_grad(rho0.values - div_e, grid, scenario.backend)
-        e0 = VectorSampleField3(
-            grid, e0.values + np.stack(gradient_arrays(u, grid, scenario.backend))
-        )
+        excess = ScalarSampleField(grid, sources.rho_at(0.0, grid).values - div_e)
+        longitudinal = maxwell.coulomb_field_from_charge(excess, scenario.backend)
+        e0 = VectorSampleField3(grid, e0.values + longitudinal.values)
         b0 = solenoidal_projection(b0, scenario.backend)
     state = maxwell.EMState(e0, b0, c)
 
@@ -591,63 +567,34 @@ def _run_maxwell_fields(scenario: Scenario, out_dir: Path) -> RunReport:
         grid, scenario.dt, scenario.steps * scenario.dt, scenario.backend
     )
 
-    peaks = {"div_e_residual": 0.0, "div_b_residual": 0.0, "energy_drift": 0.0}
-    h0 = {"value": None}
+    peaks.update(div_e_residual=0.0, div_b_residual=0.0, energy_drift=0.0)
+    summary["h_prime0"] = None
 
-    with SnapshotWriter(
-        out_dir / SNAPSHOT_FILE,
-        kind="maxwell-fields",
-        grid=grid,
-        fields=FIELD_NAMES["maxwell-fields"],
-        time_start=0.0,
-        time_step=scenario.dt * scenario.snapshot_stride,
-        frame_count=_snapshot_count(scenario.steps, scenario.snapshot_stride),
-        provenance=scenario.provenance(),
-    ) as snap, DiagnosticsWriter(
-        out_dir / DIAGNOSTICS_FILE,
-        ("step", "time", "h_prime", "div_e_residual", "div_b_residual", "rs_residual_rel"),
-    ) as diag:
-
-        def observer(step: int, e: np.ndarray, b: np.ndarray) -> None:
-            t = step * scenario.dt
-            st = maxwell.EMState(
-                VectorSampleField3(grid, e.copy()), VectorSampleField3(grid, b.copy()), c
-            )
-            rho = sources.rho_at(t, grid)
-            div_e_res, div_b_res = maxwell.constraint_residual(st, rho, scenario.backend)
-            rs_res, rs_scale = maxwell.riemann_silberstein_residual(
-                st, sources, t, scenario.backend
-            )
-            h_prime = maxwell.em_hamiltonians(
-                st, sources.current_at(t, grid), scenario.backend
-            )[1]
-            diag.write_row(
-                [step, t, h_prime, div_e_res, div_b_res, rs_res / max(rs_scale, 1e-300)]
-            )
-            peaks["div_e_residual"] = max(peaks["div_e_residual"], div_e_res)
-            peaks["div_b_residual"] = max(peaks["div_b_residual"], div_b_res)
-            if h0["value"] is None:
-                h0["value"] = h_prime
-            elif abs(h0["value"]) > 1e-300:
-                peaks["energy_drift"] = max(
-                    peaks["energy_drift"], abs(h_prime - h0["value"]) / abs(h0["value"])
-                )
-
-        times, snaps = maxwell.run_rk4(
-            state,
-            sources,
-            scenario.dt,
-            scenario.steps,
-            snapshot_stride=scenario.snapshot_stride,
-            method=scenario.backend,
-            observer=observer,
+    def observer(step: int, e: np.ndarray, b: np.ndarray) -> list:
+        t = step * scenario.dt
+        st = maxwell.EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), c)
+        rho = sources.rho_at(t, grid)
+        div_e_res, div_b_res = maxwell.constraint_residual(st, rho, scenario.backend)
+        rs_res, rs_scale = maxwell.riemann_silberstein_residual(
+            st, sources, t, scenario.backend
         )
-        for s in snaps:
-            snap.write_frame(list(s.e.values) + list(s.b.values))
-    return RunReport("maxwell-fields", out_dir, peaks, {"h_prime0": h0["value"]})
+        h_prime = maxwell.em_hamiltonians(
+            st, sources.current_at(t, grid), scenario.backend
+        )[1]
+        peaks["div_e_residual"] = max(peaks["div_e_residual"], div_e_res)
+        peaks["div_b_residual"] = max(peaks["div_b_residual"], div_b_res)
+        h0 = summary["h_prime0"]
+        if h0 is None:
+            summary["h_prime0"] = h_prime
+        elif abs(h0) > 1e-300:
+            peaks["energy_drift"] = max(peaks["energy_drift"], abs(h_prime - h0) / abs(h0))
+        return [step, t, h_prime, div_e_res, div_b_res, rs_res / max(rs_scale, 1e-300)]
+
+    columns = ("step", "time", "h_prime", "div_e_residual", "div_b_residual", "rs_residual_rel")
+    return state, columns, observer
 
 
-def _run_maxwell_potential(scenario: Scenario, out_dir: Path) -> RunReport:
+def _maxwell_potential_evolution(scenario: Scenario, peaks: dict, summary: dict):
     grid = scenario.grid
     c = scenario.light_speed
     sources = scenario.sources
@@ -658,52 +605,34 @@ def _run_maxwell_potential(scenario: Scenario, out_dir: Path) -> RunReport:
         grid, scenario.dt, scenario.steps * scenario.dt, scenario.backend
     )
 
-    peaks = {"potential_constraint_residual": 0.0, "div_b_residual": 0.0}
+    peaks.update(potential_constraint_residual=0.0, div_b_residual=0.0)
 
-    with SnapshotWriter(
-        out_dir / SNAPSHOT_FILE,
-        kind="maxwell-potential",
-        grid=grid,
-        fields=FIELD_NAMES["maxwell-potential"],
-        time_start=0.0,
-        time_step=scenario.dt * scenario.snapshot_stride,
-        frame_count=_snapshot_count(scenario.steps, scenario.snapshot_stride),
-        provenance=scenario.provenance(),
-    ) as snap, DiagnosticsWriter(
-        out_dir / DIAGNOSTICS_FILE,
-        ("step", "time", "h_prime", "potential_constraint_residual", "div_b_residual"),
-    ) as diag:
-
-        def observer(step: int, a: np.ndarray, a_dot: np.ndarray) -> None:
-            t = step * scenario.dt
-            st = maxwell.PotentialState(
-                VectorSampleField3(grid, a.copy()), VectorSampleField3(grid, a_dot.copy()), c
-            )
-            fields = maxwell.potential_to_fields(st, scenario.backend)
-            rho = sources.rho_at(t, grid)
-            con = maxwell.potential_constraint_residual(st, rho, scenario.backend)
-            _, div_b = maxwell.constraint_residual(fields, rho, scenario.backend)
-            h_prime = maxwell.em_hamiltonians(
-                fields, sources.current_at(t, grid), scenario.backend
-            )[1]
-            diag.write_row([step, t, h_prime, con, div_b])
-            peaks["potential_constraint_residual"] = max(
-                peaks["potential_constraint_residual"], con
-            )
-            peaks["div_b_residual"] = max(peaks["div_b_residual"], div_b)
-
-        times, snaps = maxwell.run_potential_verlet(
-            state,
-            sources,
-            scenario.dt,
-            scenario.steps,
-            snapshot_stride=scenario.snapshot_stride,
-            method=scenario.backend,
-            observer=observer,
+    def observer(step: int, a: np.ndarray, a_dot: np.ndarray) -> list:
+        t = step * scenario.dt
+        st = maxwell.PotentialState(VectorSampleField3(grid, a), VectorSampleField3(grid, a_dot), c)
+        fields = maxwell.potential_to_fields(st, scenario.backend)
+        rho = sources.rho_at(t, grid)
+        con = maxwell.potential_constraint_residual(st, rho, scenario.backend)
+        _, div_b = maxwell.constraint_residual(fields, rho, scenario.backend)
+        h_prime = maxwell.em_hamiltonians(
+            fields, sources.current_at(t, grid), scenario.backend
+        )[1]
+        peaks["potential_constraint_residual"] = max(
+            peaks["potential_constraint_residual"], con
         )
-        for s in snaps:
-            snap.write_frame(list(s.a.values) + list(s.a_dot.values))
-    return RunReport("maxwell-potential", out_dir, peaks, {})
+        peaks["div_b_residual"] = max(peaks["div_b_residual"], div_b)
+        return [step, t, h_prime, con, div_b]
+
+    columns = ("step", "time", "h_prime", "potential_constraint_residual", "div_b_residual")
+    return state, columns, observer
+
+
+_EVOLUTIONS = {
+    "schrodinger": _schrodinger_evolution,
+    "phi": _phi_evolution,
+    "maxwell-fields": _maxwell_fields_evolution,
+    "maxwell-potential": _maxwell_potential_evolution,
+}
 
 
 def _load_run(path_str: str, base: Path | None) -> SnapshotData:
@@ -717,93 +646,74 @@ def _load_run(path_str: str, base: Path | None) -> SnapshotData:
     return read_snapshot(path)
 
 
-def _run_reconstruct_phi(scenario: Scenario, out_dir: Path) -> RunReport:
+def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
+    """Map a field-form record to potentials and check the round trip frame by frame."""
     base = scenario.path.parent if scenario.path else None
     data = _load_run(scenario.inputs["source"], base)
-    if data.kind != "schrodinger":
-        raise ScenarioError(f"reconstruct-phi needs a schrodinger run, got {data.kind!r}")
+    to_phi = scenario.kind == "reconstruct-phi"
+    if to_phi:
+        source_kind, out_kind = "schrodinger", "phi"
+    else:
+        source_kind, out_kind = "maxwell-fields", "maxwell-potential"
+    if data.kind != source_kind:
+        raise ScenarioError(f"{scenario.kind} needs a {source_kind} run, got {data.kind!r}")
     grid = data.grid
-    params = scenario.params
-    node = _parse_expr(scenario.potential_source, "[potential] v")
-    V = schrodinger.PotentialSpec(
-        expressions.sample(node, grid, scenario.constants), node
-    )
-    psis = [
-        ComplexSampleField(grid, f["psi_re"] + 1j * f["psi_im"]) for f in data.frames
-    ]
-    traj = reconstruction.TrajectoryRecord.of_waves(data.times, psis)
-    states = reconstruction.reconstruct_phi(traj, V, params, scenario.backend)
+    backend = scenario.backend
+    if to_phi:
+        node = _parse_expr(scenario.potential_source, "[potential] v")
+        V = schrodinger.PotentialSpec(expressions.sample(node, grid, scenario.constants), node)
+        originals = [
+            ComplexSampleField(grid, f["psi_re"] + 1j * f["psi_im"]) for f in data.frames
+        ]
+        traj = reconstruction.TrajectoryRecord.of_waves(data.times, originals)
+        states = reconstruction.reconstruct_phi(traj, V, scenario.params, backend)
+
+        def roundtrip_diff(st, psi) -> np.ndarray:
+            return wavepotential.to_wavefunction(st, backend).psi.values - psi.values
+
+    else:
+        c = float(data.provenance.get("constants", {}).get("c", scenario.light_speed))
+        originals = [
+            maxwell.EMState(
+                VectorSampleField3(grid, np.stack([f["e_x"], f["e_y"], f["e_z"]])),
+                VectorSampleField3(grid, np.stack([f["b_x"], f["b_y"], f["b_z"]])),
+                c,
+            )
+            for f in data.frames
+        ]
+        traj = reconstruction.TrajectoryRecord.of_fields(data.times, originals)
+        states = reconstruction.reconstruct_vector_potential(traj, backend)
+
+        def roundtrip_diff(ps, em) -> np.ndarray:
+            back = maxwell.potential_to_fields(ps, backend)
+            return np.concatenate(
+                [(back.e.values - em.e.values).ravel(), (back.b.values - em.b.values).ravel()]
+            )
 
     peaks = {"roundtrip_l2": 0.0}
     with SnapshotWriter(
         out_dir / SNAPSHOT_FILE,
-        kind="phi",
+        kind=out_kind,
         grid=grid,
-        fields=FIELD_NAMES["phi"],
+        fields=FIELD_NAMES[out_kind],
         time_start=float(data.times[0]),
         time_step=float(data.times[1] - data.times[0]),
         frame_count=len(states),
+        time_end=data.time_end,
         provenance=scenario.provenance(),
     ) as snap, DiagnosticsWriter(
         out_dir / REPORT_FILE, ("frame", "time", "roundtrip_l2", "roundtrip_max")
     ) as rep:
         vol = grid.cell_volume
-        for n, (st, psi) in enumerate(zip(states, psis)):
-            snap.write_frame([st.phi.values, st.phi_dot.values])
-            back = wavepotential.to_wavefunction(st, scenario.backend)
-            diff = back.psi.values - psi.values
+        for n, (st, original) in enumerate(zip(states, originals)):
+            snap.write_frame(_FRAME_ARRAYS[out_kind](st))
+            diff = roundtrip_diff(st, original)
             l2 = float(np.sqrt(np.sum(np.abs(diff) ** 2) * vol))
             peaks["roundtrip_l2"] = max(peaks["roundtrip_l2"], l2)
             rep.write_row([n, data.times[n], l2, float(np.max(np.abs(diff)))])
     summary = {"sup_roundtrip_l2": peaks["roundtrip_l2"], "frames": len(states)}
     (out_dir / SUMMARY_FILE).write_text(json.dumps(summary, sort_keys=True) + "\n")
-    return RunReport("reconstruct-phi", out_dir, peaks, summary)
-
-
-def _run_reconstruct_a(scenario: Scenario, out_dir: Path) -> RunReport:
-    base = scenario.path.parent if scenario.path else None
-    data = _load_run(scenario.inputs["source"], base)
-    if data.kind != "maxwell-fields":
-        raise ScenarioError(f"reconstruct-a needs a maxwell-fields run, got {data.kind!r}")
-    grid = data.grid
-    c = float(data.provenance.get("constants", {}).get("c", scenario.light_speed))
-    states_in = [
-        maxwell.EMState(
-            VectorSampleField3(grid, np.stack([f["e_x"], f["e_y"], f["e_z"]])),
-            VectorSampleField3(grid, np.stack([f["b_x"], f["b_y"], f["b_z"]])),
-            c,
-        )
-        for f in data.frames
-    ]
-    traj = reconstruction.TrajectoryRecord.of_fields(data.times, states_in)
-    pstates = reconstruction.reconstruct_vector_potential(traj, scenario.backend)
-
-    peaks = {"roundtrip_l2": 0.0}
-    with SnapshotWriter(
-        out_dir / SNAPSHOT_FILE,
-        kind="maxwell-potential",
-        grid=grid,
-        fields=FIELD_NAMES["maxwell-potential"],
-        time_start=float(data.times[0]),
-        time_step=float(data.times[1] - data.times[0]),
-        frame_count=len(pstates),
-        provenance=scenario.provenance(),
-    ) as snap, DiagnosticsWriter(
-        out_dir / REPORT_FILE, ("frame", "time", "roundtrip_l2", "roundtrip_max")
-    ) as rep:
-        vol = grid.cell_volume
-        for n, (ps, em) in enumerate(zip(pstates, states_in)):
-            snap.write_frame(list(ps.a.values) + list(ps.a_dot.values))
-            back = maxwell.potential_to_fields(ps, scenario.backend)
-            diff = np.concatenate(
-                [(back.e.values - em.e.values).ravel(), (back.b.values - em.b.values).ravel()]
-            )
-            l2 = float(np.sqrt(np.sum(diff**2) * vol))
-            peaks["roundtrip_l2"] = max(peaks["roundtrip_l2"], l2)
-            rep.write_row([n, data.times[n], l2, float(np.max(np.abs(diff)))])
-    summary = {"sup_roundtrip_l2": peaks["roundtrip_l2"], "frames": len(pstates)}
-    (out_dir / SUMMARY_FILE).write_text(json.dumps(summary, sort_keys=True) + "\n")
-    return RunReport("reconstruct-a", out_dir, peaks, summary)
+    return RunReport(scenario.kind, out_dir, peaks, summary)
 
 
 def _transform_frames(data: SnapshotData, transform: str, backend: str):
@@ -836,13 +746,7 @@ def _transform_frames(data: SnapshotData, transform: str, backend: str):
             a = np.stack([f["a_x"], f["a_y"], f["a_z"]])
             a_dot = np.stack([f["a_dot_x"], f["a_dot_y"], f["a_dot_z"]])
             b = _curl_arrays(a, data.grid, backend)
-            e = -a_dot / c
-            out.append(
-                {
-                    "e_x": e[0], "e_y": e[1], "e_z": e[2],
-                    "b_x": b[0], "b_y": b[1], "b_z": b[2],
-                }
-            )
+            out.append(dict(zip(FIELD_NAMES["maxwell-fields"], [*(-a_dot / c), *b])))
         return FIELD_NAMES["maxwell-fields"], out
     raise ScenarioError(f"unknown transform {transform!r}")
 

@@ -20,6 +20,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +36,7 @@ from .operators import (
     laplacian_spectral_radius,
 )
 from .expressions import Expression
+from .stepping import drive
 
 __all__ = [
     "QuantumParams",
@@ -307,26 +309,25 @@ def propagate_cn(
     dt: float,
     steps: int,
     *,
+    sink: Callable[[int, WaveFunction], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
-    observer=None,
-) -> tuple[np.ndarray, list[ComplexSampleField]]:
-    """Run ``steps`` Cayley steps, recording every ``snapshot_stride``-th state.
+    observer: Callable[[int, np.ndarray], None] | None = None,
+) -> WaveFunction:
+    """Cayley steps through ``crank_nicolson_step``; see ``stepping.drive``.
 
-    Snapshot times include t=0. ``observer(step, psi_values)`` is called after
-    every step when given.
+    The observer sees the raw Psi samples.
     """
-    times = [0.0]
-    snaps = [psi.psi]
-    state = psi
-    for n in range(1, steps + 1):
-        state = crank_nicolson_step(state, V, dt, method)
-        if observer is not None:
-            observer(n, state.psi.values)
-        if n % snapshot_stride == 0 or n == steps:
-            times.append(n * dt)
-            snaps.append(state.psi)
-    return np.array(times), snaps
+    current = psi
+
+    def advance(n: int) -> None:
+        nonlocal current
+        current = crank_nicolson_step(current, V, dt, method)
+
+    return drive(
+        advance, lambda: current, lambda: (current.psi.values,),
+        steps, snapshot_stride, sink, observer,
+    )
 
 
 @dataclass(frozen=True)

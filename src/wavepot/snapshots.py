@@ -3,7 +3,8 @@
 One snapshot file holds one run: a text header (magic line plus a single JSON
 line) followed by raw frames. Every frame stores the named fields in order as
 little-endian float64 with the x axis varying fastest (Fortran order of the
-(x, y, z)-indexed arrays). Times are uniform: ``time_start + n * time_step``.
+(x, y, z)-indexed arrays). Times are uniform, ``time_start + n * time_step``,
+except that an optional ``time_end`` gives the time of the last frame.
 The format is plain enough to parse from any language; docs/snapshot_format.md
 spells out the bytes.
 
@@ -49,7 +50,14 @@ def _json_default(obj):
 
 
 class SnapshotWriter:
-    """Streams frames to a snapshot file without holding them all in memory."""
+    """Streams frames to a snapshot file without holding them all in memory.
+
+    Frames go to ``<path>.tmp``, which is renamed to ``path`` only when the
+    promised ``frame_count`` frames were written and the writer closes
+    cleanly; a run that raises leaves no snapshot file behind. ``time_end``
+    is the time of the last frame when it falls off the uniform grid (a run
+    whose step count is not a multiple of its stride), else None.
+    """
 
     def __init__(
         self,
@@ -61,6 +69,7 @@ class SnapshotWriter:
         time_start: float,
         time_step: float,
         frame_count: int,
+        time_end: float | None,
         provenance: dict,
     ):
         self.path = Path(path)
@@ -77,7 +86,10 @@ class SnapshotWriter:
             "time_start": float(time_start),
             "time_step": float(time_step),
         }
-        self._fh = open(self.path, "wb")
+        if time_end is not None:
+            header["time_end"] = float(time_end)
+        self._tmp = self.path.with_name(self.path.name + ".tmp")
+        self._fh = open(self._tmp, "wb")
         self._fh.write((MAGIC + "\n").encode("ascii"))
         self._fh.write(
             (json.dumps(header, sort_keys=True, default=_json_default) + "\n").encode("ascii")
@@ -96,24 +108,26 @@ class SnapshotWriter:
     def close(self) -> None:
         self._fh.close()
         if self._written != self.frame_count:
+            self._tmp.unlink()
             raise ValueError(
                 f"snapshot header promised {self.frame_count} frames, wrote {self._written}"
             )
+        self._tmp.replace(self.path)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._fh.close()
-        if exc_type is None and self._written != self.frame_count:
-            raise ValueError(
-                f"snapshot header promised {self.frame_count} frames, wrote {self._written}"
-            )
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
+            self._tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
 class SnapshotData:
-    """A fully loaded snapshot file."""
+    """A fully loaded snapshot file; ``time_end`` as in its header (or None)."""
 
     kind: str
     grid: Grid
@@ -121,9 +135,7 @@ class SnapshotData:
     times: np.ndarray
     frames: list[dict[str, np.ndarray]]
     provenance: dict
-
-    def frame_arrays(self, n: int) -> dict[str, np.ndarray]:
-        return self.frames[n]
+    time_end: float | None
 
 
 def write_snapshot(
@@ -136,6 +148,7 @@ def write_snapshot(
     frames: Iterable[Sequence[np.ndarray]],
     provenance: dict,
 ) -> None:
+    """Write a whole record at once; ``times`` must be uniformly spaced."""
     times = np.asarray(times, dtype=float)
     step = float(times[1] - times[0]) if times.size > 1 else 0.0
     with SnapshotWriter(
@@ -146,6 +159,7 @@ def write_snapshot(
         time_start=float(times[0]),
         time_step=step,
         frame_count=len(times),
+        time_end=None,
         provenance=provenance,
     ) as writer:
         for frame in frames:
@@ -178,7 +192,12 @@ def read_snapshot(path: str | Path) -> SnapshotData:
         if tail:
             raise ValueError(f"{path} has trailing bytes")
     times = header["time_start"] + header["time_step"] * np.arange(count)
-    return SnapshotData(header["kind"], grid, fields, times, frames, header.get("provenance", {}))
+    time_end = header.get("time_end")
+    if time_end is not None:
+        times[-1] = time_end
+    return SnapshotData(
+        header["kind"], grid, fields, times, frames, header.get("provenance", {}), time_end
+    )
 
 
 def dump_csv(data: SnapshotData, out_path: str | Path, frame: int | None = None) -> None:

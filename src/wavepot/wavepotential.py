@@ -28,13 +28,13 @@ from .schrodinger import (
     max_energy_bound,
     real_l_operator,
 )
+from .stepping import drive
 
 __all__ = [
     "PhiState",
     "EnergyDensity",
     "phi_acceleration",
     "stable_dt",
-    "verlet_step",
     "run_verlet",
     "to_wavefunction",
     "stationary_phi",
@@ -111,88 +111,51 @@ def _require_stable(dt: float, state: PhiState, method: str) -> None:
         )
 
 
-def verlet_step(state: PhiState, dt: float, method: str = "spectral") -> PhiState:
-    """One kick-drift-kick velocity-Verlet step. Refuses unstable dt."""
-    _require_stable(dt, state, method)
-    grid = state.grid
-    v = state.potential.sampled.values
-    hbar2 = state.params.hbar**2
-
-    def accel(phi_values: np.ndarray) -> np.ndarray:
-        lphi = l_operator_array(phi_values, v, grid, state.params, method)
-        return -l_operator_array(lphi, v, grid, state.params, method) / hbar2
-
-    a0 = accel(state.phi.values)
-    v_half = state.phi_dot.values + 0.5 * dt * a0
-    phi_new = state.phi.values + dt * v_half
-    a1 = accel(phi_new)
-    v_new = v_half + 0.5 * dt * a1
-    return PhiState(
-        ScalarSampleField(grid, phi_new),
-        ScalarSampleField(grid, v_new),
-        state.params,
-        state.potential,
-    )
-
-
 def run_verlet(
     state: PhiState,
     dt: float,
     steps: int,
     *,
+    sink: Callable[[int, PhiState], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
     observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    observe_stride: int = 1,
-) -> tuple[np.ndarray, list[PhiState]]:
-    """Integrate ``steps`` Verlet steps on raw arrays (hot path).
+) -> PhiState:
+    """Kick-drift-kick velocity-Verlet on raw arrays, driven by ``stepping.drive``.
 
-    Snapshots (including t=0) are boxed into PhiState every
-    ``snapshot_stride`` steps. ``observer(step, l_phi, phi_dot)`` receives the
-    operator image L(phi) and the velocity after each ``observe_stride``-th
-    step, which is enough to form Psi and all densities without extra
-    transforms.
+    The observer sees L(phi) and phi_dot, enough to form Psi and all densities
+    without extra transforms. Refuses unstable dt.
     """
     _require_stable(dt, state, method)
     grid = state.grid
-    v = state.potential.sampled.values
     params = state.params
-    hbar2 = params.hbar**2
-    lop = real_l_operator(grid, v, params, method)
-
+    lop = real_l_operator(grid, state.potential.sampled.values, params, method)
     phi = state.phi.values.copy()
     vel = state.phi_dot.values.copy()
-    times = [0.0]
-    snaps = [state]
-
-    def box(p, w) -> PhiState:
-        return PhiState(
-            ScalarSampleField(grid, p.copy()),
-            ScalarSampleField(grid, w.copy()),
-            params,
-            state.potential,
-        )
-
-    neg_inv_hbar2 = -1.0 / hbar2
+    neg_inv_hbar2 = -1.0 / params.hbar**2
     half_dt = 0.5 * dt
     lphi = lop(phi)
-    if observer is not None:
-        observer(0, lphi, vel)
     accel = lop(lphi)
     accel *= neg_inv_hbar2
-    for n in range(1, steps + 1):
+
+    def advance(n: int) -> None:
+        nonlocal phi, vel, lphi, accel
         vel += half_dt * accel
         phi += dt * vel
         lphi = lop(phi)
         accel = lop(lphi)
         accel *= neg_inv_hbar2
         vel += half_dt * accel
-        if observer is not None and n % observe_stride == 0:
-            observer(n, lphi, vel)
-        if n % snapshot_stride == 0 or n == steps:
-            times.append(n * dt)
-            snaps.append(box(phi, vel))
-    return np.array(times), snaps
+
+    def box() -> PhiState:
+        return PhiState(
+            ScalarSampleField(grid, phi.copy()),
+            ScalarSampleField(grid, vel.copy()),
+            params,
+            state.potential,
+        )
+
+    return drive(advance, box, lambda: (lphi, vel), steps, snapshot_stride, sink, observer)
 
 
 def to_wavefunction(state: PhiState, method: str = "spectral") -> WaveFunction:

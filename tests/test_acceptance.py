@@ -126,12 +126,13 @@ def test_c01_forward_equivalence(harmonic_256):
     total_time = 4.0 * (2.0 * np.pi * PARAMS.hbar / e0)
 
     def sup_error(step_count: int, stride: int) -> float:
-        times, snaps = run_verlet(state0, total_time / step_count, step_count,
-                                  snapshot_stride=stride)
+        step_dt = total_time / step_count
+        snaps = {}
+        run_verlet(state0, step_dt, step_count, sink=snaps.__setitem__, snapshot_stride=stride)
         worst = 0.0
-        for t, snap in zip(times, snaps):
+        for n, snap in snaps.items():
             mapped = to_wavefunction(snap).psi
-            ref = exact_propagate_small(psi_init, V, t, eig=eig).psi
+            ref = exact_propagate_small(psi_init, V, n * step_dt, eig=eig).psi
             worst = max(worst, l2_norm(ComplexSampleField(grid, mapped.values - ref.values)))
         return worst
 
@@ -158,8 +159,9 @@ def test_c02_reverse_equivalence(harmonic_128):
     psi = WaveFunction(ComplexSampleField(grid, packet), PARAMS)
     dt = 1e-3
     steps = 6283
-    times, snaps = propagate_cn(psi, V, dt, steps)
-    traj = TrajectoryRecord.of_waves(times, snaps)
+    frames = {}
+    propagate_cn(psi, V, dt, steps, sink=frames.__setitem__)
+    traj = TrajectoryRecord.of_waves([n * dt for n in frames], [w.psi for w in frames.values()])
     states = reconstruct_phi(traj, V, PARAMS)
 
     sup_l2 = max(
@@ -207,7 +209,7 @@ def test_c03_probability_energy_identity(harmonic_128):
         norms.append(float(psi_sq.sum() * vol))
         identity_rel.append(float(np.max(np.abs(psi_sq - dens2)) / psi_sq.max()))
 
-    run_verlet(state0, dt, steps, snapshot_stride=steps, observer=observer)
+    run_verlet(state0, dt, steps, sink=None, observer=observer)
     norms = np.array(norms)
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     worst_identity = max(identity_rel)
@@ -319,22 +321,25 @@ def test_c06_maxwell_equivalence():
     dt_rk4 = period / 600
     dt_verlet = period / 6000
     assert dt_rk4 <= 0.5 * (2.8 / (c * np.sqrt(3) * (np.pi / grid.spacings[0])))
-    _, f_snaps = run_rk4(plane_wave_fields(grid, c), src, dt_rk4, 600, snapshot_stride=60)
-    _, p_snaps = run_potential_verlet(
-        plane_wave_potential(grid, c), src, dt_verlet, 6000, snapshot_stride=600
+    f_snaps, p_snaps = {}, {}
+    run_rk4(plane_wave_fields(grid, c), src, dt_rk4, 600, sink=f_snaps.__setitem__,
+            snapshot_stride=60)
+    run_potential_verlet(
+        plane_wave_potential(grid, c), src, dt_verlet, 6000, sink=p_snaps.__setitem__,
+        snapshot_stride=600,
     )
     ref = l2_norm(f_snaps[0].e)
     worst = 0.0
-    for fs, ps in zip(f_snaps, p_snaps):
+    for fs, ps in zip(f_snaps.values(), p_snaps.values()):
         mapped = potential_to_fields(ps)
         worst = max(worst, l2_norm(mapped.e - fs.e) / ref, l2_norm(mapped.b - fs.b) / ref)
 
     window_steps = 341
     dt_win = 0.15 / window_steps
-    times, snaps = run_rk4(
-        plane_wave_fields(grid, c), src, dt_win, window_steps, snapshot_stride=1
-    )
-    traj = TrajectoryRecord.of_fields(times, snaps)
+    frames = {}
+    run_rk4(plane_wave_fields(grid, c), src, dt_win, window_steps, sink=frames.__setitem__)
+    snaps = list(frames.values())
+    traj = TrajectoryRecord.of_fields([n * dt_win for n in frames], snaps)
     pstates = reconstruct_vector_potential(traj)
     round_worst = 0.0
     for ps, fr in zip(pstates, snaps):
@@ -367,9 +372,10 @@ def test_c07_constraint_persistence():
     src.validate_continuity(grid, 0.02, 8.0)
     dx = grid.spacings[0]
     scale = max_norm(state.e) / dx + max_norm(rho)
-    _, snaps = run_rk4(state, src, 0.02, 400, snapshot_stride=50)
-    worst_e = max(constraint_residual(s, rho)[0] for s in snaps) / scale
-    worst_b = max(constraint_residual(s, rho)[1] for s in snaps) / scale
+    snaps = {}
+    run_rk4(state, src, 0.02, 400, sink=snaps.__setitem__, snapshot_stride=50)
+    worst_e = max(constraint_residual(s, rho)[0] for s in snaps.values()) / scale
+    worst_b = max(constraint_residual(s, rho)[1] for s in snaps.values()) / scale
 
     # inject a longitudinal violation with vacuum sources: it must stay frozen
     bad = EMState(
@@ -380,8 +386,9 @@ def test_c07_constraint_persistence():
     )
     rho0 = ScalarSampleField.zeros(grid)
     res0 = constraint_residual(bad, rho0)[0]
-    _, bad_snaps = run_rk4(bad, SourceSpec.vacuum(), 0.02, 400, snapshot_stride=100)
-    frozen = max(abs(constraint_residual(s, rho0)[0] - res0) for s in bad_snaps) / res0
+    bad_snaps = {}
+    run_rk4(bad, SourceSpec.vacuum(), 0.02, 400, sink=bad_snaps.__setitem__, snapshot_stride=100)
+    frozen = max(abs(constraint_residual(s, rho0)[0] - res0) for s in bad_snaps.values()) / res0
     ok = worst_e <= 1e-9 and worst_b <= 1e-9 and frozen <= 1e-12
     report(
         "criterion 07 constraint persistence",
@@ -497,16 +504,18 @@ def test_c10_rescaling():
 
     dt = 0.5 * stable_dt(V, params)
     steps = 400
-    _, snaps = run_verlet(state, dt, steps, snapshot_stride=100)
-    _, snaps_r = run_verlet(state_r, dt / hbar, steps, snapshot_stride=100)
+    snaps, snaps_r = {}, {}
+    run_verlet(state, dt, steps, sink=snaps.__setitem__, snapshot_stride=100)
+    run_verlet(state_r, dt / hbar, steps, sink=snaps_r.__setitem__, snapshot_stride=100)
     scale = max_norm(state.phi)
     traj_err = max(
         np.max(np.abs(np.sqrt(hbar) * sr.phi.values - s.phi.values)) / scale
-        for s, sr in zip(snaps, snaps_r)
+        for s, sr in zip(snaps.values(), snaps_r.values())
     )
 
-    _, dense = run_verlet(state_r, dt / hbar, 2, snapshot_stride=1)
-    phi_m = [np.sqrt(hbar) * s.phi.values for s in dense]
+    dense = {}
+    run_verlet(state_r, dt / hbar, 2, sink=dense.__setitem__)
+    phi_m = [np.sqrt(hbar) * s.phi.values for s in dense.values()]
     second = (phi_m[2] - 2 * phi_m[1] + phi_m[0]) / dt**2
     mid = PhiState(ScalarSampleField(grid, phi_m[1]), ScalarSampleField.zeros(grid), params, V)
     residual = float(np.max(np.abs(second - phi_acceleration(mid).values)))

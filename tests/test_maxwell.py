@@ -19,10 +19,8 @@ from wavepot.maxwell import (
     potential_constraint_residual,
     potential_dt_bound,
     potential_to_fields,
-    potential_verlet_step,
     riemann_silberstein_residual,
     rk4_dt_bound,
-    rk4_step,
     run_potential_verlet,
     run_rk4,
 )
@@ -90,13 +88,13 @@ class TestEmRhs:
 class TestRk4:
     def test_zero_state_stays_zero(self, cube16):
         state = EMState(VectorSampleField3.zeros(cube16), VectorSampleField3.zeros(cube16))
-        out = rk4_step(state, SourceSpec.vacuum(), 0.0, 0.01)
+        out = run_rk4(state, SourceSpec.vacuum(), 0.01, 1, sink=None)
         assert max_norm(out.e) == 0.0 and max_norm(out.b) == 0.0
 
     def test_cfl_refusal(self, cube16):
         state = plane_wave_state(cube16)
         with pytest.raises(StabilityError):
-            rk4_step(state, SourceSpec.vacuum(), 0.0, 10.0)
+            run_rk4(state, SourceSpec.vacuum(), 10.0, 1, sink=None)
 
     def test_vacuum_wave_fourth_order(self, cube16):
         state = plane_wave_state(cube16)
@@ -104,10 +102,8 @@ class TestRk4:
         period = 2 * np.pi
         errs = []
         for steps in (80, 160):
-            _, snaps = run_rk4(state, src, period / steps, steps, snapshot_stride=steps)
-            errs.append(
-                max(l2_norm(snaps[-1].e - state.e), l2_norm(snaps[-1].b - state.b))
-            )
+            final = run_rk4(state, src, period / steps, steps, sink=None)
+            errs.append(max(l2_norm(final.e - state.e), l2_norm(final.b - state.b)))
         order = np.log2(errs[0] / errs[1])
         assert 3.7 <= order <= 4.3
 
@@ -117,8 +113,9 @@ class TestRk4:
         j0 = src.current_at(0.0, cube16)
         dt = 0.2 * rk4_dt_bound(cube16, state.c)
         h0 = em_hamiltonians(state, j0)[1]
-        _, snaps = run_rk4(state, src, dt, 1000, snapshot_stride=100)
-        drift = max(abs(em_hamiltonians(s, j0)[1] - h0) / h0 for s in snaps)
+        snaps = {}
+        run_rk4(state, src, dt, 1000, sink=snaps.__setitem__, snapshot_stride=100)
+        drift = max(abs(em_hamiltonians(s, j0)[1] - h0) / h0 for s in snaps.values())
         assert drift <= 1e-9
 
     def test_rk4_dissipation_scaling(self, cube16):
@@ -130,8 +127,8 @@ class TestRk4:
         drifts = []
         for factor in (0.2, 0.4):
             dt = factor * rk4_dt_bound(cube16, state.c)
-            _, snaps = run_rk4(state, src, dt, 200, snapshot_stride=200)
-            per_step = abs(em_hamiltonians(snaps[-1], j0)[1] - h0) / h0 / 200
+            final = run_rk4(state, src, dt, 200, sink=None)
+            per_step = abs(em_hamiltonians(final, j0)[1] - h0) / h0 / 200
             drifts.append(per_step)
         measured = np.log2(drifts[1] / drifts[0])
         assert 5.5 <= measured <= 6.5
@@ -164,8 +161,9 @@ class TestConstraints:
         rho0 = ScalarSampleField.zeros(cube16)
         res0 = constraint_residual(state, rho0)[0]
         dt = 0.3 * rk4_dt_bound(cube16, state.c)
-        _, snaps = run_rk4(state, src, dt, 300, snapshot_stride=100)
-        for s in snaps:
+        snaps = {}
+        run_rk4(state, src, dt, 300, sink=snaps.__setitem__, snapshot_stride=100)
+        for s in snaps.values():
             res_t = constraint_residual(s, rho0)[0]
             assert abs(res_t - res0) <= 1e-12 * res0
 
@@ -180,8 +178,9 @@ class TestConstraints:
         src = SourceSpec("0.3*sin(x)*cos(y)", ("0", "0", "0"))
         dt = 0.3 * rk4_dt_bound(cube16, state.c)
         scale = max_norm(state.e) / cube16.spacings[0] + max_norm(rho)
-        _, snaps = run_rk4(state, src, dt, 400, snapshot_stride=200)
-        for s in snaps:
+        snaps = {}
+        run_rk4(state, src, dt, 400, sink=snaps.__setitem__, snapshot_stride=200)
+        for s in snaps.values():
             div_e_res, div_b_res = constraint_residual(s, rho)
             assert div_e_res <= 1e-9 * scale
             assert div_b_res <= 1e-9 * scale
@@ -215,9 +214,9 @@ class TestPotentialDynamics:
         acc = potential_acceleration(state, VectorSampleField3.zeros(cube16))
         assert max_norm(acc) <= 1e-11
         dt = 0.3 * potential_dt_bound(cube16, state.c)
-        _, snaps = run_potential_verlet(state, SourceSpec.vacuum(), dt, 50, snapshot_stride=50)
-        assert max_norm(snaps[-1].a - a) <= 1e-11
-        assert max_norm(snaps[-1].a_dot) <= 1e-11
+        final = run_potential_verlet(state, SourceSpec.vacuum(), dt, 50, sink=None)
+        assert max_norm(final.a - a) <= 1e-11
+        assert max_norm(final.a_dot) <= 1e-11
 
     def test_transverse_mode_acceleration(self, cube16):
         x, _, _ = mesh(cube16)
@@ -246,13 +245,13 @@ class TestPotentialDynamics:
     def test_verlet_dispersion(self, cube16):
         state = plane_wave_potential(cube16)
         dt = 0.4 * potential_dt_bound(cube16, state.c)
-        stepped = potential_verlet_step(state, SourceSpec.vacuum(), 0.0, dt)
+        stepped = run_potential_verlet(state, SourceSpec.vacuum(), dt, 1, sink=None)
         ratio = float(
             np.vdot(state.a.values, stepped.a.values) / np.vdot(state.a.values, state.a.values)
         )
         # a-projection advances like a cos(Omega t) + (a_dot-part) sin; isolate via symmetric combo
         back = PotentialState(state.a, -1.0 * state.a_dot, state.c)
-        stepped_back = potential_verlet_step(back, SourceSpec.vacuum(), 0.0, dt)
+        stepped_back = run_potential_verlet(back, SourceSpec.vacuum(), dt, 1, sink=None)
         ratio_sym = 0.5 * (
             ratio
             + float(
@@ -266,12 +265,9 @@ class TestPotentialDynamics:
     def test_reversal(self, cube16, rng):
         state = PotentialState(smooth_vector(cube16, rng), smooth_vector(cube16, rng))
         dt = 0.3 * potential_dt_bound(cube16, state.c)
-        forward = state
-        for _ in range(10):
-            forward = potential_verlet_step(forward, SourceSpec.vacuum(), 0.0, dt)
+        forward = run_potential_verlet(state, SourceSpec.vacuum(), dt, 10, sink=None)
         back = PotentialState(forward.a, -1.0 * forward.a_dot, state.c)
-        for _ in range(10):
-            back = potential_verlet_step(back, SourceSpec.vacuum(), 0.0, dt)
+        back = run_potential_verlet(back, SourceSpec.vacuum(), dt, 10, sink=None)
         scale = max(max_norm(state.a), max_norm(state.a_dot))
         assert max_norm(back.a - state.a) <= 1e-12 * scale
 
@@ -304,9 +300,11 @@ class TestFieldMap:
         shifted = gauge_shift_potential(state, alpha)
         dt = 0.2 * potential_dt_bound(cube16, state.c)
         src = SourceSpec.vacuum()
-        _, snaps_a = run_potential_verlet(state, src, dt, 100, snapshot_stride=50)
-        _, snaps_b = run_potential_verlet(shifted, src, dt, 100, snapshot_stride=50)
-        for sa, sb in zip(snaps_a, snaps_b):
+        snaps_a = {}
+        run_potential_verlet(state, src, dt, 100, sink=snaps_a.__setitem__, snapshot_stride=50)
+        snaps_b = {}
+        run_potential_verlet(shifted, src, dt, 100, sink=snaps_b.__setitem__, snapshot_stride=50)
+        for sa, sb in zip(snaps_a.values(), snaps_b.values()):
             fa, fb = potential_to_fields(sa), potential_to_fields(sb)
             assert max_norm(fb.e - fa.e) <= 1e-10
             assert max_norm(fb.b - fa.b) <= 1e-10
@@ -330,8 +328,9 @@ class TestPotentialConstraint:
         res0 = potential_constraint_residual(state, rho)
         src = SourceSpec("0.2*sin(x)*cos(y)", ("0", "0", "0"))
         dt = 0.3 * potential_dt_bound(cube16, state.c)
-        _, snaps = run_potential_verlet(state, src, dt, 200, snapshot_stride=100)
-        for s in snaps:
+        snaps = {}
+        run_potential_verlet(state, src, dt, 200, sink=snaps.__setitem__, snapshot_stride=100)
+        for s in snaps.values():
             res_t = potential_constraint_residual(s, rho)
             assert abs(res_t - res0) <= 1e-10 * res0
 
@@ -340,9 +339,12 @@ class TestPotentialConstraint:
         state = plane_wave_potential(cube16)
         rho0 = ScalarSampleField.zeros(cube16)
         dt = 0.3 * potential_dt_bound(cube16, state.c)
-        _, snaps = run_potential_verlet(state, SourceSpec.vacuum(), dt, 1000, snapshot_stride=250)
+        snaps = {}
+        run_potential_verlet(
+            state, SourceSpec.vacuum(), dt, 1000, sink=snaps.__setitem__, snapshot_stride=250
+        )
         scale = state.c * max_norm(state.a_dot) / cube16.spacings[0]
-        for s in snaps:
+        for s in snaps.values():
             assert potential_constraint_residual(s, rho0) <= 1e-8 * scale
 
     def test_charged_initial_data_persists(self, cube16):
@@ -361,8 +363,9 @@ class TestPotentialConstraint:
         scale = state.c * max_norm(state.a_dot) / cube16.spacings[0]
         assert res0 <= 1e-10 * scale
         dt = 0.3 * potential_dt_bound(cube16, state.c)
-        _, snaps = run_potential_verlet(state, src, dt, 1000, snapshot_stride=250)
-        for s in snaps:
+        snaps = {}
+        run_potential_verlet(state, src, dt, 1000, sink=snaps.__setitem__, snapshot_stride=250)
+        for s in snaps.values():
             assert potential_constraint_residual(s, rho) <= 1e-8 * scale
 
 
@@ -391,9 +394,10 @@ class TestHamiltonians:
         j0 = src.current_at(0.0, cube16)
         period = 2 * np.pi
         steps = 600
-        _, snaps = run_rk4(state, src, period / steps, steps, snapshot_stride=60)
+        snaps = {}
+        run_rk4(state, src, period / steps, steps, sink=snaps.__setitem__, snapshot_stride=60)
         h0 = em_hamiltonians(state, j0)[1]
-        worst = max(abs(em_hamiltonians(s, j0)[1] - h0) / h0 for s in snaps)
+        worst = max(abs(em_hamiltonians(s, j0)[1] - h0) / h0 for s in snaps.values())
         assert worst <= 1e-9
 
     def test_canonical_h_conserved_with_static_current(self, cube16):
@@ -407,8 +411,9 @@ class TestHamiltonians:
         j0 = src.current_at(0.0, cube16)
         h0 = em_hamiltonians(state, j0)[0]
         dt = 0.1 * rk4_dt_bound(cube16, state.c)
-        _, snaps = run_rk4(state, src, dt, 500, snapshot_stride=100)
-        worst = max(abs(em_hamiltonians(s, j0)[0] - h0) / abs(h0) for s in snaps)
+        snaps = {}
+        run_rk4(state, src, dt, 500, sink=snaps.__setitem__, snapshot_stride=100)
+        worst = max(abs(em_hamiltonians(s, j0)[0] - h0) / abs(h0) for s in snaps.values())
         assert worst <= 1e-10
 
 
@@ -427,6 +432,14 @@ class TestContinuityGate:
         src = SourceSpec("0.5*sin(x)", ("cos(y)", "0", "sin(x)"))
         src.validate_continuity(cube16, 1e-2, 1.0)
 
+    def test_static_charge_oblique_divergence_free_current_accepted(self, cube16):
+        # d_x J_x and d_y J_y cancel exactly, so div J is pure roundoff; the
+        # gate must compare it with the size of the terms, not with itself
+        src = SourceSpec(
+            "0", ("0.3*cos(x+y+z)*sin(t+0.3)", "0-0.3*cos(x+y+z)*sin(t+0.3)", "0")
+        )
+        src.validate_continuity(cube16, 1e-2, 1.0)
+
     def test_static_divergent_current_rejected(self, cube16):
         src = SourceSpec("0", ("sin(x)", "0", "0"))
         with pytest.raises(ContinuityError):
@@ -440,11 +453,15 @@ class TestEquivalence:
         pot_state = plane_wave_potential(cube16, c)
         src = SourceSpec.vacuum()
         period = 2 * np.pi
-        _, f_snaps = run_rk4(field_state, src, period / 600, 600, snapshot_stride=60)
-        _, p_snaps = run_potential_verlet(pot_state, src, period / 6000, 6000, snapshot_stride=600)
+        f_snaps = {}
+        run_rk4(field_state, src, period / 600, 600, sink=f_snaps.__setitem__, snapshot_stride=60)
+        p_snaps = {}
+        run_potential_verlet(
+            pot_state, src, period / 6000, 6000, sink=p_snaps.__setitem__, snapshot_stride=600
+        )
         ref = l2_norm(field_state.e)
         worst = 0.0
-        for fs, ps in zip(f_snaps, p_snaps):
+        for fs, ps in zip(f_snaps.values(), p_snaps.values()):
             mapped = potential_to_fields(ps)
             worst = max(
                 worst,

@@ -61,6 +61,14 @@ class TestTrajectoryRecord:
         traj = TrajectoryRecord.of_waves([0.0, 0.5, 1.0], [psi, psi, psi])
         assert traj.dt == 0.5
 
+    def test_short_last_interval_integrates_exactly(self, grid64):
+        # an off-stride record: frames at steps 0, 2, 4, 5 of a dt = 0.25 run
+        psi = ComplexSampleField.zeros(grid64)
+        traj = TrajectoryRecord.of_waves([0.0, 0.5, 1.0, 1.25], [psi] * 4)
+        assert traj.dt == 0.5
+        out = traj.cumulative_integral(2.0 * traj.times[:, None])
+        assert np.allclose(out[:, 0], traj.times**2, rtol=0.0, atol=1e-15)
+
 
 class TestTimeIntegrate:
     def test_constant_integrand_exact(self):
@@ -178,8 +186,11 @@ class TestReconstructPhi:
         packet = np.exp(-((x - 12.0) ** 2) / 2).astype(complex)
         packet /= np.sqrt(np.sum(np.abs(packet) ** 2) * grid.cell_volume)
         psi = WaveFunction(ComplexSampleField(grid, packet), PARAMS)
-        times, snaps = propagate_cn(psi, V, 1e-3, 500)
-        traj = TrajectoryRecord.of_waves(times, snaps)
+        frames = {}
+        propagate_cn(psi, V, 1e-3, 500, sink=frames.__setitem__)
+        traj = TrajectoryRecord.of_waves(
+            [n * 1e-3 for n in frames], [w.psi for w in frames.values()]
+        )
         states = reconstruct_phi(traj, V, PARAMS)
         worst = max(
             l2_norm(to_wavefunction(st).psi - fr) for st, fr in zip(states, traj.frames)
@@ -196,8 +207,11 @@ class TestReconstructPhi:
         ek = PARAMS.hbar**2 * k**2 / (2 * PARAMS.mass)
         psi0 = (np.cos(k * x) + 0.3j * np.sin(k * x)).astype(complex)
         psi = WaveFunction(ComplexSampleField(grid, psi0), PARAMS)
-        times, snaps = propagate_cn(psi, V, 1e-3, 50)
-        traj = TrajectoryRecord.of_waves(times, snaps)
+        frames = {}
+        propagate_cn(psi, V, 1e-3, 50, sink=frames.__setitem__)
+        traj = TrajectoryRecord.of_waves(
+            [n * 1e-3 for n in frames], [w.psi for w in frames.values()]
+        )
         states = reconstruct_phi(traj, V, PARAMS)
         shifted = gauge_shift(states[0], ScalarSampleField.full(grid, 0.7))
         diff = shifted.phi - states[0].phi
@@ -292,8 +306,10 @@ class TestReconstructVectorPotential:
         state = EMState(e, b, 1.0)
         steps = 341
         dt = 0.15 / steps
-        times, snaps = run_rk4(state, SourceSpec.vacuum(), dt, steps, snapshot_stride=1)
-        traj = TrajectoryRecord.of_fields(times, snaps)
+        frames = {}
+        run_rk4(state, SourceSpec.vacuum(), dt, steps, sink=frames.__setitem__)
+        snaps = list(frames.values())
+        traj = TrajectoryRecord.of_fields([n * dt for n in frames], snaps)
         pstates = reconstruct_vector_potential(traj)
         ref = l2_norm(state.b)
         worst = 0.0
@@ -313,8 +329,9 @@ class TestReconstructVectorPotential:
         b = VectorSampleField3(cube16, np.stack([zero, zero, np.cos(x)]))
         steps = 25
         dt = 1e-3
-        times, snaps = run_rk4(EMState(e, b, 1.0), SourceSpec.vacuum(), dt, steps, snapshot_stride=1)
-        traj = TrajectoryRecord.of_fields(times, snaps)
+        frames = {}
+        run_rk4(EMState(e, b, 1.0), SourceSpec.vacuum(), dt, steps, sink=frames.__setitem__)
+        traj = TrajectoryRecord.of_fields([n * dt for n in frames], list(frames.values()))
         pstates = reconstruct_vector_potential(traj)
         shifted0 = gauge_shift_potential(pstates[0], smooth_scalar(cube16, rng))
         diff = shifted0.a - pstates[0].a

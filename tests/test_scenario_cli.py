@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wavepot import schrodinger
 from wavepot.cli import main
-from wavepot.errors import ScenarioError
+from wavepot.errors import ScenarioError, SolverError
 from wavepot.scenario import load_scenario, run
 from wavepot.snapshots import read_snapshot
 from wavepot.wavepotential import stable_dt
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL_PHI = """
 [scenario]
@@ -143,6 +147,7 @@ class TestRun:
         assert data.kind == "phi"
         assert data.fields == ("phi", "phi_dot")
         assert len(data.frames) == 5
+        assert data.time_end is None  # steps are a multiple of the stride
         header = open(tmp_path / "out" / "diagnostics.csv").readline().strip()
         assert header == "step,time,psi_norm,total_energy,identity_residual"
 
@@ -198,6 +203,9 @@ class TestCli:
         text = HARMONIC_PHI + "\n[monitors]\nnorm_drift = 1e-18\n"
         p = write(tmp_path, "a.scn", text)
         assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 3
+        # the outputs are still written when a ceiling is exceeded
+        assert len(read_snapshot(tmp_path / "r" / "snapshots.wps").frames) == 5
+        assert (tmp_path / "r" / "diagnostics.csv").exists()
 
     def test_continuity_gate_exit_one(self, tmp_path):
         text = MAXWELL + "\n[sources]\nrho = sin(x)*cos(t)\nj_x = 0\nj_y = 0\nj_z = 0\n"
@@ -379,3 +387,60 @@ run_b = {order[1]}
         s2 = json.loads((tmp_path / "c2" / "summary.json").read_text())
         assert s1["max_l2_diff"] == s2["max_l2_diff"]
         assert s1["max_max_diff"] == s2["max_max_diff"]
+
+
+def snapshot_header(path) -> dict:
+    with open(path, "rb") as fh:
+        fh.readline()
+        return json.loads(fh.readline())
+
+
+class TestRecordTimes:
+    def test_off_stride_last_frame_time(self, tmp_path):
+        scn = load_scenario(
+            SCENARIO_DIR / "c03_identity_drift.scn",
+            overrides=["integrator.steps=5", "integrator.snapshot_stride=2"],
+        )
+        run(scn, tmp_path / "out")
+        data = read_snapshot(tmp_path / "out" / "snapshots.wps")
+        assert np.array_equal(data.times, scn.dt * np.array([0.0, 2.0, 4.0, 5.0]))
+        last_row = open(tmp_path / "out" / "diagnostics.csv").read().splitlines()[-1]
+        assert data.times[-1] == float(last_row.split(",")[1])
+        assert snapshot_header(tmp_path / "out" / "snapshots.wps")["time_end"] == 5 * scn.dt
+
+    def test_reconstruction_carries_time_end(self, tmp_path):
+        sch = write(tmp_path, "s.scn", SCHRODINGER)
+        argv = ["schrodinger", "--scenario", str(sch), "--out", str(tmp_path / "sch")]
+        argv += ["--override", "integrator.steps=5", "--override", "integrator.snapshot_stride=2"]
+        assert main(argv) == 0
+        rec = write(
+            tmp_path, "r.scn", "[scenario]\nkind = reconstruct-phi\n[potential]\n"
+            "v = 0.5*(x-10)^2\n[inputs]\nsource = sch\n",
+        )
+        argv = ["reconstruct-phi", "--scenario", str(rec), "--out", str(tmp_path / "rec")]
+        assert main(argv) == 0
+        source = read_snapshot(tmp_path / "sch" / "snapshots.wps")
+        rebuilt = read_snapshot(tmp_path / "rec" / "snapshots.wps")
+        assert source.time_end == 5 * 0.002
+        assert rebuilt.time_end == source.time_end
+        assert np.array_equal(rebuilt.times, source.times)
+
+
+class TestAtomicSnapshots:
+    def test_failed_run_leaves_no_snapshot(self, tmp_path, monkeypatch):
+        real_step = schrodinger.crank_nicolson_step
+        calls = []
+
+        def failing_step(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise SolverError("injected failure at step 3")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(schrodinger, "crank_nicolson_step", failing_step)
+        scn = load_scenario(write(tmp_path, "s.scn", SCHRODINGER))
+        with pytest.raises(SolverError, match="step 3"):
+            run(scn, tmp_path / "out")
+        assert len(calls) == 3
+        assert not (tmp_path / "out" / "snapshots.wps").exists()
+        assert not (tmp_path / "out" / "snapshots.wps.tmp").exists()

@@ -24,7 +24,6 @@ from wavepot.wavepotential import (
     stable_dt,
     stationary_phi,
     to_wavefunction,
-    verlet_step,
 )
 
 PARAMS = QuantumParams(1.0, 1.0)
@@ -96,14 +95,14 @@ class TestVerlet:
         grid, V, eig, pairs = harmonic
         st0 = stationary_phi(pairs[0][1], pairs[0][0], 0.0, PARAMS, V)
         with pytest.raises(StabilityError, match="budget"):
-            verlet_step(st0, 10 * stable_dt(V, PARAMS))
+            run_verlet(st0, 10 * stable_dt(V, PARAMS), 1, sink=None)
 
     def test_discrete_frequency_matches_closed_form(self, harmonic):
         grid, V, eig, pairs = harmonic
         e1, psi1 = pairs[1]
         st0 = stationary_phi(psi1, e1, 0.0, PARAMS, V)
         dt = 0.5 * stable_dt(V, PARAMS)
-        stepped = verlet_step(st0, dt)
+        stepped = run_verlet(st0, dt, 1, sink=None)
         # phi after one step follows cos(Omega dt) with Omega = (2/dt) asin(dt E / 2 hbar)
         ratio = float(
             np.vdot(st0.phi.values, stepped.phi.values)
@@ -116,12 +115,8 @@ class TestVerlet:
         grid, V, eig, pairs = harmonic
         st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng))
         dt = 0.5 * stable_dt(V, PARAMS)
-        forward = st0
-        for _ in range(20):
-            forward = verlet_step(forward, dt)
-        back = PhiState(forward.phi, -forward.phi_dot, PARAMS, V)
-        for _ in range(20):
-            back = verlet_step(back, dt)
+        forward = run_verlet(st0, dt, 20, sink=None)
+        back = run_verlet(PhiState(forward.phi, -forward.phi_dot, PARAMS, V), dt, 20, sink=None)
         scale = max(max_norm(st0.phi), max_norm(st0.phi_dot))
         assert max_norm(back.phi - st0.phi) <= 1e-12 * scale
         assert max_norm(back.phi_dot + st0.phi_dot) <= 1e-12 * scale
@@ -134,11 +129,13 @@ class TestVerlet:
         energies = []
 
         def observer(step, lphi, vel):
+            if step % 100:
+                return
             kin = 0.5 * PARAMS.hbar * np.sum(vel**2)
             pot = 0.5 / PARAMS.hbar * np.sum(lphi**2)
             energies.append((kin + pot) * grid.cell_volume)
 
-        run_verlet(st0, dt, 10_000, snapshot_stride=10_000, observer=observer, observe_stride=100)
+        run_verlet(st0, dt, 10_000, sink=None, observer=observer)
         energies = np.array(energies)
         drift = np.max(np.abs(energies - energies[0])) / energies[0]
         assert drift <= 1e-6
@@ -291,12 +288,13 @@ class TestForwardEquivalence:
         st0 = stationary_phi(psi0, e0, 0.0, PARAMS, V)
         dt = 0.1 * stable_dt(V, PARAMS)
         steps = 2000
-        times, snaps = run_verlet(st0, dt, steps, snapshot_stride=500)
+        frames = {}
+        run_verlet(st0, dt, steps, sink=frames.__setitem__, snapshot_stride=500)
         psi_init = to_wavefunction(st0)
         worst = 0.0
-        for t, snap in zip(times, snaps):
+        for n, snap in frames.items():
             psi_phi = to_wavefunction(snap).psi
-            psi_ref = exact_propagate_small(psi_init, V, t, eig=eig).psi
+            psi_ref = exact_propagate_small(psi_init, V, n * dt, eig=eig).psi
             worst = max(worst, l2_norm(ComplexSampleField(grid, psi_phi.values - psi_ref.values)))
         assert worst <= 1e-7
 
@@ -309,8 +307,7 @@ class TestForwardEquivalence:
         errs = []
         for steps in (400, 800):
             dt = t_final / steps
-            _, snaps = run_verlet(st0, dt, steps, snapshot_stride=steps)
-            psi_phi = to_wavefunction(snaps[-1]).psi
+            psi_phi = to_wavefunction(run_verlet(st0, dt, steps, sink=None)).psi
             psi_ref = exact_propagate_small(psi_init, V, t_final, eig=eig).psi
             errs.append(l2_norm(ComplexSampleField(grid, psi_phi.values - psi_ref.values)))
         assert 3.6 <= errs[0] / errs[1] <= 4.4
@@ -351,18 +348,20 @@ class TestRescaling:
         dt = 0.5 * stable_dt(V, params)
         dt_r = dt / hbar
         steps = 400
-        _, snaps = run_verlet(state, dt, steps, snapshot_stride=100)
-        _, snaps_r = run_verlet(state_r, dt_r, steps, snapshot_stride=100)
+        snaps, snaps_r = {}, {}
+        run_verlet(state, dt, steps, sink=snaps.__setitem__, snapshot_stride=100)
+        run_verlet(state_r, dt_r, steps, sink=snaps_r.__setitem__, snapshot_stride=100)
 
         # mapped trajectories agree to roundoff
         scale = max_norm(snaps[0].phi)
-        for s, s_r in zip(snaps, snaps_r):
+        for s, s_r in zip(snaps.values(), snaps_r.values()):
             mapped = np.sqrt(hbar) * s_r.phi.values
             assert np.max(np.abs(mapped - s.phi.values)) <= 1e-9 * scale
 
         # mapped run satisfies the original discrete Stoermer recurrence
-        _, dense = run_verlet(state_r, dt_r, 2, snapshot_stride=1)
-        phi_m = [np.sqrt(hbar) * s.phi.values for s in dense]
+        dense = {}
+        run_verlet(state_r, dt_r, 2, sink=dense.__setitem__)
+        phi_m = [np.sqrt(hbar) * s.phi.values for s in dense.values()]
         second_diff = (phi_m[2] - 2 * phi_m[1] + phi_m[0]) / dt**2
         mid = PhiState(
             ScalarSampleField(grid, phi_m[1]), ScalarSampleField.zeros(grid), params, V
