@@ -44,7 +44,7 @@ def conjugate_gradient(
         r = project(r)
     p = None
     rz_old = 0.0
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if np.linalg.norm(r.ravel()) <= tol * b_norm:
             true_r = b - apply_op(x)
             if project:
@@ -61,7 +61,14 @@ def conjugate_gradient(
         ap = apply_op(p)
         if project:
             ap = project(ap)
-        alpha = rz / _dot(p, ap)
+        pap = _dot(p, ap)
+        if not (np.isfinite(pap) and pap.real > 0.0):
+            # a singular operator meets a right-hand side outside its range
+            raise SolverError(
+                f"conjugate gradient broke down at iteration {it}: p^H A p = {pap:.3e} "
+                "is not positive (singular operator or incompatible right-hand side)"
+            )
+        alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
     if np.linalg.norm(r.ravel()) <= tol * b_norm:

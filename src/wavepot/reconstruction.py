@@ -5,8 +5,12 @@ Quantum side: given a wave-function trajectory, the potential is
     phi(t) = (1/hbar) Int_0^t Im Psi dtau + C,   L C = -Re Psi(0),
 
 with the elliptic solve pinned to the minimum-norm solution (zero along any
-numerical kernel of L, which is exactly the gauge sector). Electromagnetic
-side: given an (E, B) trajectory,
+numerical kernel of L, which is exactly the gauge sector). The kernel is
+found matrix-free on every grid: LOBPCG computes the lowest eigenpairs of
+H = -L through the FFT operator, at the cost of tens to a few hundred block
+applies of H; a search that does not converge raises SolverError rather
+than assuming the kernel trivial. Electromagnetic side: given an (E, B)
+trajectory,
 
     A(t) = -c Int_0^t E dtau + K,   curl K = B(0),
 
@@ -19,6 +23,7 @@ Cayley update *is* the trapezoid relation between the two parts.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,14 +36,13 @@ from .maxwell import EMState, PotentialState
 from .operators import (
     _deriv_symbols,
     _laplacian_symbol,
+    _spatial_axes,
     first_derivative_array,
     max_wavenumber,
 )
 from .schrodinger import (
-    DENSE_GRID_LIMIT,
     PotentialSpec,
     QuantumParams,
-    dense_eigensystem,
     l_operator_array,
     max_energy_bound,
 )
@@ -124,20 +128,97 @@ def time_integrate(snapshots: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+# LOBPCG settings for the kernel search. An eigenpair counts as converged when
+# its residual is at most _KERNEL_RESIDUAL_TOL * emax, emax the spectral bound
+# of H: a hundredth of the kernel threshold zero_tol * emax at zero_tol = 1e-10.
+_KERNEL_BLOCK_START = 3
+_KERNEL_BLOCK_CAP = 64
+_KERNEL_MAX_ITER = 500
+_KERNEL_RESIDUAL_TOL = 1e-12
+
+
+def _fourier_preconditioner(grid: Grid, v: np.ndarray, params: QuantumParams, method: str):
+    """Inverse of the symbol -kin Lap + |mean V|: the kinetic part of H plus the mean potential.
+
+    Positive definite for every V, so it serves both CG on H and LOBPCG. Works
+    on the trailing spatial axes, so a leading batch axis passes through.
+    """
+    kin = params.hbar**2 / (2.0 * params.mass)
+    sym = -kin * _laplacian_symbol(grid, method) + abs(float(v.mean()))
+    sym = np.where(np.abs(sym) < 1e-14, 1.0, sym)
+
+    def precondition(x: np.ndarray) -> np.ndarray:
+        axes = _spatial_axes(x, grid)
+        out = np.fft.ifftn(np.fft.fftn(x, axes=axes) / sym, axes=axes)
+        return out.real
+
+    return precondition
+
+
 def _kernel_basis(
     V: PotentialSpec, params: QuantumParams, method: str, zero_tol: float
 ) -> list[np.ndarray]:
-    """Orthonormal (plain dot) basis of the numerical kernel of L = -H."""
+    """Orthonormal (plain dot) basis of the numerical kernel of L = -H.
+
+    The kernel is the span of the eigenvectors of H with |E| <= zero_tol * emax,
+    emax = ``max_energy_bound``. LOBPCG (Knyazev 2001) finds the lowest
+    eigenpairs of H matrix-free, through ``l_operator_array`` on whole blocks
+    and the Fourier preconditioner of ``solve_elliptic``, from a fixed
+    pseudo-random start block. The block doubles until the eigenpairs that
+    converged, counted from the lowest up, reach one above the threshold: that
+    shows every eigenvalue at or below it (the kernel, and the negative
+    spectrum of an indefinite H) was found. A search that gets there only with
+    more than ``_KERNEL_BLOCK_CAP`` vectors raises SolverError; it never
+    assumes the kernel away.
+    """
+    from scipy.sparse.linalg import LinearOperator, lobpcg
+
+    grid = V.grid
+    m = grid.size
     v = V.sampled.values
-    if not v.any():
-        const = np.full(V.grid.size, 1.0 / np.sqrt(V.grid.size))
-        return [const]
-    if V.grid.size <= DENSE_GRID_LIMIT:
-        system = dense_eigensystem(V, params, method)
-        emax = max_energy_bound(V, params, method)
-        idx = np.nonzero(np.abs(system.energies) <= zero_tol * emax)[0]
-        return [system.vectors[:, i].copy() for i in idx]
-    return []  # kernel assumed trivial on grids too large for the dense oracle
+    emax = max_energy_bound(V, params, method)
+    threshold = zero_tol * emax
+    res_tol = _KERNEL_RESIDUAL_TOL * emax
+
+    def as_columns(op) -> LinearOperator:
+        # lobpcg keeps vectors as columns (an integer identity on grids too small
+        # to iterate on); the grid operators take a leading batch axis
+        def apply(x: np.ndarray) -> np.ndarray:
+            batch = np.ascontiguousarray(x.T, dtype=np.float64).reshape((-1,) + grid.shape)
+            return op(batch).reshape(-1, m).T
+
+        return LinearOperator((m, m), matvec=apply, matmat=apply, dtype=np.float64)
+
+    h = as_columns(lambda f: -l_operator_array(f, v, grid, params, method))
+    preconditioner = as_columns(_fourier_preconditioner(grid, v, params, method))
+    block = min(_KERNEL_BLOCK_START, m)
+    while True:
+        start = np.random.default_rng(0).standard_normal((m, block))
+        with warnings.catch_warnings():
+            # lobpcg warns on slow convergence and on small problems; the true
+            # residuals below decide whether its answer stands
+            warnings.simplefilter("ignore", UserWarning)
+            energies, vectors = lobpcg(
+                h, start, M=preconditioner, tol=0.1 * res_tol,
+                maxiter=_KERNEL_MAX_ITER, largest=False,
+            )
+        residual = np.linalg.norm(h.matmat(vectors) - vectors * energies, axis=0)
+        # energies ascend; count the converged eigenpairs from the bottom up, as a
+        # cluster of close eigenvalues straddling the top edge of the block converges slowly
+        converged = residual <= res_tol
+        found = block if converged.all() else int(np.argmin(converged))
+        if found == m or (found and energies[found - 1] > threshold):
+            break
+        if block >= min(_KERNEL_BLOCK_CAP, m):
+            raise SolverError(
+                f"kernel search of L stopped at its cap of {block} eigenpairs: {found} "
+                f"converged within {_KERNEL_MAX_ITER} iterations (residual tolerance "
+                f"{_KERNEL_RESIDUAL_TOL:g} of the spectral bound) and none lies above "
+                f"the zero threshold {threshold:.3e}, so the kernel may be larger"
+            )
+        block = min(2 * block, _KERNEL_BLOCK_CAP, m)
+    keep = np.nonzero(np.abs(energies[:found]) <= threshold)[0]
+    return [vectors[:, i].copy() for i in keep]
 
 
 def solve_elliptic(
@@ -153,10 +234,14 @@ def solve_elliptic(
     """Solve L C = rhs for the minimum-norm C, L = (hbar^2/2m) Lap - V.
 
     The right-hand side must be orthogonal to the numerical kernel of L
-    (relative tolerance ``zero_tol``); the returned solution carries no kernel
-    component. CG runs on the positive-semidefinite -L when V >= 0, otherwise
-    on the normal equations; both are preconditioned/checked against the true
-    relative residual ``tol``.
+    (relative tolerance ``zero_tol``), else IncompatibleRhsError; the returned
+    solution carries no kernel component. The kernel is the span of the
+    eigenvectors of H = -L with |E| <= zero_tol * ``max_energy_bound``, found
+    by LOBPCG without forming a matrix (see ``_kernel_basis``) at the cost of
+    tens to a few hundred block applies of H; a search that does not converge
+    raises SolverError. CG runs on the positive-semidefinite -L
+    when V >= 0, otherwise on the normal equations; both are checked against
+    the true relative residual ``tol``.
     """
     grid = V.grid
     if rhs.grid != grid:
@@ -186,21 +271,12 @@ def solve_elliptic(
     def apply_h(x: np.ndarray) -> np.ndarray:
         return -l_operator_array(x, v, grid, params, method)
 
-    # Fourier preconditioner: kinetic part plus the mean potential
-    kin = params.hbar**2 / (2.0 * params.mass)
-    sym = -kin * _laplacian_symbol(grid, method) + float(v.mean())
-    sym = np.where(np.abs(sym) < 1e-14, 1.0, sym)
-
-    def precondition(x: np.ndarray) -> np.ndarray:
-        out = np.fft.ifftn(np.fft.fftn(x) / sym)
-        return out.real
-
     b = -rhs.values  # H C = -rhs
     inner_tol = 0.5 * tol
     if float(v.min()) >= 0.0:
         sol = conjugate_gradient(
             apply_h, b, tol=inner_tol, max_iter=max_iter,
-            precondition=precondition, project=project,
+            precondition=_fourier_preconditioner(grid, v, params, method), project=project,
         )
     else:
         sol = normal_equations_cg(

@@ -220,11 +220,18 @@ def dump_csv(data: SnapshotData, out_path: str | Path, frame: int | None = None)
 
 
 class DiagnosticsWriter:
-    """Streaming CSV writer with a fixed column order."""
+    """Streaming CSV writer with a fixed column order.
+
+    Rows go to ``<path>.tmp``, which is renamed to ``path`` only when the
+    writer closes cleanly, as for ``SnapshotWriter``; a run that raises
+    leaves no diagnostics file behind.
+    """
 
     def __init__(self, path: str | Path, columns: Sequence[str]):
+        self.path = Path(path)
         self.columns = tuple(columns)
-        self._fh = open(path, "w", newline="")
+        self._tmp = self.path.with_name(self.path.name + ".tmp")
+        self._fh = open(self._tmp, "w", newline="")
         self._fh.write(",".join(self.columns) + "\n")
 
     def write_row(self, values: Sequence) -> None:
@@ -235,9 +242,14 @@ class DiagnosticsWriter:
 
     def close(self) -> None:
         self._fh.close()
+        self._tmp.replace(self.path)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._fh.close()
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
+            self._tmp.unlink(missing_ok=True)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import band_limited, smooth_vector
-from wavepot.errors import IncompatibleRhsError
+from wavepot.errors import IncompatibleRhsError, SolverError
 from wavepot.grids import (
     ComplexSampleField,
     Grid,
@@ -11,6 +13,7 @@ from wavepot.grids import (
     l2_norm,
     max_norm,
 )
+from wavepot.linsolve import conjugate_gradient
 from wavepot.maxwell import (
     EMState,
     SourceSpec,
@@ -19,7 +22,9 @@ from wavepot.maxwell import (
 )
 from wavepot.operators import curl, divergence
 from wavepot.reconstruction import (
+    _KERNEL_BLOCK_CAP,
     TrajectoryRecord,
+    _kernel_basis,
     curl_inverse,
     reconstruct_phi,
     reconstruct_vector_potential,
@@ -33,6 +38,7 @@ from wavepot.schrodinger import (
     dense_eigensystem,
     eigenpairs_small,
     l_operator_array,
+    max_energy_bound,
     propagate_cn,
 )
 from wavepot.wavepotential import gauge_shift, stationary_phi, to_wavefunction
@@ -131,7 +137,7 @@ class TestSolveElliptic:
     def test_indefinite_potential_fallback(self, grid64, rng):
         V = PotentialSpec.from_expression("0-1.5*cos(2*pi*x/L)", grid64, {"L": grid64.lengths[0]})
         rhs = ScalarSampleField(grid64, band_limited(grid64, rng))
-        # project out numerical zero modes if any were found by the dense check
+        # an indefinite V takes the normal-equations path; the kernel search finds no zero mode
         sol = solve_elliptic(V, rhs, PARAMS)
         res = l_operator_array(sol.values, V.sampled.values, grid64, PARAMS, "spectral")
         rel = np.linalg.norm((res - rhs.values).ravel()) / np.linalg.norm(rhs.values.ravel())
@@ -143,6 +149,106 @@ class TestSolveElliptic:
         f -= f.mean()
         sol = solve_elliptic(V, ScalarSampleField(grid64, f), PARAMS)
         assert abs(sol.values.mean()) <= 1e-12 * max_norm(sol)
+
+    def test_central2_zero_potential_nyquist_mode_rejected(self, grid64):
+        # central2 differences decouple even and odd sites, so L also annihilates (-1)^j
+        V = PotentialSpec.zero(grid64)
+        nyquist = ScalarSampleField(grid64, (-1.0) ** np.arange(64))
+        with pytest.raises(IncompatibleRhsError, match="zero mode"):
+            solve_elliptic(V, nyquist, PARAMS, "central2")
+
+    def test_central2_zero_potential_solution_avoids_both_zero_modes(self, grid64, rng):
+        V = PotentialSpec.zero(grid64)
+        f = band_limited(grid64, rng)
+        f -= f.mean()
+        sol = solve_elliptic(V, ScalarSampleField(grid64, f), PARAMS, "central2")
+        for mode in (np.ones(64), (-1.0) ** np.arange(64)):
+            assert abs(mode @ sol.values) <= 1e-12 * np.linalg.norm(mode) * max_norm(sol)
+        res = l_operator_array(sol.values, V.sampled.values, grid64, PARAMS, "central2")
+        assert np.linalg.norm(res - f) <= 1e-10 * np.linalg.norm(f)
+
+
+def _tuned_constant(grid: Grid, method: str) -> PotentialSpec:
+    """Constant V that puts the lowest nonzero x-mode of the backend's H at E = 0."""
+    dx, length = grid.spacings[0], grid.lengths[0]
+    k = 2 * np.pi / length
+    s = k if method == "spectral" else np.sin(k * dx) / dx
+    kin = PARAMS.hbar**2 / (2 * PARAMS.mass)
+    return PotentialSpec.from_field(ScalarSampleField.full(grid, -kin * s * s))
+
+
+_KERNEL_POTENTIALS = {
+    "zero": lambda grid, method: PotentialSpec.zero(grid),
+    "harmonic": lambda grid, method: PotentialSpec.from_expression(
+        "0.5*(x-L/2)^2", grid, {"L": grid.lengths[0]}
+    ),
+    "positive_cos": lambda grid, method: PotentialSpec.from_expression(
+        "1+0.5*cos(2*pi*x/L)", grid, {"L": grid.lengths[0]}
+    ),
+    "indefinite_cos": lambda grid, method: PotentialSpec.from_expression(
+        "0-1.5*cos(2*pi*x/L)", grid, {"L": grid.lengths[0]}
+    ),
+    "tuned_constant": _tuned_constant,
+}
+
+
+class TestKernelBasis:
+    @pytest.mark.parametrize("potential", sorted(_KERNEL_POTENTIALS))
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid.line(8, 20.0), Grid.line(64, 20.0), Grid.line(512, 20.0), Grid.cube(8, 2 * np.pi)],
+        ids=["line8", "line64", "line512", "cube8"],
+    )
+    def test_matches_dense_oracle(self, grid, method, potential):
+        V = _KERNEL_POTENTIALS[potential](grid, method)
+        zero_tol = 1e-10
+        system = dense_eigensystem(V, PARAMS, method)
+        threshold = zero_tol * max_energy_bound(V, PARAMS, method)
+        if np.sum(system.energies <= threshold) >= _KERNEL_BLOCK_CAP:
+            # central2 on the cube: 108 eigenvalues below zero, more than the search's block cap
+            with pytest.raises(SolverError, match="cap of"):
+                _kernel_basis(V, PARAMS, method, zero_tol)
+            return
+        basis = _kernel_basis(V, PARAMS, method, zero_tol)
+        dense = system.vectors[:, np.abs(system.energies) <= threshold]
+        assert len(basis) == dense.shape[1]
+        if potential == "tuned_constant":
+            assert len(basis) >= 2
+        if basis:
+            found = np.stack(basis, axis=1)
+            assert np.max(np.abs(found.T @ found - np.eye(len(basis)))) <= 1e-12
+            assert np.max(np.abs(found @ found.T - dense @ dense.T)) <= 1e-8
+
+    def test_bases_are_deterministic(self):
+        grid = Grid.line(512, 20.0)
+        V = _tuned_constant(grid, "spectral")
+        first = _kernel_basis(V, PARAMS, "spectral", 1e-10)
+        second = _kernel_basis(V, PARAMS, "spectral", 1e-10)
+        assert len(first) == len(second) == 2
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+    def test_kernel_found_above_dense_limit(self):
+        # 8192 points: beyond the dense oracle, yet the two zero modes are still detected
+        grid = Grid.line(8192, 20.0)
+        V = _tuned_constant(grid, "spectral")
+        x = grid.axis_coordinates(0)
+        rhs = ScalarSampleField(grid, np.cos(2 * np.pi * x / 20.0) + np.cos(6 * np.pi * x / 20.0))
+        with pytest.raises(IncompatibleRhsError, match="zero mode"):
+            solve_elliptic(V, rhs, PARAMS)
+
+
+class TestConjugateGradient:
+    def test_breakdown_raises_at_once(self):
+        # singular PSD operator, rhs with a null-space part and no projection:
+        # the second search direction lies in the null space, so p^H A p = 0
+        diag = np.array([0.0, 1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match="broke down at iteration 1"):
+                conjugate_gradient(
+                    lambda x: diag * x, np.array([1.0, 1.0, 0.0, 0.0]), tol=1e-10, max_iter=20000
+                )
 
 
 class TestReconstructPhi:

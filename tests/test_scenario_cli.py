@@ -206,6 +206,7 @@ class TestCli:
         # the outputs are still written when a ceiling is exceeded
         assert len(read_snapshot(tmp_path / "r" / "snapshots.wps").frames) == 5
         assert (tmp_path / "r" / "diagnostics.csv").exists()
+        assert not list((tmp_path / "r").glob("*.tmp"))
 
     def test_continuity_gate_exit_one(self, tmp_path):
         text = MAXWELL + "\n[sources]\nrho = sin(x)*cos(t)\nj_x = 0\nj_y = 0\nj_z = 0\n"
@@ -444,3 +445,5 @@ class TestAtomicSnapshots:
         assert len(calls) == 3
         assert not (tmp_path / "out" / "snapshots.wps").exists()
         assert not (tmp_path / "out" / "snapshots.wps.tmp").exists()
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+        assert not (tmp_path / "out" / "diagnostics.csv.tmp").exists()
