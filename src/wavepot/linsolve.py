@@ -2,8 +2,10 @@
 
 Both solvers work on raw ndarrays of any shape, track the true relative
 residual of the original system, and raise SolverError when the iteration cap
-is hit. ``project`` removes known null-space components (applied to the data
-and to every search update) so solutions are minimum-norm in that subspace.
+is hit. A right-preconditioned system A M^-1 y = b, x = M^-1 y, has the same
+residual as A x = b, so CGLS on it keeps that meaning. ``project`` removes
+known null-space components (applied to the data and to every search update)
+so solutions are minimum-norm in that subspace.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ def normal_equations_cg(
     """CGLS: conjugate gradient on A^H A x = A^H b, tracking ||b - Ax||.
 
     Works for any operator with an adjoint (indefinite or non-Hermitian);
-    used for the Cayley step (complex, normal) and as the fallback elliptic
-    path when the operator is indefinite.
+    used for the Cayley step (the Cayley matrix right-preconditioned by its
+    kinetic part, close to the identity) and as the fallback elliptic path
+    when the operator is indefinite.
     """
     b = project(rhs) if project else rhs
     b_norm = float(np.linalg.norm(b.ravel()))

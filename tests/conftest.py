@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as the benchmark runs: before numpy loads, or it is too late.
+# Threaded OpenBLAS makes the small dense algebra inside lobpcg several times slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

@@ -199,6 +199,22 @@ class TestCli:
         )
         assert code == 2
 
+    def test_cayley_at_moderate_dt_exit_zero(self, tmp_path):
+        # unpreconditioned CGLS stalled above tol on this grid and exited with 2
+        p = write(tmp_path, "s.scn", SCHRODINGER)
+        code = main(
+            [
+                "schrodinger",
+                "--scenario", str(p),
+                "--out", str(tmp_path / "r"),
+                "--override", "grid.points=2048",
+                "--override", "integrator.dt=0.01",
+                "--override", "integrator.steps=5",
+            ]
+        )
+        assert code == 0
+        assert len(read_snapshot(tmp_path / "r" / "snapshots.wps").frames) == 6
+
     def test_monitor_ceiling_exit_three(self, tmp_path):
         text = HARMONIC_PHI + "\n[monitors]\nnorm_drift = 1e-18\n"
         p = write(tmp_path, "a.scn", text)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import band_limited
+from wavepot import schrodinger
 from wavepot.grids import ComplexSampleField, Grid, ScalarSampleField, l2_norm
 from wavepot.schrodinger import (
     PotentialSpec,
@@ -187,6 +188,97 @@ class TestCrankNicolson:
         stepped = crank_nicolson_step(psi, V, dt)
         ratio = stepped.psi.values / psi.psi.values
         assert np.allclose(np.angle(ratio), -2 * np.arctan(dt * ek / (2 * PARAMS.hbar)), atol=1e-10)
+
+
+def cayley_iterates(eig, psi: WaveFunction, dt: float, steps: int) -> np.ndarray:
+    """Exact discrete Cayley iterates ((1 - i a E)/(1 + i a E))^n psi, a = dt / 2 hbar."""
+    a = dt / (2.0 * psi.params.hbar)
+    ratio = (1.0 - 1j * a * eig.energies) / (1.0 + 1j * a * eig.energies)
+    coeffs = eig.vectors.T @ psi.psi.values.ravel()
+    return (eig.vectors @ (ratio**steps * coeffs)).reshape(psi.grid.shape)
+
+
+def cayley_error_limit(psi: WaveFunction, V: PotentialSpec, dt: float, steps: int, method: str):
+    """Each solve leaves a residual <= tol ||b|| (default tol 1e-12); the inverse
+    Cayley matrix has norm <= 1, so errors add along the steps."""
+    h = apply_hamiltonian(psi, V, method).values
+    b = psi.psi.values - 1j * dt / (2.0 * psi.params.hbar) * h
+    growth = np.linalg.norm(b) / np.linalg.norm(psi.psi.values)
+    return 2 * steps * 1e-12 * growth + 1e-11
+
+
+def count_cayley_iterations(monkeypatch) -> list[int]:
+    """One entry per Cayley solve: how often CGLS applied the operator."""
+    solves = []
+    real = schrodinger.normal_equations_cg
+
+    def counting(apply_op, *args, **kwargs):
+        solves.append(0)
+
+        def counted(x):
+            solves[-1] += 1
+            return apply_op(x)
+
+        return real(counted, *args, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "normal_equations_cg", counting)
+    return solves
+
+
+@pytest.fixture(scope="module")
+def fine_harmonic():
+    grid = Grid.line(2048, 20.0)
+    V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
+    x = grid.axis_coordinates(0)
+    packet = ComplexSampleField(grid, np.exp(-((x - 12) ** 2) / 2) + 0j)
+    psi = WaveFunction(ComplexSampleField(grid, packet.values / l2_norm(packet)), PARAMS)
+    return V, psi, dense_eigensystem(V, PARAMS)
+
+
+class TestCayleyAgainstDenseIterates:
+    @pytest.mark.parametrize("dt", [1e-2, 2e-2, 1e-1])
+    def test_moderate_dt_on_fine_grid(self, fine_harmonic, dt):
+        V, psi, eig = fine_harmonic
+        steps = 10
+        state = propagate_cn(psi, V, dt, steps, sink=None)
+        exact = cayley_iterates(eig, psi, dt, steps)
+        err = l2_norm(ComplexSampleField(psi.grid, state.psi.values - exact))
+        assert err <= cayley_error_limit(psi, V, dt, steps, "spectral")
+
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    def test_cube_with_varying_potential(self, rng, method):
+        grid = Grid.cube(8, 2 * np.pi)
+        V = PotentialSpec.from_expression("1 + 0.5*cos(x)*cos(y) + 0.3*sin(z)", grid)
+        vals = band_limited(grid, rng, 2) + 1j * band_limited(grid, rng, 2)
+        field = ComplexSampleField(grid, vals)
+        psi = WaveFunction(ComplexSampleField(grid, field.values / l2_norm(field)), PARAMS)
+        eig = dense_eigensystem(V, PARAMS, method)
+        dt, steps = 0.05, 4
+        state = propagate_cn(psi, V, dt, steps, sink=None, method=method)
+        exact = cayley_iterates(eig, psi, dt, steps)
+        err = l2_norm(ComplexSampleField(grid, state.psi.values - exact))
+        assert err <= cayley_error_limit(psi, V, dt, steps, method)
+
+
+class TestCayleySolverEffort:
+    def test_few_iterations_on_fine_grid(self, fine_harmonic, monkeypatch):
+        V, psi, _ = fine_harmonic
+        solves = count_cayley_iterations(monkeypatch)
+        propagate_cn(psi, V, 1e-3, 10, sink=None)
+        assert len(solves) == 10
+        assert max(solves) <= 5
+
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    def test_constant_potential_needs_one_iteration(self, grid64, monkeypatch, method):
+        V = PotentialSpec.from_expression("3.5", grid64)
+        psi = plane_wave(grid64, mode=3)
+        solves = count_cayley_iterations(monkeypatch)
+        dt = 0.05
+        stepped = crank_nicolson_step(psi, V, dt, method)
+        assert solves == [1]
+        ek = apply_hamiltonian(psi, V, method).values[0] / psi.psi.values[0]
+        expected = (1 - 0.5j * dt * ek) / (1 + 0.5j * dt * ek) * psi.psi.values
+        assert np.max(np.abs(stepped.psi.values - expected)) <= 1e-13
 
 
 class TestDenseOracle:
