@@ -29,13 +29,13 @@ from .errors import ContinuityError, GridMismatchError, StabilityError
 from .expressions import Expression
 from .grids import Grid, ScalarSampleField, VectorSampleField3
 from .operators import (
+    Symbols,
     _curl_arrays,
-    _deriv_symbols_half,
-    _laplacian_symbol_half,
+    divergence_array,
     first_derivative_array,
+    fourier_apply,
     gradient_arrays,
     inverse_div_grad,
-    laplacian_array,
     max_wavenumber,
 )
 from .stepping import drive
@@ -262,8 +262,8 @@ def constraint_residual(state: EMState, rho: ScalarSampleField, method: str = "s
     grid = state.grid
     if rho.grid != grid:
         raise GridMismatchError("rho must live on the field grid")
-    div_e = sum(first_derivative_array(state.e.values[a], grid, a, method) for a in range(3))
-    div_b = sum(first_derivative_array(state.b.values[a], grid, a, method) for a in range(3))
+    div_e = divergence_array(state.e.values, grid, method)
+    div_b = divergence_array(state.b.values, grid, method)
     return float(np.max(np.abs(div_e - rho.values))), float(np.max(np.abs(div_b)))
 
 
@@ -311,25 +311,20 @@ def potential_dt_bound(grid: Grid, c: float, safety: float = DEFAULT_SAFETY) -> 
     return safety * 2.0 / (c * max_wavenumber(grid))
 
 
+def _potential_accel_modes(hat: np.ndarray, sym: Symbols) -> np.ndarray:
+    # Lap A - grad(div A) is diagonal mode by mode
+    s, lap = sym.deriv, sym.lap
+    dsum = s[0] * hat[0] + s[1] * hat[1] + s[2] * hat[2]
+    out_hat = np.empty_like(hat)
+    for b in range(3):
+        out_hat[b] = lap * hat[b] + s[b] * dsum
+    return out_hat
+
+
 def _potential_accel_arrays(
     a: np.ndarray, j: np.ndarray, c: float, grid: Grid, method: str
 ) -> np.ndarray:
-    if method == "spectral":
-        # one transform pair: Lap A - grad(div A) is diagonal mode by mode
-        axes = (1, 2, 3)
-        s = _deriv_symbols_half(grid, method)
-        lap = _laplacian_symbol_half(grid, method)
-        hat = np.fft.rfftn(a, axes=axes)
-        dsum = s[0] * hat[0] + s[1] * hat[1] + s[2] * hat[2]
-        out_hat = np.empty_like(hat)
-        for b in range(3):
-            out_hat[b] = lap * hat[b] + s[b] * dsum
-        out = np.fft.irfftn(out_hat, s=grid.shape, axes=axes)
-        return c * c * out + c * j
-    lap = laplacian_array(a, grid, method)
-    div = sum(first_derivative_array(a[i], grid, i, method) for i in range(3))
-    grad_div = np.stack(gradient_arrays(div, grid, method))
-    return c * c * (lap - grad_div) + c * j
+    return c * c * fourier_apply(a, grid, method, _potential_accel_modes) + c * j
 
 
 def run_potential_verlet(
@@ -386,9 +381,7 @@ def potential_constraint_residual(
     grid = state.grid
     if rho.grid != grid:
         raise GridMismatchError("rho must live on the potential grid")
-    div_adot = sum(
-        first_derivative_array(state.a_dot.values[i], grid, i, method) for i in range(3)
-    )
+    div_adot = divergence_array(state.a_dot.values, grid, method)
     return float(np.max(np.abs(div_adot + state.c * rho.values)))
 
 

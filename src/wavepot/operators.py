@@ -1,20 +1,24 @@
-"""Discrete differential operators on periodic grids.
+"""Discrete differential operators on periodic grids, as Fourier symbols.
 
-Two interchangeable backends:
+Every operator is mode-wise arithmetic on one backend's symbols between the
+forward and inverse transforms of ``_transforms``, the package's only FFT
+calls. Real arrays take the half spectrum (``rfft``/``rfftn``) and come back
+real, complex arrays the full one (``fft``/``fftn``); leading batch axes pass
+through.
 
 ``spectral``
-    Fourier multipliers. First derivatives zero the Nyquist mode so real
-    fields stay real; the Laplacian keeps the full -k^2 multiplier including
-    Nyquist (its spectral radius is sum_a (pi/dx_a)^2, which the integrator
-    stability bounds rely on). Consequence: div(grad f) differs from
-    laplacian(f) in the Nyquist modes only.
+    Exact multipliers. First derivatives (i k) zero the Nyquist mode so real
+    fields stay real; the Laplacian keeps the full -k^2 including Nyquist (its
+    spectral radius is sum_a (pi/dx_a)^2, which the integrator stability
+    bounds rely on). So div(grad f) differs from laplacian(f) at Nyquist only.
 
 ``central2``
-    Second-order central differences. The Laplacian is the composition of
-    first-derivative stencils per axis, (f_{+2} - 2f + f_{-2})/(4 dx^2),
-    rather than the compact 3-point stencil. Composition consistency is what
-    makes the vector-calculus identities (curl curl = grad div - laplacian,
-    div curl = 0, curl grad = 0) hold to roundoff instead of to O(dx^2).
+    The exact symbols of second-order central differences: i sin(k dx)/dx for
+    (f_{+1} - f_{-1})/(2 dx), exactly 0 at Nyquist like the stencil, and for
+    the Laplacian -sum_a sin^2(k dx_a)/dx_a^2, the composed stencil
+    (f_{+2} - 2f + f_{-2})/(4 dx^2) rather than the compact 3-point one. The
+    composition makes the vector-calculus identities (curl curl = grad div -
+    laplacian, div curl = 0, curl grad = 0) hold to roundoff, not to O(dx^2).
 
 Array-level functions (``*_array``) accept raw ndarrays, real or complex, and
 are the hot paths; field-level wrappers validate and box results.
@@ -22,7 +26,8 @@ are the hot paths; field-level wrappers validate and box results.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,11 @@ from .grids import Grid, ScalarSampleField, VectorSampleField3
 
 __all__ = [
     "METHODS",
+    "Symbols",
+    "symbols",
+    "fourier_apply",
+    "fourier_multiplier",
+    "live_quotient",
     "laplacian",
     "gradient",
     "divergence",
@@ -39,6 +49,7 @@ __all__ = [
     "laplacian_array",
     "first_derivative_array",
     "gradient_arrays",
+    "divergence_array",
     "laplacian_spectral_radius",
     "max_wavenumber",
     "inverse_div_grad",
@@ -54,55 +65,120 @@ def _check_method(method: str) -> str:
     return method
 
 
+class Symbols(NamedTuple):
+    """One backend's Fourier symbols on one grid, shaped to broadcast over a spectrum.
+
+    ``deriv[a]`` is s_a, where i s_a is the symbol of d/dx_a; ``lap`` is the
+    Laplacian's symbol and ``div_grad`` = -sum_a s_a^2 that of div(grad .),
+    the same values as ``lap`` for central2. The arrays are read-only.
+    """
+
+    deriv: tuple[np.ndarray, ...]
+    lap: np.ndarray
+    div_grad: np.ndarray
+
+
+def _half(symbol: np.ndarray, grid: Grid) -> np.ndarray:
+    """View of a full-spectrum symbol on the half spectrum of a real transform."""
+    return symbol[..., : grid.points[-1] // 2 + 1]
+
+
 @lru_cache(maxsize=None)
-def _deriv_symbols(grid: Grid, method: str) -> tuple[np.ndarray, ...]:
-    """Imaginary part s_a of each axis derivative symbol i*s_a, shaped for broadcasting."""
-    out = []
+def _symbol_sets(grid: Grid, method: str) -> tuple[Symbols, Symbols]:
+    """(full spectrum, half spectrum) symbols; the half set views the full one."""
+    _check_method(method)
+    deriv = []
+    lap = np.zeros(grid.shape)
     for axis, (n, dx) in enumerate(zip(grid.points, grid.spacings)):
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-        if method == "spectral":
-            s = k.copy()
-            s[n // 2] = 0.0  # Nyquist derivative set to zero; keeps real fields real
-        else:
-            s = np.sin(k * dx) / dx
+        s = k.copy() if method == "spectral" else np.sin(k * dx) / dx
+        s[n // 2] = 0.0  # Nyquist: keeps real fields real; the central stencil's exact value
+        lap_axis = -(k**2) if method == "spectral" else -(s**2)
         shape = [1] * grid.dims
         shape[axis] = n
-        out.append(s.reshape(shape))
-    return tuple(out)
+        deriv.append(s.reshape(shape))
+        lap = lap + lap_axis.reshape(shape)
+    div_grad = -sum(s**2 for s in deriv) if method == "spectral" else lap
+    for array in (*deriv, lap, div_grad):
+        array.setflags(write=False)
+    half = Symbols(tuple(_half(s, grid) for s in deriv), _half(lap, grid), _half(div_grad, grid))
+    return Symbols(tuple(deriv), lap, div_grad), half
+
+
+def symbols(grid: Grid, method: str, real: bool = False) -> Symbols:
+    """The backend's symbols on the full spectrum, or on a real array's half spectrum."""
+    return _symbol_sets(grid, method)[1 if real else 0]
 
 
 @lru_cache(maxsize=None)
-def _laplacian_symbol(grid: Grid, method: str) -> np.ndarray:
-    sym = np.zeros(grid.shape)
-    for axis, (n, dx) in enumerate(zip(grid.points, grid.spacings)):
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-        if method == "spectral":
-            m = -(k**2)
-        else:
-            m = -((np.sin(k * dx) / dx) ** 2)
-        shape = [1] * grid.dims
-        shape[axis] = n
-        sym = sym + m.reshape(shape)
-    return sym
+def _transforms(grid: Grid, real: bool) -> tuple[Callable, Callable]:
+    """The (forward, inverse) transform pair over the trailing grid axes.
+
+    Real arrays take the half spectrum and come back real; leading batch or
+    component axes pass through.
+    """
+    if grid.dims == 1:  # the 1D transforms skip the n-dimensional argument handling
+        if not real:
+            return np.fft.fft, np.fft.ifft
+        return np.fft.rfft, partial(np.fft.irfft, n=grid.points[0])
+    axes = tuple(range(-grid.dims, 0))
+    if not real:
+        return partial(np.fft.fftn, axes=axes), partial(np.fft.ifftn, axes=axes)
+    return partial(np.fft.rfftn, axes=axes), partial(np.fft.irfftn, s=grid.shape, axes=axes)
 
 
-@lru_cache(maxsize=None)
-def _deriv_symbols_half(grid: Grid, method: str) -> tuple[np.ndarray, ...]:
-    """Derivative symbols sliced to the rfftn half-spectrum on the last axis."""
-    full = _deriv_symbols(grid, method)
-    half = grid.points[-1] // 2 + 1
-    out = []
-    for axis, s in enumerate(full):
-        if axis == grid.dims - 1:
-            s = np.ascontiguousarray(s[..., :half])
-        out.append(s)
-    return tuple(out)
+def fourier_apply(
+    values: np.ndarray,
+    grid: Grid,
+    method: str,
+    modewise: Callable[[np.ndarray, Symbols], np.ndarray],
+) -> np.ndarray:
+    """Samples of ``modewise(hat, sym)``, hat the spectrum of ``values``.
+
+    ``sym`` is the backend's symbol set on the same spectrum: the half
+    spectrum for real values, whose result is real. ``modewise`` may work on
+    ``hat`` in place.
+    """
+    real = not np.iscomplexobj(values)
+    sym = symbols(grid, method, real)
+    forward, inverse = _transforms(grid, real)
+    return inverse(modewise(forward(values), sym))
 
 
-@lru_cache(maxsize=None)
-def _laplacian_symbol_half(grid: Grid, method: str) -> np.ndarray:
-    half = grid.points[-1] // 2 + 1
-    return np.ascontiguousarray(_laplacian_symbol(grid, method)[..., :half])
+def fourier_multiplier(grid: Grid, symbol: np.ndarray, real: bool) -> Callable:
+    """f -> f with its spectrum multiplied by the full-spectrum ``symbol`` array.
+
+    For real f when ``real`` is set, complex f otherwise; the transform pair
+    and the symbol's half-spectrum slice are resolved once, for hot loops.
+    """
+    forward, inverse = _transforms(grid, real)
+    matched = _half(symbol, grid) if real else symbol
+
+    def multiply(f: np.ndarray) -> np.ndarray:
+        hat = forward(f)
+        hat *= matched
+        return inverse(hat)
+
+    return multiply
+
+
+def live_quotient(hat: np.ndarray, symbol: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """hat / symbol on the modes where the symbol is nonzero, and 0 where it vanishes.
+
+    Content of ``hat`` on those dead modes cannot be inverted: above ``tol``
+    relative to max |hat| it raises ValueError naming ``what`` rather than
+    being dropped.
+    """
+    dead = np.broadcast_to(symbol == 0.0, hat.shape)
+    scale = float(np.max(np.abs(hat))) or 1.0
+    leak = float(np.max(np.abs(hat[dead]), initial=0.0))
+    if leak > tol * scale:
+        raise ValueError(
+            f"{what} has content in modes where the operator's symbol vanishes "
+            f"(relative magnitude {leak / scale:.3e}, tolerance {tol:g})"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dead, 0.0, hat / np.where(dead, 1.0, symbol))
 
 
 def laplacian_spectral_radius(grid: Grid, method: str = "spectral") -> float:
@@ -118,43 +194,14 @@ def max_wavenumber(grid: Grid) -> float:
     return float(np.sqrt(sum((np.pi / dx) ** 2 for dx in grid.spacings)))
 
 
-def _spatial_axes(values: np.ndarray, grid: Grid) -> tuple[int, ...]:
-    # trailing axes are spatial; leading axes (if any) are batch/component
-    return tuple(range(values.ndim - grid.dims, values.ndim))
-
-
 def laplacian_array(values: np.ndarray, grid: Grid, method: str = "spectral") -> np.ndarray:
-    _check_method(method)
-    if method == "spectral":
-        axes = _spatial_axes(values, grid)
-        hat = np.fft.fftn(values, axes=axes)
-        hat *= _laplacian_symbol(grid, method)
-        out = np.fft.ifftn(hat, axes=axes)
-        return out.real if not np.iscomplexobj(values) else out
-    out = np.zeros_like(values)
-    offset = values.ndim - grid.dims
-    for axis, dx in enumerate(grid.spacings):
-        a = axis + offset
-        out += (np.roll(values, -2, axis=a) - 2.0 * values + np.roll(values, 2, axis=a)) / (
-            4.0 * dx * dx
-        )
-    return out
+    return fourier_multiplier(grid, symbols(grid, method).lap, not np.iscomplexobj(values))(values)
 
 
 def first_derivative_array(
     values: np.ndarray, grid: Grid, axis: int, method: str = "spectral"
 ) -> np.ndarray:
-    _check_method(method)
-    offset = values.ndim - grid.dims
-    if method == "central2":
-        dx = grid.spacings[axis]
-        a = axis + offset
-        return (np.roll(values, -1, axis=a) - np.roll(values, 1, axis=a)) / (2.0 * dx)
-    axes = _spatial_axes(values, grid)
-    hat = np.fft.fftn(values, axes=axes)
-    hat *= 1j * _deriv_symbols(grid, "spectral")[axis]
-    out = np.fft.ifftn(hat, axes=axes)
-    return out.real if not np.iscomplexobj(values) else out
+    return fourier_apply(values, grid, method, lambda hat, sym: hat * (1j * sym.deriv[axis]))
 
 
 def gradient_arrays(values: np.ndarray, grid: Grid, method: str = "spectral") -> list[np.ndarray]:
@@ -176,32 +223,32 @@ def gradient(f: ScalarSampleField, method: str = "spectral") -> VectorSampleFiel
     )
 
 
+def _div_modes(hat: np.ndarray, sym: Symbols) -> np.ndarray:
+    return 1j * sum(s * h for s, h in zip(sym.deriv, hat))
+
+
+def divergence_array(values: np.ndarray, grid: Grid, method: str = "spectral") -> np.ndarray:
+    """Divergence of the components on axis 0, through one transform pair."""
+    return fourier_apply(values, grid, method, _div_modes)
+
+
 def divergence(v: VectorSampleField3, method: str = "spectral") -> ScalarSampleField:
-    out = sum(
-        first_derivative_array(v.values[a], v.grid, a, method) for a in range(3)
-    )
-    return ScalarSampleField(v.grid, out)
+    return ScalarSampleField(v.grid, divergence_array(v.values, v.grid, method))
+
+
+def _curl_modes(hat: np.ndarray, sym: Symbols) -> np.ndarray:
+    s = sym.deriv
+    out_hat = np.empty_like(hat)
+    out_hat[0] = s[1] * hat[2] - s[2] * hat[1]
+    out_hat[1] = s[2] * hat[0] - s[0] * hat[2]
+    out_hat[2] = s[0] * hat[1] - s[1] * hat[0]
+    out_hat *= 1j
+    return out_hat
 
 
 def _curl_arrays(values: np.ndarray, grid: Grid, method: str) -> np.ndarray:
-    if method == "spectral" and not np.iscomplexobj(values):
-        axes = (1, 2, 3)
-        s = _deriv_symbols_half(grid, method)
-        hat = np.fft.rfftn(values, axes=axes)
-        out_hat = np.empty_like(hat)
-        out_hat[0] = s[1] * hat[2] - s[2] * hat[1]
-        out_hat[1] = s[2] * hat[0] - s[0] * hat[2]
-        out_hat[2] = s[0] * hat[1] - s[1] * hat[0]
-        out_hat *= 1j
-        return np.fft.irfftn(out_hat, s=grid.shape, axes=axes)
-    d = lambda comp, axis: first_derivative_array(values[comp], grid, axis, method)
-    return np.stack(
-        [
-            d(2, 1) - d(1, 2),
-            d(0, 2) - d(2, 0),
-            d(1, 0) - d(0, 1),
-        ]
-    )
+    """Curl of the components on axis 0, all three through one transform pair."""
+    return fourier_apply(values, grid, method, _curl_modes)
 
 
 def curl(v: VectorSampleField3, method: str = "spectral") -> VectorSampleField3:
@@ -218,8 +265,7 @@ def curl_curl_identity_residual(v: VectorSampleField3, method: str = "spectral")
     grid = v.grid
     cc = _curl_arrays(_curl_arrays(v.values, grid, method), grid, method)
     lap = laplacian_array(v.values, grid, method)
-    div = sum(first_derivative_array(v.values[a], grid, a, method) for a in range(3))
-    grad_div = np.stack(gradient_arrays(div, grid, method))
+    grad_div = np.stack(gradient_arrays(divergence_array(v.values, grid, method), grid, method))
     return float(np.max(np.abs(cc - (-lap + grad_div))))
 
 
@@ -230,37 +276,22 @@ def inverse_div_grad(
 
     Inverts the composed first-derivative symbols (not the Laplacian symbol),
     so the divergence of the returned gradient reproduces f exactly. f must
-    have (numerically) zero mean; modes where the composed symbol vanishes
-    beyond k=0 are rejected the same way.
+    have (numerically) zero mean, and no more content than that on the other
+    modes where the composed symbol vanishes (Nyquist combinations), else
+    ValueError: a periodic solution cannot reach them.
     """
-    _check_method(method)
-    s = _deriv_symbols(grid, method)
-    sym = -sum(si**2 for si in s)  # symbol of div(grad .)
-    hat = np.fft.fftn(values)
-    scale = float(np.max(np.abs(hat))) or 1.0
-    dead = np.abs(sym) == 0.0
-    leak = float(np.max(np.abs(hat[dead])))
-    if leak > mean_tol * scale:
-        raise ValueError(
-            "right-hand side has content in the null modes of div(grad .) "
-            f"(relative magnitude {leak / scale:.3e}); a periodic solution needs zero mean"
-        )
-    inv = np.where(dead, 0.0, sym)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hat = np.where(dead, 0.0, hat / inv)
-    out = np.fft.ifftn(hat)
-    return out.real if not np.iscomplexobj(values) else out
+    what = "right-hand side of div(grad u) = f"
+    return fourier_apply(
+        values, grid, method, lambda hat, sym: live_quotient(hat, sym.div_grad, mean_tol, what)
+    )
 
 
 def solenoidal_projection(v: VectorSampleField3, method: str = "spectral") -> VectorSampleField3:
-    """Remove the gradient part: v - grad(inverse_div_grad(div v))."""
-    div = sum(first_derivative_array(v.values[a], v.grid, a, method) for a in range(3))
-    hat = np.fft.fftn(div)
-    s = _deriv_symbols(v.grid, method)
-    sym = -sum(si**2 for si in s)
-    dead = np.abs(sym) == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_hat = np.where(dead, 0.0, hat / np.where(dead, 1.0, sym))
-    u = np.fft.ifftn(u_hat).real
-    grad_u = np.stack(gradient_arrays(u, v.grid, method))
-    return VectorSampleField3(v.grid, v.values - grad_u)
+    """Remove the gradient part: v - grad(inverse_div_grad(div v)), mode by mode."""
+
+    def modewise(hat: np.ndarray, sym: Symbols) -> np.ndarray:
+        # div v vanishes exactly on the dead modes of div(grad .), so this never raises
+        u_hat = live_quotient(_div_modes(hat, sym), sym.div_grad, 1e-12, "div v")
+        return hat - np.stack([1j * s * u_hat for s in sym.deriv])
+
+    return VectorSampleField3(v.grid, fourier_apply(v.values, v.grid, method, modewise))

@@ -34,11 +34,13 @@ from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleFiel
 from .linsolve import conjugate_gradient, normal_equations_cg
 from .maxwell import EMState, PotentialState
 from .operators import (
-    _deriv_symbols,
-    _laplacian_symbol,
-    _spatial_axes,
-    first_derivative_array,
+    Symbols,
+    divergence_array,
+    fourier_apply,
+    fourier_multiplier,
+    live_quotient,
     max_wavenumber,
+    symbols,
 )
 from .schrodinger import (
     PotentialSpec,
@@ -140,19 +142,12 @@ _KERNEL_RESIDUAL_TOL = 1e-12
 def _fourier_preconditioner(grid: Grid, v: np.ndarray, params: QuantumParams, method: str):
     """Inverse of the symbol -kin Lap + |mean V|: the kinetic part of H plus the mean potential.
 
-    Positive definite for every V, so it serves both CG on H and LOBPCG. Works
-    on the trailing spatial axes, so a leading batch axis passes through.
+    Positive definite for every V, so it serves both CG on H and LOBPCG. Takes
+    real arrays; a leading batch axis passes through.
     """
     kin = params.hbar**2 / (2.0 * params.mass)
-    sym = -kin * _laplacian_symbol(grid, method) + abs(float(v.mean()))
-    sym = np.where(np.abs(sym) < 1e-14, 1.0, sym)
-
-    def precondition(x: np.ndarray) -> np.ndarray:
-        axes = _spatial_axes(x, grid)
-        out = np.fft.ifftn(np.fft.fftn(x, axes=axes) / sym, axes=axes)
-        return out.real
-
-    return precondition
+    sym = -kin * symbols(grid, method).lap + abs(float(v.mean()))
+    return fourier_multiplier(grid, 1.0 / np.where(np.abs(sym) < 1e-14, 1.0, sym), real=True)
 
 
 def _kernel_basis(
@@ -337,7 +332,9 @@ def curl_inverse(
 
     b0 must be solenoidal and mean-free: a uniform magnetic field has no
     periodic potential. Inverted mode-by-mode with the backend's derivative
-    symbols, so the residual of curl K - b0 sits at roundoff.
+    symbols, so the residual of curl K - b0 sits at roundoff. Content of b0
+    above ``mean_tol`` on the other modes where every derivative symbol
+    vanishes (Nyquist combinations) has no preimage either: ValueError.
     """
     grid = b0.grid
     vals = b0.values
@@ -351,7 +348,7 @@ def curl_inverse(
             f"mean magnetic field {mean.max():.3e} has no periodic vector potential "
             f"(tolerance {mean_tol * scale:.3e})"
         )
-    div = sum(first_derivative_array(vals[a], grid, a, method) for a in range(3))
+    div = divergence_array(vals, grid, method)
     div_scale = scale * max_wavenumber(grid)
     if float(np.max(np.abs(div))) > div_tol * div_scale:
         raise ValueError(
@@ -359,24 +356,15 @@ def curl_inverse(
             f"(tolerance {div_tol * div_scale:.3e})"
         )
 
-    s = _deriv_symbols(grid, method)
-    sx = np.broadcast_to(s[0], grid.shape)
-    sy = np.broadcast_to(s[1], grid.shape)
-    sz = np.broadcast_to(s[2], grid.shape)
-    s2 = sx**2 + sy**2 + sz**2
-    hat = np.fft.fftn(vals, axes=(1, 2, 3))
-    # K_hat = i s x B_hat / |s|^2 on live modes
-    cross = np.stack(
-        [
-            sy * hat[2] - sz * hat[1],
-            sz * hat[0] - sx * hat[2],
-            sx * hat[1] - sy * hat[0],
-        ]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_hat = np.where(s2 == 0.0, 0.0, 1j * cross / np.where(s2 == 0.0, 1.0, s2))
-    k = np.fft.ifftn(k_hat, axes=(1, 2, 3)).real
-    return VectorSampleField3(grid, k)
+    def modewise(hat: np.ndarray, sym: Symbols) -> np.ndarray:
+        # K_hat = i s x B_hat / |s|^2, |s|^2 = -div_grad; B content where s = 0 is unreachable
+        q = live_quotient(hat, -sym.div_grad, mean_tol, "magnetic field")
+        s = sym.deriv
+        return 1j * np.stack(
+            [s[1] * q[2] - s[2] * q[1], s[2] * q[0] - s[0] * q[2], s[0] * q[1] - s[1] * q[0]]
+        )
+
+    return VectorSampleField3(grid, fourier_apply(vals, grid, method, modewise))
 
 
 def reconstruct_vector_potential(

@@ -26,7 +26,7 @@ from . import expressions, maxwell, reconstruction, schrodinger, stepping, wavep
 from .errors import MonitorError, ScenarioError, WavepotError
 from .expressions import Expression
 from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3
-from .operators import METHODS, _curl_arrays, first_derivative_array, solenoidal_projection
+from .operators import METHODS, _curl_arrays, divergence_array, solenoidal_projection
 from .snapshots import (
     DiagnosticsWriter,
     SnapshotData,
@@ -553,9 +553,7 @@ def _maxwell_fields_evolution(scenario: Scenario, peaks: dict, summary: dict):
     e0 = _maxwell_initial(scenario, ("e_x", "e_y", "e_z"))
     b0 = _maxwell_initial(scenario, ("b_x", "b_y", "b_z"))
     if scenario.initial.get("fix_divergence", "false").lower() == "true":
-        div_e = sum(
-            first_derivative_array(e0.values[a], grid, a, scenario.backend) for a in range(3)
-        )
+        div_e = divergence_array(e0.values, grid, scenario.backend)
         excess = ScalarSampleField(grid, sources.rho_at(0.0, grid).values - div_e)
         longitudinal = maxwell.coulomb_field_from_charge(excess, scenario.backend)
         e0 = VectorSampleField3(grid, e0.values + longitudinal.values)

@@ -32,10 +32,11 @@ from .errors import GridMismatchError, SolverError
 from .grids import ComplexSampleField, Grid, ScalarSampleField
 from .linsolve import normal_equations_cg
 from .operators import (
-    _laplacian_symbol,
+    fourier_multiplier,
     gradient_arrays,
     laplacian_array,
     laplacian_spectral_radius,
+    symbols,
 )
 from .expressions import Expression
 from .stepping import drive
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 DENSE_GRID_LIMIT = 4096
+_SIGN_TIE = 1e-8  # relative band of eigenvector entries that tie for the largest
 
 
 @dataclass(frozen=True)
@@ -146,36 +148,16 @@ def l_operator_array(
 
 
 def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: str):
-    """Specialized L for real fields, used by integrator hot loops.
+    """L for real fields as one closure, used by integrator hot loops.
 
-    Spectral backend goes through the real FFT (half spectrum); identical to
-    l_operator_array up to roundoff.
+    The kinetic symbol is scaled once, so each apply is one real transform
+    pair and one pointwise product; equal to l_operator_array up to roundoff.
     """
-    if method != "spectral":
-        return lambda f: l_operator_array(f, v, grid, params, method)
     kin = params.hbar**2 / (2.0 * params.mass)
-    n_last = grid.points[-1]
-    sym = kin * np.ascontiguousarray(
-        _laplacian_symbol(grid, method)[..., : n_last // 2 + 1]
-    )
-    if grid.dims == 1:
-        rfft, irfft = np.fft.rfft, np.fft.irfft
-
-        def lop_1d(f: np.ndarray) -> np.ndarray:
-            hat = rfft(f)
-            hat *= sym
-            out = irfft(hat, n_last)
-            out -= v * f
-            return out
-
-        return lop_1d
-    axes = tuple(range(grid.dims))
-    shape = grid.shape
+    kinetic = fourier_multiplier(grid, kin * symbols(grid, method).lap, real=True)
 
     def lop(f: np.ndarray) -> np.ndarray:
-        hat = np.fft.rfftn(f, axes=axes)
-        hat *= sym
-        out = np.fft.irfftn(hat, s=shape, axes=axes)
+        out = kinetic(f)
         out -= v * f
         return out
 
@@ -276,7 +258,7 @@ def _inverse_cayley_kinetic_symbol(
 
     |m| >= 1 for real ``c``, so M^-1 never amplifies.
     """
-    inv = 1.0 / (1.0 + 1j * alpha * (-kin * _laplacian_symbol(grid, method) + c))
+    inv = 1.0 / (1.0 + 1j * alpha * (-kin * symbols(grid, method).lap + c))
     inv.setflags(write=False)
     return inv
 
@@ -313,18 +295,16 @@ def crank_nicolson_step(
     c = 0.5 * (float(v.max()) + float(v.min()))
     kin = params.hbar**2 / (2.0 * params.mass)
     inv = _inverse_cayley_kinetic_symbol(grid, method, kin, alpha, c)
-    inv_h = inv.conj()
+    apply_m_inv = fourier_multiplier(grid, inv, real=False)
+    apply_m_inv_h = fourier_multiplier(grid, inv.conj(), real=False)
     w = 1j * alpha * (v - c)
-
-    def apply_m_inv(f: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(np.fft.fftn(f) * inv)
 
     def apply_preconditioned(y: np.ndarray) -> np.ndarray:
         return y + w * apply_m_inv(y)
 
     def apply_preconditioned_adjoint(r: np.ndarray) -> np.ndarray:
         # w is imaginary, so its adjoint is -w
-        return r - np.fft.ifftn(np.fft.fftn(w * r) * inv_h)
+        return r - apply_m_inv_h(w * r)
 
     try:
         y = normal_equations_cg(
@@ -391,8 +371,10 @@ def dense_hamiltonian(V: PotentialSpec, params: QuantumParams, method: str = "sp
     chunk = max(1, min(m, (1 << 22) // m))
     eye = np.eye(m)
     for start in range(0, m, chunk):
-        block = eye[start : start + chunk].reshape((-1,) + grid.shape)
-        hb = hamiltonian_array(block, v, grid, params, method)
+        # complex unit vectors take the full-spectrum transform: as accurate as the
+        # half spectrum, and the stationary states of recorded runs keep their bits
+        block = eye[start : start + chunk].reshape((-1,) + grid.shape).astype(complex)
+        hb = hamiltonian_array(block, v, grid, params, method).real
         mat[start : start + chunk] = hb.reshape(-1, m)
     # rows hold H applied to basis vectors; symmetrize away roundoff skew
     return 0.5 * (mat + mat.T)
@@ -403,10 +385,13 @@ def dense_eigensystem(
 ) -> DenseEigensystem:
     mat = dense_hamiltonian(V, params, method)
     energies, vectors = scipy.linalg.eigh(mat)
-    # deterministic sign: largest-magnitude entry positive
+    # deterministic sign: the largest-magnitude entry is positive. Entries within
+    # _SIGN_TIE of the maximum tie, and the tie goes to the lowest flat index, so
+    # odd and mirror-symmetric states are not signed by roundoff.
     for n in range(vectors.shape[1]):
         col = vectors[:, n]
-        idx = int(np.argmax(np.abs(col)))
+        mag = np.abs(col)
+        idx = int(np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max()))
         if col[idx] < 0:
             vectors[:, n] = -col
     return DenseEigensystem(V.grid, energies, vectors, params)

@@ -79,12 +79,13 @@ class EnergyDensity:
 
 
 def phi_acceleration(state: PhiState, method: str = "spectral") -> ScalarSampleField:
-    """phi_ddot = -(1/hbar^2) L(L(phi)); L applied twice, never expanded."""
+    """phi_ddot = -(1/hbar^2) L(L(phi)); L applied twice, never expanded.
+
+    L is ``real_l_operator``, the operator ``run_verlet`` steps with.
+    """
     grid = state.grid
-    v = state.potential.sampled.values
-    lphi = l_operator_array(state.phi.values, v, grid, state.params, method)
-    llphi = l_operator_array(lphi, v, grid, state.params, method)
-    return ScalarSampleField(grid, -llphi / state.params.hbar**2)
+    lop = real_l_operator(grid, state.potential.sampled.values, state.params, method)
+    return ScalarSampleField(grid, -lop(lop(state.phi.values)) / state.params.hbar**2)
 
 
 def stable_dt(

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +9,9 @@ from hypothesis import strategies as st
 from conftest import band_limited, smooth_scalar, smooth_vector
 from wavepot.errors import GridMismatchError
 from wavepot.grids import Grid, ScalarSampleField, VectorSampleField3, integrate, max_norm
+from wavepot.maxwell import _potential_accel_arrays, coulomb_field_from_charge
 from wavepot.operators import (
+    _curl_arrays,
     curl,
     curl_curl_identity_residual,
     divergence,
@@ -18,8 +23,58 @@ from wavepot.operators import (
     laplacian_spectral_radius,
     solenoidal_projection,
 )
+from wavepot.schrodinger import QuantumParams, hamiltonian_array, l_operator_array, real_l_operator
 
 METHODS = ("spectral", "central2")
+SRC = Path(__file__).resolve().parent.parent / "src" / "wavepot"
+
+# unequal points and lengths per axis, so a transposed axis shows
+GRIDS = {
+    "1d": Grid((16,), (3.0,)),
+    "2d": Grid((12, 8), (3.0, 5.0)),
+    "3d": Grid((8, 6, 10), (2.0, 3.0, 4.0)),
+}
+CUBE = GRIDS["3d"]
+
+
+def stencil_derivative(values, grid, axis):
+    """(f_{+1} - f_{-1}) / (2 dx) along one grid axis: the central2 reference."""
+    a = axis + values.ndim - grid.dims
+    dx = grid.spacings[axis]
+    return (np.roll(values, -1, axis=a) - np.roll(values, 1, axis=a)) / (2.0 * dx)
+
+
+def stencil_laplacian(values, grid):
+    """sum_a (f_{+2} - 2f + f_{-2}) / (4 dx_a^2), the composed first-difference stencil."""
+    out = np.zeros_like(values)
+    for axis, dx in enumerate(grid.spacings):
+        a = axis + values.ndim - grid.dims
+        out += (np.roll(values, -2, axis=a) - 2.0 * values + np.roll(values, 2, axis=a)) / (
+            4.0 * dx * dx
+        )
+    return out
+
+
+def stencil_curl(values, grid):
+    d = lambda comp, axis: stencil_derivative(values[comp], grid, axis)
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)])
+
+
+def stencil_potential_accel(a, j, c, grid):
+    div = sum(stencil_derivative(a[i], grid, i) for i in range(3))
+    grad_div = np.stack([stencil_derivative(div, grid, i) for i in range(3)])
+    return c * c * (stencil_laplacian(a, grid) - grad_div) + c * j
+
+
+def random_samples(shape, rng, complex_):
+    out = rng.standard_normal(shape)
+    return out + 1j * rng.standard_normal(shape) if complex_ else out
+
+
+def assert_close(got, ref, rel=1e-12):
+    assert got.shape == ref.shape
+    assert np.iscomplexobj(got) == np.iscomplexobj(ref)
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
 
 class TestLaplacian:
@@ -159,3 +214,133 @@ class TestPoissonHelpers:
         v = smooth_vector(cube16, rng)
         out = solenoidal_projection(v, "spectral")
         assert max_norm(divergence(out, "spectral")) <= 1e-12
+
+
+class TestCentral2AgainstStencils:
+    """central2 is the exact Fourier symbol of its stencils: both agree to roundoff."""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batch"])
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_scalar_operators(self, name, batch, complex_, rng):
+        grid = GRIDS[name]
+        f = random_samples(batch + grid.shape, rng, complex_)
+        v = rng.uniform(0.0, 3.0, grid.shape)
+        params = QuantumParams(1.3, 0.7)
+        kin = params.hbar**2 / (2.0 * params.mass)
+        for axis in range(grid.dims):
+            assert_close(
+                first_derivative_array(f, grid, axis, "central2"), stencil_derivative(f, grid, axis)
+            )
+        assert_close(laplacian_array(f, grid, "central2"), stencil_laplacian(f, grid))
+        expected_l = kin * stencil_laplacian(f, grid) - v * f
+        assert_close(l_operator_array(f, v, grid, params, "central2"), expected_l)
+        if not complex_:
+            assert_close(real_l_operator(grid, v, params, "central2")(f), expected_l)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_curl_and_potential_acceleration(self, complex_, rng):
+        a = random_samples((3,) + CUBE.shape, rng, complex_)
+        j = random_samples((3,) + CUBE.shape, rng, complex_)
+        assert_close(_curl_arrays(a, CUBE, "central2"), stencil_curl(a, CUBE))
+        assert_close(
+            _potential_accel_arrays(a, j, 1.7, CUBE, "central2"),
+            stencil_potential_accel(a, j, 1.7, CUBE),
+        )
+
+    def test_inverse_div_grad_inverts_the_stencils(self, rng):
+        f = band_limited(CUBE, rng)
+        f -= f.mean()
+        u = inverse_div_grad(f, CUBE, "central2")
+        back = sum(
+            stencil_derivative(stencil_derivative(u, CUBE, a), CUBE, a) for a in range(3)
+        )
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+
+
+class TestRealAndComplexInputAgree:
+    """op(f + i g) = op(f) + i op(g): the half and the full spectrum give one operator."""
+
+    @staticmethod
+    def check(op, f, g):
+        assert_close(op(f + 1j * g), op(f) + 1j * op(g))
+        assert not np.iscomplexobj(op(f))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_scalar_operators(self, name, method, rng):
+        grid = GRIDS[name]
+        f, g = rng.standard_normal((2,) + grid.shape)
+        v = rng.uniform(0.0, 3.0, grid.shape)
+        params = QuantumParams()
+        self.check(lambda x: laplacian_array(x, grid, method), f, g)
+        for axis in range(grid.dims):
+            self.check(lambda x: first_derivative_array(x, grid, axis, method), f, g)
+        self.check(lambda x: l_operator_array(x, v, grid, params, method), f, g)
+        self.check(lambda x: hamiltonian_array(x, v, grid, params, method), f, g)
+        f, g = band_limited(grid, rng), band_limited(grid, rng)
+        self.check(lambda x: inverse_div_grad(x - x.mean(), grid, method), f, g)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_vector_operators(self, method, rng):
+        f, g = rng.standard_normal((2, 3) + CUBE.shape)
+        j = np.zeros_like(f)
+        self.check(lambda x: _curl_arrays(x, CUBE, method), f, g)
+        self.check(lambda x: _potential_accel_arrays(x, j, 1.7, CUBE, method), f, g)
+
+
+class TestDeadModes:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_nyquist_null_mode_rejected(self, method):
+        # zero mean, but (-1)^i sits on a mode where every derivative symbol vanishes
+        grid = Grid.cube(8, 2 * np.pi)
+        i = np.arange(8)
+        rho = np.broadcast_to(((-1.0) ** i + np.cos(2 * np.pi * i / 8))[:, None, None], grid.shape)
+        with pytest.raises(ValueError, match="vanishes"):
+            inverse_div_grad(rho, grid, method)
+        with pytest.raises(ValueError, match="vanishes"):
+            coulomb_field_from_charge(ScalarSampleField(grid, rho.copy()), method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_roundoff_in_dead_modes_passes(self, cube16, rng, method):
+        x = cube16.axis_coordinates(0)[:, None, None]
+        rho = np.broadcast_to(np.cos(x) + 1e-15 * np.cos(8 * x), cube16.shape)
+        e = coulomb_field_from_charge(ScalarSampleField(cube16, rho.copy()), method)
+        assert max_norm(divergence(e, method) - ScalarSampleField(cube16, rho.copy())) <= 1e-12
+
+
+def _misplaced_transforms(path: Path) -> list[str]:
+    """np.roll anywhere, np.fft transforms outside operators._transforms, fft imports."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            where = f"{path.name}:{getattr(child, 'lineno', '?')}"
+            if isinstance(child, ast.Attribute):
+                if child.attr == "roll" and isinstance(child.value, ast.Name):
+                    found.append(f"{where} {child.value.id}.roll")
+                if (
+                    isinstance(child.value, ast.Attribute)
+                    and child.value.attr == "fft"
+                    and child.attr != "fftfreq"
+                    and (path.name, function) != ("operators.py", "_transforms")
+                ):
+                    found.append(f"{where} fft.{child.attr} in {function}")
+            if isinstance(child, ast.ImportFrom) and "fft" in (child.module or "") + "".join(
+                alias.name for alias in child.names
+            ):
+                found.append(f"{where} fft import")
+            if isinstance(child, ast.Import) and any("fft" in alias.name for alias in child.names):
+                found.append(f"{where} fft import")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_transforms_only_in_the_operator_layer():
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == "operators.py" for p in paths)
+    found = [hit for path in paths for hit in _misplaced_transforms(path)]
+    assert not found, found

@@ -359,6 +359,24 @@ class TestCurlInverse:
         with pytest.raises(ValueError, match="solenoidal"):
             curl_inverse(b0)
 
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    def test_unreachable_content_rejected(self, method):
+        # mean-free and solenoidal, but (-1)^i along x sits where every derivative symbol vanishes
+        grid = Grid.cube(8, 2 * np.pi)
+        b = np.zeros((3,) + grid.shape)
+        b[1] = ((-1.0) ** np.arange(8))[:, None, None]
+        with pytest.raises(ValueError, match="magnetic field"):
+            curl_inverse(VectorSampleField3(grid, b), method)
+
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    def test_roundoff_in_unreachable_modes_passes(self, cube16, method):
+        x = cube16.axis_coordinates(0)[:, None, None]
+        b = np.zeros((3,) + cube16.shape)
+        b[2] = np.cos(x) + 1e-15 * np.cos(8 * x)
+        b0 = VectorSampleField3(cube16, b)
+        k = curl_inverse(b0, method)
+        assert max_norm(curl(k, method) - b0) <= 1e-12
+
     def test_random_solenoidal_roundtrip(self, cube16, rng):
         from wavepot.operators import solenoidal_projection
 

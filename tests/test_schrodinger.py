@@ -320,6 +320,23 @@ class TestDenseOracle:
             dense_eigensystem(V, PARAMS)
 
 
+class TestEigenvectorSigns:
+    def test_signs_survive_roundoff(self, monkeypatch):
+        # modes 1, 3, 5, 7 are odd about the well's centre: two entries of equal
+        # magnitude and opposite sign compete for the largest
+        grid = Grid.line(256, 20.0)
+        V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
+        base = dense_eigensystem(V, PARAMS)
+        h = schrodinger.dense_hamiltonian(V, PARAMS)
+        r = np.random.default_rng(0).standard_normal(h.shape)
+        monkeypatch.setattr(
+            schrodinger, "dense_hamiltonian", lambda *args: h + 1e-13 * (r + r.T)
+        )
+        perturbed = dense_eigensystem(V, PARAMS)
+        overlaps = np.sum(base.vectors[:, :8] * perturbed.vectors[:, :8], axis=0)
+        assert np.all(overlaps > 0.99), overlaps
+
+
 class TestEigenpairs:
     def test_free_particle_zero_mode(self, grid64):
         V = PotentialSpec.zero(grid64)
