@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override a scenario entry (repeatable)",
         )
-        p.add_argument("--threads", type=int, default=1, help="thread budget (recorded; runs are single-threaded)")
     d = sub.add_parser("dump", help="convert a snapshot file to CSV")
     d.add_argument("--snapshot", required=True, help="snapshot file or run directory")
     d.add_argument("--out", required=True, help="CSV output path")
@@ -83,7 +82,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        loaded.threads = max(1, args.threads)
         report = scn.run(loaded, args.out)
         _print_report(report)
         return 0

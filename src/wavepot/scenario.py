@@ -9,7 +9,8 @@ deterministic: identical scenario plus seed gives byte-identical outputs.
 
 ``compare`` lines up two recorded runs frame by frame, optionally mapping a
 potential-form run onto field form first (wave potential to wave function, or
-vector potential to E/B), and reports L2 and max-norm differences.
+vector potential to E/B, with the backend and constants of that run), and
+reports L2 and max-norm differences, as reconstructions do for their round trip.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import expressions, maxwell, reconstruction, schrodinger, stepping, wavep
 from .errors import MonitorError, ScenarioError, WavepotError
 from .expressions import Expression
 from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3
-from .operators import METHODS, _curl_arrays, divergence_array, solenoidal_projection
+from .operators import METHODS, divergence_array, solenoidal_projection
 from .snapshots import (
     DiagnosticsWriter,
     SnapshotData,
@@ -55,7 +56,34 @@ FIELD_NAMES = {
     "maxwell-potential": ("a_x", "a_y", "a_z", "a_dot_x", "a_dot_y", "a_dot_z"),
 }
 
-TRANSFORMS = ("identity", "phi_to_psi", "a_to_fields")
+# [initial] types each evolving kind accepts; "expressions" is the default
+INITIAL_TYPES = {
+    "schrodinger": ("expressions", "random"),
+    "phi": ("expressions", "stationary", "random"),
+    "maxwell-fields": ("expressions",),
+    "maxwell-potential": ("expressions",),
+}
+
+# the peaks each kind reports, which are the names a [monitors] section may cap
+MONITORS = {
+    "schrodinger": ("norm_drift", "energy_drift"),
+    "phi": ("norm_drift", "identity_residual"),
+    "maxwell-fields": ("div_e_residual", "div_b_residual", "energy_drift"),
+    "maxwell-potential": ("potential_constraint_residual", "div_b_residual"),
+    "reconstruct-phi": ("roundtrip_l2",),
+    "reconstruct-a": ("roundtrip_l2",),
+    "compare": ("l2_diff", "max_diff"),
+}
+
+# the potential-form kind each reconstruction writes, and the field-form kind
+# each potential form maps forward to
+_RECONSTRUCTS = {"reconstruct-phi": "phi", "reconstruct-a": "maxwell-potential"}
+_FORWARD_KIND = {"phi": "schrodinger", "maxwell-potential": "maxwell-fields"}
+
+# the potential-form kind each compare transform maps forward (None: no map)
+TRANSFORMS = {"identity": None, "phi_to_psi": "phi", "a_to_fields": "maxwell-potential"}
+
+_DEFAULT_CONSTANTS = {"hbar": 1.0, "m": 1.0, "c": 1.0}
 
 SNAPSHOT_FILE = "snapshots.wps"
 DIAGNOSTICS_FILE = "diagnostics.csv"
@@ -84,7 +112,6 @@ class Scenario:
     sources: maxwell.SourceSpec | None = None
     monitors: dict[str, float] = field(default_factory=dict)
     inputs: dict[str, str] = field(default_factory=dict)
-    threads: int = 1
 
     @property
     def params(self) -> schrodinger.QuantumParams:
@@ -101,7 +128,6 @@ class Scenario:
             "backend": self.backend,
             "scenario_sha256": self.sha256,
             "seed": self.seed,
-            "threads": self.threads,
             "constants": {k: float(v) for k, v in sorted(self.constants.items())},
         }
         if self.dt is not None:
@@ -183,7 +209,7 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     if backend not in METHODS:
         raise ScenarioError(f"unknown operator backend {backend!r}; expected one of {METHODS}")
 
-    constants: dict[str, float] = {"hbar": 1.0, "m": 1.0, "c": 1.0}
+    constants = dict(_DEFAULT_CONSTANTS)
     if parser.has_section("constants"):
         for key in parser["constants"]:
             constants[key] = _get_number(parser, "constants", key, float)
@@ -192,24 +218,34 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         kind=kind, path=path, sha256=sha, seed=seed, backend=backend, constants=constants
     )
 
+    if parser.has_section("monitors"):
+        for key in parser["monitors"]:
+            if key not in MONITORS[kind]:
+                raise ScenarioError(
+                    f"unknown monitor {key!r} for kind={kind}; expected one of {MONITORS[kind]}"
+                )
+            scenario.monitors[key] = _get_number(parser, "monitors", key, float)
+
+    if kind in ("schrodinger", "phi", "reconstruct-phi"):
+        source = _get(parser, "potential", "v")
+        if expressions.references_time(_parse_expr(source, "[potential] v")):
+            raise ScenarioError(f"time-dependent potential unsupported for {kind}")
+        scenario.potential_source = source
+
     if kind == "compare":
         scenario.inputs["run_a"] = _get(parser, "inputs", "run_a")
         scenario.inputs["run_b"] = _get(parser, "inputs", "run_b")
         for key in ("transform_a", "transform_b"):
             value = _get(parser, "inputs", key, required=False, default="identity")
             if value not in TRANSFORMS:
-                raise ScenarioError(f"unknown transform {value!r}; expected one of {TRANSFORMS}")
+                raise ScenarioError(
+                    f"unknown transform {value!r}; expected one of {tuple(TRANSFORMS)}"
+                )
             scenario.inputs[key] = value
         return scenario
 
-    if kind in ("reconstruct-phi", "reconstruct-a"):
+    if kind in _RECONSTRUCTS:
         scenario.inputs["source"] = _get(parser, "inputs", "source")
-        if kind == "reconstruct-phi":
-            source = _get(parser, "potential", "v")
-            node = _parse_expr(source, "[potential] v")
-            if expressions.references_time(node):
-                raise ScenarioError("time-dependent potential unsupported for reconstruct-phi")
-            scenario.potential_source = source
         return scenario
 
     # evolving kinds need a grid and an integrator
@@ -226,20 +262,8 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     if kind in ("maxwell-fields", "maxwell-potential") and grid.dims != 3:
         raise ScenarioError(f"kind={kind} needs a 3D grid, got {grid.dims}D")
 
-    bindings = dict(constants)
-
-    if kind in ("schrodinger", "phi"):
-        source = _get(parser, "potential", "v")
-        node = _parse_expr(source, "[potential] v")
-        if expressions.references_time(node):
-            raise ScenarioError(f"time-dependent potential unsupported for {kind}")
-        try:
-            scenario.potential = schrodinger.PotentialSpec(
-                expressions.sample(node, grid, bindings), node
-            )
-        except WavepotError as exc:
-            raise ScenarioError(f"cannot sample the potential: {exc}") from exc
-        scenario.potential_source = source
+    if scenario.potential_source is not None:
+        scenario.potential = _sample_potential(scenario.potential_source, grid, constants)
 
     if kind in ("maxwell-fields", "maxwell-potential"):
         rho = _get(parser, "sources", "rho", required=False, default="0")
@@ -247,7 +271,7 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         jy = _get(parser, "sources", "j_y", required=False, default="0")
         jz = _get(parser, "sources", "j_z", required=False, default="0")
         try:
-            scenario.sources = maxwell.SourceSpec(rho, (jx, jy, jz), bindings)
+            scenario.sources = maxwell.SourceSpec(rho, (jx, jy, jz), constants)
         except WavepotError as exc:
             raise ScenarioError(f"bad [sources] section: {exc}") from exc
 
@@ -279,10 +303,6 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     if scenario.dt <= 0:
         raise ScenarioError("[integrator] dt must resolve to a positive number")
 
-    if parser.has_section("monitors"):
-        for key in parser["monitors"]:
-            scenario.monitors[key] = _get_number(parser, "monitors", key, float)
-
     _validate_initial(scenario)
     return scenario
 
@@ -300,47 +320,41 @@ def _auto_dt(scenario: Scenario) -> float:
     return maxwell.potential_dt_bound(scenario.grid, scenario.light_speed, safety)
 
 
+def _sample_potential(source: str, grid: Grid, bindings: dict) -> schrodinger.PotentialSpec:
+    node = _parse_expr(source, "[potential] v")
+    try:
+        return schrodinger.PotentialSpec(expressions.sample(node, grid, bindings), node)
+    except WavepotError as exc:
+        raise ScenarioError(f"cannot sample the potential: {exc}") from exc
+
+
 def _validate_initial(scenario: Scenario) -> None:
     init = scenario.initial
     kind = scenario.kind
-
-    def require_expressions(keys: tuple[str, ...]) -> None:
-        for key in keys:
+    itype = init.get("type", "expressions")
+    if itype not in INITIAL_TYPES[kind]:
+        raise ScenarioError(f"unknown [initial] type {itype!r} for kind={kind}")
+    if itype == "expressions":
+        for key in FIELD_NAMES[kind]:
             if key not in init:
                 raise ScenarioError(f"missing field [initial] {key}")
             _parse_expr(init[key], f"[initial] {key}")
-
-    if kind == "schrodinger":
-        itype = init.get("type", "expressions")
-        if itype == "expressions":
-            require_expressions(("psi_re", "psi_im"))
-        elif itype == "random":
-            pass
-        else:
-            raise ScenarioError(f"unknown [initial] type {itype!r} for kind=schrodinger")
-    elif kind == "phi":
-        itype = init.get("type", "expressions")
-        if itype == "expressions":
-            require_expressions(("phi", "phi_dot"))
-        elif itype == "stationary":
-            if "mode" not in init:
-                raise ScenarioError("missing field [initial] mode (stationary initial data)")
-        elif itype == "random":
-            pass
-        else:
-            raise ScenarioError(f"unknown [initial] type {itype!r} for kind=phi")
-    elif kind == "maxwell-fields":
-        require_expressions(("e_x", "e_y", "e_z", "b_x", "b_y", "b_z"))
-    elif kind == "maxwell-potential":
-        require_expressions(("a_x", "a_y", "a_z", "a_dot_x", "a_dot_y", "a_dot_z"))
+    elif itype == "stationary" and "mode" not in init:
+        raise ScenarioError("missing field [initial] mode (stationary initial data)")
 
 
-def _sample_initial_scalar(scenario: Scenario, key: str) -> ScalarSampleField:
-    node = _parse_expr(scenario.initial[key], f"[initial] {key}")
-    try:
-        return expressions.sample(node, scenario.grid, scenario.constants, 0.0)
-    except WavepotError as exc:
-        raise ScenarioError(f"cannot sample [initial] {key}: {exc}") from exc
+def _initial_state(scenario: Scenario, arrays: list | None = None):
+    """The scenario's state from ``arrays`` in the FIELD_NAMES order of its kind,
+    by default sampled from its ``[initial]`` expressions."""
+    if arrays is None:
+        arrays = []
+        for key in FIELD_NAMES[scenario.kind]:
+            node = _parse_expr(scenario.initial[key], f"[initial] {key}")
+            try:
+                arrays.append(expressions.sample(node, scenario.grid, scenario.constants).values)
+            except WavepotError as exc:
+                raise ScenarioError(f"cannot sample [initial] {key}: {exc}") from exc
+    return _FRAME_STATE[scenario.kind](scenario, arrays)
 
 
 def _random_band_limited(scenario: Scenario, seed_offset: int = 0) -> np.ndarray:
@@ -369,14 +383,6 @@ class RunReport:
     monitor_peaks: dict[str, float]
     summary: dict
 
-    def monitor_violations(self, ceilings: dict[str, float]) -> list[str]:
-        bad = []
-        for name, ceiling in ceilings.items():
-            peak = self.monitor_peaks.get(name)
-            if peak is not None and peak > ceiling:
-                bad.append(f"{name}: peak {peak:.3e} exceeds ceiling {ceiling:.3e}")
-        return bad
-
 
 def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
     """Execute a scenario into ``out_dir``; raises MonitorError after writing
@@ -385,13 +391,18 @@ def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     if scenario.kind in RUN_KINDS:
         report = _run_evolving(scenario, out_dir)
-    elif scenario.kind in ("reconstruct-phi", "reconstruct-a"):
+    elif scenario.kind in _RECONSTRUCTS:
         report = _run_reconstruct(scenario, out_dir)
     elif scenario.kind == "compare":
         report = _run_compare(scenario, out_dir)
     else:
         raise ScenarioError(f"cannot run kind {scenario.kind!r}")
-    violations = report.monitor_violations(scenario.monitors)
+    peaks = report.monitor_peaks
+    violations = [
+        f"{name}: peak {peaks[name]:.3e} exceeds ceiling {ceiling:.3e}"
+        for name, ceiling in scenario.monitors.items()
+        if peaks[name] > ceiling
+    ]
     if violations:
         raise MonitorError("; ".join(violations))
     return report
@@ -406,15 +417,36 @@ _FRAME_ARRAYS = {
 }
 
 
+def _vectors(grid: Grid, a: list) -> tuple[VectorSampleField3, VectorSampleField3]:
+    return VectorSampleField3(grid, np.stack(a[:3])), VectorSampleField3(grid, np.stack(a[3:]))
+
+
+# the inverse: a state of the kind from its arrays in FIELD_NAMES order, on the
+# grid and with the constants and potential of the scenario ``scn``
+_FRAME_STATE = {
+    "schrodinger": lambda scn, a: schrodinger.WaveFunction(
+        ComplexSampleField(scn.grid, a[0] + 1j * a[1]), scn.params
+    ),
+    "phi": lambda scn, a: wavepotential.PhiState(
+        *(ScalarSampleField(scn.grid, x) for x in a), scn.params, scn.potential
+    ),
+    "maxwell-fields": lambda scn, a: maxwell.EMState(*_vectors(scn.grid, a), scn.light_speed),
+    "maxwell-potential": lambda scn, a: maxwell.PotentialState(
+        *_vectors(scn.grid, a), scn.light_speed
+    ),
+}
+
+
 def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     """Step any evolving kind, streaming frames and diagnostics rows to disk.
 
-    The kind's setup fills ``peaks`` and ``summary`` with their start values
-    and returns the initial state, the diagnostics columns, and an observer
-    that maps the integrator's raw arrays at one step to a diagnostics row.
+    ``peaks`` starts at zero for each of the kind's MONITORS. The kind's setup
+    fills ``summary`` with its start values and returns the initial state, the
+    diagnostics columns, and an observer that maps the integrator's raw arrays
+    at one step to a diagnostics row, raising the peaks it passes.
     """
     kind = scenario.kind
-    peaks, summary = {}, {}
+    peaks, summary = dict.fromkeys(MONITORS[kind], 0.0), {}
     state, columns, observe = _EVOLUTIONS[kind](scenario, peaks, summary)
     dt, steps, stride = scenario.dt, scenario.steps, scenario.snapshot_stride
     frame = _FRAME_ARRAYS[kind]
@@ -451,12 +483,10 @@ def _schrodinger_evolution(scenario: Scenario, peaks: dict, summary: dict):
     grid = scenario.grid
     params = scenario.params
     init = scenario.initial
-    if init.get("type", "expressions") == "random":
-        psi0 = _random_band_limited(scenario) + 1j * _random_band_limited(scenario, 1)
-    else:
-        psi0 = _sample_initial_scalar(scenario, "psi_re").values + 1j * (
-            _sample_initial_scalar(scenario, "psi_im").values
-        )
+    arrays = None
+    if init.get("type") == "random":
+        arrays = [_random_band_limited(scenario, offset) for offset in (0, 1)]
+    psi0 = _initial_state(scenario, arrays).psi.values
     if init.get("normalize", "false").lower() == "true":
         nrm = np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.cell_volume)
         if nrm == 0:
@@ -472,7 +502,6 @@ def _schrodinger_evolution(scenario: Scenario, peaks: dict, summary: dict):
     summary.update(norm0=schrodinger.norm_functional(state), energy0=energy(psi0))
     scale_n = max(abs(summary["norm0"]), 1e-30)
     scale_e = max(abs(summary["energy0"]), 1e-30)
-    peaks.update(norm_drift=0.0, energy_drift=0.0)
 
     def observer(step: int, values: np.ndarray) -> list:
         wave = schrodinger.WaveFunction(ComplexSampleField(grid, values), params)
@@ -502,21 +531,12 @@ def _phi_evolution(scenario: Scenario, peaks: dict, summary: dict):
         energy_n, psi_n = schrodinger.eigenpairs_small(V, params, mode + 1, scenario.backend)[mode]
         state = wavepotential.stationary_phi(psi_n, energy_n, t0, params, V, scenario.backend)
     elif itype == "random":
-        phi0 = _random_band_limited(scenario)
-        state = wavepotential.PhiState(
-            ScalarSampleField(grid, phi0), ScalarSampleField.zeros(grid), params, V
-        )
+        state = _initial_state(scenario, [_random_band_limited(scenario), np.zeros(grid.shape)])
     else:
-        state = wavepotential.PhiState(
-            _sample_initial_scalar(scenario, "phi"),
-            _sample_initial_scalar(scenario, "phi_dot"),
-            params,
-            V,
-        )
+        state = _initial_state(scenario)
 
     hbar = params.hbar
     vol = grid.cell_volume
-    peaks.update(norm_drift=0.0, identity_residual=0.0)
     summary["norm0"] = None
 
     def observer(step: int, lphi: np.ndarray, vel: np.ndarray) -> list:
@@ -541,31 +561,23 @@ def _phi_evolution(scenario: Scenario, peaks: dict, summary: dict):
     return state, ("step", "time", "psi_norm", "total_energy", "identity_residual"), observer
 
 
-def _maxwell_initial(scenario: Scenario, keys: tuple[str, ...]) -> VectorSampleField3:
-    comps = [_sample_initial_scalar(scenario, key) for key in keys]
-    return VectorSampleField3.from_components(*comps)
-
-
 def _maxwell_fields_evolution(scenario: Scenario, peaks: dict, summary: dict):
     grid = scenario.grid
     c = scenario.light_speed
     sources = scenario.sources
-    e0 = _maxwell_initial(scenario, ("e_x", "e_y", "e_z"))
-    b0 = _maxwell_initial(scenario, ("b_x", "b_y", "b_z"))
+    state = _initial_state(scenario)
     if scenario.initial.get("fix_divergence", "false").lower() == "true":
-        div_e = divergence_array(e0.values, grid, scenario.backend)
+        div_e = divergence_array(state.e.values, grid, scenario.backend)
         excess = ScalarSampleField(grid, sources.rho_at(0.0, grid).values - div_e)
         longitudinal = maxwell.coulomb_field_from_charge(excess, scenario.backend)
-        e0 = VectorSampleField3(grid, e0.values + longitudinal.values)
-        b0 = solenoidal_projection(b0, scenario.backend)
-    state = maxwell.EMState(e0, b0, c)
+        e0 = VectorSampleField3(grid, state.e.values + longitudinal.values)
+        state = maxwell.EMState(e0, solenoidal_projection(state.b, scenario.backend), c)
 
     # continuity gate before any stepping
     sources.validate_continuity(
         grid, scenario.dt, scenario.steps * scenario.dt, scenario.backend
     )
 
-    peaks.update(div_e_residual=0.0, div_b_residual=0.0, energy_drift=0.0)
     summary["h_prime0"] = None
 
     def observer(step: int, e: np.ndarray, b: np.ndarray) -> list:
@@ -596,14 +608,10 @@ def _maxwell_potential_evolution(scenario: Scenario, peaks: dict, summary: dict)
     grid = scenario.grid
     c = scenario.light_speed
     sources = scenario.sources
-    a0 = _maxwell_initial(scenario, ("a_x", "a_y", "a_z"))
-    ad0 = _maxwell_initial(scenario, ("a_dot_x", "a_dot_y", "a_dot_z"))
-    state = maxwell.PotentialState(a0, ad0, c)
+    state = _initial_state(scenario)
     sources.validate_continuity(
         grid, scenario.dt, scenario.steps * scenario.dt, scenario.backend
     )
-
-    peaks.update(potential_constraint_residual=0.0, div_b_residual=0.0)
 
     def observer(step: int, a: np.ndarray, a_dot: np.ndarray) -> list:
         t = step * scenario.dt
@@ -633,10 +641,11 @@ _EVOLUTIONS = {
 }
 
 
-def _load_run(path_str: str, base: Path | None) -> SnapshotData:
-    path = Path(path_str)
-    if not path.is_absolute() and base is not None:
-        path = base / path
+def _load_run(scenario: Scenario, key: str) -> SnapshotData:
+    """The record named by ``[inputs] key``, relative to the scenario file's directory."""
+    path = Path(scenario.inputs[key])
+    if not path.is_absolute() and scenario.path is not None:
+        path = scenario.path.parent / path
     if path.is_dir():
         path = path / SNAPSHOT_FILE
     if not path.exists():
@@ -644,51 +653,74 @@ def _load_run(path_str: str, base: Path | None) -> SnapshotData:
     return read_snapshot(path)
 
 
+def _decode(data: SnapshotData):
+    """The scenario a record was made with, and its frames as states one at a time.
+
+    That scenario holds the backend, constants and potential in the record's
+    provenance, with load_scenario's defaults for constants it lacks."""
+    prov = data.provenance
+    constants = {**_DEFAULT_CONSTANTS, **prov.get("constants", {})}
+    scn = Scenario(data.kind, None, "", 0, prov.get("backend", "spectral"), constants, data.grid)
+    if data.kind == "phi":
+        if "potential" not in prov:
+            raise ScenarioError("phi run lacks a potential in its provenance")
+        scn.potential = _sample_potential(prov["potential"], data.grid, constants)
+    names = FIELD_NAMES[data.kind]
+    return scn, (_FRAME_STATE[data.kind](scn, [f[name] for name in names]) for f in data.frames)
+
+
+def _forward_arrays(state, backend: str) -> list:
+    """A potential-form state mapped to its field form's arrays: Psi from phi, (E, B) from A."""
+    if isinstance(state, wavepotential.PhiState):
+        return _FRAME_ARRAYS["schrodinger"](wavepotential.to_wavefunction(state, backend))
+    return _FRAME_ARRAYS["maxwell-fields"](maxwell.potential_to_fields(state, backend))
+
+
+def _write_diffs(kind, out_dir, times, pairs, vol, columns, summary) -> RunReport:
+    """Write the L2 and max-norm difference of each frame's two array lists to
+    ``report.csv``, then ``summary.json``: ``summary`` plus each column's largest
+    value under the key ``columns`` maps it to, if any. A failed write leaves
+    neither file."""
+    sup = dict.fromkeys(columns, 0.0)
+    with DiagnosticsWriter(out_dir / REPORT_FILE, ("frame", "time", *columns)) as rep:
+        for n, (arrays_a, arrays_b) in enumerate(pairs):
+            sq, mx = 0.0, 0.0
+            for a, b in zip(arrays_a, arrays_b):
+                diff = a - b
+                sq += float(np.sum(diff**2))
+                mx = max(mx, float(np.max(np.abs(diff))))
+            row = [float(np.sqrt(sq * vol)), mx]
+            rep.write_row([n, times[n], *row])
+            for name, value in zip(columns, row):
+                sup[name] = max(sup[name], value)
+        summary = {**summary, **{key: sup[name] for name, key in columns.items() if key}}
+        tmp = out_dir / (SUMMARY_FILE + ".tmp")
+        try:
+            tmp.write_text(json.dumps(summary, sort_keys=True) + "\n")
+            tmp.replace(out_dir / SUMMARY_FILE)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return RunReport(kind, out_dir, {name: sup[name] for name in MONITORS[kind]}, summary)
+
+
 def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
     """Map a field-form record to potentials and check the round trip frame by frame."""
-    base = scenario.path.parent if scenario.path else None
-    data = _load_run(scenario.inputs["source"], base)
-    to_phi = scenario.kind == "reconstruct-phi"
-    if to_phi:
-        source_kind, out_kind = "schrodinger", "phi"
-    else:
-        source_kind, out_kind = "maxwell-fields", "maxwell-potential"
+    data = _load_run(scenario, "source")
+    out_kind = _RECONSTRUCTS[scenario.kind]
+    source_kind = _FORWARD_KIND[out_kind]
     if data.kind != source_kind:
         raise ScenarioError(f"{scenario.kind} needs a {source_kind} run, got {data.kind!r}")
     grid = data.grid
     backend = scenario.backend
-    if to_phi:
-        node = _parse_expr(scenario.potential_source, "[potential] v")
-        V = schrodinger.PotentialSpec(expressions.sample(node, grid, scenario.constants), node)
-        originals = [
-            ComplexSampleField(grid, f["psi_re"] + 1j * f["psi_im"]) for f in data.frames
-        ]
-        traj = reconstruction.TrajectoryRecord.of_waves(data.times, originals)
+    originals = list(_decode(data)[1])
+    if out_kind == "phi":
+        V = _sample_potential(scenario.potential_source, grid, scenario.constants)
+        traj = reconstruction.TrajectoryRecord.of_waves(data.times, [w.psi for w in originals])
         states = reconstruction.reconstruct_phi(traj, V, scenario.params, backend)
-
-        def roundtrip_diff(st, psi) -> np.ndarray:
-            return wavepotential.to_wavefunction(st, backend).psi.values - psi.values
-
     else:
-        c = float(data.provenance.get("constants", {}).get("c", scenario.light_speed))
-        originals = [
-            maxwell.EMState(
-                VectorSampleField3(grid, np.stack([f["e_x"], f["e_y"], f["e_z"]])),
-                VectorSampleField3(grid, np.stack([f["b_x"], f["b_y"], f["b_z"]])),
-                c,
-            )
-            for f in data.frames
-        ]
         traj = reconstruction.TrajectoryRecord.of_fields(data.times, originals)
         states = reconstruction.reconstruct_vector_potential(traj, backend)
 
-        def roundtrip_diff(ps, em) -> np.ndarray:
-            back = maxwell.potential_to_fields(ps, backend)
-            return np.concatenate(
-                [(back.e.values - em.e.values).ravel(), (back.b.values - em.b.values).ravel()]
-            )
-
-    peaks = {"roundtrip_l2": 0.0}
     with SnapshotWriter(
         out_dir / SNAPSHOT_FILE,
         kind=out_kind,
@@ -699,68 +731,39 @@ def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
         frame_count=len(states),
         time_end=data.time_end,
         provenance=scenario.provenance(),
-    ) as snap, DiagnosticsWriter(
-        out_dir / REPORT_FILE, ("frame", "time", "roundtrip_l2", "roundtrip_max")
-    ) as rep:
-        vol = grid.cell_volume
-        for n, (st, original) in enumerate(zip(states, originals)):
-            snap.write_frame(_FRAME_ARRAYS[out_kind](st))
-            diff = roundtrip_diff(st, original)
-            l2 = float(np.sqrt(np.sum(np.abs(diff) ** 2) * vol))
-            peaks["roundtrip_l2"] = max(peaks["roundtrip_l2"], l2)
-            rep.write_row([n, data.times[n], l2, float(np.max(np.abs(diff)))])
-    summary = {"sup_roundtrip_l2": peaks["roundtrip_l2"], "frames": len(states)}
-    (out_dir / SUMMARY_FILE).write_text(json.dumps(summary, sort_keys=True) + "\n")
-    return RunReport(scenario.kind, out_dir, peaks, summary)
+    ) as snap:
+
+        def pairs():
+            for st, original in zip(states, originals):
+                snap.write_frame(_FRAME_ARRAYS[out_kind](st))
+                yield _forward_arrays(st, backend), _FRAME_ARRAYS[source_kind](original)
+
+        columns = {"roundtrip_l2": "sup_roundtrip_l2", "roundtrip_max": None}
+        summary = {"frames": len(states)}
+        return _write_diffs(
+            scenario.kind, out_dir, data.times, pairs(), grid.cell_volume, columns, summary
+        )
 
 
-def _transform_frames(data: SnapshotData, transform: str, backend: str):
-    """Map stored frames into a comparable field dictionary list."""
-    if transform == "identity":
-        return data.fields, data.frames
-    if transform == "phi_to_psi":
-        if data.kind != "phi":
-            raise ScenarioError(f"transform phi_to_psi needs a phi run, got {data.kind!r}")
-        prov = data.provenance
-        constants = prov.get("constants", {})
-        params = schrodinger.QuantumParams(constants.get("hbar", 1.0), constants.get("m", 1.0))
-        if "potential" not in prov:
-            raise ScenarioError("phi run lacks a potential in its provenance")
-        node = expressions.parse(prov["potential"])
-        v = expressions.sample(node, data.grid, constants).values
-        out = []
-        for f in data.frames:
-            lphi = schrodinger.l_operator_array(f["phi"], v, data.grid, params, backend)
-            out.append({"psi_re": -lphi, "psi_im": params.hbar * f["phi_dot"]})
-        return ("psi_re", "psi_im"), out
-    if transform == "a_to_fields":
-        if data.kind != "maxwell-potential":
-            raise ScenarioError(
-                f"transform a_to_fields needs a maxwell-potential run, got {data.kind!r}"
-            )
-        c = data.provenance.get("constants", {}).get("c", 1.0)
-        out = []
-        for f in data.frames:
-            a = np.stack([f["a_x"], f["a_y"], f["a_z"]])
-            a_dot = np.stack([f["a_dot_x"], f["a_dot_y"], f["a_dot_z"]])
-            b = _curl_arrays(a, data.grid, backend)
-            out.append(dict(zip(FIELD_NAMES["maxwell-fields"], [*(-a_dot / c), *b])))
-        return FIELD_NAMES["maxwell-fields"], out
-    raise ScenarioError(f"unknown transform {transform!r}")
+def _transform_frames(data: SnapshotData, transform: str):
+    """A record's field names after ``transform``, and its frames mapped one at a time
+    with the record's own backend, constants and potential."""
+    if transform not in TRANSFORMS:
+        raise ScenarioError(f"unknown transform {transform!r}")
+    kind = TRANSFORMS[transform]
+    if kind is None:
+        return data.fields, iter(data.frames)
+    if data.kind != kind:
+        raise ScenarioError(f"transform {transform} needs a {kind} run, got {data.kind!r}")
+    scn, states = _decode(data)
+    fields = FIELD_NAMES[_FORWARD_KIND[kind]]
+    return fields, (dict(zip(fields, _forward_arrays(st, scn.backend))) for st in states)
 
 
 def _run_compare(scenario: Scenario, out_dir: Path) -> RunReport:
-    base = scenario.path.parent if scenario.path else None
-    data_a = _load_run(scenario.inputs["run_a"], base)
-    data_b = _load_run(scenario.inputs["run_b"], base)
-    return compare(
-        data_a,
-        data_b,
-        out_dir,
-        transform_a=scenario.inputs.get("transform_a", "identity"),
-        transform_b=scenario.inputs.get("transform_b", "identity"),
-        backend=scenario.backend,
-    )
+    data_a, data_b = _load_run(scenario, "run_a"), _load_run(scenario, "run_b")
+    transforms = {key: scenario.inputs[key] for key in ("transform_a", "transform_b")}
+    return compare(data_a, data_b, out_dir, **transforms)
 
 
 def compare(
@@ -770,47 +773,29 @@ def compare(
     *,
     transform_a: str = "identity",
     transform_b: str = "identity",
-    backend: str = "spectral",
 ) -> RunReport:
     """Frame-by-frame L2 and max-norm differences after optional transforms."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if data_a.grid != data_b.grid:
         raise ScenarioError("compared runs live on different grids")
-    fields_a, frames_a = _transform_frames(data_a, transform_a, backend)
-    fields_b, frames_b = _transform_frames(data_b, transform_b, backend)
+    fields_a, frames_a = _transform_frames(data_a, transform_a)
+    fields_b, frames_b = _transform_frames(data_b, transform_b)
     if set(fields_a) != set(fields_b):
         raise ScenarioError(
             f"runs expose different fields after transforms: {fields_a} vs {fields_b}"
         )
-    n = min(len(frames_a), len(frames_b))
+    n = min(len(data_a.frames), len(data_b.frames))
     times_a, times_b = data_a.times[:n], data_b.times[:n]
     t_scale = max(abs(times_a[-1]), 1.0)
     if np.max(np.abs(times_a - times_b)) > 1e-12 * t_scale:
         raise ScenarioError("snapshot times of the two runs do not line up")
 
+    pairs = (
+        ([a[name] for name in fields_a], [b[name] for name in fields_a])
+        for a, b in zip(frames_a, frames_b)
+    )
+    columns = {"l2_diff": "max_l2_diff", "max_diff": "max_max_diff"}
+    summary = {"frames_compared": n, "transform_a": transform_a, "transform_b": transform_b}
     vol = data_a.grid.cell_volume
-    peaks = {"l2_diff": 0.0, "max_diff": 0.0}
-    with DiagnosticsWriter(
-        out_dir / REPORT_FILE, ("frame", "time", "l2_diff", "max_diff")
-    ) as rep:
-        for i in range(n):
-            sq = 0.0
-            mx = 0.0
-            for name in fields_a:
-                diff = frames_a[i][name] - frames_b[i][name]
-                sq += float(np.sum(diff**2))
-                mx = max(mx, float(np.max(np.abs(diff))))
-            l2 = float(np.sqrt(sq * vol))
-            rep.write_row([i, times_a[i], l2, mx])
-            peaks["l2_diff"] = max(peaks["l2_diff"], l2)
-            peaks["max_diff"] = max(peaks["max_diff"], mx)
-    summary = {
-        "frames_compared": n,
-        "max_l2_diff": peaks["l2_diff"],
-        "max_max_diff": peaks["max_diff"],
-        "transform_a": transform_a,
-        "transform_b": transform_b,
-    }
-    (out_dir / SUMMARY_FILE).write_text(json.dumps(summary, sort_keys=True) + "\n")
-    return RunReport("compare", out_dir, peaks, summary)
+    return _write_diffs("compare", out_dir, times_a, pairs, vol, columns, summary)

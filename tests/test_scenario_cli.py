@@ -136,6 +136,19 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="3D"):
             load_scenario(write(tmp_path, "h.scn", bad))
 
+    def test_unknown_initial_type(self, tmp_path):
+        bad = MAXWELL.replace("[initial]", "[initial]\ntype = random")
+        with pytest.raises(ScenarioError, match="type 'random' for kind=maxwell-fields"):
+            load_scenario(write(tmp_path, "i.scn", bad))
+
+    def test_unknown_monitor_name(self, tmp_path):
+        # a misspelt ceiling used to be skipped, so the run exited 0 unchecked
+        p = write(tmp_path, "j.scn", HARMONIC_PHI + "\n[monitors]\nnorm_drfit = 1e-30\n")
+        with pytest.raises(ScenarioError, match="unknown monitor 'norm_drfit' for kind=phi"):
+            load_scenario(p)
+        assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
+
 
 class TestRun:
     def test_phi_run_writes_outputs(self, tmp_path):
@@ -159,6 +172,7 @@ class TestRun:
         assert np.max(np.abs(data.frames[0]["phi"] - np.cos(2 * np.pi * x / 20))) <= 1e-15
         assert data.provenance["potential"] == "0"
         assert data.provenance["version"] == "0.1.0"
+        assert "threads" not in data.provenance
 
     def test_schrodinger_run_norm_column(self, tmp_path):
         scn = load_scenario(write(tmp_path, "s.scn", SCHRODINGER))
@@ -325,6 +339,61 @@ transform_a = phi_to_psi
         assert main(["compare", "--scenario", str(cmp_p), "--out", str(tmp_path / "cmp")]) == 0
         summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
         assert summary["max_l2_diff"] <= 1e-9
+
+    def test_transform_uses_the_record_backend(self, tmp_path):
+        # the compare scenario has no [operators]: phi_to_psi must apply the L
+        # the record was made with (central2), not the spectral default
+        central2 = "\n[operators]\nbackend = central2\n"
+        sch = write(tmp_path, "s.scn", SCHRODINGER + central2)
+        argv = ["schrodinger", "--scenario", str(sch), "--out", str(tmp_path / "sch")]
+        argv += ["--override", "grid.points=32", "--override", "integrator.steps=50"]
+        assert main(argv + ["--override", "integrator.snapshot_stride=10"]) == 0
+        rec = write(
+            tmp_path, "r.scn", "[scenario]\nkind = reconstruct-phi\n[potential]\n"
+            "v = 0.5*(x-10)^2\n[inputs]\nsource = sch\n" + central2,
+        )
+        assert main(["reconstruct-phi", "--scenario", str(rec), "--out", str(tmp_path / "rec")]) == 0
+        cmp_p = write(
+            tmp_path, "c.scn", "[scenario]\nkind = compare\n[inputs]\nrun_a = rec\n"
+            "run_b = sch\ntransform_a = phi_to_psi\n",
+        )
+        assert main(["compare", "--scenario", str(cmp_p), "--out", str(tmp_path / "cmp")]) == 0
+        summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
+        assert summary["frames_compared"] == 6
+        assert summary["max_l2_diff"] <= 1e-3
+
+    def test_compare_monitors_are_checked(self, tmp_path):
+        p = write(tmp_path, "a.scn", MINIMAL_PHI)
+        main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r1")])
+        main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r2"),
+              "--override", "initial.phi=sin(2*pi*x/20)"])
+        cmp_text = "[scenario]\nkind = compare\n[inputs]\nrun_a = r1\nrun_b = r2\n"
+        cmp_p = write(tmp_path, "c.scn", cmp_text + "[monitors]\nmax_diff = 1e-3\n")
+        assert main(["compare", "--scenario", str(cmp_p), "--out", str(tmp_path / "cmp")]) == 3
+        assert (tmp_path / "cmp" / "summary.json").exists()
+        bad = write(tmp_path, "d.scn", cmp_text + "[monitors]\nroundtrip_l2 = 1e-3\n")
+        assert main(["compare", "--scenario", str(bad), "--out", str(tmp_path / "bad")]) == 1
+
+    @pytest.mark.parametrize("kind", ["reconstruct-phi", "compare"])
+    def test_failed_summary_write_leaves_no_output(self, tmp_path, monkeypatch, kind):
+        sch = write(tmp_path, "s.scn", SCHRODINGER)
+        argv = ["schrodinger", "--scenario", str(sch), "--out", str(tmp_path / "sch")]
+        assert main(argv + ["--override", "integrator.steps=5"]) == 0
+        scenario_text = {
+            "reconstruct-phi": "[potential]\nv = 0.5*(x-10)^2\n[inputs]\nsource = sch\n",
+            "compare": "[inputs]\nrun_a = sch\nrun_b = sch\n",
+        }[kind]
+        scn = load_scenario(write(tmp_path, "k.scn", f"[scenario]\nkind = {kind}\n" + scenario_text))
+        real_write_text = Path.write_text
+
+        def half_write(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("injected failure part-way through the write")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        with pytest.raises(OSError, match="injected"):
+            run(scn, tmp_path / "out")
+        assert not list((tmp_path / "out").iterdir())
 
     def test_compare_identical_runs_is_zero(self, tmp_path):
         p = write(tmp_path, "a.scn", MINIMAL_PHI)
