@@ -55,6 +55,7 @@ __all__ = [
     "potential_to_fields",
     "potential_constraint_residual",
     "em_hamiltonians",
+    "field_energy",
     "gauge_shift_potential",
     "coulomb_field_from_charge",
 ]
@@ -405,8 +406,13 @@ def em_hamiltonians(
     h = float(
         np.sum(0.5 * state.c * (b * curl_b + e * curl_e) - b * current.values) * vol
     )
-    h_prime = float(np.sum(0.5 * state.c * (e * e + b * b)) * vol)
-    return h, h_prime
+    return h, field_energy(state)
+
+
+def field_energy(state: EMState) -> float:
+    """H' = Int (c/2)(E^2 + B^2); needs neither curls nor the current."""
+    e, b = state.e.values, state.b.values
+    return float(np.sum(0.5 * state.c * (e * e + b * b)) * state.grid.cell_volume)
 
 
 def gauge_shift_potential(

@@ -23,7 +23,13 @@ from wavepot.operators import (
     laplacian_spectral_radius,
     solenoidal_projection,
 )
-from wavepot.schrodinger import QuantumParams, hamiltonian_array, l_operator_array, real_l_operator
+from wavepot.schrodinger import (
+    DENSE_L_LIMIT,
+    QuantumParams,
+    hamiltonian_array,
+    l_operator_array,
+    real_l_operator,
+)
 
 METHODS = ("spectral", "central2")
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavepot"
@@ -287,6 +293,36 @@ class TestRealAndComplexInputAgree:
         j = np.zeros_like(f)
         self.check(lambda x: _curl_arrays(x, CUBE, method), f, g)
         self.check(lambda x: _potential_accel_arrays(x, j, 1.7, CUBE, method), f, g)
+
+
+class TestDenseSmallGridL:
+    """real_l_operator is one matvec up to DENSE_L_LIMIT points, the FFT closure above."""
+
+    @staticmethod
+    def holds_dense_matrix(lop, size):
+        cells = lop.__closure__ or ()
+        return any(getattr(cell.cell_contents, "shape", None) == (size, size) for cell in cells)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "grid, batch, dense",
+        [
+            (Grid.line(DENSE_L_LIMIT, 20.0), (), True),
+            (Grid.line(2 * DENSE_L_LIMIT, 20.0), (), False),
+            (Grid((8, 16), (3.0, 5.0)), (), True),
+            (Grid.line(DENSE_L_LIMIT, 20.0), (2,), True),
+        ],
+        ids=["at-cutoff", "above-cutoff", "2d-8x16", "batch"],
+    )
+    def test_matches_l_operator_array(self, grid, batch, dense, method, rng):
+        f = rng.standard_normal(batch + grid.shape)
+        v = rng.uniform(0.0, 3.0, grid.shape)
+        params = QuantumParams(1.3, 0.7)
+        lop = real_l_operator(grid, v, params, method)
+        assert self.holds_dense_matrix(lop, grid.size) == dense
+        got = lop(f)
+        assert got.shape == f.shape
+        assert_close(got, l_operator_array(f, v, grid, params, method), rel=1e-13)
 
 
 class TestDeadModes:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +271,34 @@ class TestCli:
         main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r2")])
         for name in ("snapshots.wps", "diagnostics.csv"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # grids up to DENSE_L_LIMIT points step phi through a BLAS matvec, and the
+        # thread count must not move a bit. Expression initial data: the dense
+        # eigensolve behind stationary data is not bit-stable across thread counts.
+        scn = write(tmp_path, "a.scn", HARMONIC_PHI.replace("points = 64", "points = 256"))
+        src = str(SCENARIO_DIR.parent / "src")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "wavepot.cli", "phi",
+                    "--scenario", str(scn), "--out", str(out),
+                    "--override", "integrator.steps=300",
+                    "--override", "integrator.snapshot_stride=100",
+                ],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("snapshots.wps", "diagnostics.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_random_initial_data_seeded(self, tmp_path):
         text = HARMONIC_PHI.replace(
