@@ -33,14 +33,13 @@ def conjugate_gradient(
     max_iter: int,
     precondition: Op | None = None,
     project: Op | None = None,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Preconditioned CG for a Hermitian positive (semi)definite operator."""
     b = project(rhs) if project else rhs
     b_norm = float(np.linalg.norm(b.ravel()))
     if b_norm == 0.0:
         return np.zeros_like(b)
-    x = np.zeros_like(b) if x0 is None else (project(x0) if project else x0.copy())
+    x = np.zeros_like(b)
     r = b - apply_op(x)
     if project:
         r = project(r)

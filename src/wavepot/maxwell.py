@@ -61,7 +61,12 @@ __all__ = [
 ]
 
 RK4_IMAG_STABILITY = 2.8  # conservative value of the RK4 imaginary-axis reach
-DEFAULT_SAFETY = 0.5
+# Fraction of each integrator's stability limit that a step may use.
+SAFETY = 0.5
+# The continuity gate: largest |d rho/dt + div J| relative to the size of its
+# terms, probed at this many evenly spaced times for time-dependent sources.
+_CONTINUITY_TOL = 1e-8
+_CONTINUITY_PROBES = 9
 
 
 @dataclass(frozen=True)
@@ -170,20 +175,14 @@ class SourceSpec:
         return residual, scale
 
     def validate_continuity(
-        self,
-        grid: Grid,
-        dt: float,
-        total_time: float,
-        method: str = "spectral",
-        *,
-        tol: float = 1e-8,
-        probes: int = 9,
+        self, grid: Grid, dt: float, total_time: float, method: str = "spectral"
     ) -> None:
         """Reject the sources if continuity fails at any probe time."""
-        times = np.linspace(0.0, max(total_time, dt), probes) if not self._static else [0.0]
+        span = max(total_time, dt)
+        times = [0.0] if self._static else np.linspace(0.0, span, _CONTINUITY_PROBES)
         for t in times:
             residual, scale = self.continuity_residual(float(t), grid, dt, method)
-            if residual > tol * max(scale, 1e-30):
+            if residual > _CONTINUITY_TOL * max(scale, 1e-30):
                 raise ContinuityError(
                     f"sources violate the continuity equation at t={float(t):g}: "
                     f"max |d rho/dt + div J| = {residual:.3e} (scale {scale:.3e})"
@@ -201,9 +200,9 @@ def em_rhs(
     return VectorSampleField3(grid, de), VectorSampleField3(grid, db)
 
 
-def rk4_dt_bound(grid: Grid, c: float, safety: float = DEFAULT_SAFETY) -> float:
-    """CFL budget safety * 2.8 / (c k_max) for the first-order system."""
-    return safety * RK4_IMAG_STABILITY / (c * max_wavenumber(grid))
+def rk4_dt_bound(grid: Grid, c: float) -> float:
+    """CFL budget SAFETY * 2.8 / (c k_max) for the first-order system."""
+    return SAFETY * RK4_IMAG_STABILITY / (c * max_wavenumber(grid))
 
 
 def _require_cfl(dt: float, bound: float, label: str) -> None:
@@ -307,9 +306,9 @@ def potential_acceleration(
     return VectorSampleField3(grid, acc)
 
 
-def potential_dt_bound(grid: Grid, c: float, safety: float = DEFAULT_SAFETY) -> float:
-    """Verlet budget safety * 2 / (c k_max) for the second-order system."""
-    return safety * 2.0 / (c * max_wavenumber(grid))
+def potential_dt_bound(grid: Grid, c: float) -> float:
+    """Verlet budget SAFETY * 2 / (c k_max) for the second-order system."""
+    return SAFETY * 2.0 / (c * max_wavenumber(grid))
 
 
 def _potential_accel_modes(hat: np.ndarray, sym: Symbols) -> np.ndarray:

@@ -58,6 +58,12 @@ __all__ = [
 
 METHODS = ("spectral", "central2")
 
+# Largest content, relative to its largest mode, that a right-hand side may
+# carry on the modes where an inverted symbol vanishes (the mean, Nyquist
+# combinations). A few thousand float64 epsilons: the roundoff of data with no
+# content there passes, any real content does not.
+DEAD_MODE_TOL = 1e-12
+
 
 def _check_method(method: str) -> str:
     if method not in METHODS:
@@ -162,20 +168,20 @@ def fourier_multiplier(grid: Grid, symbol: np.ndarray, real: bool) -> Callable:
     return multiply
 
 
-def live_quotient(hat: np.ndarray, symbol: np.ndarray, tol: float, what: str) -> np.ndarray:
+def live_quotient(hat: np.ndarray, symbol: np.ndarray, what: str) -> np.ndarray:
     """hat / symbol on the modes where the symbol is nonzero, and 0 where it vanishes.
 
-    Content of ``hat`` on those dead modes cannot be inverted: above ``tol``
-    relative to max |hat| it raises ValueError naming ``what`` rather than
-    being dropped.
+    Content of ``hat`` on those dead modes cannot be inverted: above
+    ``DEAD_MODE_TOL`` relative to max |hat| it raises ValueError naming
+    ``what`` rather than being dropped.
     """
     dead = np.broadcast_to(symbol == 0.0, hat.shape)
     scale = float(np.max(np.abs(hat))) or 1.0
     leak = float(np.max(np.abs(hat[dead]), initial=0.0))
-    if leak > tol * scale:
+    if leak > DEAD_MODE_TOL * scale:
         raise ValueError(
             f"{what} has content in modes where the operator's symbol vanishes "
-            f"(relative magnitude {leak / scale:.3e}, tolerance {tol:g})"
+            f"(relative magnitude {leak / scale:.3e}, tolerance {DEAD_MODE_TOL:g})"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(dead, 0.0, hat / np.where(dead, 1.0, symbol))
@@ -269,9 +275,7 @@ def curl_curl_identity_residual(v: VectorSampleField3, method: str = "spectral")
     return float(np.max(np.abs(cc - (-lap + grad_div))))
 
 
-def inverse_div_grad(
-    values: np.ndarray, grid: Grid, method: str = "spectral", *, mean_tol: float = 1e-12
-) -> np.ndarray:
+def inverse_div_grad(values: np.ndarray, grid: Grid, method: str = "spectral") -> np.ndarray:
     """Solve div(grad u) = f for u with zero mean.
 
     Inverts the composed first-derivative symbols (not the Laplacian symbol),
@@ -282,7 +286,7 @@ def inverse_div_grad(
     """
     what = "right-hand side of div(grad u) = f"
     return fourier_apply(
-        values, grid, method, lambda hat, sym: live_quotient(hat, sym.div_grad, mean_tol, what)
+        values, grid, method, lambda hat, sym: live_quotient(hat, sym.div_grad, what)
     )
 
 
@@ -291,7 +295,7 @@ def solenoidal_projection(v: VectorSampleField3, method: str = "spectral") -> Ve
 
     def modewise(hat: np.ndarray, sym: Symbols) -> np.ndarray:
         # div v vanishes exactly on the dead modes of div(grad .), so this never raises
-        u_hat = live_quotient(_div_modes(hat, sym), sym.div_grad, 1e-12, "div v")
+        u_hat = live_quotient(_div_modes(hat, sym), sym.div_grad, "div v")
         return hat - np.stack([1j * s * u_hat for s in sym.deriv])
 
     return VectorSampleField3(v.grid, fourier_apply(v.values, v.grid, method, modewise))

@@ -34,6 +34,7 @@ from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleFiel
 from .linsolve import conjugate_gradient, normal_equations_cg
 from .maxwell import EMState, PotentialState
 from .operators import (
+    DEAD_MODE_TOL,
     Symbols,
     divergence_array,
     fourier_apply,
@@ -130,9 +131,22 @@ def time_integrate(snapshots: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+# Relative residual of the elliptic solve L C = -Re Psi(0). The round-trip
+# error it adds to every frame is of that order, far below the 1e-5 that the
+# reverse-equivalence criterion allows. The iteration cap only stops a solve
+# that has stalled.
+_ELLIPTIC_TOL = 1e-10
+_ELLIPTIC_MAX_ITER = 20000
+# The numerical kernel of L: eigenvectors of H with |E| <= _KERNEL_ZERO_TOL *
+# emax, emax the spectral bound of H. A right-hand side may carry at most that
+# fraction of its norm along the kernel.
+_KERNEL_ZERO_TOL = 1e-10
+# Largest max |div B| curl_inverse accepts, relative to max |B| k_max.
+_SOLENOIDAL_TOL = 1e-10
+
 # LOBPCG settings for the kernel search. An eigenpair counts as converged when
-# its residual is at most _KERNEL_RESIDUAL_TOL * emax, emax the spectral bound
-# of H: a hundredth of the kernel threshold zero_tol * emax at zero_tol = 1e-10.
+# its residual is at most _KERNEL_RESIDUAL_TOL * emax: a hundredth of the
+# kernel threshold _KERNEL_ZERO_TOL * emax.
 _KERNEL_BLOCK_START = 3
 _KERNEL_BLOCK_CAP = 64
 _KERNEL_MAX_ITER = 500
@@ -221,28 +235,24 @@ def solve_elliptic(
     rhs: ScalarSampleField,
     params: QuantumParams,
     method: str = "spectral",
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
-    zero_tol: float = 1e-10,
 ) -> ScalarSampleField:
     """Solve L C = rhs for the minimum-norm C, L = (hbar^2/2m) Lap - V.
 
     The right-hand side must be orthogonal to the numerical kernel of L
-    (relative tolerance ``zero_tol``), else IncompatibleRhsError; the returned
-    solution carries no kernel component. The kernel is the span of the
-    eigenvectors of H = -L with |E| <= zero_tol * ``max_energy_bound``, found
-    by LOBPCG without forming a matrix (see ``_kernel_basis``) at the cost of
-    tens to a few hundred block applies of H; a search that does not converge
-    raises SolverError. CG runs on the positive-semidefinite -L
-    when V >= 0, otherwise on the normal equations; both are checked against
-    the true relative residual ``tol``.
+    (relative tolerance ``_KERNEL_ZERO_TOL``), else IncompatibleRhsError; the
+    returned solution carries no kernel component. The kernel is the span of
+    the eigenvectors of H = -L with |E| <= _KERNEL_ZERO_TOL *
+    ``max_energy_bound``, found by LOBPCG without forming a matrix (see
+    ``_kernel_basis``) at the cost of tens to a few hundred block applies of
+    H; a search that does not converge raises SolverError. CG runs on the
+    positive-semidefinite -L when V >= 0, otherwise on the normal equations;
+    both are checked against the true relative residual ``_ELLIPTIC_TOL``.
     """
     grid = V.grid
     if rhs.grid != grid:
         raise ValueError("rhs must live on the potential grid")
     v = V.sampled.values
-    kernel = _kernel_basis(V, params, method, zero_tol)
+    kernel = _kernel_basis(V, params, method, _KERNEL_ZERO_TOL)
 
     flat_rhs = rhs.values.ravel().copy()
     rhs_norm = float(np.linalg.norm(flat_rhs))
@@ -250,11 +260,11 @@ def solve_elliptic(
         return ScalarSampleField.zeros(grid)
     for u in kernel:
         overlap = float(u @ flat_rhs)
-        if abs(overlap) > zero_tol * rhs_norm:
+        if abs(overlap) > _KERNEL_ZERO_TOL * rhs_norm:
             raise IncompatibleRhsError(
                 "incompatible right-hand side: component along a zero mode of L "
                 f"has relative magnitude {abs(overlap) / rhs_norm:.3e} "
-                f"(tolerance {zero_tol:g})"
+                f"(tolerance {_KERNEL_ZERO_TOL:g})"
             )
 
     def project(x: np.ndarray) -> np.ndarray:
@@ -267,21 +277,21 @@ def solve_elliptic(
         return -l_operator_array(x, v, grid, params, method)
 
     b = -rhs.values  # H C = -rhs
-    inner_tol = 0.5 * tol
+    inner_tol = 0.5 * _ELLIPTIC_TOL
     if float(v.min()) >= 0.0:
         sol = conjugate_gradient(
-            apply_h, b, tol=inner_tol, max_iter=max_iter,
+            apply_h, b, tol=inner_tol, max_iter=_ELLIPTIC_MAX_ITER,
             precondition=_fourier_preconditioner(grid, v, params, method), project=project,
         )
     else:
         sol = normal_equations_cg(
-            apply_h, apply_h, b, tol=inner_tol, max_iter=max_iter, project=project
+            apply_h, apply_h, b, tol=inner_tol, max_iter=_ELLIPTIC_MAX_ITER, project=project
         )
     sol = project(sol)
     residual = l_operator_array(sol, v, grid, params, method) - rhs.values
     rel = float(np.linalg.norm(residual.ravel())) / rhs_norm
-    if rel > tol:
-        raise SolverError(f"elliptic solve residual {rel:.3e} exceeds tolerance {tol:g}")
+    if rel > _ELLIPTIC_TOL:
+        raise SolverError(f"elliptic solve residual {rel:.3e} exceeds tolerance {_ELLIPTIC_TOL:g}")
     return ScalarSampleField(grid, sol)
 
 
@@ -290,8 +300,6 @@ def reconstruct_phi(
     V: PotentialSpec,
     params: QuantumParams,
     method: str = "spectral",
-    *,
-    elliptic_tol: float = 1e-10,
 ) -> list[PhiState]:
     """Build the wave-potential trajectory equivalent to a recorded Psi trajectory.
 
@@ -305,13 +313,7 @@ def reconstruct_phi(
     if V.grid != grid:
         raise ValueError("potential must live on the trajectory grid")
     p_stack = np.stack([frame.values.imag for frame in traj.frames])
-    c0 = solve_elliptic(
-        V,
-        ScalarSampleField(grid, -traj.frames[0].values.real),
-        params,
-        method,
-        tol=elliptic_tol,
-    )
+    c0 = solve_elliptic(V, ScalarSampleField(grid, -traj.frames[0].values.real), params, method)
     integral = traj.cumulative_integral(p_stack) / params.hbar
     states = []
     for n in range(len(traj.frames)):
@@ -321,20 +323,15 @@ def reconstruct_phi(
     return states
 
 
-def curl_inverse(
-    b0: VectorSampleField3,
-    method: str = "spectral",
-    *,
-    div_tol: float = 1e-10,
-    mean_tol: float = 1e-12,
-) -> VectorSampleField3:
+def curl_inverse(b0: VectorSampleField3, method: str = "spectral") -> VectorSampleField3:
     """The unique K with curl K = b0, div K = 0, zero mean.
 
-    b0 must be solenoidal and mean-free: a uniform magnetic field has no
-    periodic potential. Inverted mode-by-mode with the backend's derivative
-    symbols, so the residual of curl K - b0 sits at roundoff. Content of b0
-    above ``mean_tol`` on the other modes where every derivative symbol
-    vanishes (Nyquist combinations) has no preimage either: ValueError.
+    b0 must be solenoidal (to ``_SOLENOIDAL_TOL``) and mean-free: a uniform
+    magnetic field has no periodic potential. Inverted mode-by-mode with the
+    backend's derivative symbols, so the residual of curl K - b0 sits at
+    roundoff. Content of b0 above ``DEAD_MODE_TOL`` on the mean or the other
+    modes where every derivative symbol vanishes (Nyquist combinations) has no
+    preimage: ValueError.
     """
     grid = b0.grid
     vals = b0.values
@@ -343,22 +340,22 @@ def curl_inverse(
         return VectorSampleField3.zeros(grid)
 
     mean = np.abs(vals.reshape(3, -1).mean(axis=1))
-    if float(mean.max()) > mean_tol * scale:
+    if float(mean.max()) > DEAD_MODE_TOL * scale:
         raise ValueError(
             f"mean magnetic field {mean.max():.3e} has no periodic vector potential "
-            f"(tolerance {mean_tol * scale:.3e})"
+            f"(tolerance {DEAD_MODE_TOL * scale:.3e})"
         )
     div = divergence_array(vals, grid, method)
     div_scale = scale * max_wavenumber(grid)
-    if float(np.max(np.abs(div))) > div_tol * div_scale:
+    if float(np.max(np.abs(div))) > _SOLENOIDAL_TOL * div_scale:
         raise ValueError(
             f"magnetic field is not solenoidal: max |div B| = {np.max(np.abs(div)):.3e} "
-            f"(tolerance {div_tol * div_scale:.3e})"
+            f"(tolerance {_SOLENOIDAL_TOL * div_scale:.3e})"
         )
 
     def modewise(hat: np.ndarray, sym: Symbols) -> np.ndarray:
         # K_hat = i s x B_hat / |s|^2, |s|^2 = -div_grad; B content where s = 0 is unreachable
-        q = live_quotient(hat, -sym.div_grad, mean_tol, "magnetic field")
+        q = live_quotient(hat, -sym.div_grad, "magnetic field")
         s = sym.deriv
         return 1j * np.stack(
             [s[1] * q[2] - s[2] * q[1], s[2] * q[0] - s[0] * q[2], s[0] * q[1] - s[1] * q[0]]

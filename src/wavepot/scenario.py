@@ -105,7 +105,6 @@ class Scenario:
     dt: float | None = None
     steps: int | None = None
     snapshot_stride: int = 1
-    safety: float | None = None
     potential_source: str | None = None
     potential: schrodinger.PotentialSpec | None = None
     initial: dict = field(default_factory=dict)
@@ -288,7 +287,6 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     )
     if scenario.snapshot_stride <= 0:
         raise ScenarioError("[integrator] snapshot_stride must be positive")
-    scenario.safety = _get_number(parser, "integrator", "safety", float, required=False)
     dt_raw = _get(parser, "integrator", "dt")
     dt_scale = _get_number(
         parser, "integrator", "dt_scale", float, required=False, default=1.0
@@ -310,14 +308,10 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
 def _auto_dt(scenario: Scenario) -> float:
     kind = scenario.kind
     if kind in ("schrodinger", "phi"):
-        safety = scenario.safety if scenario.safety is not None else wavepotential.DEFAULT_SAFETY
-        return wavepotential.stable_dt(
-            scenario.potential, scenario.params, scenario.backend, safety
-        )
-    safety = scenario.safety if scenario.safety is not None else maxwell.DEFAULT_SAFETY
+        return wavepotential.stable_dt(scenario.potential, scenario.params, scenario.backend)
     if kind == "maxwell-fields":
-        return maxwell.rk4_dt_bound(scenario.grid, scenario.light_speed, safety)
-    return maxwell.potential_dt_bound(scenario.grid, scenario.light_speed, safety)
+        return maxwell.rk4_dt_bound(scenario.grid, scenario.light_speed)
+    return maxwell.potential_dt_bound(scenario.grid, scenario.light_speed)
 
 
 def _sample_potential(source: str, grid: Grid, bindings: dict) -> schrodinger.PotentialSpec:

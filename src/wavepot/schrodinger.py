@@ -71,6 +71,10 @@ DENSE_GRID_LIMIT = 4096
 # bytes a run writes do not depend on the machine.
 DENSE_L_LIMIT = 256
 _SIGN_TIE = 1e-8  # relative band of eigenvector entries that tie for the largest
+# Relative residual of each Cayley solve, which bounds the norm error one step
+# adds; the cap stops a solve that has stalled (see crank_nicolson_step).
+_CAYLEY_TOL = 1e-12
+_CAYLEY_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -290,9 +294,6 @@ def crank_nicolson_step(
     V: PotentialSpec,
     dt: float,
     method: str = "spectral",
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 400,
 ) -> WaveFunction:
     """One Cayley step: solve (1 + i dt H / 2 hbar) Psi' = (1 - i dt H / 2 hbar) Psi.
 
@@ -302,8 +303,8 @@ def crank_nicolson_step(
     (A M^-1) y = b and the step returns Psi' = M^-1 y. Since ||M^-1|| <= 1,
     ||A M^-1 - 1|| <= alpha max|V - c|: a few iterations per step while that
     bound is small, and exactly one for constant V. The residual CGLS tracks,
-    b - A M^-1 y, is the Cayley residual itself, driven below ``tol`` relative
-    to ||b||; norm is then conserved to the same tolerance.
+    b - A M^-1 y, is the Cayley residual itself, driven below ``_CAYLEY_TOL``
+    relative to ||b||; norm is then conserved to the same tolerance.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -330,7 +331,8 @@ def crank_nicolson_step(
 
     try:
         y = normal_equations_cg(
-            apply_preconditioned, apply_preconditioned_adjoint, b, tol=tol, max_iter=max_iter
+            apply_preconditioned, apply_preconditioned_adjoint, b,
+            tol=_CAYLEY_TOL, max_iter=_CAYLEY_MAX_ITER,
         )
     except SolverError as exc:
         raise SolverError(f"Crank-Nicolson solve failed: {exc}") from exc

@@ -43,7 +43,10 @@ __all__ = [
     "gauge_shift",
 ]
 
-DEFAULT_SAFETY = 0.2
+# Fraction of the Verlet stability limit 2 hbar / E_max that a step may use.
+SAFETY = 0.2
+# Largest ||L alpha|| / (||alpha|| E_max) of a gauge function alpha.
+_GAUGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,18 +91,13 @@ def phi_acceleration(state: PhiState, method: str = "spectral") -> ScalarSampleF
     return ScalarSampleField(grid, -lop(lop(state.phi.values)) / state.params.hbar**2)
 
 
-def stable_dt(
-    V: PotentialSpec,
-    params: QuantumParams,
-    method: str = "spectral",
-    safety: float = DEFAULT_SAFETY,
-) -> float:
-    """Verlet step budget: safety * 2 hbar / E_max.
+def stable_dt(V: PotentialSpec, params: QuantumParams, method: str = "spectral") -> float:
+    """Verlet step budget: SAFETY * 2 hbar / E_max.
 
     E_max bounds |spec(H)|, so the squared operator driving phi stays inside
-    the Verlet stability region dt < 2 hbar / E_max with margin ``safety``.
+    the Verlet stability region dt < 2 hbar / E_max with margin ``SAFETY``.
     """
-    return safety * 2.0 * params.hbar / max_energy_bound(V, params, method)
+    return SAFETY * 2.0 * params.hbar / max_energy_bound(V, params, method)
 
 
 def _require_stable(dt: float, state: PhiState, method: str) -> None:
@@ -218,16 +216,10 @@ def lagrangian_density(state: PhiState, method: str = "spectral") -> ScalarSampl
     return ScalarSampleField(state.grid, dens.kinetic.values - dens.potential.values)
 
 
-def gauge_shift(
-    state: PhiState,
-    alpha: ScalarSampleField,
-    method: str = "spectral",
-    *,
-    tol_factor: float = 1e-10,
-) -> PhiState:
+def gauge_shift(state: PhiState, alpha: ScalarSampleField, method: str = "spectral") -> PhiState:
     """Shift phi by a kernel function of L; the wave function is unchanged.
 
-    alpha must satisfy ||L alpha|| <= tol_factor * ||alpha|| * E_max in the
+    alpha must satisfy ||L alpha|| <= _GAUGE_TOL * ||alpha|| * E_max in the
     discrete L2 norm, otherwise GaugeError reports the offending residual.
     """
     grid = state.grid
@@ -238,7 +230,7 @@ def gauge_shift(
     vol = grid.cell_volume
     residual = float(np.sqrt(np.sum(l_alpha**2) * vol))
     alpha_norm = float(np.sqrt(np.sum(alpha.values**2) * vol))
-    bound = tol_factor * alpha_norm * max_energy_bound(state.potential, state.params, method)
+    bound = _GAUGE_TOL * alpha_norm * max_energy_bound(state.potential, state.params, method)
     if residual > bound:
         raise GaugeError(
             f"gauge function is not in the kernel of L: ||L alpha|| = {residual:.3e} "
