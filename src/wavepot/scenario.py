@@ -85,6 +85,22 @@ TRANSFORMS = {"identity": None, "phi_to_psi": "phi", "a_to_fields": "maxwell-pot
 
 _DEFAULT_CONSTANTS = {"hbar": 1.0, "m": 1.0, "c": 1.0}
 
+# the keys each section may hold; None leaves a section open ([constants] binds
+# user names, [initial] keys depend on the initial type, and [monitors] names
+# are checked against the kind's MONITORS)
+SECTION_KEYS = {
+    "scenario": ("kind", "seed"),
+    "grid": ("points", "lengths"),
+    "constants": None,
+    "operators": ("backend",),
+    "potential": ("v",),
+    "initial": None,
+    "sources": ("rho", "j_x", "j_y", "j_z"),
+    "integrator": ("dt", "dt_scale", "steps", "snapshot_stride"),
+    "monitors": None,
+    "inputs": ("source", "run_a", "run_b", "transform_a", "transform_b"),
+}
+
 SNAPSHOT_FILE = "snapshots.wps"
 DIAGNOSTICS_FILE = "diagnostics.csv"
 REPORT_FILE = "report.csv"
@@ -158,6 +174,21 @@ def _parse_expr(text: str, where: str) -> Expression:
         raise ScenarioError(f"bad expression for {where}: {exc}") from exc
 
 
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Reject a section or key the format does not define, rather than ignore it."""
+    for section in parser.sections():
+        if section not in SECTION_KEYS:
+            raise ScenarioError(
+                f"unknown section [{section}]; expected one of {tuple(SECTION_KEYS)}"
+            )
+        known = SECTION_KEYS[section]
+        if known is None:
+            continue
+        for key in parser[section]:
+            if key not in known:
+                raise ScenarioError(f"unknown field [{section}] {key}; expected one of {known}")
+
+
 def _get(parser, section, key, *, required=True, default=None) -> str | None:
     if parser.has_option(section, key):
         return parser.get(section, key)
@@ -192,6 +223,7 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
     _apply_overrides(parser, overrides)
+    _check_keys(parser)
 
     digest = hashlib.sha256()
     digest.update(text.encode())

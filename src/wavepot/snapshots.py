@@ -173,9 +173,13 @@ def read_snapshot(path: str | Path) -> SnapshotData:
         if magic != MAGIC:
             raise ValueError(f"{path} is not a snapshot file (magic {magic!r})")
         header = json.loads(fh.readline().decode("ascii"))
-        grid = Grid(tuple(header["grid"]["points"]), tuple(header["grid"]["lengths"]))
-        fields = tuple(header["fields"])
-        count = int(header["frame_count"])
+        try:
+            grid = Grid(tuple(header["grid"]["points"]), tuple(header["grid"]["lengths"]))
+            kind, fields = header["kind"], tuple(header["fields"])
+            count = int(header["frame_count"])
+            times = header["time_start"] + header["time_step"] * np.arange(count)
+        except KeyError as exc:
+            raise ValueError(f"{path} header lacks the key {exc.args[0]!r}") from None
         frame_bytes = grid.size * 8
         frames = []
         for _ in range(count):
@@ -191,32 +195,31 @@ def read_snapshot(path: str | Path) -> SnapshotData:
         tail = fh.read(1)
         if tail:
             raise ValueError(f"{path} has trailing bytes")
-    times = header["time_start"] + header["time_step"] * np.arange(count)
     time_end = header.get("time_end")
     if time_end is not None:
         times[-1] = time_end
-    return SnapshotData(
-        header["kind"], grid, fields, times, frames, header.get("provenance", {}), time_end
-    )
+    return SnapshotData(kind, grid, fields, times, frames, header.get("provenance", {}), time_end)
 
 
 def dump_csv(data: SnapshotData, out_path: str | Path, frame: int | None = None) -> None:
-    """Convert snapshot frames to CSV: one row per grid point per frame."""
+    """Convert snapshot frames to CSV: one row per grid point per frame.
+
+    Written through ``DiagnosticsWriter``, so a failed dump leaves no CSV; a
+    ``frame`` outside the record raises ValueError before anything is written.
+    """
+    count = len(data.frames)
+    if frame is not None and not 0 <= frame < count:
+        raise ValueError(f"frame {frame} is out of range: the record holds frames 0 to {count - 1}")
     coord_names = ("x", "y", "z")[: data.grid.dims]
     axes = [data.grid.axis_coordinates(a) for a in range(data.grid.dims)]
     mesh = np.meshgrid(*axes, indexing="ij")
     flat_coords = [m.ravel(order="F") for m in mesh]
-    which = range(len(data.frames)) if frame is None else [frame]
-    with open(out_path, "w", newline="") as fh:
-        fh.write(",".join(["frame", "time", *coord_names, *data.fields]) + "\n")
+    which = range(count) if frame is None else [frame]
+    with DiagnosticsWriter(out_path, ["frame", "time", *coord_names, *data.fields]) as out:
         for n in which:
-            t = format_float(data.times[n])
             cols = [data.frames[n][name].ravel(order="F") for name in data.fields]
             for i in range(data.grid.size):
-                row = [str(n), t]
-                row += [format_float(c[i]) for c in flat_coords]
-                row += [format_float(c[i]) for c in cols]
-                fh.write(",".join(row) + "\n")
+                out.write_row([n, data.times[n], *(c[i] for c in flat_coords + cols)])
 
 
 class DiagnosticsWriter:

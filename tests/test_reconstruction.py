@@ -13,7 +13,7 @@ from wavepot.grids import (
     l2_norm,
     max_norm,
 )
-from wavepot.linsolve import conjugate_gradient
+from wavepot.linsolve import conjugate_gradient, normal_equations_cg
 from wavepot.maxwell import (
     EMState,
     SourceSpec,
@@ -249,6 +249,19 @@ class TestConjugateGradient:
                 conjugate_gradient(
                     lambda x: diag * x, np.array([1.0, 1.0, 0.0, 0.0]), tol=1e-10, max_iter=20000
                 )
+
+    # eight distinct eigenvalues: both solvers need eight iterations, so two hit the cap
+    def test_iteration_cap_raises(self):
+        diag = np.arange(1.0, 9.0)
+        with pytest.raises(SolverError, match="conjugate gradient did not reach tol=1e-12 in 2"):
+            conjugate_gradient(lambda x: diag * x, np.ones(8), tol=1e-12, max_iter=2)
+
+    def test_normal_equations_iteration_cap_raises(self):
+        diag = np.arange(1.0, 9.0)
+        with pytest.raises(SolverError, match="normal-equations CG did not reach tol=1e-12 in 2"):
+            normal_equations_cg(
+                lambda x: diag * x, lambda x: diag * x, np.ones(8), tol=1e-12, max_iter=2
+            )
 
 
 class TestReconstructPhi:

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavepot import schrodinger
+from wavepot import maxwell, schrodinger
 from wavepot.cli import main
 from wavepot.errors import ScenarioError, SolverError
+from wavepot.grids import Grid
 from wavepot.scenario import load_scenario, run
-from wavepot.snapshots import read_snapshot
+from wavepot.snapshots import read_snapshot, write_snapshot
 from wavepot.wavepotential import stable_dt
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -100,6 +101,13 @@ class TestLoadScenario:
     def test_auto_dt_resolves_to_stability_rule(self, tmp_path):
         scn = load_scenario(write(tmp_path, "a.scn", MINIMAL_PHI))
         assert scn.dt == pytest.approx(stable_dt(scn.potential, scn.params))
+        rules = {
+            "c06_maxwell_fields.scn": maxwell.rk4_dt_bound,
+            "c06_maxwell_potential.scn": maxwell.potential_dt_bound,
+        }
+        for name, rule in rules.items():
+            scn = load_scenario(SCENARIO_DIR / name, overrides=["integrator.dt=auto"])
+            assert scn.dt == pytest.approx(rule(scn.grid, scn.light_speed))
 
     def test_time_dependent_potential_rejected(self, tmp_path):
         bad = MINIMAL_PHI.replace("v = 0", "v = t*x")
@@ -151,6 +159,21 @@ class TestLoadScenario:
             load_scenario(p)
         assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 1
         assert not (tmp_path / "r").exists()
+
+
+    @pytest.mark.parametrize("line", ["dt_scal = 0.1", "safety = 0.1"])
+    def test_unknown_integrator_key_rejected(self, tmp_path, line):
+        # both used to load silently: a misspelt dt_scale, and the removed safety factor
+        p = write(tmp_path, "k.scn", MINIMAL_PHI.replace("steps = 40", f"steps = 40\n{line}"))
+        key = line.split()[0]
+        with pytest.raises(ScenarioError, match=rf"unknown field \[integrator\] {key}"):
+            load_scenario(p)
+        assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 1
+
+    def test_unknown_section_rejected(self, tmp_path):
+        p = write(tmp_path, "l.scn", MINIMAL_PHI)
+        with pytest.raises(ScenarioError, match=r"unknown section \[grdi\]"):
+            load_scenario(p, overrides=["grdi.points=32"])
 
 
 class TestRun:
@@ -264,6 +287,17 @@ class TestCli:
         lines = open(tmp_path / "dump.csv").read().splitlines()
         assert lines[0] == "frame,time,x,phi,phi_dot"
         assert len(lines) == 65
+
+    @pytest.mark.parametrize("frame", ["99", "-1"])
+    def test_dump_frame_out_of_range_exit_one(self, tmp_path, frame):
+        # 99 used to leave a header-only CSV after an IndexError; -1 dumped the last frame
+        p = write(tmp_path, "a.scn", MINIMAL_PHI)
+        assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 0
+        out = tmp_path / "dump.csv"
+        argv = ["dump", "--snapshot", str(tmp_path / "r"), "--out", str(out), "--frame", frame]
+        assert main(argv) == 1
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_determinism_byte_identical(self, tmp_path):
         p = write(tmp_path, "a.scn", HARMONIC_PHI)
@@ -541,6 +575,48 @@ class TestRecordTimes:
         assert source.time_end == 5 * 0.002
         assert rebuilt.time_end == source.time_end
         assert np.array_equal(rebuilt.times, source.times)
+
+
+def _corrupt_snapshot(path: Path, defect: str) -> None:
+    magic, header, frames = path.read_bytes().split(b"\n", 2)
+    if defect == "missing_key":
+        fields = json.loads(header)
+        del fields["time_step"]
+        header = json.dumps(fields).encode()
+    elif defect == "bad_magic":
+        magic = b"WAVEPOT-SNAP 9"
+    elif defect == "truncated":
+        frames = frames[:-8]
+    else:
+        frames += b"\0"
+    path.write_bytes(b"\n".join([magic, header, frames]))
+
+
+class TestMalformedSnapshots:
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("missing_key", "header lacks the key 'time_step'"),
+            ("bad_magic", "is not a snapshot file"),
+            ("truncated", "is truncated"),
+            ("trailing", "has trailing bytes"),
+        ],
+    )
+    def test_rejected_naming_the_file(self, tmp_path, defect, message):
+        grid = Grid.line(8, 1.0)
+        path = tmp_path / "run.wps"
+        frames = [[np.full(grid.shape, float(n))] for n in range(3)]
+        write_snapshot(
+            path, kind="phi", grid=grid, fields=["phi"], times=[0.0, 0.5, 1.0],
+            frames=frames, provenance={},
+        )
+        _corrupt_snapshot(path, defect)
+        with pytest.raises(ValueError) as info:
+            read_snapshot(path)
+        assert str(path) in str(info.value) and message in str(info.value)
+        out = tmp_path / "dump.csv"
+        assert main(["dump", "--snapshot", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestAtomicSnapshots:
