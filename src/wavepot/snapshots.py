@@ -180,6 +180,8 @@ def read_snapshot(path: str | Path) -> SnapshotData:
             times = header["time_start"] + header["time_step"] * np.arange(count)
         except KeyError as exc:
             raise ValueError(f"{path} header lacks the key {exc.args[0]!r}") from None
+        except TypeError as exc:  # a header that is not an object, or a grid that is not lists
+            raise ValueError(f"{path} has a malformed header: {exc}") from None
         frame_bytes = grid.size * 8
         frames = []
         for _ in range(count):

@@ -583,6 +583,8 @@ def _corrupt_snapshot(path: Path, defect: str) -> None:
         fields = json.loads(header)
         del fields["time_step"]
         header = json.dumps(fields).encode()
+    elif defect == "not_an_object":
+        header = b"[]"
     elif defect == "bad_magic":
         magic = b"WAVEPOT-SNAP 9"
     elif defect == "truncated":
@@ -597,6 +599,7 @@ class TestMalformedSnapshots:
         "defect, message",
         [
             ("missing_key", "header lacks the key 'time_step'"),
+            ("not_an_object", "has a malformed header"),
             ("bad_magic", "is not a snapshot file"),
             ("truncated", "is truncated"),
             ("trailing", "has trailing bytes"),
