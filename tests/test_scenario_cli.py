@@ -160,7 +160,6 @@ class TestLoadScenario:
         assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 1
         assert not (tmp_path / "r").exists()
 
-
     @pytest.mark.parametrize("line", ["dt_scal = 0.1", "safety = 0.1"])
     def test_unknown_integrator_key_rejected(self, tmp_path, line):
         # both used to load silently: a misspelt dt_scale, and the removed safety factor
