@@ -20,6 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -37,57 +38,37 @@ from .snapshots import (
 
 __version__ = "0.1.0"
 
-KINDS = (
-    "schrodinger",
-    "phi",
-    "maxwell-fields",
-    "maxwell-potential",
-    "reconstruct-phi",
-    "reconstruct-a",
-    "compare",
-)
-
-RUN_KINDS = KINDS[:4]
-
-FIELD_NAMES = {
-    "schrodinger": ("psi_re", "psi_im"),
-    "phi": ("phi", "phi_dot"),
-    "maxwell-fields": ("e_x", "e_y", "e_z", "b_x", "b_y", "b_z"),
-    "maxwell-potential": ("a_x", "a_y", "a_z", "a_dot_x", "a_dot_y", "a_dot_z"),
-}
-
-# [initial] types each evolving kind accepts; "expressions" is the default
-INITIAL_TYPES = {
-    "schrodinger": ("expressions", "random"),
-    "phi": ("expressions", "stationary", "random"),
-    "maxwell-fields": ("expressions",),
-    "maxwell-potential": ("expressions",),
-}
-
-# the peaks each kind reports, which are the names a [monitors] section may cap
-MONITORS = {
-    "schrodinger": ("norm_drift", "energy_drift"),
-    "phi": ("norm_drift", "identity_residual"),
-    "maxwell-fields": ("div_e_residual", "div_b_residual", "energy_drift"),
-    "maxwell-potential": ("potential_constraint_residual", "div_b_residual"),
-    "reconstruct-phi": ("roundtrip_l2",),
-    "reconstruct-a": ("roundtrip_l2",),
-    "compare": ("l2_diff", "max_diff"),
-}
-
-# the potential-form kind each reconstruction writes, and the field-form kind
-# each potential form maps forward to
-_RECONSTRUCTS = {"reconstruct-phi": "phi", "reconstruct-a": "maxwell-potential"}
-_FORWARD_KIND = {"phi": "schrodinger", "maxwell-potential": "maxwell-fields"}
-
 # the potential-form kind each compare transform maps forward (None: no map)
 TRANSFORMS = {"identity": None, "phi_to_psi": "phi", "a_to_fields": "maxwell-potential"}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the scenario layer knows about one scenario kind; see ``KIND``."""
+
+    sections: tuple[str, ...]  # the sections read besides [scenario], [constants], [monitors]
+    monitors: dict[str, str]  # each peak reported -> the column it watches (_MonitoredWriter)
+    run: Callable  # the run path: (scenario, out_dir) -> RunReport
+    inputs: dict = field(default_factory=dict)  # key -> None (a path) or its values, default first
+    fields: tuple[str, ...] = ()  # the record fields
+    to_arrays: Callable | None = None  # state -> arrays in field order
+    from_arrays: Callable | None = None  # (scenario, arrays) -> state on the scenario's grid
+    needs_potential: bool = False  # from_arrays needs the scenario's potential
+    forward: str | None = None  # the kind this one maps forward to
+    forward_map: Callable | None = None  # (state, backend) -> state of the forward kind
+    initial: dict = field(default_factory=dict)  # type, default first -> its keys -> defaults
+    setup: Callable | None = None  # scenario -> (initial state, diagnostics columns, observer)
+    integrate: Callable | None = None  # (scenario, state, **options): run the integrator
+    auto_dt: Callable | None = None  # scenario -> the stability bound "dt = auto" resolves to
+    needs_3d: bool = False
+    reconstruct: Callable | None = None  # (scenario, record, states) -> potential-form states
+
 
 _DEFAULT_CONSTANTS = {"hbar": 1.0, "m": 1.0, "c": 1.0}
 
 # the keys each section may hold; None leaves a section open ([constants] binds
 # user names, [initial] keys depend on the initial type, and [monitors] names
-# are checked against the kind's MONITORS)
+# are checked against the kind's monitors)
 SECTION_KEYS = {
     "scenario": ("kind", "seed"),
     "grid": ("points", "lengths"),
@@ -232,8 +213,9 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     sha = digest.hexdigest()
 
     kind = _get(parser, "scenario", "kind").strip().lower()
-    if kind not in KINDS:
+    if kind not in KIND:
         raise ScenarioError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
+    spec = KIND[kind]
     seed = _get_number(parser, "scenario", "seed", int, required=False, default=0)
 
     backend = _get(parser, "operators", "backend", required=False, default="spectral")
@@ -251,32 +233,25 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
 
     if parser.has_section("monitors"):
         for key in parser["monitors"]:
-            if key not in MONITORS[kind]:
+            if key not in spec.monitors:
                 raise ScenarioError(
-                    f"unknown monitor {key!r} for kind={kind}; expected one of {MONITORS[kind]}"
+                    f"unknown monitor {key!r} for kind={kind}; "
+                    f"expected one of {tuple(spec.monitors)}"
                 )
             scenario.monitors[key] = _get_number(parser, "monitors", key, float)
 
-    if kind in ("schrodinger", "phi", "reconstruct-phi"):
+    if "potential" in spec.sections:
         source = _get(parser, "potential", "v")
         if expressions.references_time(_parse_expr(source, "[potential] v")):
             raise ScenarioError(f"time-dependent potential unsupported for {kind}")
         scenario.potential_source = source
 
-    if kind == "compare":
-        scenario.inputs["run_a"] = _get(parser, "inputs", "run_a")
-        scenario.inputs["run_b"] = _get(parser, "inputs", "run_b")
-        for key in ("transform_a", "transform_b"):
-            value = _get(parser, "inputs", key, required=False, default="identity")
-            if value not in TRANSFORMS:
-                raise ScenarioError(
-                    f"unknown transform {value!r}; expected one of {tuple(TRANSFORMS)}"
-                )
-            scenario.inputs[key] = value
-        return scenario
-
-    if kind in _RECONSTRUCTS:
-        scenario.inputs["source"] = _get(parser, "inputs", "source")
+    for key, choices in spec.inputs.items():
+        value = _get(parser, "inputs", key, required=not choices, default=choices and choices[0])
+        if choices and value not in choices:
+            raise ScenarioError(f"unknown {key} {value!r}; expected one of {choices}")
+        scenario.inputs[key] = value
+    if spec.setup is None:
         return scenario
 
     # evolving kinds need a grid and an integrator
@@ -290,25 +265,21 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         raise ScenarioError(f"bad [grid] section: {exc}") from exc
     scenario.grid = grid
 
-    if kind in ("maxwell-fields", "maxwell-potential") and grid.dims != 3:
+    if spec.needs_3d and grid.dims != 3:
         raise ScenarioError(f"kind={kind} needs a 3D grid, got {grid.dims}D")
 
     if scenario.potential_source is not None:
         scenario.potential = _sample_potential(scenario.potential_source, grid, constants)
 
-    if kind in ("maxwell-fields", "maxwell-potential"):
-        rho = _get(parser, "sources", "rho", required=False, default="0")
-        jx = _get(parser, "sources", "j_x", required=False, default="0")
-        jy = _get(parser, "sources", "j_y", required=False, default="0")
-        jz = _get(parser, "sources", "j_z", required=False, default="0")
+    if "sources" in spec.sections:
+        keys = SECTION_KEYS["sources"]
+        rho, jx, jy, jz = (_get(parser, "sources", k, required=False, default="0") for k in keys)
         try:
             scenario.sources = maxwell.SourceSpec(rho, (jx, jy, jz), constants)
         except WavepotError as exc:
             raise ScenarioError(f"bad [sources] section: {exc}") from exc
 
-    if not parser.has_section("initial"):
-        raise ScenarioError("missing field [initial] (initial data section)")
-    scenario.initial = dict(parser["initial"])
+    scenario.initial = _read_initial(parser, kind)
 
     steps = _get_number(parser, "integrator", "steps", int)
     if steps <= 0:
@@ -324,7 +295,7 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         parser, "integrator", "dt_scale", float, required=False, default=1.0
     )
     if dt_raw.strip() == "auto":
-        scenario.dt = dt_scale * _auto_dt(scenario)
+        scenario.dt = dt_scale * spec.auto_dt(scenario)
     else:
         try:
             scenario.dt = dt_scale * float(dt_raw)
@@ -332,18 +303,7 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
             raise ScenarioError(f"[integrator] dt must be a number or 'auto', got {dt_raw!r}") from None
     if scenario.dt <= 0:
         raise ScenarioError("[integrator] dt must resolve to a positive number")
-
-    _validate_initial(scenario)
     return scenario
-
-
-def _auto_dt(scenario: Scenario) -> float:
-    kind = scenario.kind
-    if kind in ("schrodinger", "phi"):
-        return wavepotential.stable_dt(scenario.potential, scenario.params, scenario.backend)
-    if kind == "maxwell-fields":
-        return maxwell.rk4_dt_bound(scenario.grid, scenario.light_speed)
-    return maxwell.potential_dt_bound(scenario.grid, scenario.light_speed)
 
 
 def _sample_potential(source: str, grid: Grid, bindings: dict) -> schrodinger.PotentialSpec:
@@ -354,39 +314,44 @@ def _sample_potential(source: str, grid: Grid, bindings: dict) -> schrodinger.Po
         raise ScenarioError(f"cannot sample the potential: {exc}") from exc
 
 
-def _validate_initial(scenario: Scenario) -> None:
-    init = scenario.initial
-    kind = scenario.kind
-    itype = init.get("type", "expressions")
-    if itype not in INITIAL_TYPES[kind]:
+def _read_initial(parser: configparser.ConfigParser, kind: str) -> dict:
+    """The [initial] entries with ``type`` and the defaults of the type's keys filled in."""
+    if not parser.has_section("initial"):
+        raise ScenarioError("missing field [initial] (initial data section)")
+    spec = KIND[kind]
+    init = dict(parser["initial"])
+    itype = init.setdefault("type", next(iter(spec.initial)))
+    if itype not in spec.initial:
         raise ScenarioError(f"unknown [initial] type {itype!r} for kind={kind}")
-    if itype == "expressions":
-        for key in FIELD_NAMES[kind]:
-            if key not in init:
-                raise ScenarioError(f"missing field [initial] {key}")
-            _parse_expr(init[key], f"[initial] {key}")
-    elif itype == "stationary" and "mode" not in init:
-        raise ScenarioError("missing field [initial] mode (stationary initial data)")
+    exprs = spec.fields if itype == "expressions" else ()
+    for key, default in {**dict.fromkeys(exprs), **spec.initial[itype]}.items():
+        if key not in init and default is None:
+            raise ScenarioError(f"missing field [initial] {key} (type = {itype})")
+        init.setdefault(key, default)
+    for key in exprs:
+        _parse_expr(init[key], f"[initial] {key}")
+    return init
 
 
 def _initial_state(scenario: Scenario, arrays: list | None = None):
-    """The scenario's state from ``arrays`` in the FIELD_NAMES order of its kind,
-    by default sampled from its ``[initial]`` expressions."""
+    """The scenario's state from ``arrays`` in the field order of its kind, by
+    default sampled from its ``[initial]`` expressions."""
+    spec = KIND[scenario.kind]
     if arrays is None:
         arrays = []
-        for key in FIELD_NAMES[scenario.kind]:
+        for key in spec.fields:
             node = _parse_expr(scenario.initial[key], f"[initial] {key}")
             try:
                 arrays.append(expressions.sample(node, scenario.grid, scenario.constants).values)
             except WavepotError as exc:
                 raise ScenarioError(f"cannot sample [initial] {key}: {exc}") from exc
-    return _FRAME_STATE[scenario.kind](scenario, arrays)
+    return spec.from_arrays(scenario, arrays)
 
 
 def _random_band_limited(scenario: Scenario, seed_offset: int = 0) -> np.ndarray:
     """Deterministic low-mode random field from the scenario seed."""
-    modes = int(float(scenario.initial.get("modes", 4)))
-    amplitude = float(scenario.initial.get("amplitude", 1.0))
+    modes = int(float(scenario.initial["modes"]))
+    amplitude = float(scenario.initial["amplitude"])
     rng = np.random.default_rng(scenario.seed + seed_offset)
     grid = scenario.grid
     out = np.zeros(grid.shape)
@@ -415,14 +380,7 @@ def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
     outputs if a configured ceiling was exceeded."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if scenario.kind in RUN_KINDS:
-        report = _run_evolving(scenario, out_dir)
-    elif scenario.kind in _RECONSTRUCTS:
-        report = _run_reconstruct(scenario, out_dir)
-    elif scenario.kind == "compare":
-        report = _run_compare(scenario, out_dir)
-    else:
-        raise ScenarioError(f"cannot run kind {scenario.kind!r}")
+    report = KIND[scenario.kind].run(scenario, out_dir)
     peaks = report.monitor_peaks
     violations = [
         f"{name}: peak {peaks[name]:.3e} exceeds ceiling {ceiling:.3e}"
@@ -434,86 +392,81 @@ def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
     return report
 
 
-# a recorded state's arrays in the FIELD_NAMES order of its kind
-_FRAME_ARRAYS = {
-    "schrodinger": lambda s: [s.psi.values.real, s.psi.values.imag],
-    "phi": lambda s: [s.phi.values, s.phi_dot.values],
-    "maxwell-fields": lambda s: [*s.e.values, *s.b.values],
-    "maxwell-potential": lambda s: [*s.a.values, *s.a_dot.values],
-}
-
-
 def _vectors(grid: Grid, a: list) -> tuple[VectorSampleField3, VectorSampleField3]:
     return VectorSampleField3(grid, np.stack(a[:3])), VectorSampleField3(grid, np.stack(a[3:]))
 
 
-# the inverse: a state of the kind from its arrays in FIELD_NAMES order, on the
-# grid and with the constants and potential of the scenario ``scn``
-_FRAME_STATE = {
-    "schrodinger": lambda scn, a: schrodinger.WaveFunction(
-        ComplexSampleField(scn.grid, a[0] + 1j * a[1]), scn.params
-    ),
-    "phi": lambda scn, a: wavepotential.PhiState(
-        *(ScalarSampleField(scn.grid, x) for x in a), scn.params, scn.potential
-    ),
-    "maxwell-fields": lambda scn, a: maxwell.EMState(*_vectors(scn.grid, a), scn.light_speed),
-    "maxwell-potential": lambda scn, a: maxwell.PotentialState(
-        *_vectors(scn.grid, a), scn.light_speed
-    ),
-}
+class _MonitoredWriter(DiagnosticsWriter):
+    """A diagnostics or report writer that keeps each monitor's peak as rows are written.
+
+    The one peak rule for every kind: ``monitors`` maps each monitor to the
+    column it watches. A monitor named ``*_drift`` peaks at the largest change
+    of its column from the first row, relative to that row's value (a zero
+    first value leaves it at 0); any other monitor at its column's largest
+    value. Every peak starts at 0.
+    """
+
+    def __init__(self, path: Path, columns, monitors: dict[str, str]):
+        super().__init__(path, columns)
+        self.watched = {name: self.columns.index(column) for name, column in monitors.items()}
+        self.drifts = {name: i for name, i in self.watched.items() if name.endswith("_drift")}
+        self.peaks = dict.fromkeys(monitors, 0.0)
+        self.first = None
+
+    def write_row(self, values) -> None:
+        super().write_row(values)
+        self.first = self.first or list(values)
+        for name, i in self.watched.items():
+            value, base = values[i], self.first[i]
+            if name in self.drifts:
+                value = abs(value - base) / abs(base) if base else 0.0
+            self.peaks[name] = max(self.peaks[name], value)
+
+    def baselines(self) -> dict:
+        """The first-row value of each drift monitor's column, named ``<column>0``."""
+        return {f"{self.columns[i]}0": self.first[i] for i in self.drifts.values()}
 
 
 def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     """Step any evolving kind, streaming frames and diagnostics rows to disk.
 
-    ``peaks`` starts at zero for each of the kind's MONITORS. The kind's setup
-    fills ``summary`` with its start values and returns the initial state, the
-    diagnostics columns, and an observer that maps the integrator's raw arrays
-    at one step to a diagnostics row, raising the peaks it passes.
+    Sources must pass the continuity gate first. The summary holds the
+    first-row value of each drift monitor's column.
     """
     kind = scenario.kind
-    peaks, summary = dict.fromkeys(MONITORS[kind], 0.0), {}
-    state, columns, observe = _EVOLUTIONS[kind](scenario, peaks, summary)
+    spec = KIND[kind]
+    state, columns, observe = spec.setup(scenario)
     dt, steps, stride = scenario.dt, scenario.steps, scenario.snapshot_stride
-    frame = _FRAME_ARRAYS[kind]
+    if scenario.sources is not None:
+        scenario.sources.validate_continuity(scenario.grid, dt, steps * dt, scenario.backend)
     with SnapshotWriter(
         out_dir / SNAPSHOT_FILE,
         kind=kind,
         grid=scenario.grid,
-        fields=FIELD_NAMES[kind],
+        fields=spec.fields,
         time_start=0.0,
         time_step=dt * stride,
         frame_count=len(stepping.frame_steps(steps, stride)),
         time_end=steps * dt if steps % stride else None,
         provenance=scenario.provenance(),
-    ) as snap, DiagnosticsWriter(out_dir / DIAGNOSTICS_FILE, columns) as diag:
-        options = dict(
-            sink=lambda n, recorded: snap.write_frame(frame(recorded)),
-            snapshot_stride=stride,
-            method=scenario.backend,
+    ) as snap, _MonitoredWriter(out_dir / DIAGNOSTICS_FILE, columns, spec.monitors) as diag:
+        spec.integrate(
+            scenario, state, sink=lambda n, recorded: snap.write_frame(spec.to_arrays(recorded)),
+            snapshot_stride=stride, method=scenario.backend,
             observer=lambda step, *arrays: diag.write_row(observe(step, *arrays)),
         )
-        # looked up on their modules at call time, so wrappers installed there see every run
-        if kind == "schrodinger":
-            schrodinger.propagate_cn(state, scenario.potential, dt, steps, **options)
-        elif kind == "phi":
-            wavepotential.run_verlet(state, dt, steps, **options)
-        elif kind == "maxwell-fields":
-            maxwell.run_rk4(state, scenario.sources, dt, steps, **options)
-        else:
-            maxwell.run_potential_verlet(state, scenario.sources, dt, steps, **options)
-    return RunReport(kind, out_dir, peaks, summary)
+    return RunReport(kind, out_dir, diag.peaks, diag.baselines())
 
 
-def _schrodinger_evolution(scenario: Scenario, peaks: dict, summary: dict):
+def _schrodinger_evolution(scenario: Scenario):
     grid = scenario.grid
     params = scenario.params
     init = scenario.initial
     arrays = None
-    if init.get("type") == "random":
+    if init["type"] == "random":
         arrays = [_random_band_limited(scenario, offset) for offset in (0, 1)]
     psi0 = _initial_state(scenario, arrays).psi.values
-    if init.get("normalize", "false").lower() == "true":
+    if init["normalize"].lower() == "true":
         nrm = np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.cell_volume)
         if nrm == 0:
             raise ScenarioError("cannot normalize a zero initial wave function")
@@ -521,34 +474,23 @@ def _schrodinger_evolution(scenario: Scenario, peaks: dict, summary: dict):
     state = schrodinger.WaveFunction(ComplexSampleField(grid, psi0), params)
     v = scenario.potential.sampled.values
 
-    def energy(values: np.ndarray) -> float:
-        h_psi = schrodinger.hamiltonian_array(values, v, grid, params, scenario.backend)
-        return float(np.vdot(values, h_psi).real * grid.cell_volume / (2.0 * params.hbar))
-
-    summary.update(norm0=schrodinger.norm_functional(state), energy0=energy(psi0))
-    scale_n = max(abs(summary["norm0"]), 1e-30)
-    scale_e = max(abs(summary["energy0"]), 1e-30)
-
     def observer(step: int, values: np.ndarray) -> list:
         wave = schrodinger.WaveFunction(ComplexSampleField(grid, values), params)
-        nrm = schrodinger.norm_functional(wave)
-        en = energy(values)
-        peaks["norm_drift"] = max(peaks["norm_drift"], abs(nrm - summary["norm0"]) / scale_n)
-        peaks["energy_drift"] = max(peaks["energy_drift"], abs(en - summary["energy0"]) / scale_e)
-        return [step, step * scenario.dt, nrm, en]
+        h_psi = schrodinger.hamiltonian_array(values, v, grid, params, scenario.backend)
+        energy = float(np.vdot(values, h_psi).real * grid.cell_volume / (2.0 * params.hbar))
+        return [step, step * scenario.dt, schrodinger.norm_functional(wave), energy]
 
     return state, ("step", "time", "norm", "energy"), observer
 
 
-def _phi_evolution(scenario: Scenario, peaks: dict, summary: dict):
+def _phi_evolution(scenario: Scenario):
     grid = scenario.grid
     params = scenario.params
     V = scenario.potential
     init = scenario.initial
-    itype = init.get("type", "expressions")
-    if itype == "stationary":
+    if init["type"] == "stationary":
         mode = int(init["mode"])
-        t0 = float(init.get("time", 0.0))
+        t0 = float(init["time"])
         if grid.size > schrodinger.DENSE_GRID_LIMIT:
             raise ScenarioError(
                 "stationary initial data needs the dense eigensolver "
@@ -556,14 +498,13 @@ def _phi_evolution(scenario: Scenario, peaks: dict, summary: dict):
             )
         energy_n, psi_n = schrodinger.eigenpairs_small(V, params, mode + 1, scenario.backend)[mode]
         state = wavepotential.stationary_phi(psi_n, energy_n, t0, params, V, scenario.backend)
-    elif itype == "random":
+    elif init["type"] == "random":
         state = _initial_state(scenario, [_random_band_limited(scenario), np.zeros(grid.shape)])
     else:
         state = _initial_state(scenario)
 
     hbar = params.hbar
     vol = grid.cell_volume
-    summary["norm0"] = None
 
     def observer(step: int, lphi: np.ndarray, vel: np.ndarray) -> list:
         psi = -lphi + 1j * hbar * vel
@@ -574,36 +515,22 @@ def _phi_evolution(scenario: Scenario, peaks: dict, summary: dict):
         total_energy = float(energy.sum() * vol)
         scale = max(float(psi_sq.max()), 1e-300)
         identity_rel = float(np.max(np.abs(psi_sq - dens2))) / scale
-        if summary["norm0"] is None:
-            summary["norm0"] = norm
-        elif summary["norm0"] > 0:
-            peaks["norm_drift"] = max(
-                peaks["norm_drift"], abs(norm - summary["norm0"]) / summary["norm0"]
-            )
-        peaks["identity_residual"] = max(peaks["identity_residual"], identity_rel)
         return [step, step * scenario.dt, norm, total_energy, identity_rel]
 
     return state, ("step", "time", "psi_norm", "total_energy", "identity_residual"), observer
 
 
-def _maxwell_fields_evolution(scenario: Scenario, peaks: dict, summary: dict):
+def _maxwell_fields_evolution(scenario: Scenario):
     grid = scenario.grid
     c = scenario.light_speed
     sources = scenario.sources
     state = _initial_state(scenario)
-    if scenario.initial.get("fix_divergence", "false").lower() == "true":
+    if scenario.initial["fix_divergence"].lower() == "true":
         div_e = divergence_array(state.e.values, grid, scenario.backend)
         excess = ScalarSampleField(grid, sources.rho_at(0.0, grid).values - div_e)
         longitudinal = maxwell.coulomb_field_from_charge(excess, scenario.backend)
         e0 = VectorSampleField3(grid, state.e.values + longitudinal.values)
         state = maxwell.EMState(e0, solenoidal_projection(state.b, scenario.backend), c)
-
-    # continuity gate before any stepping
-    sources.validate_continuity(
-        grid, scenario.dt, scenario.steps * scenario.dt, scenario.backend
-    )
-
-    summary["h_prime0"] = None
 
     def observer(step: int, e: np.ndarray, b: np.ndarray) -> list:
         t = step * scenario.dt
@@ -614,27 +541,17 @@ def _maxwell_fields_evolution(scenario: Scenario, peaks: dict, summary: dict):
             st, sources, t, scenario.backend
         )
         h_prime = maxwell.field_energy(st)
-        peaks["div_e_residual"] = max(peaks["div_e_residual"], div_e_res)
-        peaks["div_b_residual"] = max(peaks["div_b_residual"], div_b_res)
-        h0 = summary["h_prime0"]
-        if h0 is None:
-            summary["h_prime0"] = h_prime
-        elif abs(h0) > 1e-300:
-            peaks["energy_drift"] = max(peaks["energy_drift"], abs(h_prime - h0) / abs(h0))
         return [step, t, h_prime, div_e_res, div_b_res, rs_res / max(rs_scale, 1e-300)]
 
     columns = ("step", "time", "h_prime", "div_e_residual", "div_b_residual", "rs_residual_rel")
     return state, columns, observer
 
 
-def _maxwell_potential_evolution(scenario: Scenario, peaks: dict, summary: dict):
+def _maxwell_potential_evolution(scenario: Scenario):
     grid = scenario.grid
     c = scenario.light_speed
     sources = scenario.sources
     state = _initial_state(scenario)
-    sources.validate_continuity(
-        grid, scenario.dt, scenario.steps * scenario.dt, scenario.backend
-    )
 
     def observer(step: int, a: np.ndarray, a_dot: np.ndarray) -> list:
         t = step * scenario.dt
@@ -644,22 +561,10 @@ def _maxwell_potential_evolution(scenario: Scenario, peaks: dict, summary: dict)
         con = maxwell.potential_constraint_residual(st, rho, scenario.backend)
         div_b = float(np.max(np.abs(divergence_array(fields.b.values, grid, scenario.backend))))
         h_prime = maxwell.field_energy(fields)
-        peaks["potential_constraint_residual"] = max(
-            peaks["potential_constraint_residual"], con
-        )
-        peaks["div_b_residual"] = max(peaks["div_b_residual"], div_b)
         return [step, t, h_prime, con, div_b]
 
     columns = ("step", "time", "h_prime", "potential_constraint_residual", "div_b_residual")
     return state, columns, observer
-
-
-_EVOLUTIONS = {
-    "schrodinger": _schrodinger_evolution,
-    "phi": _phi_evolution,
-    "maxwell-fields": _maxwell_fields_evolution,
-    "maxwell-potential": _maxwell_potential_evolution,
-}
 
 
 def _load_run(scenario: Scenario, key: str) -> SnapshotData:
@@ -682,71 +587,59 @@ def _decode(data: SnapshotData):
     prov = data.provenance
     constants = {**_DEFAULT_CONSTANTS, **prov.get("constants", {})}
     scn = Scenario(data.kind, None, "", 0, prov.get("backend", "spectral"), constants, data.grid)
-    if data.kind == "phi":
+    spec = KIND[data.kind]
+    if spec.needs_potential:
         if "potential" not in prov:
-            raise ScenarioError("phi run lacks a potential in its provenance")
+            raise ScenarioError(f"{data.kind} run lacks a potential in its provenance")
         scn.potential = _sample_potential(prov["potential"], data.grid, constants)
-    names = FIELD_NAMES[data.kind]
-    return scn, (_FRAME_STATE[data.kind](scn, [f[name] for name in names]) for f in data.frames)
+    return scn, (spec.from_arrays(scn, [f[name] for name in spec.fields]) for f in data.frames)
 
 
-def _forward_arrays(state, backend: str) -> list:
-    """A potential-form state mapped to its field form's arrays: Psi from phi, (E, B) from A."""
-    if isinstance(state, wavepotential.PhiState):
-        return _FRAME_ARRAYS["schrodinger"](wavepotential.to_wavefunction(state, backend))
-    return _FRAME_ARRAYS["maxwell-fields"](maxwell.potential_to_fields(state, backend))
+def _forward_arrays(kind: str, state, backend: str) -> list:
+    """A potential-form state of ``kind`` mapped to its field form's arrays."""
+    spec = KIND[kind]
+    return KIND[spec.forward].to_arrays(spec.forward_map(state, backend))
 
 
-def _write_diffs(kind, out_dir, times, pairs, vol, columns, summary) -> RunReport:
+def _write_diffs(kind, out_dir, times, pairs, vol, columns, prefix, summary) -> RunReport:
     """Write the L2 and max-norm difference of each frame's two array lists to
-    ``report.csv``, then ``summary.json``: ``summary`` plus each column's largest
-    value under the key ``columns`` maps it to, if any. A failed write leaves
-    neither file."""
-    sup = dict.fromkeys(columns, 0.0)
-    with DiagnosticsWriter(out_dir / REPORT_FILE, ("frame", "time", *columns)) as rep:
+    ``report.csv`` under ``columns``, then ``summary.json``: ``summary`` plus each
+    monitor's peak, named with ``prefix``. A failed write leaves neither file."""
+    columns = ("frame", "time", *columns)
+    with _MonitoredWriter(out_dir / REPORT_FILE, columns, KIND[kind].monitors) as rep:
         for n, (arrays_a, arrays_b) in enumerate(pairs):
             sq, mx = 0.0, 0.0
             for a, b in zip(arrays_a, arrays_b):
                 diff = a - b
                 sq += float(np.sum(diff**2))
                 mx = max(mx, float(np.max(np.abs(diff))))
-            row = [float(np.sqrt(sq * vol)), mx]
-            rep.write_row([n, times[n], *row])
-            for name, value in zip(columns, row):
-                sup[name] = max(sup[name], value)
-        summary = {**summary, **{key: sup[name] for name, key in columns.items() if key}}
+            rep.write_row([n, times[n], float(np.sqrt(sq * vol)), mx])
+        summary = {**summary, **{prefix + name: peak for name, peak in rep.peaks.items()}}
         tmp = out_dir / (SUMMARY_FILE + ".tmp")
         try:
             tmp.write_text(json.dumps(summary, sort_keys=True) + "\n")
             tmp.replace(out_dir / SUMMARY_FILE)
         finally:
             tmp.unlink(missing_ok=True)
-    return RunReport(kind, out_dir, {name: sup[name] for name in MONITORS[kind]}, summary)
+    return RunReport(kind, out_dir, rep.peaks, summary)
 
 
 def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
     """Map a field-form record to potentials and check the round trip frame by frame."""
+    spec = KIND[scenario.kind]
+    out_kind = spec.forward
+    source_kind = KIND[out_kind].forward
     data = _load_run(scenario, "source")
-    out_kind = _RECONSTRUCTS[scenario.kind]
-    source_kind = _FORWARD_KIND[out_kind]
     if data.kind != source_kind:
         raise ScenarioError(f"{scenario.kind} needs a {source_kind} run, got {data.kind!r}")
-    grid = data.grid
-    backend = scenario.backend
     originals = list(_decode(data)[1])
-    if out_kind == "phi":
-        V = _sample_potential(scenario.potential_source, grid, scenario.constants)
-        traj = reconstruction.TrajectoryRecord.of_waves(data.times, [w.psi for w in originals])
-        states = reconstruction.reconstruct_phi(traj, V, scenario.params, backend)
-    else:
-        traj = reconstruction.TrajectoryRecord.of_fields(data.times, originals)
-        states = reconstruction.reconstruct_vector_potential(traj, backend)
-
+    states = spec.reconstruct(scenario, data, originals)
+    backend, vol = scenario.backend, data.grid.cell_volume
     with SnapshotWriter(
         out_dir / SNAPSHOT_FILE,
         kind=out_kind,
-        grid=grid,
-        fields=FIELD_NAMES[out_kind],
+        grid=data.grid,
+        fields=KIND[out_kind].fields,
         time_start=float(data.times[0]),
         time_step=float(data.times[1] - data.times[0]),
         frame_count=len(states),
@@ -756,13 +649,12 @@ def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
 
         def pairs():
             for st, original in zip(states, originals):
-                snap.write_frame(_FRAME_ARRAYS[out_kind](st))
-                yield _forward_arrays(st, backend), _FRAME_ARRAYS[source_kind](original)
+                snap.write_frame(KIND[out_kind].to_arrays(st))
+                yield _forward_arrays(out_kind, st, backend), KIND[source_kind].to_arrays(original)
 
-        columns = {"roundtrip_l2": "sup_roundtrip_l2", "roundtrip_max": None}
-        summary = {"frames": len(states)}
+        columns, summary = ("roundtrip_l2", "roundtrip_max"), {"frames": len(states)}
         return _write_diffs(
-            scenario.kind, out_dir, data.times, pairs(), grid.cell_volume, columns, summary
+            scenario.kind, out_dir, data.times, pairs(), vol, columns, "sup_", summary
         )
 
 
@@ -777,8 +669,8 @@ def _transform_frames(data: SnapshotData, transform: str):
     if data.kind != kind:
         raise ScenarioError(f"transform {transform} needs a {kind} run, got {data.kind!r}")
     scn, states = _decode(data)
-    fields = FIELD_NAMES[_FORWARD_KIND[kind]]
-    return fields, (dict(zip(fields, _forward_arrays(st, scn.backend))) for st in states)
+    fields = KIND[KIND[kind].forward].fields
+    return fields, (dict(zip(fields, _forward_arrays(kind, st, scn.backend))) for st in states)
 
 
 def _run_compare(scenario: Scenario, out_dir: Path) -> RunReport:
@@ -816,7 +708,114 @@ def compare(
         ([a[name] for name in fields_a], [b[name] for name in fields_a])
         for a, b in zip(frames_a, frames_b)
     )
-    columns = {"l2_diff": "max_l2_diff", "max_diff": "max_max_diff"}
     summary = {"frames_compared": n, "transform_a": transform_a, "transform_b": transform_b}
     vol = data_a.grid.cell_volume
-    return _write_diffs("compare", out_dir, times_a, pairs, vol, columns, summary)
+    columns = ("l2_diff", "max_diff")
+    return _write_diffs("compare", out_dir, times_a, pairs, vol, columns, "max_", summary)
+
+
+# Each scenario kind, described once. Integrators and the maps they feed are
+# named inside lambdas, so they are looked up on their modules at call time and
+# wrappers installed there see every run.
+_RANDOM = {"modes": "4", "amplitude": "1.0"}
+
+KIND = {
+    "schrodinger": _Kind(
+        sections=("grid", "operators", "potential", "initial", "integrator"),
+        monitors={"norm_drift": "norm", "energy_drift": "energy"},
+        run=_run_evolving,
+        fields=("psi_re", "psi_im"),
+        to_arrays=lambda s: [s.psi.values.real, s.psi.values.imag],
+        from_arrays=lambda scn, a: schrodinger.WaveFunction(
+            ComplexSampleField(scn.grid, a[0] + 1j * a[1]), scn.params
+        ),
+        initial={"expressions": {"normalize": "false"},
+                 "random": {**_RANDOM, "normalize": "false"}},
+        setup=_schrodinger_evolution,
+        integrate=lambda scn, st, **kw: schrodinger.propagate_cn(
+            st, scn.potential, scn.dt, scn.steps, **kw
+        ),
+        auto_dt=lambda scn: wavepotential.stable_dt(scn.potential, scn.params, scn.backend),
+    ),
+    "phi": _Kind(
+        sections=("grid", "operators", "potential", "initial", "integrator"),
+        monitors={"norm_drift": "psi_norm", "identity_residual": "identity_residual"},
+        run=_run_evolving,
+        fields=("phi", "phi_dot"),
+        to_arrays=lambda s: [s.phi.values, s.phi_dot.values],
+        from_arrays=lambda scn, a: wavepotential.PhiState(
+            *(ScalarSampleField(scn.grid, x) for x in a), scn.params, scn.potential
+        ),
+        needs_potential=True,
+        forward="schrodinger",
+        forward_map=lambda st, backend: wavepotential.to_wavefunction(st, backend),
+        initial={"expressions": {}, "stationary": {"mode": None, "time": "0.0"}, "random": _RANDOM},
+        setup=_phi_evolution,
+        integrate=lambda scn, st, **kw: wavepotential.run_verlet(st, scn.dt, scn.steps, **kw),
+        auto_dt=lambda scn: wavepotential.stable_dt(scn.potential, scn.params, scn.backend),
+    ),
+    "maxwell-fields": _Kind(
+        sections=("grid", "operators", "sources", "initial", "integrator"),
+        monitors={"div_e_residual": "div_e_residual", "div_b_residual": "div_b_residual",
+                  "energy_drift": "h_prime"},
+        run=_run_evolving,
+        fields=("e_x", "e_y", "e_z", "b_x", "b_y", "b_z"),
+        to_arrays=lambda s: [*s.e.values, *s.b.values],
+        from_arrays=lambda scn, a: maxwell.EMState(*_vectors(scn.grid, a), scn.light_speed),
+        initial={"expressions": {"fix_divergence": "false"}},
+        setup=_maxwell_fields_evolution,
+        integrate=lambda scn, st, **kw: maxwell.run_rk4(st, scn.sources, scn.dt, scn.steps, **kw),
+        auto_dt=lambda scn: maxwell.rk4_dt_bound(scn.grid, scn.light_speed),
+        needs_3d=True,
+    ),
+    "maxwell-potential": _Kind(
+        sections=("grid", "operators", "sources", "initial", "integrator"),
+        monitors={"potential_constraint_residual": "potential_constraint_residual",
+                  "div_b_residual": "div_b_residual"},
+        run=_run_evolving,
+        fields=("a_x", "a_y", "a_z", "a_dot_x", "a_dot_y", "a_dot_z"),
+        to_arrays=lambda s: [*s.a.values, *s.a_dot.values],
+        from_arrays=lambda scn, a: maxwell.PotentialState(*_vectors(scn.grid, a), scn.light_speed),
+        forward="maxwell-fields",
+        forward_map=lambda st, backend: maxwell.potential_to_fields(st, backend),
+        initial={"expressions": {}},
+        setup=_maxwell_potential_evolution,
+        integrate=lambda scn, st, **kw: maxwell.run_potential_verlet(
+            st, scn.sources, scn.dt, scn.steps, **kw
+        ),
+        auto_dt=lambda scn: maxwell.potential_dt_bound(scn.grid, scn.light_speed),
+        needs_3d=True,
+    ),
+    "reconstruct-phi": _Kind(
+        sections=("operators", "potential", "inputs"),
+        monitors={"roundtrip_l2": "roundtrip_l2"},
+        run=_run_reconstruct,
+        inputs={"source": None},
+        forward="phi",
+        reconstruct=lambda scn, data, waves: reconstruction.reconstruct_phi(
+            reconstruction.TrajectoryRecord.of_waves(data.times, [w.psi for w in waves]),
+            _sample_potential(scn.potential_source, data.grid, scn.constants),
+            scn.params,
+            scn.backend,
+        ),
+    ),
+    "reconstruct-a": _Kind(
+        sections=("operators", "inputs"),
+        monitors={"roundtrip_l2": "roundtrip_l2"},
+        run=_run_reconstruct,
+        inputs={"source": None},
+        forward="maxwell-potential",
+        reconstruct=lambda scn, data, states: reconstruction.reconstruct_vector_potential(
+            reconstruction.TrajectoryRecord.of_fields(data.times, states), scn.backend
+        ),
+    ),
+    "compare": _Kind(
+        sections=("inputs",),
+        monitors={"l2_diff": "l2_diff", "max_diff": "max_diff"},
+        run=_run_compare,
+        inputs={"run_a": None, "run_b": None, "transform_a": tuple(TRANSFORMS),
+                "transform_b": tuple(TRANSFORMS)},
+    ),
+}
+
+KINDS = tuple(KIND)
