@@ -138,22 +138,25 @@ class SourceSpec:
     def is_static(self) -> bool:
         return self._static
 
+    def _sampled(self, name: str, grid: Grid, sample):
+        """``sample()``, kept per grid under ``name`` when no source references t."""
+        if not self._static:
+            return sample()
+        if (name, grid) not in self._cache:
+            self._cache[(name, grid)] = sample()
+        return self._cache[(name, grid)]
+
     def rho_at(self, t: float, grid: Grid) -> ScalarSampleField:
-        if self._static and ("rho", grid) in self._cache:
-            return self._cache[("rho", grid)]
-        field = expressions.sample(self.rho, grid, self.bindings, t)
-        if self._static:
-            self._cache[("rho", grid)] = field
-        return field
+        return self._sampled(
+            "rho", grid, lambda: expressions.sample(self.rho, grid, self.bindings, t)
+        )
 
     def current_at(self, t: float, grid: Grid) -> VectorSampleField3:
-        if self._static and ("j", grid) in self._cache:
-            return self._cache[("j", grid)]
-        comps = [expressions.sample(node, grid, self.bindings, t) for node in self.j]
-        field = VectorSampleField3.from_components(*comps)
-        if self._static:
-            self._cache[("j", grid)] = field
-        return field
+        def sample() -> VectorSampleField3:
+            comps = [expressions.sample(node, grid, self.bindings, t) for node in self.j]
+            return VectorSampleField3.from_components(*comps)
+
+        return self._sampled("j", grid, sample)
 
     def continuity_residual(
         self, t: float, grid: Grid, dt: float, method: str = "spectral"

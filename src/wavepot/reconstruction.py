@@ -36,6 +36,7 @@ from .maxwell import EMState, PotentialState
 from .operators import (
     DEAD_MODE_TOL,
     Symbols,
+    _curl_modes,
     divergence_array,
     fourier_apply,
     fourier_multiplier,
@@ -355,11 +356,7 @@ def curl_inverse(b0: VectorSampleField3, method: str = "spectral") -> VectorSamp
 
     def modewise(hat: np.ndarray, sym: Symbols) -> np.ndarray:
         # K_hat = i s x B_hat / |s|^2, |s|^2 = -div_grad; B content where s = 0 is unreachable
-        q = live_quotient(hat, -sym.div_grad, "magnetic field")
-        s = sym.deriv
-        return 1j * np.stack(
-            [s[1] * q[2] - s[2] * q[1], s[2] * q[0] - s[0] * q[2], s[0] * q[1] - s[1] * q[0]]
-        )
+        return _curl_modes(live_quotient(hat, -sym.div_grad, "magnetic field"), sym)
 
     return VectorSampleField3(grid, fourier_apply(vals, grid, method, modewise))
 

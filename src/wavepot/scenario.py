@@ -66,9 +66,11 @@ class _Kind:
 
 _DEFAULT_CONSTANTS = {"hbar": 1.0, "m": 1.0, "c": 1.0}
 
+# the sections every kind may carry; each kind's record in KIND names the others it reads
+_COMMON_SECTIONS = ("scenario", "constants", "monitors")
+
 # the keys each section may hold; None leaves a section open ([constants] binds
-# user names, [initial] keys depend on the initial type, and [monitors] names
-# are checked against the kind's monitors)
+# user names, and [initial], [inputs] and [monitors] keys are checked per kind)
 SECTION_KEYS = {
     "scenario": ("kind", "seed"),
     "grid": ("points", "lengths"),
@@ -79,7 +81,7 @@ SECTION_KEYS = {
     "sources": ("rho", "j_x", "j_y", "j_z"),
     "integrator": ("dt", "dt_scale", "steps", "snapshot_stride"),
     "monitors": None,
-    "inputs": ("source", "run_a", "run_b", "transform_a", "transform_b"),
+    "inputs": None,
 }
 
 SNAPSHOT_FILE = "snapshots.wps"
@@ -216,6 +218,10 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     if kind not in KIND:
         raise ScenarioError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
     spec = KIND[kind]
+    readable = (*_COMMON_SECTIONS, *spec.sections)
+    for section in parser.sections():
+        if section not in readable:
+            raise ScenarioError(f"kind={kind} does not read [{section}]; expected one of {readable}")
     seed = _get_number(parser, "scenario", "seed", int, required=False, default=0)
 
     backend = _get(parser, "operators", "backend", required=False, default="spectral")
@@ -246,6 +252,11 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
             raise ScenarioError(f"time-dependent potential unsupported for {kind}")
         scenario.potential_source = source
 
+    for key in parser["inputs"] if parser.has_section("inputs") else ():
+        if key not in spec.inputs:
+            raise ScenarioError(
+                f"unknown field [inputs] {key} for kind={kind}; expected one of {tuple(spec.inputs)}"
+            )
     for key, choices in spec.inputs.items():
         value = _get(parser, "inputs", key, required=not choices, default=choices and choices[0])
         if choices and value not in choices:
@@ -324,7 +335,13 @@ def _read_initial(parser: configparser.ConfigParser, kind: str) -> dict:
     if itype not in spec.initial:
         raise ScenarioError(f"unknown [initial] type {itype!r} for kind={kind}")
     exprs = spec.fields if itype == "expressions" else ()
-    for key, default in {**dict.fromkeys(exprs), **spec.initial[itype]}.items():
+    keys = {**dict.fromkeys(exprs), **spec.initial[itype]}
+    for key in init:
+        if key != "type" and key not in keys:
+            raise ScenarioError(
+                f"unknown field [initial] {key} for type = {itype}; expected one of {tuple(keys)}"
+            )
+    for key, default in keys.items():
         if key not in init and default is None:
             raise ScenarioError(f"missing field [initial] {key} (type = {itype})")
         init.setdefault(key, default)

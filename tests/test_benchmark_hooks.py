@@ -140,3 +140,20 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     assert metrics["maxwell.rk4_steps"] == 4
     assert metrics["maxwell.verlet_steps"] == 4
     assert metrics["scenario.observer_calls"] == (6 + 1) + (4 + 1) + (4 + 1)
+
+
+def test_every_workload_scenario_loads(tmp_path, monkeypatch):
+    """The scenario files the benchmark writes stay valid as the format tightens."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    from wavepot.scenario import load_scenario
+
+    loaded = 0
+    for name, workload in workloads.WORKLOADS.items():
+        for file, text in workload(0).scenarios().items():
+            path = tmp_path / f"{name}-{file}"
+            path.write_text(text)
+            load_scenario(path)
+            loaded += 1
+    assert loaded == 8

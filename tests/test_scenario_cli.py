@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from wavepot import maxwell, schrodinger
 from wavepot.cli import main
 from wavepot.errors import ScenarioError, SolverError
 from wavepot.grids import Grid
-from wavepot.scenario import load_scenario, run
+from wavepot.scenario import KINDS, load_scenario, run
 from wavepot.snapshots import read_snapshot, write_snapshot
 from wavepot.wavepotential import stable_dt
 
@@ -89,6 +90,32 @@ dt = 0.02
 steps = 50
 snapshot_stride = 10
 """
+
+MAXWELL_POTENTIAL = """
+[scenario]
+kind = maxwell-potential
+
+[grid]
+points = 8 8 8
+lengths = 6.283185307179586 6.283185307179586 6.283185307179586
+
+[initial]
+a_x = 0
+a_y = sin(x)
+a_z = 0
+a_dot_x = 0
+a_dot_y = 0-cos(x)
+a_dot_z = 0
+
+[integrator]
+dt = 0.02
+steps = 20
+snapshot_stride = 10
+"""
+
+RECONSTRUCT_A = "[scenario]\nkind = reconstruct-a\n[constants]\nc = 1.0\n[inputs]\nsource = fields\n"
+
+COMPARE = "[scenario]\nkind = compare\n[inputs]\nrun_a = r1\nrun_b = r2\n"
 
 
 def write(tmp_path, name, text):
@@ -173,6 +200,57 @@ class TestLoadScenario:
         p = write(tmp_path, "l.scn", MINIMAL_PHI)
         with pytest.raises(ScenarioError, match=r"unknown section \[grdi\]"):
             load_scenario(p, overrides=["grdi.points=32"])
+
+    @pytest.mark.parametrize(
+        "kind, text, section",
+        [
+            ("phi", MINIMAL_PHI + "[sources]\nrho = sin(x)*cos(t)\n", "sources"),
+            ("schrodinger", SCHRODINGER + "[sources]\nrho = sin(x)*cos(t)\n", "sources"),
+            ("maxwell-fields", MAXWELL + "[potential]\nv = 0\n", "potential"),
+            ("compare", COMPARE + "[grid]\npoints = 64\nlengths = 20.0\n", "grid"),
+            ("reconstruct-a", RECONSTRUCT_A + "[integrator]\nsteps = 5\n", "integrator"),
+            ("compare", COMPARE + "[operators]\nbackend = central2\n", "operators"),
+        ],
+        ids=["phi-sources", "schrodinger-sources", "maxwell-fields-potential", "compare-grid",
+             "reconstruct-a-integrator", "compare-operators"],
+    )
+    def test_section_the_kind_does_not_read_rejected(self, tmp_path, kind, text, section):
+        # each used to load and be ignored, so a source or setting the user meant was dropped
+        p = write(tmp_path, "m.scn", text)
+        with pytest.raises(ScenarioError, match=rf"kind={kind} does not read \[{section}\]"):
+            load_scenario(p)
+        assert main([kind, "--scenario", str(p), "--out", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "kind, text, key",
+        [
+            ("schrodinger", SCHRODINGER.replace("normalize", "normalise"), "normalise"),
+            ("phi", MINIMAL_PHI.replace("phi_dot = 0", "phi_dot = 0\nmode = 0"), "mode"),
+        ],
+        ids=["schrodinger-normalise", "phi-mode"],
+    )
+    def test_unknown_initial_key_rejected(self, tmp_path, kind, text, key):
+        # a misspelt normalize used to run unnormalized and exit 0
+        p = write(tmp_path, "n.scn", text)
+        with pytest.raises(ScenarioError, match=rf"unknown field \[initial\] {key} for type = expr"):
+            load_scenario(p)
+        assert main([kind, "--scenario", str(p), "--out", str(tmp_path / "r")]) == 1
+
+    def test_initial_keys_of_the_type_accepted(self, tmp_path):
+        text = MINIMAL_PHI.replace("type = expressions", "type = random\nmodes = 3\namplitude = 0.5")
+        text = text.replace("phi = cos(2*pi*x/20)\nphi_dot = 0\n", "")
+        assert load_scenario(write(tmp_path, "o.scn", text)).initial == {
+            "type": "random", "modes": "3", "amplitude": "0.5"
+        }
+        bad = write(tmp_path, "p.scn", text.replace("modes = 3", "mode = 3"))
+        with pytest.raises(ScenarioError, match=r"unknown field \[initial\] mode for type = random"):
+            load_scenario(bad)
+
+    def test_inputs_key_the_kind_does_not_read_rejected(self, tmp_path):
+        p = write(tmp_path, "q.scn", RECONSTRUCT_A + "run_a = elsewhere\n")
+        with pytest.raises(ScenarioError, match=r"unknown field \[inputs\] run_a for kind=reconstruct-a"):
+            load_scenario(p)
 
 
 class TestRun:
@@ -641,3 +719,163 @@ class TestAtomicSnapshots:
         assert not (tmp_path / "out" / "snapshots.wps.tmp").exists()
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
         assert not (tmp_path / "out" / "diagnostics.csv.tmp").exists()
+
+
+# the column each monitor watches, per kind, as docs/scenario_format.md states them
+MONITOR_COLUMNS = {
+    "schrodinger": {"norm_drift": "norm", "energy_drift": "energy"},
+    "phi": {"norm_drift": "psi_norm", "identity_residual": "identity_residual"},
+    "maxwell-fields": {
+        "div_e_residual": "div_e_residual",
+        "div_b_residual": "div_b_residual",
+        "energy_drift": "h_prime",
+    },
+    "maxwell-potential": {
+        "potential_constraint_residual": "potential_constraint_residual",
+        "div_b_residual": "div_b_residual",
+    },
+    "reconstruct-phi": {"roundtrip_l2": "roundtrip_l2"},
+    "reconstruct-a": {"roundtrip_l2": "roundtrip_l2"},
+    "compare": {"l2_diff": "l2_diff", "max_diff": "max_diff"},
+}
+
+
+def _csv_columns(path: Path) -> dict[str, list[float]]:
+    header, *rows = path.read_text().splitlines()
+    values = [[float(cell) for cell in row.split(",")] for row in rows]
+    return {name: [row[i] for row in values] for i, name in enumerate(header.split(","))}
+
+
+def _peak(monitor: str, column: list[float]) -> float:
+    """The documented peak: a ``*_drift`` monitor's largest change from the first
+    row relative to it (0 for a zero first row), else the column's largest value."""
+    if monitor.endswith("_drift"):
+        base = column[0]
+        return max(abs(v - base) for v in column) / abs(base) if base else 0.0
+    return max(0.0, *column)
+
+
+@pytest.fixture(scope="module")
+def peak_runs(tmp_path_factory):
+    """One small run of every kind: its report and the CSV its peaks come from."""
+    tmp = tmp_path_factory.mktemp("peaks")
+    texts = {
+        "schrodinger": SCHRODINGER.replace("steps = 100", "steps = 20"),
+        "phi": HARMONIC_PHI,
+        "fields": MAXWELL.replace("steps = 50", "steps = 20"),
+        # a longitudinal dA/dt breaks the constraint, so that peak is not 0
+        "maxwell-potential": MAXWELL_POTENTIAL.replace("a_dot_x = 0", "a_dot_x = 0.1*cos(x)"),
+        "r1": HARMONIC_PHI,
+        "r2": HARMONIC_PHI.replace("phi_dot = 0", "phi_dot = 0.1*sin(2*pi*x/20)"),
+        "reconstruct-phi": "[scenario]\nkind = reconstruct-phi\n[potential]\n"
+        "v = 0.5*(x-10)^2\n[inputs]\nsource = schrodinger\n",
+        "reconstruct-a": RECONSTRUCT_A,
+        "compare": COMPARE,
+    }
+    runs = {}
+    for name, text in texts.items():
+        scn = load_scenario(write(tmp, f"{name}.scn", text))
+        report = run(scn, tmp / name)
+        csv = "diagnostics.csv" if scn.dt is not None else "report.csv"
+        runs[scn.kind] = report, tmp / name / csv
+    return runs
+
+
+class TestMonitorPeaks:
+    @pytest.mark.parametrize("kind", list(MONITOR_COLUMNS))
+    def test_peaks_are_recomputed_from_the_csv(self, peak_runs, kind):
+        report, csv = peak_runs[kind]
+        columns = _csv_columns(csv)
+        expected = {
+            monitor: _peak(monitor, columns[column])
+            for monitor, column in MONITOR_COLUMNS[kind].items()
+        }
+        assert report.monitor_peaks == expected  # exact: CSV floats round-trip through repr
+        assert any(value > 0 for value in expected.values())
+        if csv.name == "diagnostics.csv":
+            assert report.summary == {
+                f"{column}0": columns[column][0]
+                for monitor, column in MONITOR_COLUMNS[kind].items()
+                if monitor.endswith("_drift")
+            }
+
+    def test_zero_norm_phi_has_zero_drift(self, tmp_path):
+        text = MINIMAL_PHI.replace("phi = cos(2*pi*x/20)", "phi = 0")
+        report = run(load_scenario(write(tmp_path, "z.scn", text)), tmp_path / "out")
+        assert report.monitor_peaks == {"norm_drift": 0.0, "identity_residual": 0.0}
+        assert report.summary == {"psi_norm0": 0.0}
+
+    def test_zero_first_value_leaves_drift_at_zero(self, tmp_path):
+        # fields start at rest and a current drives them: h_prime grows from 0
+        text = MAXWELL.replace("steps = 50", "steps = 20").replace("cos(x)", "0")
+        text += "[sources]\nj_z = cos(x)*sin(t+1)\n"
+        report = run(load_scenario(write(tmp_path, "d.scn", text)), tmp_path / "out")
+        h_prime = _csv_columns(tmp_path / "out" / "diagnostics.csv")["h_prime"]
+        assert h_prime[0] == 0.0 and max(h_prime) > 0.0
+        assert report.monitor_peaks["energy_drift"] == 0.0
+        assert report.summary == {"h_prime0": 0.0}
+
+
+_SCENARIO_SOURCE = Path(__file__).resolve().parent.parent / "src" / "wavepot" / "scenario.py"
+
+
+def _kind_name_branches(source: str, kinds: tuple[str, ...]) -> list[str]:
+    """Each ==, !=, in, not in, startswith or endswith against a kind-name literal
+    outside the ``KIND = {...}`` table."""
+    tree = ast.parse(source)
+    table = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "KIND" for t in node.targets)
+        for inner in ast.walk(node)
+    }
+
+    def literals(node) -> list[str]:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return [node.value]
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return [value for elt in node.elts for value in literals(elt)]
+        return []
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in table:
+            continue
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            if any(value in kinds for operand in operands for value in literals(operand)):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("startswith", "endswith")
+        ):
+            affixes = [value for arg in node.args for value in literals(arg)]
+            matches = getattr(str, node.func.attr)
+            if any(matches(kind, affix) for affix in affixes for kind in kinds):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_kind_names_only_in_the_kind_table():
+    assert not _kind_name_branches(_SCENARIO_SOURCE.read_text(), KINDS)
+
+
+def test_kind_name_guard_catches_offenders():
+    offenders = [
+        'if kind == "phi":\n    pass\n',
+        'ok = data.kind != "compare"\n',
+        'ok = kind in ("schrodinger", "phi")\n',
+        'ok = kind not in ["reconstruct-a"]\n',
+        'ok = kind.startswith("maxwell")\n',
+        'ok = kind.endswith("-phi")\n',
+    ]
+    for source in offenders:
+        assert len(_kind_name_branches(source, KINDS)) == 1, source
+    allowed = (
+        'KIND = {"phi": kind == "phi"}\n'
+        'ok = "potential" in sections and name.endswith("_drift") and itype == "random"\n'
+    )
+    assert not _kind_name_branches(allowed, KINDS)
