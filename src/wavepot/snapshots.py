@@ -41,6 +41,15 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _cells(column) -> Iterable[str]:
+    """One CSV column: a Python int prints as an integer and any other value as
+    ``format_float`` prints it. An ndarray column counts as its ``tolist()``, so
+    an integer array prints as integers and a float array through ``repr``."""
+    if isinstance(column, np.ndarray):
+        return map(str if column.dtype.kind in "iu" else repr, column.tolist())
+    return (str(v) if isinstance(v, int) else format_float(v) for v in column)
+
+
 def _json_default(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
@@ -217,11 +226,11 @@ def dump_csv(data: SnapshotData, out_path: str | Path, frame: int | None = None)
     mesh = np.meshgrid(*axes, indexing="ij")
     flat_coords = [m.ravel(order="F") for m in mesh]
     which = range(count) if frame is None else [frame]
+    size = data.grid.size
     with DiagnosticsWriter(out_path, ["frame", "time", *coord_names, *data.fields]) as out:
         for n in which:
             cols = [data.frames[n][name].ravel(order="F") for name in data.fields]
-            for i in range(data.grid.size):
-                out.write_row([n, data.times[n], *(c[i] for c in flat_coords + cols)])
+            out.write_rows([np.full(size, n), np.full(size, data.times[n]), *flat_coords, *cols])
 
 
 class DiagnosticsWriter:
@@ -240,10 +249,15 @@ class DiagnosticsWriter:
         self._fh.write(",".join(self.columns) + "\n")
 
     def write_row(self, values: Sequence) -> None:
-        if len(values) != len(self.columns):
+        self.write_rows([[v] for v in values])
+
+    def write_rows(self, columns: Sequence[Sequence]) -> None:
+        """Write a block of rows, given as one equal-length sequence per column
+        (cells as ``_cells`` prints them), to the file as one string."""
+        if len(columns) != len(self.columns):
             raise ValueError("diagnostics row does not match the column order")
-        cells = [str(v) if isinstance(v, int) else format_float(v) for v in values]
-        self._fh.write(",".join(cells) + "\n")
+        cells = zip(*map(_cells, columns), strict=True)
+        self._fh.write("".join(",".join(row) + "\n" for row in cells))
 
     def close(self) -> None:
         self._fh.close()

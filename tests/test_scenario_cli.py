@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,15 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavepot import maxwell, schrodinger
+from wavepot import maxwell, schrodinger, wavepotential
+from wavepot import scenario as scenario_module
 from wavepot.cli import main
-from wavepot.errors import ScenarioError, SolverError
+from wavepot.errors import MonitorError, ScenarioError, SolverError
 from wavepot.grids import Grid
 from wavepot.scenario import KINDS, load_scenario, run
-from wavepot.snapshots import read_snapshot, write_snapshot
+from wavepot.snapshots import DiagnosticsWriter, read_snapshot, write_snapshot
 from wavepot.wavepotential import stable_dt
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SNAPSHOT, DIAG = "snapshots.wps", "diagnostics.csv"
 
 MINIMAL_PHI = """
 [scenario]
@@ -252,6 +255,28 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"unknown field \[inputs\] run_a for kind=reconstruct-a"):
             load_scenario(p)
 
+    @pytest.mark.parametrize(
+        "kind, text, key",
+        [("schrodinger", SCHRODINGER, "normalize"), ("maxwell-fields", MAXWELL, "fix_divergence")],
+        ids=["normalize", "fix_divergence"],
+    )
+    def test_initial_flag_is_true_or_false(self, tmp_path, kind, text, key):
+        # any value but true used to mean false: normalize = yes ran unnormalized, exit 0
+        p = write(tmp_path, "r.scn", text)
+        with pytest.raises(ScenarioError, match=rf"\[initial\] {key} must be true or false, got 'yes'"):
+            load_scenario(p, overrides=[f"initial.{key}=yes"])
+        argv = [kind, "--scenario", str(p), "--out", str(tmp_path / "r")]
+        assert main([*argv, "--override", f"initial.{key}=yes"]) == 1
+        assert load_scenario(p, overrides=[f"initial.{key}=TRUE"]).initial[key] is True
+        assert load_scenario(p, overrides=[f"initial.{key}=False"]).initial[key] is False
+
+    def test_normalize_true_in_any_case_normalizes(self, tmp_path):
+        p = write(tmp_path, "s.scn", SCHRODINGER.replace("steps = 100", "steps = 1"))
+        # norm0 is (1/2 hbar) Int |Psi|^2: 1/2 normalized, sqrt(pi)/2 for the raw Gaussian
+        for value, norm0 in (("TRUE", 0.5), ("False", np.sqrt(np.pi) / 2.0)):
+            scn = load_scenario(p, overrides=[f"initial.normalize={value}"])
+            assert run(scn, tmp_path / value).summary["norm0"] == pytest.approx(norm0, rel=1e-12)
+
 
 class TestRun:
     def test_phi_run_writes_outputs(self, tmp_path):
@@ -340,6 +365,22 @@ class TestCli:
         assert len(read_snapshot(tmp_path / "r" / "snapshots.wps").frames) == 5
         assert (tmp_path / "r" / "diagnostics.csv").exists()
         assert not list((tmp_path / "r").glob("*.tmp"))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_diagnostics_exit_three(self, tmp_path):
+        # |Psi|^2 overflows: the rows hold inf and nan, which used to pass every
+        # ceiling with peaks of 0 and exit 0
+        text = MINIMAL_PHI.replace("phi = cos(2*pi*x/20)", "phi = 1e160*exp(-(x-10)^2)")
+        text = text.replace("steps = 40", "steps = 10")
+        text += "\n[monitors]\nnorm_drift = 1e-6\nidentity_residual = 1e-12\n"
+        p = write(tmp_path, "a.scn", text)
+        assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 3
+        columns = _csv_columns(tmp_path / "r" / "diagnostics.csv")
+        assert columns["psi_norm"][0] == np.inf and np.isnan(columns["identity_residual"][0])
+        assert len(read_snapshot(tmp_path / "r" / "snapshots.wps").frames) == 2
+        with pytest.raises(MonitorError, match="norm_drift: peak nan exceeds ceiling") as info:
+            run(load_scenario(p), tmp_path / "r2")
+        assert "identity_residual: peak nan" in str(info.value)
 
     def test_continuity_gate_exit_one(self, tmp_path):
         text = MAXWELL + "\n[sources]\nrho = sin(x)*cos(t)\nj_x = 0\nj_y = 0\nj_z = 0\n"
@@ -814,6 +855,112 @@ class TestMonitorPeaks:
         assert h_prime[0] == 0.0 and max(h_prime) > 0.0
         assert report.monitor_peaks["energy_drift"] == 0.0
         assert report.summary == {"h_prime0": 0.0}
+
+
+DRIVE = "[sources]\nj_z = 0.1*cos(x)*sin(t+1)\n"
+
+# small runs of each evolving kind, with the bytes one step's observed arrays take
+BLOCK_RUNS = {
+    "schrodinger": (SCHRODINGER, 64 * 16),
+    "phi": (HARMONIC_PHI, 2 * 64 * 8),
+    "maxwell-fields": (MAXWELL + DRIVE, 6 * 8**3 * 8),
+    # a longitudinal dA/dt breaks the constraint, so that peak is not 0
+    "maxwell-potential": (
+        MAXWELL_POTENTIAL.replace("a_dot_x = 0", "a_dot_x = 0.1*cos(x)") + DRIVE, 6 * 8**3 * 8
+    ),
+}
+
+
+def _watch_blocks(monkeypatch, kind: str) -> list:
+    """Record (rows, buffer bytes) of every block the kind's ``observe`` receives."""
+    spec = scenario_module.KIND[kind]
+    seen = []
+
+    def setup(scn):
+        state, columns, observe = spec.setup(scn)
+
+        def watched(times, *blocks):
+            seen.append((len(times), sum(b.base.nbytes for b in blocks)))
+            return observe(times, *blocks)
+
+        return state, columns, watched
+
+    monkeypatch.setitem(scenario_module.KIND, kind, dataclasses.replace(spec, setup=setup))
+    return seen
+
+
+class TestDiagnosticBlocks:
+    @pytest.mark.parametrize("kind", list(BLOCK_RUNS))
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch, kind):
+        text, step_bytes = BLOCK_RUNS[kind]
+        p = write(tmp_path, "a.scn", text)
+        overrides = ["integrator.steps=10", "integrator.snapshot_stride=4"]  # 11 rows
+        outputs = []
+        seen = _watch_blocks(monkeypatch, kind)
+        for rows, blocks in ((1, [1] * 11), (3, [3, 3, 3, 2]), (100, [11])):
+            monkeypatch.setattr(scenario_module, "_DIAG_BLOCK_BYTES", rows * step_bytes)
+            seen.clear()
+            report = run(load_scenario(p, overrides), tmp_path / f"k{rows}")
+            assert [n for n, _ in seen] == blocks
+            files = [(tmp_path / f"k{rows}" / name).read_bytes() for name in (SNAPSHOT, DIAG)]
+            outputs.append((files, report.monitor_peaks, report.summary))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert any(value > 0 for value in outputs[0][1].values())
+
+    @pytest.mark.parametrize(
+        "kind, text, rows, step_bytes",
+        [
+            ("maxwell-fields", MAXWELL.replace("8 8 8", "16 16 16"), 1, 6 * 16**3 * 8),
+            ("phi", HARMONIC_PHI.replace("points = 64", "points = 256"), 64, 2 * 256 * 8),
+        ],
+        ids=["maxwell-fields-16^3", "phi-256"],
+    )
+    def test_buffer_stays_under_the_cap(self, tmp_path, monkeypatch, kind, text, rows, step_bytes):
+        seen = _watch_blocks(monkeypatch, kind)
+        scn = load_scenario(write(tmp_path, "a.scn", text), ["integrator.steps=70"])
+        run(scn, tmp_path / "out")
+        assert {size for _, size in seen} == {rows * step_bytes}
+        assert max(n for n, _ in seen) == rows
+        assert rows * step_bytes <= max(scenario_module._DIAG_BLOCK_BYTES, step_bytes)
+
+    def test_failure_mid_block_leaves_no_diagnostics(self, tmp_path, monkeypatch):
+        real_drive = wavepotential.drive
+
+        def failing_drive(advance, *args):
+            def advance_or_fail(n):
+                if n == 5:
+                    raise SolverError("injected failure at step 5")
+                advance(n)
+
+            return real_drive(advance_or_fail, *args)
+
+        monkeypatch.setattr(wavepotential, "drive", failing_drive)
+        seen = _watch_blocks(monkeypatch, "phi")
+        text = HARMONIC_PHI.replace("points = 64", "points = 256")  # 64 rows a block
+        with pytest.raises(SolverError, match="step 5"):
+            run(load_scenario(write(tmp_path, "a.scn", text)), tmp_path / "out")
+        assert seen == []  # the block never filled
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+
+    def test_write_rows_writes_what_write_row_writes(self, tmp_path):
+        steps, values = np.arange(3), np.array([0.1, 1e-300, np.inf])
+        with DiagnosticsWriter(tmp_path / "rows.csv", ("step", "x", "y")) as out:
+            for i in range(3):
+                out.write_row([i, values[i], float(values[i]) * 3])
+        with DiagnosticsWriter(tmp_path / "block.csv", ("step", "x", "y")) as out:
+            out.write_rows([steps, values, list(values * 3)])
+            with pytest.raises(ValueError):
+                out.write_rows([steps, values, values[:2]])
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_non_finite_peak_stays_nan(self, tmp_path):
+        monitors = {"x_drift": "x", "y_max": "y"}
+        with scenario_module._MonitoredWriter(tmp_path / "d.csv", ("x", "y"), monitors) as out:
+            out.write_rows([[1.0, 2.0], [0.5, -np.inf]])
+            assert out.peaks == {"x_drift": 1.0, "y_max": pytest.approx(np.nan, nan_ok=True)}
+            out.write_row([np.nan, 1.0])
+            out.write_row([4.0, 1.0])
+        assert np.isnan(out.peaks["x_drift"]) and np.isnan(out.peaks["y_max"])
 
 
 _SCENARIO_SOURCE = Path(__file__).resolve().parent.parent / "src" / "wavepot" / "scenario.py"
