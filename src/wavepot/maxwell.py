@@ -31,12 +31,16 @@ from .grids import Grid, ScalarSampleField, VectorSampleField3
 from .operators import (
     Symbols,
     _curl_arrays,
+    _curl_modes,
+    _div_modes,
     divergence_array,
     first_derivative_array,
     fourier_apply,
+    from_modes,
     gradient_arrays,
     inverse_div_grad,
     max_wavenumber,
+    modes,
 )
 from .stepping import drive
 
@@ -54,6 +58,7 @@ __all__ = [
     "run_potential_verlet",
     "potential_to_fields",
     "potential_constraint_residual",
+    "potential_diagnostics",
     "em_hamiltonians",
     "field_energy",
     "gauge_shift_potential",
@@ -112,7 +117,8 @@ class SourceSpec:
 
     The pair must satisfy the continuity equation; ``validate_continuity``
     gates a run by probing d(rho)/dt + div J at sample times (d/dt by a
-    centered difference with step dt/100).
+    centered difference with step dt/100). A component that does not reference
+    t is sampled once per grid, whether or not the others do.
     """
 
     def __init__(
@@ -125,9 +131,8 @@ class SourceSpec:
         self.rho = as_node(rho)
         self.j = tuple(as_node(src) for src in j)
         self.bindings = dict(bindings or {})
-        self._static = not any(
-            expressions.references_time(node) for node in (self.rho, *self.j)
-        )
+        # rho, j_x, j_y, j_z: which reference t, and the samples of those that do not
+        self._timed = tuple(expressions.references_time(node) for node in (self.rho, *self.j))
         self._cache: dict = {}
 
     @classmethod
@@ -136,27 +141,23 @@ class SourceSpec:
 
     @property
     def is_static(self) -> bool:
-        return self._static
+        return not any(self._timed)
 
-    def _sampled(self, name: str, grid: Grid, sample):
-        """``sample()``, kept per grid under ``name`` when no source references t."""
-        if not self._static:
-            return sample()
-        if (name, grid) not in self._cache:
-            self._cache[(name, grid)] = sample()
-        return self._cache[(name, grid)]
+    def _component(self, i: int, t: float, grid: Grid) -> ScalarSampleField:
+        """Component i (rho, j_x, j_y, j_z) at time t; one that does not reference t
+        is sampled once per grid and kept."""
+        node = (self.rho, *self.j)[i]
+        if self._timed[i]:
+            return expressions.sample(node, grid, self.bindings, t)
+        if (i, grid) not in self._cache:
+            self._cache[(i, grid)] = expressions.sample(node, grid, self.bindings, t)
+        return self._cache[(i, grid)]
 
     def rho_at(self, t: float, grid: Grid) -> ScalarSampleField:
-        return self._sampled(
-            "rho", grid, lambda: expressions.sample(self.rho, grid, self.bindings, t)
-        )
+        return self._component(0, t, grid)
 
     def current_at(self, t: float, grid: Grid) -> VectorSampleField3:
-        def sample() -> VectorSampleField3:
-            comps = [expressions.sample(node, grid, self.bindings, t) for node in self.j]
-            return VectorSampleField3.from_components(*comps)
-
-        return self._sampled("j", grid, sample)
+        return VectorSampleField3.from_components(*(self._component(i, t, grid) for i in (1, 2, 3)))
 
     def continuity_residual(
         self, t: float, grid: Grid, dt: float, method: str = "spectral"
@@ -168,8 +169,8 @@ class SourceSpec:
         against the roundoff of their cancelling sum.
         """
         h = dt / 100.0
-        rho_plus = expressions.sample(self.rho, grid, self.bindings, t + h).values
-        rho_minus = expressions.sample(self.rho, grid, self.bindings, t - h).values
+        rho_plus = self._component(0, t + h, grid).values
+        rho_minus = self._component(0, t - h, grid).values
         drho = (rho_plus - rho_minus) / (2.0 * h)
         jv = self.current_at(t, grid).values
         terms = [first_derivative_array(jv[a], grid, a, method) for a in range(3)]
@@ -182,7 +183,7 @@ class SourceSpec:
     ) -> None:
         """Reject the sources if continuity fails at any probe time."""
         span = max(total_time, dt)
-        times = [0.0] if self._static else np.linspace(0.0, span, _CONTINUITY_PROBES)
+        times = [0.0] if self.is_static else np.linspace(0.0, span, _CONTINUITY_PROBES)
         for t in times:
             residual, scale = self.continuity_residual(float(t), grid, dt, method)
             if residual > _CONTINUITY_TOL * max(scale, 1e-30):
@@ -386,6 +387,27 @@ def potential_constraint_residual(
         raise GridMismatchError("rho must live on the potential grid")
     div_adot = divergence_array(state.a_dot.values, grid, method)
     return float(np.max(np.abs(div_adot + state.c * rho.values)))
+
+
+def potential_diagnostics(
+    state: PotentialState, rho: ScalarSampleField, method: str = "spectral"
+) -> tuple[float, float, float]:
+    """(H' of the mapped fields, the potential constraint residual, max |div B|).
+
+    A is transformed once: B = curl A and div B are symbol products of its
+    modes. H' equals ``field_energy(potential_to_fields(state))`` bit for bit;
+    div curl A cancels mode by mode, so div B sits at the roundoff of that
+    product rather than at that of a second transform.
+    """
+    grid = state.grid
+    a = modes(state.a.values, grid, method)
+    curl_hat = _curl_modes(a.hat, a.sym)
+    div_b = from_modes(a._replace(hat=_div_modes(curl_hat, a.sym)))
+    b = from_modes(a._replace(hat=curl_hat))
+    e = -state.a_dot.values / state.c
+    fields = EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), state.c)
+    residual = potential_constraint_residual(state, rho, method)
+    return field_energy(fields), residual, float(np.max(np.abs(div_b)))
 
 
 def em_hamiltonians(

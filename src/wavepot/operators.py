@@ -2,9 +2,10 @@
 
 Every operator is mode-wise arithmetic on one backend's symbols between the
 forward and inverse transforms of ``_transforms``, the package's only FFT
-calls. Real arrays take the half spectrum (``rfft``/``rfftn``) and come back
-real, complex arrays the full one (``fft``/``fftn``); leading batch axes pass
-through.
+calls: ``modes`` takes samples to their spectrum and ``from_modes`` back, so a
+caller that needs several operators of one field transforms it once. Real
+arrays take the half spectrum (``rfft``/``rfftn``) and come back real, complex
+arrays the full one (``fft``/``fftn``); leading batch axes pass through.
 
 ``spectral``
     Exact multipliers. First derivatives (i k) zero the Nyquist mode so real
@@ -38,6 +39,9 @@ __all__ = [
     "METHODS",
     "Symbols",
     "symbols",
+    "Modes",
+    "modes",
+    "from_modes",
     "fourier_apply",
     "fourier_multiplier",
     "live_quotient",
@@ -133,6 +137,27 @@ def _transforms(grid: Grid, real: bool) -> tuple[Callable, Callable]:
     return partial(np.fft.rfftn, axes=axes), partial(np.fft.irfftn, s=grid.shape, axes=axes)
 
 
+class Modes(NamedTuple):
+    """The spectrum ``hat`` of samples on ``grid``, with the backend's symbols ``sym``
+    on the same spectrum: the half spectrum when the samples are ``real``."""
+
+    hat: np.ndarray
+    sym: Symbols
+    grid: Grid
+    real: bool
+
+
+def modes(values: np.ndarray, grid: Grid, method: str) -> Modes:
+    """The spectrum of ``values`` over the trailing grid axes, one forward transform."""
+    real = not np.iscomplexobj(values)
+    return Modes(_transforms(grid, real)[0](values), symbols(grid, method, real), grid, real)
+
+
+def from_modes(spectrum: Modes) -> np.ndarray:
+    """The samples of ``spectrum.hat``, one inverse transform; real for a real spectrum."""
+    return _transforms(spectrum.grid, spectrum.real)[1](spectrum.hat)
+
+
 def fourier_apply(
     values: np.ndarray,
     grid: Grid,
@@ -145,10 +170,8 @@ def fourier_apply(
     spectrum for real values, whose result is real. ``modewise`` may work on
     ``hat`` in place.
     """
-    real = not np.iscomplexobj(values)
-    sym = symbols(grid, method, real)
-    forward, inverse = _transforms(grid, real)
-    return inverse(modewise(forward(values), sym))
+    spectrum = modes(values, grid, method)
+    return from_modes(spectrum._replace(hat=modewise(spectrum.hat, spectrum.sym)))
 
 
 def fourier_multiplier(grid: Grid, symbol: np.ndarray, real: bool) -> Callable:

@@ -618,13 +618,9 @@ def _maxwell_fields_evolution(scenario: Scenario):
         st = maxwell.EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), c)
         rho = sources.rho_at(t, grid)
         div_e_res, div_b_res = maxwell.constraint_residual(st, rho, scenario.backend)
-        rs_res, rs_scale = maxwell.riemann_silberstein_residual(
-            st, sources, t, scenario.backend
-        )
-        h_prime = maxwell.field_energy(st)
-        return h_prime, div_e_res, div_b_res, rs_res / max(rs_scale, 1e-300)
+        return maxwell.field_energy(st), div_e_res, div_b_res
 
-    columns = ("h_prime", "div_e_residual", "div_b_residual", "rs_residual_rel")
+    columns = ("h_prime", "div_e_residual", "div_b_residual")
     return state, columns, _row_by_row(observe_row)
 
 
@@ -636,12 +632,7 @@ def _maxwell_potential_evolution(scenario: Scenario):
 
     def observe_row(t: float, a: np.ndarray, a_dot: np.ndarray) -> tuple:
         st = maxwell.PotentialState(VectorSampleField3(grid, a), VectorSampleField3(grid, a_dot), c)
-        fields = maxwell.potential_to_fields(st, scenario.backend)
-        rho = sources.rho_at(t, grid)
-        con = maxwell.potential_constraint_residual(st, rho, scenario.backend)
-        div_b = float(np.max(np.abs(divergence_array(fields.b.values, grid, scenario.backend))))
-        h_prime = maxwell.field_energy(fields)
-        return h_prime, con, div_b
+        return maxwell.potential_diagnostics(st, sources.rho_at(t, grid), scenario.backend)
 
     columns = ("h_prime", "potential_constraint_residual", "div_b_residual")
     return state, columns, _row_by_row(observe_row)

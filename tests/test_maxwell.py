@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import smooth_scalar, smooth_vector
-from wavepot.errors import ContinuityError, StabilityError
+from wavepot import expressions
+from wavepot.errors import ContinuityError, GridMismatchError, StabilityError
 from wavepot.grids import Grid, ScalarSampleField, VectorSampleField3, l2_norm, max_norm
 from wavepot.maxwell import (
     EMState,
@@ -14,9 +15,11 @@ from wavepot.maxwell import (
     coulomb_field_from_charge,
     em_hamiltonians,
     em_rhs,
+    field_energy,
     gauge_shift_potential,
     potential_acceleration,
     potential_constraint_residual,
+    potential_diagnostics,
     potential_dt_bound,
     potential_to_fields,
     riemann_silberstein_residual,
@@ -117,6 +120,26 @@ class TestRk4:
         run_rk4(state, src, dt, 1000, sink=snaps.__setitem__, snapshot_stride=100)
         drift = max(abs(em_hamiltonians(s, j0)[1] - h0) / h0 for s in snaps.values())
         assert drift <= 1e-9
+
+    def test_sources_sampled_at_the_substage_times(self, cube16):
+        # j(t + dt) of step n is sampled again as j(t) of step n + 1: the two
+        # times are (n-1)*dt + dt and n*dt, which differ in the last bit for
+        # n = 6, 7, 10, ... at dt = 0.04, so the sample cannot be reused
+        times = []
+
+        class Recording(SourceSpec):
+            def current_at(self, t, grid):
+                times.append(t)
+                return super().current_at(t, grid)
+
+        dt, steps = 0.04, 12
+        src = Recording("0", ("0", "0", "0.5*cos(x+2*y)*sin(t+0.3)"))
+        run_rk4(plane_wave_state(cube16), src, dt, steps, sink=None)
+        expected = []
+        for n in range(1, steps + 1):
+            expected += [(n - 1) * dt, (n - 1) * dt + 0.5 * dt, (n - 1) * dt + dt]
+        assert times == expected
+        assert any((n - 1) * dt + dt != n * dt for n in range(1, steps + 1))
 
     def test_rk4_dissipation_scaling(self, cube16):
         # amplitude decay per step is (omega dt)^6 / 72; verify the law at 2x dt
@@ -369,6 +392,22 @@ class TestPotentialConstraint:
             assert potential_constraint_residual(s, rho) <= 1e-8 * scale
 
 
+class TestPotentialDiagnostics:
+    def test_equal_to_the_separate_maps(self, cube16, rng):
+        state = PotentialState(smooth_vector(cube16, rng), smooth_vector(cube16, rng), 1.7)
+        rho = ScalarSampleField(cube16, -divergence(state.a_dot).values / state.c)
+        for method in ("spectral", "central2"):
+            h_prime, con, div_b = potential_diagnostics(state, rho, method)
+            assert h_prime == field_energy(potential_to_fields(state, method))
+            assert con == potential_constraint_residual(state, rho, method)
+            assert div_b <= 1e-13 * max_norm(potential_to_fields(state, method).b)
+
+    def test_rho_on_another_grid_rejected(self, cube16):
+        state = plane_wave_potential(cube16)
+        with pytest.raises(GridMismatchError):
+            potential_diagnostics(state, ScalarSampleField.zeros(Grid.cube(8, 2 * np.pi)))
+
+
 class TestHamiltonians:
     def test_zero_state(self, cube16):
         state = EMState(VectorSampleField3.zeros(cube16), VectorSampleField3.zeros(cube16))
@@ -444,6 +483,53 @@ class TestContinuityGate:
         src = SourceSpec("0", ("sin(x)", "0", "0"))
         with pytest.raises(ContinuityError):
             src.validate_continuity(cube16, 1e-2, 1.0)
+
+
+class TestSourceCache:
+    @staticmethod
+    def count_samples(monkeypatch) -> list:
+        calls = []
+        sample = expressions.sample
+
+        def counting(node, grid, bindings=None, t=0.0):
+            calls.append((node, grid, t))
+            return sample(node, grid, bindings, t)
+
+        monkeypatch.setattr(expressions, "sample", counting)
+        return calls
+
+    def test_static_components_sampled_once_per_grid(self, cube16, monkeypatch):
+        calls = self.count_samples(monkeypatch)
+        src = SourceSpec("0", ("0", "cos(x)", "0.5*cos(x+2*y)*sin(t+0.3)"))
+        grids = (cube16, Grid.cube(8, 2 * np.pi))
+        for t in (0.0, 0.02, 0.04):
+            for grid in grids:
+                src.rho_at(t, grid)
+                src.current_at(t, grid)
+        timed = [(grid, t) for node, grid, t in calls if expressions.references_time(node)]
+        assert timed == [(grid, t) for t in (0.0, 0.02, 0.04) for grid in grids]
+        static = [(id(node), grid.points) for node, grid, _ in calls if node is not src.j[2]]
+        once = [(id(node), grid.points) for node in (src.rho, *src.j[:2]) for grid in grids]
+        assert sorted(static) == sorted(once)
+        assert not src.is_static
+
+    def test_samples_equal_a_fresh_sample(self, cube16):
+        src = SourceSpec(
+            "0.1*sin(x)*cos(t)", ("0-0.1*cos(x)*sin(t)", "cos(z)", "0"), {"unused": 2.0}
+        )
+        for t in (0.0, 0.37, 1.25):
+            for _ in range(2):
+                j = src.current_at(t, cube16).values
+                for comp, node in enumerate(src.j):
+                    fresh = expressions.sample(node, cube16, src.bindings, t).values
+                    assert j[comp].tobytes() == fresh.tobytes()
+                fresh_rho = expressions.sample(src.rho, cube16, src.bindings, t).values
+                assert src.rho_at(t, cube16).values.tobytes() == fresh_rho.tobytes()
+
+    def test_is_static_only_when_no_component_references_t(self):
+        assert SourceSpec("sin(x)", ("0", "cos(y)", "0")).is_static
+        assert not SourceSpec("0", ("0", "0", "sin(t)")).is_static
+        assert not SourceSpec("t", ("0", "0", "0")).is_static
 
 
 class TestEquivalence:

@@ -15,13 +15,19 @@ from wavepot.operators import (
     curl,
     curl_curl_identity_residual,
     divergence,
+    divergence_array,
     first_derivative_array,
+    from_modes,
     gradient,
+    gradient_arrays,
     inverse_div_grad,
     laplacian,
     laplacian_array,
     laplacian_spectral_radius,
+    live_quotient,
+    modes,
     solenoidal_projection,
+    symbols,
 )
 from wavepot.schrodinger import (
     DENSE_L_LIMIT,
@@ -293,6 +299,81 @@ class TestRealAndComplexInputAgree:
         j = np.zeros_like(f)
         self.check(lambda x: _curl_arrays(x, CUBE, method), f, g)
         self.check(lambda x: _potential_accel_arrays(x, j, 1.7, CUBE, method), f, g)
+
+
+def written_out(values, grid, method, modewise):
+    """``modewise(hat, sym)`` between np.fft transforms called directly: rfft and
+    irfft on a real line, rfftn and irfftn over the grid axes of real samples,
+    fft/fftn and their inverses on complex ones."""
+    real = not np.iscomplexobj(values)
+    sym = symbols(grid, method, real)
+    axes = tuple(range(-grid.dims, 0))
+    if grid.dims == 1 and real:
+        return np.fft.irfft(modewise(np.fft.rfft(values), sym), n=grid.points[0])
+    if grid.dims == 1:
+        return np.fft.ifft(modewise(np.fft.fft(values), sym))
+    if real:
+        hat = np.fft.rfftn(values, axes=axes)
+        return np.fft.irfftn(modewise(hat, sym), s=grid.shape, axes=axes)
+    return np.fft.ifftn(modewise(np.fft.fftn(values, axes=axes), sym), axes=axes)
+
+
+def written_out_potential_accel(hat, sym):
+    s, lap = sym.deriv, sym.lap
+    dsum = s[0] * hat[0] + s[1] * hat[1] + s[2] * hat[2]
+    return np.stack([lap * hat[b] + s[b] * dsum for b in range(3)])
+
+
+def written_out_curl(hat, sym):
+    s = sym.deriv
+    x = s[1] * hat[2] - s[2] * hat[1]
+    y = s[2] * hat[0] - s[0] * hat[2]
+    z = s[0] * hat[1] - s[1] * hat[0]
+    return 1j * np.stack([x, y, z])
+
+
+class TestOneTransformPath:
+    """Every operator gives the bytes of its mode-wise arithmetic between direct
+    np.fft calls, for real and complex samples in 1D and 3D."""
+
+    @staticmethod
+    def same_bytes(got, ref):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", ["1d", "3d"])
+    def test_scalar_operators(self, name, method, complex_, rng):
+        grid = GRIDS[name]
+        f = random_samples((2,) + grid.shape, rng, complex_)  # a leading batch axis
+        spectrum = modes(f, grid, method)
+        assert spectrum.real is not complex_
+        self.same_bytes(from_modes(spectrum), written_out(f, grid, method, lambda h, sym: h))
+        ref = written_out(f, grid, method, lambda h, sym: h * sym.lap)
+        self.same_bytes(laplacian_array(f, grid, method), ref)
+        for axis, got in enumerate(gradient_arrays(f, grid, method)):
+            ref = written_out(f, grid, method, lambda h, sym: h * (1j * sym.deriv[axis]))
+            self.same_bytes(first_derivative_array(f, grid, axis, method), ref)
+            self.same_bytes(got, ref)
+        u = np.stack([band_limited(grid, rng) for _ in range(2)])
+        u = u - u.mean(axis=tuple(range(1, u.ndim)), keepdims=True)
+        if complex_:
+            u = u + 1j * u[::-1]
+        ref = written_out(u, grid, method, lambda h, sym: live_quotient(h, sym.div_grad, "u"))
+        self.same_bytes(inverse_div_grad(u, grid, method), ref)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_vector_operators(self, method, complex_, rng):
+        a = random_samples((3,) + CUBE.shape, rng, complex_)
+        j = rng.standard_normal((3,) + CUBE.shape)
+        div = lambda h, sym: 1j * (sym.deriv[0] * h[0] + sym.deriv[1] * h[1] + sym.deriv[2] * h[2])
+        self.same_bytes(divergence_array(a, CUBE, method), written_out(a, CUBE, method, div))
+        ref = written_out(a, CUBE, method, written_out_curl)
+        self.same_bytes(_curl_arrays(a, CUBE, method), ref)
+        ref = 1.7 * 1.7 * written_out(a, CUBE, method, written_out_potential_accel) + 1.7 * j
+        self.same_bytes(_potential_accel_arrays(a, j, 1.7, CUBE, method), ref)
 
 
 class TestDenseSmallGridL:

@@ -314,10 +314,31 @@ class TestRun:
         scn = load_scenario(write(tmp_path, "m.scn", MAXWELL))
         run(scn, tmp_path / "out")
         rows = open(tmp_path / "out" / "diagnostics.csv").read().splitlines()
-        cols = rows[0].split(",")
-        idx = cols.index("div_b_residual")
+        assert rows[0] == "step,time,h_prime,div_e_residual,div_b_residual"
+        idx = rows[0].split(",").index("div_b_residual")
         for r in rows[1:]:
             assert float(r.split(",")[idx]) <= 1e-11
+
+    def test_potential_rows_match_the_separate_maps(self, tmp_path):
+        # a row's h_prime and constraint residual, from one transform of A and one
+        # of dA/dt, equal the field map and the constraint function on each frame
+        scn = load_scenario(
+            SCENARIO_DIR / "c06_maxwell_potential.scn",
+            ["integrator.steps=60", "integrator.snapshot_stride=20"],
+        )
+        run(scn, tmp_path / "out")
+        diag = _csv_columns(tmp_path / "out" / DIAG)
+        columns = ["step", "time", "h_prime", "potential_constraint_residual", "div_b_residual"]
+        assert list(diag) == columns
+        data = read_snapshot(tmp_path / "out" / SNAPSHOT)
+        spec = scenario_module.KIND["maxwell-potential"]
+        for step, frame in zip((0, 20, 40, 60), data.frames):
+            state = spec.from_arrays(scn, [frame[name] for name in data.fields])
+            rho = scn.sources.rho_at(diag["time"][step], scn.grid)
+            h_prime = maxwell.field_energy(maxwell.potential_to_fields(state, scn.backend))
+            residual = maxwell.potential_constraint_residual(state, rho, scn.backend)
+            assert diag["h_prime"][step] == h_prime
+            assert diag["potential_constraint_residual"][step] == residual
 
 
 class TestCli:
