@@ -8,11 +8,12 @@ back. Runs in a few seconds at the default resolution.
 """
 
 import argparse
+import itertools
 
 import numpy as np
 
 from wavepot.grids import ComplexSampleField, Grid, l2_norm
-from wavepot.reconstruction import TrajectoryRecord, reconstruct_phi
+from wavepot.reconstruction import reconstruct_phi
 from wavepot.schrodinger import (
     PotentialSpec,
     QuantumParams,
@@ -66,13 +67,11 @@ def main() -> None:
     cn_dt, cn_steps = 1e-3, 2000
     record = {}
     propagate_cn(psi, V, cn_dt, cn_steps, sink=record.__setitem__)
-    traj = TrajectoryRecord.of_waves(
-        [n * cn_dt for n in record], [wave.psi for wave in record.values()]
-    )
-    states = reconstruct_phi(traj, V, params)
+    psis = [wave.psi for wave in record.values()]
+    states = reconstruct_phi([n * cn_dt for n in record], psis, V, params)
     worst = max(
         l2_norm(ComplexSampleField(grid, to_wavefunction(s).psi.values - f.values))
-        for s, f in zip(states[::200], traj.frames[::200])
+        for s, f in itertools.islice(zip(states, psis), 0, None, 200)
     )
     print(f"\nreverse map: {cn_steps} Crank-Nicolson steps recorded, potential rebuilt")
     print(f"sup round-trip L2 error: {worst:.3e}")

@@ -35,7 +35,6 @@ from .grids import (
 from .schrodinger import PotentialSpec, QuantumParams, WaveFunction
 from .wavepotential import PhiState
 from .maxwell import EMState, PotentialState, SourceSpec
-from .reconstruction import TrajectoryRecord
 from .scenario import Scenario, compare, load_scenario, run
 
 __version__ = "0.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "EMState",
     "PotentialState",
     "SourceSpec",
-    "TrajectoryRecord",
     "Scenario",
     "load_scenario",
     "run",

@@ -14,8 +14,8 @@ trajectory,
 
     A(t) = -c Int_0^t E dtau + K,   curl K = B(0),
 
-with K made unique by the divergence-free, zero-mean choice. Cumulative
-integrals use the composite trapezoid rule, matching the second-order
+with K made unique by the divergence-free, zero-mean choice. Both maps stream:
+one running composite-trapezoid sum, in time order, matches the second-order
 accuracy of the recording propagators; a Crank-Nicolson record round-trips
 through the quantum map exactly up to the elliptic residual because the
 Cayley update *is* the trapezoid relation between the two parts.
@@ -23,9 +23,9 @@ Cayley update *is* the trapezoid relation between the two parts.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,8 +53,6 @@ from .schrodinger import (
 from .wavepotential import PhiState
 
 __all__ = [
-    "TrajectoryRecord",
-    "time_integrate",
     "solve_elliptic",
     "reconstruct_phi",
     "curl_inverse",
@@ -62,74 +60,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Uniformly sampled snapshots starting at t = 0.
+def _interval_widths(times) -> np.ndarray:
+    """The widths of a record's time intervals, checked.
 
-    Frames are ComplexSampleField (wave functions) or EMState (field pairs),
-    homogeneous within one record. The last interval may be shorter than the
-    rest: a run whose step count is not a multiple of its stride records its
-    final step off the uniform grid.
+    A record starts at t = 0 with at least two uniformly spaced samples. Its
+    last interval may be shorter than the rest: a run whose step count is not
+    a multiple of its stride records its final step off the uniform grid.
     """
-
-    times: np.ndarray
-    frames: tuple
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        if len(self.frames) != times.size:
-            raise ValueError("times and frames disagree in length")
-        if abs(times[0]) > 1e-12 * max(times[-1], 1.0):
-            raise ValueError("trajectory must start at t = 0")
-        dts = np.diff(times)
-        if np.any(dts <= 0):
-            raise ValueError("times must ascend")
-        dt = dts[0]
-        uniform = dts[:-1] if dts[-1] < dt else dts
-        if np.max(np.abs(uniform - dt)) > 1e-12 * dt:
-            raise ValueError("trajectory samples must be uniformly spaced")
-        kinds = {type(f) for f in self.frames}
-        if len(kinds) != 1:
-            raise ValueError("trajectory frames must be homogeneous")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def grid(self) -> Grid:
-        return self.frames[0].grid
-
-    def cumulative_integral(self, samples: np.ndarray) -> np.ndarray:
-        """``time_integrate`` of per-frame samples, honouring a short last interval."""
-        out = time_integrate(samples, self.dt)
-        last = float(self.times[-1] - self.times[-2])
-        if abs(last - self.dt) > 1e-12 * self.dt:
-            out[-1] = out[-2] + 0.5 * last * (samples[-1] + samples[-2])
-        return out
-
-    @classmethod
-    def of_waves(cls, times, psis: Sequence[ComplexSampleField]) -> "TrajectoryRecord":
-        return cls(np.asarray(times), tuple(psis))
-
-    @classmethod
-    def of_fields(cls, times, states: Sequence[EMState]) -> "TrajectoryRecord":
-        return cls(np.asarray(times), tuple(states))
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("a trajectory needs at least two samples")
+    if abs(times[0]) > 1e-12 * max(times[-1], 1.0):
+        raise ValueError("trajectory must start at t = 0")
+    dts = np.diff(times)
+    if np.any(dts <= 0):
+        raise ValueError("times must ascend")
+    dt = dts[0]
+    uniform = dts[:-1] if dts[-1] < dt else dts
+    if np.max(np.abs(uniform - dt)) > 1e-12 * dt:
+        raise ValueError("trajectory samples must be uniformly spaced")
+    widths = np.full(dts.size, dt)
+    if abs(dts[-1] - dt) > 1e-12 * dt:
+        widths[-1] = dts[-1]
+    return widths
 
 
-def time_integrate(snapshots: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative composite-trapezoid integral along the leading (time) axis."""
-    snapshots = np.asarray(snapshots)
-    out = np.empty_like(snapshots, dtype=np.result_type(snapshots, np.float64))
-    out[0] = 0.0
-    if snapshots.shape[0] > 1:
-        increments = 0.5 * dt * (snapshots[1:] + snapshots[:-1])
-        np.cumsum(increments, axis=0, out=out[1:])
-    return out
+def _running_trapezoid(
+    widths: np.ndarray, samples: Iterable[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each sample f_n with its composite-trapezoid integral from t_0 to t_n.
+
+    One sample per time, one more than ``widths``. The sum runs in time
+    order, so it has the bits of an ``np.cumsum`` of the interval increments.
+    """
+    samples = iter(samples)
+    prev = next(samples)
+    total = np.zeros_like(prev)
+    yield prev, total
+    for n, (width, sample) in enumerate(zip(widths, samples, strict=True)):
+        increment = 0.5 * width * (sample + prev)
+        # the first increment stands alone, as cumsum's first entry does: 0.0 + -0.0 is 0.0
+        total = increment if n == 0 else total + increment
+        yield sample, total
+        prev = sample
+
+
+def _first(frames: Iterable, kind: type, name: str) -> tuple:
+    """The first of ``frames``, which must be a ``kind``, and all frames again."""
+    frames = iter(frames)
+    first = next(frames, None)
+    if not isinstance(first, kind):
+        raise TypeError(f"{name} needs a trajectory of {kind.__name__} frames")
+    return first, itertools.chain([first], frames)
 
 
 # Relative residual of the elliptic solve L C = -Re Psi(0). The round-trip
@@ -160,8 +142,7 @@ def _fourier_preconditioner(grid: Grid, v: np.ndarray, params: QuantumParams, me
     Positive definite for every V, so it serves both CG on H and LOBPCG. Takes
     real arrays; a leading batch axis passes through.
     """
-    kin = params.hbar**2 / (2.0 * params.mass)
-    sym = -kin * symbols(grid, method).lap + abs(float(v.mean()))
+    sym = -params.kinetic * symbols(grid, method).lap + abs(float(v.mean()))
     return fourier_multiplier(grid, 1.0 / np.where(np.abs(sym) < 1e-14, 1.0, sym), real=True)
 
 
@@ -297,31 +278,35 @@ def solve_elliptic(
 
 
 def reconstruct_phi(
-    traj: TrajectoryRecord,
+    times,
+    psis: Iterable[ComplexSampleField],
     V: PotentialSpec,
     params: QuantumParams,
     method: str = "spectral",
-) -> list[PhiState]:
-    """Build the wave-potential trajectory equivalent to a recorded Psi trajectory.
+) -> Iterator[PhiState]:
+    """The wave-potential trajectory equivalent to a recorded Psi trajectory, frame by frame.
 
-    phi(t_n) integrates Im Psi / hbar by cumulative trapezoid from t = 0; the
+    phi(t_n) integrates Im Psi / hbar by running trapezoid from t = 0; the
     integration constant solves L C = -Re Psi(0). phi_dot(t_n) is
-    Im Psi(t_n) / hbar pointwise.
+    Im Psi(t_n) / hbar pointwise. The times are checked and C is solved here;
+    the states come one at a time as ``psis`` is read.
     """
-    if not isinstance(traj.frames[0], ComplexSampleField):
-        raise TypeError("reconstruct_phi needs a wave-function trajectory")
-    grid = traj.grid
+    widths = _interval_widths(times)
+    first, psis = _first(psis, ComplexSampleField, "reconstruct_phi")
+    grid = first.grid
     if V.grid != grid:
         raise ValueError("potential must live on the trajectory grid")
-    p_stack = np.stack([frame.values.imag for frame in traj.frames])
-    c0 = solve_elliptic(V, ScalarSampleField(grid, -traj.frames[0].values.real), params, method)
-    integral = traj.cumulative_integral(p_stack) / params.hbar
-    states = []
-    for n in range(len(traj.frames)):
-        phi = ScalarSampleField(grid, integral[n] + c0.values)
-        phi_dot = ScalarSampleField(grid, p_stack[n] / params.hbar)
-        states.append(PhiState(phi, phi_dot, params, V))
-    return states
+    c0 = solve_elliptic(V, ScalarSampleField(grid, -first.values.real), params, method)
+    hbar = params.hbar
+    return (
+        PhiState(
+            ScalarSampleField(grid, integral / hbar + c0.values),
+            ScalarSampleField(grid, p / hbar),
+            params,
+            V,
+        )
+        for p, integral in _running_trapezoid(widths, (psi.values.imag for psi in psis))
+    )
 
 
 def curl_inverse(b0: VectorSampleField3, method: str = "spectral") -> VectorSampleField3:
@@ -362,23 +347,22 @@ def curl_inverse(b0: VectorSampleField3, method: str = "spectral") -> VectorSamp
 
 
 def reconstruct_vector_potential(
-    traj: TrajectoryRecord, method: str = "spectral"
-) -> list[PotentialState]:
-    """Build the potential trajectory equivalent to a recorded (E, B) trajectory.
+    times, fields: Iterable[EMState], method: str = "spectral"
+) -> Iterator[PotentialState]:
+    """The potential trajectory equivalent to a recorded (E, B) trajectory, frame by frame.
 
-    A(t_n) = -c * cumulative-trapezoid of E plus the curl inverse of B(0);
-    dA/dt is -c E(t_n) pointwise, so the electric field round-trips exactly.
+    A(t_n) = -c * running trapezoid of E plus the curl inverse of B(0); dA/dt
+    is -c E(t_n) pointwise, so the electric field round-trips exactly. The
+    times are checked and the curl inverse taken here; the states come one at
+    a time as ``fields`` is read.
     """
-    if not isinstance(traj.frames[0], EMState):
-        raise TypeError("reconstruct_vector_potential needs an (E, B) trajectory")
-    grid = traj.grid
-    c = traj.frames[0].c
-    k0 = curl_inverse(traj.frames[0].b, method)
-    e_stack = np.stack([frame.e.values for frame in traj.frames])
-    integral = traj.cumulative_integral(e_stack)
-    states = []
-    for n in range(len(traj.frames)):
-        a = VectorSampleField3(grid, -c * integral[n] + k0.values)
-        a_dot = VectorSampleField3(grid, -c * e_stack[n])
-        states.append(PotentialState(a, a_dot, c))
-    return states
+    widths = _interval_widths(times)
+    first, fields = _first(fields, EMState, "reconstruct_vector_potential")
+    grid, c = first.grid, first.c
+    k0 = curl_inverse(first.b, method)
+    return (
+        PotentialState(
+            VectorSampleField3(grid, -c * integral + k0.values), VectorSampleField3(grid, -c * e), c
+        )
+        for e, integral in _running_trapezoid(widths, (st.e.values for st in fields))
+    )

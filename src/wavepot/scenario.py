@@ -64,7 +64,7 @@ class _Kind:
     integrate: Callable | None = None  # (scenario, state, **options): run the integrator
     auto_dt: Callable | None = None  # scenario -> the stability bound "dt = auto" resolves to
     needs_3d: bool = False
-    reconstruct: Callable | None = None  # (scenario, record, states) -> potential-form states
+    reconstruct: Callable | None = None  # (scenario, record, state iterable) -> state iterator
 
 
 _DEFAULT_CONSTANTS = {"hbar": 1.0, "m": 1.0, "c": 1.0}
@@ -575,11 +575,6 @@ def _phi_evolution(scenario: Scenario):
     if init["type"] == "stationary":
         mode = int(init["mode"])
         t0 = float(init["time"])
-        if grid.size > schrodinger.DENSE_GRID_LIMIT:
-            raise ScenarioError(
-                "stationary initial data needs the dense eigensolver "
-                f"(grid size {grid.size} > {schrodinger.DENSE_GRID_LIMIT})"
-            )
         energy_n, psi_n = schrodinger.eigenpairs_small(V, params, mode + 1, scenario.backend)[mode]
         state = wavepotential.stationary_phi(psi_n, energy_n, t0, params, V, scenario.backend)
     elif init["type"] == "random":
@@ -650,8 +645,8 @@ def _load_run(scenario: Scenario, key: str) -> SnapshotData:
     return read_snapshot(path)
 
 
-def _decode(data: SnapshotData):
-    """The scenario a record was made with, and its frames as states one at a time.
+def _decoder(data: SnapshotData):
+    """The scenario a record was made with, and the map from one of its frames to a state.
 
     That scenario holds the backend, constants and potential in the record's
     provenance, with load_scenario's defaults for constants it lacks."""
@@ -663,7 +658,7 @@ def _decode(data: SnapshotData):
         if "potential" not in prov:
             raise ScenarioError(f"{data.kind} run lacks a potential in its provenance")
         scn.potential = _sample_potential(prov["potential"], data.grid, constants)
-    return scn, (spec.from_arrays(scn, [f[name] for name in spec.fields]) for f in data.frames)
+    return scn, lambda frame: spec.from_arrays(scn, [frame[name] for name in spec.fields])
 
 
 def _forward_arrays(kind: str, state, backend: str) -> list:
@@ -703,8 +698,10 @@ def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
     data = _load_run(scenario, "source")
     if data.kind != source_kind:
         raise ScenarioError(f"{scenario.kind} needs a {source_kind} run, got {data.kind!r}")
-    originals = list(_decode(data)[1])
-    states = spec.reconstruct(scenario, data, originals)
+    decode = _decoder(data)[1]
+    # the map and the comparison each decode the frames as they go
+    states = spec.reconstruct(scenario, data, map(decode, data.frames))
+    originals = map(decode, data.frames)
     backend, vol = scenario.backend, data.grid.cell_volume
     with SnapshotWriter(
         out_dir / SNAPSHOT_FILE,
@@ -713,7 +710,7 @@ def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
         fields=KIND[out_kind].fields,
         time_start=float(data.times[0]),
         time_step=float(data.times[1] - data.times[0]),
-        frame_count=len(states),
+        frame_count=len(data.frames),
         time_end=data.time_end,
         provenance=scenario.provenance(),
     ) as snap:
@@ -723,7 +720,7 @@ def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
                 snap.write_frame(KIND[out_kind].to_arrays(st))
                 yield _forward_arrays(out_kind, st, backend), KIND[source_kind].to_arrays(original)
 
-        columns, summary = ("roundtrip_l2", "roundtrip_max"), {"frames": len(states)}
+        columns, summary = ("roundtrip_l2", "roundtrip_max"), {"frames": len(data.frames)}
         return _write_diffs(
             scenario.kind, out_dir, data.times, pairs(), vol, columns, "sup_", summary
         )
@@ -739,9 +736,11 @@ def _transform_frames(data: SnapshotData, transform: str):
         return data.fields, iter(data.frames)
     if data.kind != kind:
         raise ScenarioError(f"transform {transform} needs a {kind} run, got {data.kind!r}")
-    scn, states = _decode(data)
+    scn, decode = _decoder(data)
     fields = KIND[KIND[kind].forward].fields
-    return fields, (dict(zip(fields, _forward_arrays(kind, st, scn.backend))) for st in states)
+    return fields, (
+        dict(zip(fields, _forward_arrays(kind, decode(f), scn.backend))) for f in data.frames
+    )
 
 
 def _run_compare(scenario: Scenario, out_dir: Path) -> RunReport:
@@ -863,7 +862,8 @@ KIND = {
         inputs={"source": None},
         forward="phi",
         reconstruct=lambda scn, data, waves: reconstruction.reconstruct_phi(
-            reconstruction.TrajectoryRecord.of_waves(data.times, [w.psi for w in waves]),
+            data.times,
+            (w.psi for w in waves),
             _sample_potential(scn.potential_source, data.grid, scn.constants),
             scn.params,
             scn.backend,
@@ -876,7 +876,7 @@ KIND = {
         inputs={"source": None},
         forward="maxwell-potential",
         reconstruct=lambda scn, data, states: reconstruction.reconstruct_vector_potential(
-            reconstruction.TrajectoryRecord.of_fields(data.times, states), scn.backend
+            data.times, states, scn.backend
         ),
     ),
     "compare": _Kind(

@@ -90,6 +90,11 @@ class QuantumParams:
         if not (self.mass > 0 and np.isfinite(self.mass)):
             raise ValueError(f"mass must be positive, got {self.mass}")
 
+    @property
+    def kinetic(self) -> float:
+        """hbar^2 / 2m, the coefficient of -Lap in H."""
+        return self.hbar**2 / (2.0 * self.mass)
+
 
 @dataclass(frozen=True)
 class WaveFunction:
@@ -146,16 +151,14 @@ def hamiltonian_array(
     values: np.ndarray, v: np.ndarray, grid: Grid, params: QuantumParams, method: str
 ) -> np.ndarray:
     """H f = -(hbar^2/2m) Lap f + V f on raw samples (real or complex)."""
-    kin = -(params.hbar**2) / (2.0 * params.mass)
-    return kin * laplacian_array(values, grid, method) + v * values
+    return -params.kinetic * laplacian_array(values, grid, method) + v * values
 
 
 def l_operator_array(
     values: np.ndarray, v: np.ndarray, grid: Grid, params: QuantumParams, method: str
 ) -> np.ndarray:
     """L f = (hbar^2/2m) Lap f - V f, the operator mapping potentials to -Re Psi."""
-    kin = params.hbar**2 / (2.0 * params.mass)
-    return kin * laplacian_array(values, grid, method) - v * values
+    return params.kinetic * laplacian_array(values, grid, method) - v * values
 
 
 def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: str):
@@ -169,8 +172,7 @@ def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: st
     with per-call overhead that dominates small grids cut away. Leading batch
     axes pass through either way.
     """
-    kin = params.hbar**2 / (2.0 * params.mass)
-    kinetic = fourier_multiplier(grid, kin * symbols(grid, method).lap, real=True)
+    kinetic = fourier_multiplier(grid, params.kinetic * symbols(grid, method).lap, real=True)
 
     def lop(f: np.ndarray) -> np.ndarray:
         out = kinetic(f)
@@ -260,13 +262,12 @@ def hamiltonian_canonical(
     """
     grid = varphi.grid
     _check_same_grid(grid, p, V.sampled)
-    kin = params.hbar**2 / (2.0 * params.mass)
     grad2 = np.zeros(grid.shape)
     for g in gradient_arrays(varphi.values, grid, method):
         grad2 += g * g
     for g in gradient_arrays(p.values, grid, method):
         grad2 += g * g
-    dens = kin * grad2 + V.sampled.values * (varphi.values**2 + p.values**2)
+    dens = params.kinetic * grad2 + V.sampled.values * (varphi.values**2 + p.values**2)
     return float(dens.sum() * grid.cell_volume / (2.0 * params.hbar))
 
 
@@ -316,8 +317,7 @@ def crank_nicolson_step(
     b = psi.psi.values - 1j * alpha * hamiltonian_array(psi.psi.values, v, grid, params, method)
 
     c = 0.5 * (float(v.max()) + float(v.min()))
-    kin = params.hbar**2 / (2.0 * params.mass)
-    inv = _inverse_cayley_kinetic_symbol(grid, method, kin, alpha, c)
+    inv = _inverse_cayley_kinetic_symbol(grid, method, params.kinetic, alpha, c)
     apply_m_inv = fourier_multiplier(grid, inv, real=False)
     apply_m_inv_h = fourier_multiplier(grid, inv.conj(), real=False)
     w = 1j * alpha * (v - c)
@@ -461,5 +461,5 @@ def exact_propagate_small(
 def max_energy_bound(V: PotentialSpec, params: QuantumParams, method: str = "spectral") -> float:
     """Upper bound on |spec(H)|: kinetic spectral radius plus potential range."""
     v = V.sampled.values
-    kin = params.hbar**2 / (2.0 * params.mass) * laplacian_spectral_radius(V.grid, method)
+    kin = params.kinetic * laplacian_spectral_radius(V.grid, method)
     return float(kin + max(0.0, float(v.max())) - min(0.0, float(v.min())))

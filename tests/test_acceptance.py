@@ -44,11 +44,7 @@ from wavepot.operators import (
     divergence,
     gradient,
 )
-from wavepot.reconstruction import (
-    TrajectoryRecord,
-    reconstruct_phi,
-    reconstruct_vector_potential,
-)
+from wavepot.reconstruction import reconstruct_phi, reconstruct_vector_potential
 from wavepot.schrodinger import (
     PotentialSpec,
     QuantumParams,
@@ -161,12 +157,12 @@ def test_c02_reverse_equivalence(harmonic_128):
     steps = 6283
     frames = {}
     propagate_cn(psi, V, dt, steps, sink=frames.__setitem__)
-    traj = TrajectoryRecord.of_waves([n * dt for n in frames], [w.psi for w in frames.values()])
-    states = reconstruct_phi(traj, V, PARAMS)
+    psis = [w.psi for w in frames.values()]
+    states = list(reconstruct_phi([n * dt for n in frames], psis, V, PARAMS))
 
     sup_l2 = max(
         l2_norm(ComplexSampleField(grid, to_wavefunction(st).psi.values - fr.values))
-        for st, fr in zip(states[:: steps // 40], traj.frames[:: steps // 40])
+        for st, fr in zip(states[:: steps // 40], psis[:: steps // 40])
     )
 
     # field-equation residual via centered second differences in time
@@ -339,8 +335,7 @@ def test_c06_maxwell_equivalence():
     frames = {}
     run_rk4(plane_wave_fields(grid, c), src, dt_win, window_steps, sink=frames.__setitem__)
     snaps = list(frames.values())
-    traj = TrajectoryRecord.of_fields([n * dt_win for n in frames], snaps)
-    pstates = reconstruct_vector_potential(traj)
+    pstates = reconstruct_vector_potential([n * dt_win for n in frames], snaps)
     round_worst = 0.0
     for ps, fr in zip(pstates, snaps):
         mapped = potential_to_fields(ps)

@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -23,13 +25,13 @@ from wavepot.maxwell import (
 from wavepot.operators import curl, divergence
 from wavepot.reconstruction import (
     _KERNEL_BLOCK_CAP,
-    TrajectoryRecord,
+    _interval_widths,
     _kernel_basis,
+    _running_trapezoid,
     curl_inverse,
     reconstruct_phi,
     reconstruct_vector_potential,
     solve_elliptic,
-    time_integrate,
 )
 from wavepot.schrodinger import (
     PotentialSpec,
@@ -46,40 +48,82 @@ from wavepot.wavepotential import gauge_shift, stationary_phi, to_wavefunction
 PARAMS = QuantumParams(1.0, 1.0)
 
 
+def _streamed(times, samples) -> np.ndarray:
+    """The running trapezoid integrals of ``samples`` at ``times``, stacked."""
+    return np.array([total for _, total in _running_trapezoid(_interval_widths(times), samples)])
+
+
+def _turning_packet(grid: Grid, times) -> Iterator[ComplexSampleField]:
+    """A displaced Gaussian turning in phase, one fresh frame per time."""
+    x = grid.axis_coordinates(0)
+    packet = np.exp(-((x - 0.6 * grid.lengths[0]) ** 2) / 2).astype(complex)
+    for t in times:
+        yield ComplexSampleField(grid, packet * np.exp(-0.5j * t))
+
+
+def _plane_wave_fields(grid: Grid, times) -> Iterator[EMState]:
+    """The vacuum plane wave E = y cos(x - t), B = z cos(x - t), one fresh frame per time."""
+    x = grid.axis_coordinates(0)[:, None, None] + np.zeros(grid.shape)
+    zero = np.zeros(grid.shape)
+    for t in times:
+        wave = np.cos(x - t)
+        yield EMState(
+            VectorSampleField3(grid, np.stack([zero, wave, zero])),
+            VectorSampleField3(grid, np.stack([zero, zero, wave])),
+        )
+
+
+def _both_maps(times, grid64, cube16, frame_times=None) -> list:
+    """Each reverse map called on ``times``, with frames at ``frame_times`` (default: the same)."""
+    frame_times = times if frame_times is None else frame_times
+    V = PotentialSpec.from_expression("1+cos(x)", grid64)
+    return [
+        lambda: reconstruct_phi(times, _turning_packet(grid64, frame_times), V, PARAMS),
+        lambda: reconstruct_vector_potential(times, _plane_wave_fields(cube16, frame_times)),
+    ]
+
+
 class TestTrajectoryRecord:
-    def test_needs_two_samples(self, grid64):
-        psi = ComplexSampleField.zeros(grid64)
-        with pytest.raises(ValueError, match="two samples"):
-            TrajectoryRecord.of_waves([0.0], [psi])
+    """What both maps require of a record's times and frames. Bad times raise
+    from the map call itself, before any state is asked for."""
 
-    def test_rejects_nonuniform_times(self, grid64):
-        psi = ComplexSampleField.zeros(grid64)
-        with pytest.raises(ValueError, match="uniform"):
-            TrajectoryRecord.of_waves([0.0, 1.0, 2.5], [psi, psi, psi])
+    def _raise_from_the_call(self, times, message, grid64, cube16):
+        for call in _both_maps(times, grid64, cube16):
+            with pytest.raises(ValueError, match=message):
+                call()
 
-    def test_rejects_nonzero_start(self, grid64):
-        psi = ComplexSampleField.zeros(grid64)
-        with pytest.raises(ValueError, match="t = 0"):
-            TrajectoryRecord.of_waves([1.0, 2.0], [psi, psi])
+    def test_needs_two_samples(self, grid64, cube16):
+        self._raise_from_the_call([0.0], "two samples", grid64, cube16)
 
-    def test_dt_property(self, grid64):
-        psi = ComplexSampleField.zeros(grid64)
-        traj = TrajectoryRecord.of_waves([0.0, 0.5, 1.0], [psi, psi, psi])
-        assert traj.dt == 0.5
+    def test_rejects_nonuniform_times(self, grid64, cube16):
+        self._raise_from_the_call([0.0, 1.0, 2.5], "uniform", grid64, cube16)
 
-    def test_short_last_interval_integrates_exactly(self, grid64):
+    def test_rejects_nonzero_start(self, grid64, cube16):
+        self._raise_from_the_call([1.0, 2.0], "t = 0", grid64, cube16)
+
+    @pytest.mark.parametrize("frame_times", [[0.0, 0.1], [0.0, 0.1, 0.2, 0.3]])
+    def test_frames_and_times_must_agree_in_length(self, grid64, cube16, frame_times):
+        for call in _both_maps([0.0, 0.1, 0.2], grid64, cube16, frame_times):
+            with pytest.raises(ValueError):
+                list(call())
+
+    def test_interval_widths(self):
+        assert _interval_widths([0.0, 0.5, 1.0]).tolist() == [0.5, 0.5]
+        assert _interval_widths([0.0, 0.5, 1.0, 1.25]).tolist() == [0.5, 0.5, 0.25]
+
+    def test_short_last_interval_integrates_exactly(self):
         # an off-stride record: frames at steps 0, 2, 4, 5 of a dt = 0.25 run
-        psi = ComplexSampleField.zeros(grid64)
-        traj = TrajectoryRecord.of_waves([0.0, 0.5, 1.0, 1.25], [psi] * 4)
-        assert traj.dt == 0.5
-        out = traj.cumulative_integral(2.0 * traj.times[:, None])
-        assert np.allclose(out[:, 0], traj.times**2, rtol=0.0, atol=1e-15)
+        times = np.array([0.0, 0.5, 1.0, 1.25])
+        out = _streamed(times, 2.0 * times[:, None])
+        assert np.allclose(out[:, 0], times**2, rtol=0.0, atol=1e-15)
 
 
 class TestTimeIntegrate:
+    """The running trapezoid both maps share."""
+
     def test_constant_integrand_exact(self):
-        samples = np.full((11, 4), 3.0)
-        out = time_integrate(samples, 0.1)
+        times = np.arange(11) * 0.1
+        out = _streamed(times, np.full((11, 4), 3.0))
         for n in range(11):
             assert np.allclose(out[n], 3.0 * 0.1 * n, atol=1e-14)
 
@@ -88,15 +132,75 @@ class TestTimeIntegrate:
         errs = []
         for n_samples in (101, 201):
             ts = np.linspace(0.0, 1.0, n_samples)
-            vals = np.sin(omega * ts)[:, None]
-            out = time_integrate(vals, ts[1] - ts[0])
+            out = _streamed(ts, np.sin(omega * ts)[:, None])
             exact = (1 - np.cos(omega * ts)) / omega
             errs.append(np.max(np.abs(out[:, 0] - exact)))
         assert 3.6 <= errs[0] / errs[1] <= 4.4
 
     def test_single_pair_is_trapezoid(self):
-        out = time_integrate(np.array([[2.0], [4.0]]), 0.5)
+        out = _streamed([0.0, 0.5], np.array([[2.0], [4.0]]))
+        assert out[0, 0] == 0.0
         assert out[1, 0] == pytest.approx(0.5 * 0.5 * 6.0)
+
+    @pytest.mark.parametrize("short_last", [False, True])
+    def test_bits_equal_a_cumsum_trapezoid(self, rng, short_last):
+        dt = 0.0137
+        times = np.arange(40) * dt
+        if short_last:
+            times[-1] = times[-2] + 0.3 * dt
+        samples = rng.standard_normal((40, 3, 5))
+        samples[:2, 0, 0] = -0.0  # a first increment of -0.0 keeps its sign
+        reference = np.zeros_like(samples)
+        np.cumsum(0.5 * dt * (samples[1:] + samples[:-1]), axis=0, out=reference[1:])
+        if short_last:
+            last = times[-1] - times[-2]
+            reference[-1] = reference[-2] + 0.5 * last * (samples[-1] + samples[-2])
+        assert _streamed(times, samples).tobytes() == reference.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_frame_count(self, cube16):
+        grid = Grid.line(1024, 20.0)
+        V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
+        maps = {
+            "phi": (lambda times: reconstruct_phi(times, _turning_packet(grid, times), V, PARAMS),
+                    grid.size * 16),
+            "a": (lambda times: reconstruct_vector_potential(
+                times, _plane_wave_fields(cube16, times)), cube16.size * 6 * 8),
+        }
+
+        def traced_peak(call, frames: int) -> int:
+            tracemalloc.start()
+            try:
+                for _ in call(np.arange(frames) * 1e-3):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for name, (call, frame_bytes) in maps.items():
+            for _ in call(np.arange(4) * 1e-3):
+                pass  # fills the transform and kernel caches before tracing starts
+            short, long = traced_peak(call, 40), traced_peak(call, 160)
+            assert long - short <= 4 * frame_bytes, (name, short, long)
+
+
+class TestErrorsRaiseFromTheMapCall:
+    def test_incompatible_rhs(self, grid64):
+        V = PotentialSpec.zero(grid64)
+        psis = [ComplexSampleField(grid64, np.ones(grid64.shape, complex))] * 3
+        with pytest.raises(IncompatibleRhsError):
+            reconstruct_phi([0.0, 0.1, 0.2], iter(psis), V, PARAMS)
+
+    def test_mean_magnetic_field(self, cube16):
+        b = np.zeros((3,) + cube16.shape)
+        b[2] = 0.5
+        state = EMState(VectorSampleField3.zeros(cube16), VectorSampleField3(cube16, b))
+        with pytest.raises(ValueError, match="mean"):
+            reconstruct_vector_potential([0.0, 0.1], iter([state, state]))
+
+    def test_wrong_frame_type(self, grid64, cube16):
+        state = EMState(VectorSampleField3.zeros(cube16), VectorSampleField3.zeros(cube16))
+        with pytest.raises(TypeError):
+            reconstruct_phi([0.0, 0.1], [state, state], PotentialSpec.zero(grid64), PARAMS)
 
 
 class TestSolveElliptic:
@@ -276,8 +380,7 @@ class TestReconstructPhi:
             ComplexSampleField(grid, psi0.values * np.exp(-1j * e0 * t / PARAMS.hbar))
             for t in times
         ]
-        traj = TrajectoryRecord.of_waves(times, psis)
-        states = reconstruct_phi(traj, V, PARAMS)
+        states = reconstruct_phi(times, psis, V, PARAMS)
         worst = 0.0
         for t, st in zip(times, states):
             ref = stationary_phi(psi0, e0, t, PARAMS, V)
@@ -289,8 +392,7 @@ class TestReconstructPhi:
         x = grid64.axis_coordinates(0)
         psi0 = np.exp(-((x - np.pi) ** 2)).astype(complex)
         psis = [ComplexSampleField(grid64, psi0), ComplexSampleField(grid64, psi0)]
-        traj = TrajectoryRecord.of_waves([0.0, 1e-3], psis)
-        states = reconstruct_phi(traj, V, PARAMS)
+        states = list(reconstruct_phi([0.0, 1e-3], psis, V, PARAMS))
         assert max_norm(states[0].phi_dot) == 0.0
         # phi(0) solves L phi = -Re psi(0)
         res = l_operator_array(
@@ -307,13 +409,9 @@ class TestReconstructPhi:
         psi = WaveFunction(ComplexSampleField(grid, packet), PARAMS)
         frames = {}
         propagate_cn(psi, V, 1e-3, 500, sink=frames.__setitem__)
-        traj = TrajectoryRecord.of_waves(
-            [n * 1e-3 for n in frames], [w.psi for w in frames.values()]
-        )
-        states = reconstruct_phi(traj, V, PARAMS)
-        worst = max(
-            l2_norm(to_wavefunction(st).psi - fr) for st, fr in zip(states, traj.frames)
-        )
+        psis = [w.psi for w in frames.values()]
+        states = reconstruct_phi([n * 1e-3 for n in frames], psis, V, PARAMS)
+        worst = max(l2_norm(to_wavefunction(st).psi - fr) for st, fr in zip(states, psis))
         assert worst <= 1e-9  # elliptic residual only; quadrature cancels exactly
 
     def test_two_reconstructions_differ_by_gauge(self):
@@ -328,12 +426,11 @@ class TestReconstructPhi:
         psi = WaveFunction(ComplexSampleField(grid, psi0), PARAMS)
         frames = {}
         propagate_cn(psi, V, 1e-3, 50, sink=frames.__setitem__)
-        traj = TrajectoryRecord.of_waves(
-            [n * 1e-3 for n in frames], [w.psi for w in frames.values()]
+        first = next(
+            reconstruct_phi([n * 1e-3 for n in frames], [w.psi for w in frames.values()], V, PARAMS)
         )
-        states = reconstruct_phi(traj, V, PARAMS)
-        shifted = gauge_shift(states[0], ScalarSampleField.full(grid, 0.7))
-        diff = shifted.phi - states[0].phi
+        shifted = gauge_shift(first, ScalarSampleField.full(grid, 0.7))
+        diff = shifted.phi - first.phi
         lop = l_operator_array(diff.values, V.sampled.values, grid, PARAMS, "spectral")
         assert np.max(np.abs(lop)) <= 1e-11 * max(1.0, ek * max_norm(diff))
 
@@ -403,8 +500,7 @@ class TestCurlInverse:
 class TestReconstructVectorPotential:
     def test_static_zero_field_trajectory(self, cube16):
         state = EMState(VectorSampleField3.zeros(cube16), VectorSampleField3.zeros(cube16))
-        traj = TrajectoryRecord.of_fields([0.0, 0.1, 0.2], [state, state, state])
-        pstates = reconstruct_vector_potential(traj)
+        pstates = reconstruct_vector_potential([0.0, 0.1, 0.2], [state, state, state])
         for ps in pstates:
             assert max_norm(ps.a) == 0.0
             assert max_norm(ps.a_dot) == 0.0
@@ -422,8 +518,7 @@ class TestReconstructVectorPotential:
             e = VectorSampleField3(cube16, np.stack([zero, np.cos(x - c * t), zero]))
             b = VectorSampleField3(cube16, np.stack([zero, zero, np.cos(x - c * t)]))
             frames.append(EMState(e, b, c))
-        traj = TrajectoryRecord.of_fields(times, frames)
-        pstates = reconstruct_vector_potential(traj)
+        pstates = list(reconstruct_vector_potential(times, frames))
         worst = 0.0
         for t, ps in zip(times, pstates):
             expected = np.stack([zero, np.sin(x - c * t), zero])
@@ -446,8 +541,7 @@ class TestReconstructVectorPotential:
         frames = {}
         run_rk4(state, SourceSpec.vacuum(), dt, steps, sink=frames.__setitem__)
         snaps = list(frames.values())
-        traj = TrajectoryRecord.of_fields([n * dt for n in frames], snaps)
-        pstates = reconstruct_vector_potential(traj)
+        pstates = reconstruct_vector_potential([n * dt for n in frames], snaps)
         ref = l2_norm(state.b)
         worst = 0.0
         for ps, fr in zip(pstates, snaps):
@@ -468,8 +562,7 @@ class TestReconstructVectorPotential:
         dt = 1e-3
         frames = {}
         run_rk4(EMState(e, b, 1.0), SourceSpec.vacuum(), dt, steps, sink=frames.__setitem__)
-        traj = TrajectoryRecord.of_fields([n * dt for n in frames], list(frames.values()))
-        pstates = reconstruct_vector_potential(traj)
-        shifted0 = gauge_shift_potential(pstates[0], smooth_scalar(cube16, rng))
-        diff = shifted0.a - pstates[0].a
+        first = next(reconstruct_vector_potential([n * dt for n in frames], frames.values()))
+        shifted0 = gauge_shift_potential(first, smooth_scalar(cube16, rng))
+        diff = shifted0.a - first.a
         assert max_norm(curl(diff)) <= 1e-11  # pure gradient has no curl

@@ -409,6 +409,17 @@ class TestCli:
         code = main(["maxwell-fields", "--scenario", str(p), "--out", str(tmp_path / "r")])
         assert code == 1
 
+    def test_stationary_beyond_the_dense_limit_exit_one(self, tmp_path, capsys):
+        text = HARMONIC_PHI.replace("points = 64", "points = 4098").replace(
+            "type = expressions\nphi = cos(2*pi*x/20)\nphi_dot = 0",
+            "type = stationary\nmode = 0\ntime = 0",
+        )
+        p = write(tmp_path, "big.scn", text)
+        assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 1
+        assert f"{schrodinger.DENSE_GRID_LIMIT} points" in capsys.readouterr().err
+        assert not (tmp_path / "r" / SNAPSHOT).exists()
+        assert not (tmp_path / "r" / DIAG).exists()
+
     def test_dump_csv(self, tmp_path):
         p = write(tmp_path, "a.scn", MINIMAL_PHI)
         main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")])
@@ -714,6 +725,28 @@ class TestRecordTimes:
         assert source.time_end == 5 * 0.002
         assert rebuilt.time_end == source.time_end
         assert np.array_equal(rebuilt.times, source.times)
+
+
+    def test_one_frame_source_exit_one_before_any_output(self, tmp_path, capsys):
+        sch = write(tmp_path, "s.scn", SCHRODINGER)
+        argv = ["schrodinger", "--scenario", str(sch), "--out", str(tmp_path / "sch")]
+        assert main(argv + ["--override", "integrator.steps=1"]) == 0
+        source = read_snapshot(tmp_path / "sch" / SNAPSHOT)
+        (tmp_path / "one").mkdir()
+        write_snapshot(
+            tmp_path / "one" / SNAPSHOT, kind=source.kind, grid=source.grid,
+            fields=source.fields, times=source.times[:1],
+            frames=[[source.frames[0][name] for name in source.fields]],
+            provenance=source.provenance,
+        )
+        rec = write(
+            tmp_path, "r.scn", "[scenario]\nkind = reconstruct-phi\n[potential]\n"
+            "v = 0.5*(x-10)^2\n[inputs]\nsource = one\n",
+        )
+        argv = ["reconstruct-phi", "--scenario", str(rec), "--out", str(tmp_path / "rec")]
+        assert main(argv) == 1
+        assert "two samples" in capsys.readouterr().err
+        assert not (tmp_path / "rec" / SNAPSHOT).exists()
 
 
 def _corrupt_snapshot(path: Path, defect: str) -> None:
