@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import expressions
 from .errors import GridMismatchError, SolverError
@@ -407,6 +406,13 @@ def dense_hamiltonian(V: PotentialSpec, params: QuantumParams, method: str = "sp
 def dense_eigensystem(
     V: PotentialSpec, params: QuantumParams, method: str = "spectral"
 ) -> DenseEigensystem:
+    """Every eigenpair of ``dense_hamiltonian``, each vector signed by one fixed rule.
+
+    ``scipy.linalg`` is imported on the first call, not when wavepot loads, so
+    only stationary initial data and the oracles that call this pay for it.
+    """
+    import scipy.linalg
+
     mat = dense_hamiltonian(V, params, method)
     energies, vectors = scipy.linalg.eigh(mat)
     # deterministic sign: the largest-magnitude entry is positive. Entries within

@@ -43,6 +43,20 @@ dt = auto
 steps = 6
 snapshot_stride = 3
 """,
+    "phi-stationary": GRID_1D + """
+[scenario]
+kind = phi
+[potential]
+v = 0.5*(x-10)^2
+[initial]
+type = stationary
+mode = 1
+time = 0
+[integrator]
+dt = auto
+steps = 6
+snapshot_stride = 3
+""",
     "maxwell-fields": GRID_3D + """
 [scenario]
 kind = maxwell-fields
@@ -129,6 +143,7 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     assert result["first_step"] == {
         "schrodinger": True,
         "phi": True,
+        "phi-stationary": True,
         "maxwell-fields": True,
         "maxwell-potential": True,
         "reconstruct-phi": False,
@@ -136,10 +151,12 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     }
     metrics = result["metrics"]
     assert metrics["schrodinger.cayley_steps"] == 6
-    assert metrics["wavepotential.steps"] == 6
+    assert metrics["wavepotential.steps"] == 6 + 6
     assert metrics["maxwell.rk4_steps"] == 4
     assert metrics["maxwell.verlet_steps"] == 4
-    assert metrics["scenario.observer_calls"] == (6 + 1) + (4 + 1) + (4 + 1)
+    assert metrics["scenario.observer_calls"] == 2 * (6 + 1) + (4 + 1) + (4 + 1)
+    # the tracer wraps dense_eigensystem by name, and the function imports scipy itself
+    assert metrics["schrodinger.dense_eig_calls"] == 1
 
 
 def test_every_workload_scenario_loads(tmp_path, monkeypatch):
