@@ -408,13 +408,11 @@ def dense_eigensystem(
 ) -> DenseEigensystem:
     """Every eigenpair of ``dense_hamiltonian``, each vector signed by one fixed rule.
 
-    ``scipy.linalg`` is imported on the first call, not when wavepot loads, so
-    only stationary initial data and the oracles that call this pay for it.
+    The solver is numpy's ``eigh`` (LAPACK ``syevd``, divide and conquer), so
+    stationary initial data import nothing beyond numpy.
     """
-    import scipy.linalg
-
     mat = dense_hamiltonian(V, params, method)
-    energies, vectors = scipy.linalg.eigh(mat)
+    energies, vectors = np.linalg.eigh(mat)
     # deterministic sign: the largest-magnitude entry is positive. Entries within
     # _SIGN_TIE of the maximum tie, and the tie goes to the lowest flat index, so
     # odd and mirror-symmetric states are not signed by roundoff.

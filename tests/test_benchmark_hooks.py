@@ -155,7 +155,7 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     assert metrics["maxwell.rk4_steps"] == 4
     assert metrics["maxwell.verlet_steps"] == 4
     assert metrics["scenario.observer_calls"] == 2 * (6 + 1) + (4 + 1) + (4 + 1)
-    # the tracer wraps dense_eigensystem by name, and the function imports scipy itself
+    # the tracer wraps dense_eigensystem by name, so the stationary eigensolve is counted
     assert metrics["schrodinger.dense_eig_calls"] == 1
 
 

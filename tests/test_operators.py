@@ -426,33 +426,39 @@ class TestDeadModes:
         assert max_norm(divergence(e, method) - ScalarSampleField(cube16, rho.copy())) <= 1e-12
 
 
-def _misplaced_transforms(path: Path) -> list[str]:
-    """np.roll anywhere, np.fft transforms outside operators._transforms, fft imports."""
-    found = []
+def _nodes_with_function(path: Path):
+    """Each node of the file with its innermost enclosing function (None at module level)."""
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            where = f"{path.name}:{getattr(child, 'lineno', '?')}"
-            if isinstance(child, ast.Attribute):
-                if child.attr == "roll" and isinstance(child.value, ast.Name):
-                    found.append(f"{where} {child.value.id}.roll")
-                if (
-                    isinstance(child.value, ast.Attribute)
-                    and child.value.attr == "fft"
-                    and child.attr != "fftfreq"
-                    and (path.name, function) != ("operators.py", "_transforms")
-                ):
-                    found.append(f"{where} fft.{child.attr} in {function}")
-            if isinstance(child, ast.ImportFrom) and "fft" in (child.module or "") + "".join(
-                alias.name for alias in child.names
-            ):
-                found.append(f"{where} fft import")
-            if isinstance(child, ast.Import) and any("fft" in alias.name for alias in child.names):
-                found.append(f"{where} fft import")
+            yield child, function
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-            visit(child, inner)
+            yield from visit(child, inner)
 
-    visit(ast.parse(path.read_text()), None)
+    return visit(ast.parse(path.read_text()), None)
+
+
+def _misplaced_transforms(path: Path) -> list[str]:
+    """np.roll anywhere, np.fft transforms outside operators._transforms, fft imports."""
+    found = []
+    for child, function in _nodes_with_function(path):
+        where = f"{path.name}:{getattr(child, 'lineno', '?')}"
+        if isinstance(child, ast.Attribute):
+            if child.attr == "roll" and isinstance(child.value, ast.Name):
+                found.append(f"{where} {child.value.id}.roll")
+            if (
+                isinstance(child.value, ast.Attribute)
+                and child.value.attr == "fft"
+                and child.attr != "fftfreq"
+                and (path.name, function) != ("operators.py", "_transforms")
+            ):
+                found.append(f"{where} fft.{child.attr} in {function}")
+        if isinstance(child, ast.ImportFrom) and "fft" in (child.module or "") + "".join(
+            alias.name for alias in child.names
+        ):
+            found.append(f"{where} fft import")
+        if isinstance(child, ast.Import) and any("fft" in alias.name for alias in child.names):
+            found.append(f"{where} fft import")
     return found
 
 
@@ -461,3 +467,43 @@ def test_transforms_only_in_the_operator_layer():
     assert any(p.name == "operators.py" for p in paths)
     found = [hit for path in paths for hit in _misplaced_transforms(path)]
     assert not found, found
+
+
+# The one scipy import src/wavepot may hold: LOBPCG for the kernel of L, loaded
+# inside the function so that no other run pays for it.
+ALLOWED_SCIPY = {("reconstruction.py", "_kernel_basis", "scipy.sparse.linalg")}
+
+
+def _scipy_imports(path: Path) -> list[tuple[str, str | None, str]]:
+    """(file, enclosing function or None at module level, module) of each scipy import."""
+    found = []
+    for child, function in _nodes_with_function(path):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            modules = [child.module or ""]
+        else:
+            continue
+        found.extend(
+            (path.name, function, module)
+            for module in modules
+            if module == "scipy" or module.startswith("scipy.")
+        )
+    return found
+
+
+def test_scipy_only_inside_the_kernel_search():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _scipy_imports(path)]
+    assert set(found) == ALLOWED_SCIPY, found
+
+
+def test_scipy_guard_flags_a_mutated_copy(tmp_path):
+    source = (SRC / "schrodinger.py").read_text()
+    anchor = "    mat = dense_hamiltonian(V, params, method)\n"
+    assert anchor in source
+    inside = tmp_path / "schrodinger.py"
+    inside.write_text(source.replace(anchor, "    import scipy.linalg\n" + anchor))
+    assert _scipy_imports(inside) == [("schrodinger.py", "dense_eigensystem", "scipy.linalg")]
+    top = tmp_path / "reconstruction.py"
+    top.write_text("from scipy.sparse.linalg import lobpcg\n" + (SRC / "reconstruction.py").read_text())
+    assert ("reconstruction.py", None, "scipy.sparse.linalg") in _scipy_imports(top)

@@ -337,6 +337,74 @@ class TestEigenvectorSigns:
         assert np.all(overlaps > 0.99), overlaps
 
 
+def _signed_by_tie_rule(vectors: np.ndarray) -> np.ndarray:
+    """Which columns have a positive first entry within _SIGN_TIE of their largest."""
+    mag = np.abs(vectors)
+    first = np.argmax(mag >= (1.0 - schrodinger._SIGN_TIE) * mag.max(axis=0), axis=0)
+    return vectors[first, np.arange(vectors.shape[1])] > 0
+
+
+REFERENCE_CASES = {
+    "harmonic-256-spectral": ((256,), (20.0,), "0.5*(x-10)^2", "spectral"),
+    "harmonic-256-central2": ((256,), (20.0,), "0.5*(x-10)^2", "central2"),
+    "anisotropic-8x16": ((8, 16), (6.0, 8.0), "0.5*(x-3)^2 + 1.3*(y-4)^2", "spectral"),
+}
+
+
+class TestEigensolverAgainstScipy:
+    """numpy's eigh (divide and conquer) against scipy's default driver (MRRR)."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_same_spectrum_projectors_and_signs(self, case):
+        import scipy.linalg
+
+        points, lengths, potential, method = REFERENCE_CASES[case]
+        V = PotentialSpec.from_expression(potential, Grid(points, lengths))
+        ref_energies, ref_vectors = scipy.linalg.eigh(schrodinger.dense_hamiltonian(V, PARAMS, method))
+        eig = dense_eigensystem(V, PARAMS, method)
+        scale = np.max(np.abs(ref_energies))
+        assert np.max(np.abs(eig.energies - ref_energies)) <= 1e-13 * scale
+        # Each level's projector is basis-free. central2's composed stencil decouples
+        # even and odd sites, so its levels come in degenerate pairs.
+        starts = [0, *np.flatnonzero(np.diff(ref_energies) > 1e-8 * scale) + 1]
+        levels = [slice(a, b) for a, b in zip(starts, starts[1:]) if a < 10]
+        assert len(levels) == (5 if method == "central2" else 10)
+        for level in levels:
+            mine, ref = eig.vectors[:, level], ref_vectors[:, level]
+            assert np.max(np.abs(mine @ mine.T - ref @ ref.T)) <= 1e-12, level
+        assert np.all(_signed_by_tie_rule(eig.vectors))
+
+    def test_stationary_frame_matches_scipy_pair(self, tmp_path):
+        # spectral only: a central2 mode sits in a degenerate pair, whose basis
+        # roundoff picks. Mode 1 is odd, so its sign needs the tie rule.
+        import scipy.linalg
+
+        from wavepot.scenario import load_scenario, run
+        from wavepot.snapshots import read_snapshot
+        from wavepot.wavepotential import stationary_phi
+
+        mode, t0 = 1, 0.7
+        path = tmp_path / "stationary.scn"
+        path.write_text(
+            "[scenario]\nkind = phi\n[grid]\npoints = 256\nlengths = 20.0\n"
+            "[potential]\nv = 0.5*(x-10)^2\n"
+            f"[initial]\ntype = stationary\nmode = {mode}\ntime = {t0}\n"
+            "[integrator]\ndt = auto\nsteps = 2\nsnapshot_stride = 1\n"
+        )
+        run(load_scenario(path), tmp_path / "out")
+        frame = read_snapshot(tmp_path / "out" / "snapshots.wps").frames[0]
+
+        grid = Grid.line(256, 20.0)
+        V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
+        energies, vectors = scipy.linalg.eigh(schrodinger.dense_hamiltonian(V, PARAMS))
+        vec = vectors[:, mode] if _signed_by_tie_rule(vectors[:, [mode]])[0] else -vectors[:, mode]
+        psi_n = ScalarSampleField(grid, vec.reshape(grid.shape) / np.sqrt(grid.cell_volume))
+        ref = stationary_phi(psi_n, float(energies[mode]), t0, PARAMS, V)
+        for name, expected in (("phi", ref.phi.values), ("phi_dot", ref.phi_dot.values)):
+            err = np.max(np.abs(frame[name] - expected))
+            assert err <= 1e-12 * np.max(np.abs(expected)), (name, err)
+
+
 class TestEigenpairs:
     def test_free_particle_zero_mode(self, grid64):
         V = PotentialSpec.zero(grid64)

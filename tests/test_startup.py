@@ -1,10 +1,10 @@
 """What start-up loads, and what the step loops cost the allocator.
 
-scipy serves two paths only: the dense eigensolve behind ``type = stationary``
-initial data and the kernel search of ``reconstruct-phi``. Everything else
-must run without importing it. The Maxwell step loops allocate and free about
-1 MB a step, so under glibc ``stepping.drive`` keeps freed heap for reuse; the
-fault budget below catches a run that maps its temporaries in again each step.
+scipy serves one path only: the kernel search of ``reconstruct-phi``.
+Everything else, ``type = stationary`` initial data included, must run without
+importing it. The Maxwell step loops allocate and free about 1 MB a step, so
+under glibc ``stepping.drive`` keeps freed heap for reuse; the fault budget
+below catches a run that maps its temporaries in again each step.
 Both checks need a fresh interpreter, so each runs in a subprocess.
 """
 
@@ -73,9 +73,6 @@ kind = phi
 phi = cos(2*pi*x/20)
 phi_dot = 0
 """,
-}
-
-WITH_SCIPY = {
     "phi-stationary": GRID_1D + HARMONIC + PHI_STEPS + """
 [scenario]
 kind = phi
@@ -84,6 +81,9 @@ type = stationary
 mode = 0
 time = 0
 """,
+}
+
+WITH_SCIPY = {
     "reconstruct-phi": HARMONIC + """
 [scenario]
 kind = reconstruct-phi
@@ -133,10 +133,9 @@ def test_startup_and_scipy_free_kinds_load_no_scipy(tmp_path):
     after = _run_child(STARTUP_CHILD, ROOT, tmp_path, json.dumps(kinds))
     for step in ["import", *WITHOUT_SCIPY]:
         assert after[step] == [], f"scipy loaded by {step}: {after[step][:3]}"
-    # the two scipy paths still run, each loading the part it needs
+    # the one scipy path still runs, loading the part it needs
     for kind in WITH_SCIPY:
         assert (tmp_path / kind / "snapshots.wps").is_file()
-    assert "scipy.linalg" in after["phi-stationary"]
     assert "scipy.sparse.linalg" in after["reconstruct-phi"]
 
 
