@@ -35,9 +35,7 @@ from .grids import (
 from .schrodinger import PotentialSpec, QuantumParams, WaveFunction
 from .wavepotential import PhiState
 from .maxwell import EMState, PotentialState, SourceSpec
-from .scenario import Scenario, compare, load_scenario, run
-
-__version__ = "0.1.0"
+from .scenario import Scenario, __version__, compare, load_scenario, run
 
 __all__ = [
     "__version__",

@@ -6,15 +6,17 @@ coordinate 0 is a sample point and ``x = L`` wraps around to 0. Point counts
 must be even and at least 4 so spectral differentiation has an unambiguous
 Nyquist convention.
 
-Fields are frozen dataclasses wrapping float64/complex128 arrays; treat the
-arrays as immutable. Arithmetic between fields on the same grid is supported
-where it reads naturally (addition, scaling, pointwise products).
+The three field classes share one frozen-dataclass base that holds their
+invariants: finite float64/complex128 samples shaped to the grid (treat the
+arrays as immutable), and arithmetic that keeps the class. ``check_same_grid``
+is the package's one same-grid test; no other module raises GridMismatchError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "ScalarSampleField",
     "ComplexSampleField",
     "VectorSampleField3",
+    "check_same_grid",
     "integrate",
     "inner",
     "l2_norm",
@@ -99,70 +102,81 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
-def _check_values(values: np.ndarray, grid: Grid, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if arr.shape != grid.shape:
-        raise ValueError(f"sample shape {arr.shape} does not match grid {grid.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("field contains non-finite samples")
-    return arr
+def check_same_grid(grid: Grid, *fields) -> None:
+    """Raise GridMismatchError unless each of ``fields`` (anything with a ``grid``) lives on ``grid``."""
+    for field in fields:
+        if field.grid != grid:
+            raise GridMismatchError(f"operands live on different grids: {field.grid} and {grid}")
 
 
 @dataclass(frozen=True)
-class ScalarSampleField:
-    """Real scalar samples on a grid."""
+class _SampleField:
+    """Finite samples of one field on ``grid``, coerced to the class's dtype.
+
+    ``values`` has shape ``_components + grid.shape``. Sums, differences,
+    negation and scaling by a number keep the class. A scalar-valued field
+    also multiplies pointwise by a real field or one of its own class.
+    """
 
     grid: Grid
     values: np.ndarray
 
+    # The Python type of one sample; numpy reads it as float64 or complex128.
+    _number: ClassVar[type] = float
+    # Axes ahead of the grid axes, such as the three of a vector field.
+    _components: ClassVar[tuple[int, ...]] = ()
+
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.values, self.grid, np.float64))
+        arr = np.asarray(self.values, dtype=self._number)
+        shape = self._components + self.grid.shape
+        if arr.shape != shape:
+            raise ValueError(f"sample shape {arr.shape} does not match {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("field contains non-finite samples")
+        object.__setattr__(self, "values", arr)
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarSampleField":
-        return cls(grid, np.zeros(grid.shape))
+    def zeros(cls, grid: Grid):
+        return cls(grid, np.zeros(cls._components + grid.shape, dtype=cls._number))
+
+    def __add__(self, other):
+        check_same_grid(self.grid, other)
+        return type(self)(self.grid, self.values + other.values)
+
+    def __sub__(self, other):
+        check_same_grid(self.grid, other)
+        return type(self)(self.grid, self.values - other.values)
+
+    def __mul__(self, other):
+        if not self._components and isinstance(other, (ScalarSampleField, type(self))):
+            check_same_grid(self.grid, other)
+            return type(self)(self.grid, self.values * other.values)
+        return type(self)(self.grid, self.values * self._number(other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(self.grid, -self.values)
+
+
+@dataclass(frozen=True)
+class ScalarSampleField(_SampleField):
+    """Real scalar samples on a grid."""
 
     @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarSampleField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    def __add__(self, other):
-        _same_grid(self, other)
-        return ScalarSampleField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _same_grid(self, other)
-        return ScalarSampleField(self.grid, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarSampleField):
-            _same_grid(self, other)
-            return ScalarSampleField(self.grid, self.values * other.values)
-        return ScalarSampleField(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarSampleField(self.grid, -self.values)
-
 
 @dataclass(frozen=True)
-class ComplexSampleField:
+class ComplexSampleField(_SampleField):
     """Complex scalar samples on a grid."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.values, self.grid, np.complex128))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ComplexSampleField":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
+    _number = complex
 
     @classmethod
     def from_parts(cls, re: ScalarSampleField, im: ScalarSampleField) -> "ComplexSampleField":
-        _same_grid(re, im)
+        check_same_grid(re.grid, im)
         return cls(re.grid, re.values + 1j * im.values)
 
     @property
@@ -173,57 +187,27 @@ class ComplexSampleField:
     def imag(self) -> ScalarSampleField:
         return ScalarSampleField(self.grid, self.values.imag.copy())
 
-    def __add__(self, other):
-        _same_grid(self, other)
-        return ComplexSampleField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _same_grid(self, other)
-        return ComplexSampleField(self.grid, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, (ScalarSampleField, ComplexSampleField)):
-            _same_grid(self, other)
-            return ComplexSampleField(self.grid, self.values * other.values)
-        return ComplexSampleField(self.grid, self.values * complex(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexSampleField(self.grid, -self.values)
-
 
 @dataclass(frozen=True)
-class VectorSampleField3:
+class VectorSampleField3(_SampleField):
     """Three-component real vector field on a 3D grid.
 
     ``values`` has shape (3, nx, ny, nz); components share the grid by
     construction.
     """
 
-    grid: Grid
-    values: np.ndarray
+    _components = (3,)
 
     def __post_init__(self):
         if self.grid.dims != 3:
             raise GridMismatchError("vector fields require a 3D grid")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != (3,) + self.grid.shape:
-            raise ValueError(f"vector samples must have shape (3, nx, ny, nz), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("field contains non-finite samples")
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorSampleField3":
-        return cls(grid, np.zeros((3,) + grid.shape))
+        super().__post_init__()
 
     @classmethod
     def from_components(
         cls, fx: ScalarSampleField, fy: ScalarSampleField, fz: ScalarSampleField
     ) -> "VectorSampleField3":
-        _same_grid(fx, fy)
-        _same_grid(fx, fz)
+        check_same_grid(fx.grid, fy, fz)
         return cls(fx.grid, np.stack([fx.values, fy.values, fz.values]))
 
     def component(self, i: int) -> ScalarSampleField:
@@ -242,41 +226,18 @@ class VectorSampleField3:
         return self.component(2)
 
     def dot(self, other: "VectorSampleField3") -> ScalarSampleField:
-        _same_grid(self, other)
+        check_same_grid(self.grid, other)
         return ScalarSampleField(self.grid, np.einsum("i...,i...->...", self.values, other.values))
-
-    def __add__(self, other):
-        _same_grid(self, other)
-        return VectorSampleField3(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _same_grid(self, other)
-        return VectorSampleField3(self.grid, self.values - other.values)
-
-    def __mul__(self, other):
-        return VectorSampleField3(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return VectorSampleField3(self.grid, -self.values)
-
-
-def _same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
 
 
 def integrate(field) -> float:
     """Discrete integral: sum of samples times cell volume."""
-    return float(np.sum(field.values).real * field.grid.cell_volume) if np.iscomplexobj(
-        field.values
-    ) else float(np.sum(field.values) * field.grid.cell_volume)
+    return float(np.sum(field.values).real * field.grid.cell_volume)
 
 
 def inner(a, b) -> complex | float:
     """Discrete L2 inner product <a, b> = sum conj(a)*b * cell volume."""
-    _same_grid(a, b)
+    check_same_grid(a.grid, b)
     val = np.vdot(a.values, b.values) * a.grid.cell_volume
     if np.iscomplexobj(a.values) or np.iscomplexobj(b.values):
         return complex(val)

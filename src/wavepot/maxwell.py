@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .errors import ContinuityError, GridMismatchError, StabilityError
+from .errors import ContinuityError, StabilityError
 from .expressions import Expression
-from .grids import Grid, ScalarSampleField, VectorSampleField3
+from .grids import Grid, ScalarSampleField, VectorSampleField3, check_same_grid
 from .operators import (
     Symbols,
     _curl_arrays,
@@ -83,8 +83,7 @@ class EMState:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.e.grid != self.b.grid:
-            raise GridMismatchError("E and B must share a grid")
+        check_same_grid(self.e.grid, self.b)
         if not (self.c > 0 and np.isfinite(self.c)):
             raise ValueError(f"c must be positive, got {self.c}")
 
@@ -102,8 +101,7 @@ class PotentialState:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.a.grid != self.a_dot.grid:
-            raise GridMismatchError("A and dA/dt must share a grid")
+        check_same_grid(self.a.grid, self.a_dot)
         if not (self.c > 0 and np.isfinite(self.c)):
             raise ValueError(f"c must be positive, got {self.c}")
 
@@ -198,8 +196,7 @@ def em_rhs(
 ) -> tuple[VectorSampleField3, VectorSampleField3]:
     """dE/dt = c curl B - J, dB/dt = -c curl E."""
     grid = state.grid
-    if current.grid != grid:
-        raise GridMismatchError("current must live on the field grid")
+    check_same_grid(grid, current)
     de, db = _em_rhs_arrays(state.e.values, state.b.values, current.values, state.c, grid, method)
     return VectorSampleField3(grid, de), VectorSampleField3(grid, db)
 
@@ -264,8 +261,7 @@ def run_rk4(
 def constraint_residual(state: EMState, rho: ScalarSampleField, method: str = "spectral") -> tuple[float, float]:
     """Max-norms of (div E - rho, div B): the initial-condition residuals."""
     grid = state.grid
-    if rho.grid != grid:
-        raise GridMismatchError("rho must live on the field grid")
+    check_same_grid(grid, rho)
     div_e = divergence_array(state.e.values, grid, method)
     div_b = divergence_array(state.b.values, grid, method)
     return float(np.max(np.abs(div_e - rho.values))), float(np.max(np.abs(div_b)))
@@ -304,8 +300,7 @@ def potential_acceleration(
     for fields without Nyquist content).
     """
     grid = state.grid
-    if current.grid != grid:
-        raise GridMismatchError("current must live on the potential grid")
+    check_same_grid(grid, current)
     acc = _potential_accel_arrays(state.a.values, current.values, state.c, grid, method)
     return VectorSampleField3(grid, acc)
 
@@ -383,8 +378,7 @@ def potential_constraint_residual(
 ) -> float:
     """Max-norm of div(dA/dt) + c rho, the potential-side initial condition."""
     grid = state.grid
-    if rho.grid != grid:
-        raise GridMismatchError("rho must live on the potential grid")
+    check_same_grid(grid, rho)
     div_adot = divergence_array(state.a_dot.values, grid, method)
     return float(np.max(np.abs(div_adot + state.c * rho.values)))
 
@@ -421,8 +415,7 @@ def em_hamiltonians(
     H' is conserved for J = 0; H is conserved for static J.
     """
     grid = state.grid
-    if current.grid != grid:
-        raise GridMismatchError("current must live on the field grid")
+    check_same_grid(grid, current)
     e, b = state.e.values, state.b.values
     curl_b = _curl_arrays(b, grid, method)
     curl_e = _curl_arrays(e, grid, method)
@@ -444,8 +437,7 @@ def gauge_shift_potential(
 ) -> PotentialState:
     """A -> A + grad alpha with static alpha; the fields are unchanged."""
     grid = state.grid
-    if alpha.grid != grid:
-        raise GridMismatchError("gauge function must live on the potential grid")
+    check_same_grid(grid, alpha)
     grad_alpha = np.stack(gradient_arrays(alpha.values, grid, method))
     return PotentialState(
         VectorSampleField3(grid, state.a.values + grad_alpha), state.a_dot, state.c

@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .grids import Grid, ScalarSampleField, VectorSampleField3
 
 __all__ = [
@@ -245,8 +244,6 @@ def laplacian(f: ScalarSampleField, method: str = "spectral") -> ScalarSampleFie
 
 def gradient(f: ScalarSampleField, method: str = "spectral") -> VectorSampleField3:
     """Gradient of a scalar field on a 3D grid."""
-    if f.grid.dims != 3:
-        raise GridMismatchError("gradient as a vector field requires a 3D grid")
     return VectorSampleField3(
         f.grid, np.stack(gradient_arrays(f.values, f.grid, method))
     )

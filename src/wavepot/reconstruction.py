@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import IncompatibleRhsError, SolverError
-from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3
+from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3, check_same_grid
 from .linsolve import conjugate_gradient, normal_equations_cg
 from .maxwell import EMState, PotentialState
 from .operators import (
@@ -231,8 +231,7 @@ def solve_elliptic(
     both are checked against the true relative residual ``_ELLIPTIC_TOL``.
     """
     grid = V.grid
-    if rhs.grid != grid:
-        raise ValueError("rhs must live on the potential grid")
+    check_same_grid(grid, rhs)
     v = V.sampled.values
     kernel = _kernel_basis(V, params, method, _KERNEL_ZERO_TOL)
 
@@ -294,8 +293,7 @@ def reconstruct_phi(
     widths = _interval_widths(times)
     first, psis = _first(psis, ComplexSampleField, "reconstruct_phi")
     grid = first.grid
-    if V.grid != grid:
-        raise ValueError("potential must live on the trajectory grid")
+    check_same_grid(grid, V)
     c0 = solve_elliptic(V, ScalarSampleField(grid, -first.values.real), params, method)
     hbar = params.hbar
     return (

@@ -33,9 +33,11 @@ from .snapshots import (
     DiagnosticsWriter,
     SnapshotData,
     SnapshotWriter,
+    StagedFile,
     read_snapshot,
 )
 
+# The package version, which every record's provenance carries.
 __version__ = "0.1.0"
 
 # the potential-form kind each compare transform maps forward (None: no map)
@@ -681,12 +683,8 @@ def _write_diffs(kind, out_dir, times, pairs, vol, columns, prefix, summary) -> 
                 mx = max(mx, float(np.max(np.abs(diff))))
             rep.write_row([n, times[n], float(np.sqrt(sq * vol)), mx])
         summary = {**summary, **{prefix + name: peak for name, peak in rep.peaks.items()}}
-        tmp = out_dir / (SUMMARY_FILE + ".tmp")
-        try:
-            tmp.write_text(json.dumps(summary, sort_keys=True) + "\n")
-            tmp.replace(out_dir / SUMMARY_FILE)
-        finally:
-            tmp.unlink(missing_ok=True)
+        with StagedFile(out_dir / SUMMARY_FILE) as out:
+            out.tmp.write_text(json.dumps(summary, sort_keys=True) + "\n")
     return RunReport(kind, out_dir, rep.peaks, summary)
 
 

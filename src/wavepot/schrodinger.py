@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .errors import GridMismatchError, SolverError
-from .grids import ComplexSampleField, Grid, ScalarSampleField
+from .errors import SolverError
+from .grids import ComplexSampleField, Grid, ScalarSampleField, check_same_grid
 from .linsolve import normal_equations_cg
 from .operators import (
     fourier_multiplier,
@@ -69,6 +69,11 @@ DENSE_GRID_LIMIT = 4096
 # 25.1, 512 22.7 vs 61.0. A constant, never timed at run time, so that the
 # bytes a run writes do not depend on the machine.
 DENSE_L_LIMIT = 256
+# numpy aligns arrays to 16 bytes; the dense L matrix is placed on a cache
+# line. Measured in a 256-point Verlet loop (2-vCPU x86-64 VM, one BLAS
+# thread): 20-24 us a step with the matrix on a 64-byte boundary, 29-38 us
+# off it, so without this a run's speed depended on where the heap put it.
+_CACHE_LINE = 64
 _SIGN_TIE = 1e-8  # relative band of eigenvector entries that tie for the largest
 # Relative residual of each Cayley solve, which bounds the norm error one step
 # adds; the cap stops a solve that has stalled (see crank_nicolson_step).
@@ -140,12 +145,6 @@ class PotentialSpec:
         return self.sampled.grid
 
 
-def _check_same_grid(grid: Grid, *fields) -> None:
-    for f in fields:
-        if f.grid != grid:
-            raise GridMismatchError("operands live on different grids")
-
-
 def hamiltonian_array(
     values: np.ndarray, v: np.ndarray, grid: Grid, params: QuantumParams, method: str
 ) -> np.ndarray:
@@ -182,7 +181,10 @@ def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: st
     if size > DENSE_L_LIMIT:
         return lop
     # row i is L of the i-th unit vector, so f @ mat = L f
-    mat = lop(np.eye(size).reshape((size,) + grid.shape)).reshape(size, size)
+    buf = np.empty(size * size * 8 + _CACHE_LINE, dtype=np.uint8)
+    start = -buf.ctypes.data % _CACHE_LINE
+    mat = buf[start : start + size * size * 8].view(np.float64).reshape(size, size)
+    mat[...] = lop(np.eye(size).reshape((size,) + grid.shape)).reshape(size, size)
 
     def dense(f: np.ndarray) -> np.ndarray:
         lead = f.shape[: f.ndim - grid.dims]
@@ -195,7 +197,7 @@ def apply_hamiltonian(
     psi: WaveFunction, V: PotentialSpec, method: str = "spectral"
 ) -> ComplexSampleField:
     grid = psi.grid
-    _check_same_grid(grid, V.sampled)
+    check_same_grid(grid, V.sampled)
     out = hamiltonian_array(psi.psi.values, V.sampled.values, grid, psi.params, method)
     return ComplexSampleField(grid, out)
 
@@ -213,7 +215,7 @@ def canonical_rhs(
     a complex field this is exactly (H Psi)/(i hbar).
     """
     grid = varphi.grid
-    _check_same_grid(grid, p, V.sampled)
+    check_same_grid(grid, p, V.sampled)
     v = V.sampled.values
     lp = l_operator_array(p.values, v, grid, params, method)
     lphi = l_operator_array(varphi.values, v, grid, params, method)
@@ -237,7 +239,7 @@ def generalized_rhs(
     Must agree with canonical_rhs to roundoff.
     """
     grid = varphi.grid
-    _check_same_grid(grid, p, V.sampled)
+    check_same_grid(grid, p, V.sampled)
     v = V.sampled.values
     dh_dp = p.values / params.hbar
     dh_dphi = varphi.values / params.hbar
@@ -260,7 +262,7 @@ def hamiltonian_canonical(
     Conserved along the exact flow; nonnegative for V >= 0.
     """
     grid = varphi.grid
-    _check_same_grid(grid, p, V.sampled)
+    check_same_grid(grid, p, V.sampled)
     grad2 = np.zeros(grid.shape)
     for g in gradient_arrays(varphi.values, grid, method):
         grad2 += g * g
@@ -309,7 +311,7 @@ def crank_nicolson_step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = psi.grid
-    _check_same_grid(grid, V.sampled)
+    check_same_grid(grid, V.sampled)
     params = psi.params
     v = V.sampled.values
     alpha = dt / (2.0 * params.hbar)
@@ -453,7 +455,7 @@ def exact_propagate_small(
     precomputed ``eig`` to amortize the diagonalization over many times.
     """
     grid = psi.grid
-    _check_same_grid(grid, V.sampled)
+    check_same_grid(grid, V.sampled)
     system = eig if eig is not None else dense_eigensystem(V, psi.params, method)
     flat = psi.psi.values.ravel()
     coeffs = system.vectors.T @ flat

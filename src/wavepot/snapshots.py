@@ -31,6 +31,7 @@ __all__ = [
     "write_snapshot",
     "dump_csv",
     "DiagnosticsWriter",
+    "StagedFile",
     "format_float",
 ]
 
@@ -58,14 +59,49 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
-class SnapshotWriter:
+class StagedFile:
+    """``path`` written as ``tmp`` (``<path>.tmp``) and renamed into place on a clean close.
+
+    With ``mode``, ``tmp`` is opened as ``_fh``; without it the caller writes
+    ``tmp`` itself. A ``with`` block that raises deletes ``tmp`` instead, so a
+    failed run leaves no half-written ``path`` behind.
+    """
+
+    def __init__(self, path: str | Path, mode: str | None = None):
+        self.path = Path(path)
+        self.tmp = self.path.with_name(self.path.name + ".tmp")
+        self._fh = None
+        if mode:
+            self._fh = open(self.tmp, mode, newline=None if "b" in mode else "")
+
+    def close(self) -> None:
+        if self._fh:
+            self._fh.close()
+        self.tmp.replace(self.path)
+
+    def discard(self) -> None:
+        if self._fh:
+            self._fh.close()
+        self.tmp.unlink(missing_ok=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+
+
+class SnapshotWriter(StagedFile):
     """Streams frames to a snapshot file without holding them all in memory.
 
-    Frames go to ``<path>.tmp``, which is renamed to ``path`` only when the
-    promised ``frame_count`` frames were written and the writer closes
-    cleanly; a run that raises leaves no snapshot file behind. ``time_end``
-    is the time of the last frame when it falls off the uniform grid (a run
-    whose step count is not a multiple of its stride), else None.
+    A ``StagedFile`` that is renamed to ``path`` only when the promised
+    ``frame_count`` frames were written and the writer closes cleanly; a run
+    that raises leaves no snapshot file behind. ``time_end`` is the time of
+    the last frame when it falls off the uniform grid (a run whose step count
+    is not a multiple of its stride), else None.
     """
 
     def __init__(
@@ -81,7 +117,7 @@ class SnapshotWriter:
         time_end: float | None,
         provenance: dict,
     ):
-        self.path = Path(path)
+        super().__init__(path, "wb")
         self.grid = grid
         self.fields = tuple(fields)
         self.frame_count = frame_count
@@ -97,8 +133,6 @@ class SnapshotWriter:
         }
         if time_end is not None:
             header["time_end"] = float(time_end)
-        self._tmp = self.path.with_name(self.path.name + ".tmp")
-        self._fh = open(self._tmp, "wb")
         self._fh.write((MAGIC + "\n").encode("ascii"))
         self._fh.write(
             (json.dumps(header, sort_keys=True, default=_json_default) + "\n").encode("ascii")
@@ -115,23 +149,12 @@ class SnapshotWriter:
         self._written += 1
 
     def close(self) -> None:
-        self._fh.close()
         if self._written != self.frame_count:
-            self._tmp.unlink()
+            self.discard()
             raise ValueError(
                 f"snapshot header promised {self.frame_count} frames, wrote {self._written}"
             )
-        self._tmp.replace(self.path)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.close()
-        else:
-            self._fh.close()
-            self._tmp.unlink(missing_ok=True)
+        super().close()
 
 
 @dataclass(frozen=True)
@@ -233,19 +256,15 @@ def dump_csv(data: SnapshotData, out_path: str | Path, frame: int | None = None)
             out.write_rows([np.full(size, n), np.full(size, data.times[n]), *flat_coords, *cols])
 
 
-class DiagnosticsWriter:
+class DiagnosticsWriter(StagedFile):
     """Streaming CSV writer with a fixed column order.
 
-    Rows go to ``<path>.tmp``, which is renamed to ``path`` only when the
-    writer closes cleanly, as for ``SnapshotWriter``; a run that raises
-    leaves no diagnostics file behind.
+    A ``StagedFile``: a run that raises leaves no diagnostics file behind.
     """
 
     def __init__(self, path: str | Path, columns: Sequence[str]):
-        self.path = Path(path)
+        super().__init__(path, "w")
         self.columns = tuple(columns)
-        self._tmp = self.path.with_name(self.path.name + ".tmp")
-        self._fh = open(self._tmp, "w", newline="")
         self._fh.write(",".join(self.columns) + "\n")
 
     def write_row(self, values: Sequence) -> None:
@@ -258,17 +277,3 @@ class DiagnosticsWriter:
             raise ValueError("diagnostics row does not match the column order")
         cells = zip(*map(_cells, columns), strict=True)
         self._fh.write("".join(",".join(row) + "\n" for row in cells))
-
-    def close(self) -> None:
-        self._fh.close()
-        self._tmp.replace(self.path)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.close()
-        else:
-            self._fh.close()
-            self._tmp.unlink(missing_ok=True)

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GaugeError, GridMismatchError, StabilityError
-from .grids import Grid, ComplexSampleField, ScalarSampleField
+from .errors import GaugeError, StabilityError
+from .grids import Grid, ComplexSampleField, ScalarSampleField, check_same_grid
 from .schrodinger import (
     PotentialSpec,
     QuantumParams,
@@ -59,17 +59,11 @@ class PhiState:
     potential: PotentialSpec
 
     def __post_init__(self):
-        if not (self.phi.grid == self.phi_dot.grid == self.potential.grid):
-            raise GridMismatchError("phi, phi_dot, and potential must share one grid")
+        check_same_grid(self.phi.grid, self.phi_dot, self.potential)
 
     @property
     def grid(self) -> Grid:
         return self.phi.grid
-
-    @property
-    def momentum(self) -> ScalarSampleField:
-        """Conjugate momentum hbar * phi_dot (kinetic term is (hbar/2) phi_dot^2)."""
-        return ScalarSampleField(self.grid, self.params.hbar * self.phi_dot.values)
 
 
 @dataclass(frozen=True)
@@ -223,8 +217,7 @@ def gauge_shift(state: PhiState, alpha: ScalarSampleField, method: str = "spectr
     discrete L2 norm, otherwise GaugeError reports the offending residual.
     """
     grid = state.grid
-    if alpha.grid != grid:
-        raise GridMismatchError("gauge function must live on the state grid")
+    check_same_grid(grid, alpha)
     v = state.potential.sampled.values
     l_alpha = l_operator_array(alpha.values, v, grid, state.params, method)
     vol = grid.cell_volume

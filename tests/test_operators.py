@@ -405,6 +405,18 @@ class TestDenseSmallGridL:
         assert got.shape == f.shape
         assert_close(got, l_operator_array(f, v, grid, params, method), rel=1e-13)
 
+    def test_dense_matrix_starts_on_a_cache_line(self):
+        grid = Grid.line(DENSE_L_LIMIT, 20.0)
+        np.ones(1 << 20)  # freed at once: glibc then serves the matrices from its heap
+        kept = []
+        for n in range(1, 9):
+            # each live matrix and odd-sized block moves the heap for the next build
+            kept.append(np.ones(128 + 2 * n))
+            kept.append(real_l_operator(grid, np.zeros(grid.shape), QuantumParams(), "spectral"))
+        for lop in kept[1::2]:
+            cells = dict(zip(lop.__code__.co_freevars, lop.__closure__))
+            assert cells["mat"].cell_contents.ctypes.data % 64 == 0
+
 
 class TestDeadModes:
     @pytest.mark.parametrize("method", METHODS)
@@ -507,3 +519,39 @@ def test_scipy_guard_flags_a_mutated_copy(tmp_path):
     top = tmp_path / "reconstruction.py"
     top.write_text("from scipy.sparse.linalg import lobpcg\n" + (SRC / "reconstruction.py").read_text())
     assert ("reconstruction.py", None, "scipy.sparse.linalg") in _scipy_imports(top)
+
+
+def _grid_errors_raised(path: Path) -> list[str]:
+    """Each place the file constructs or raises GridMismatchError."""
+    found = []
+    for child, function in _nodes_with_function(path):
+        if isinstance(child, ast.Call):
+            target = child.func
+        elif isinstance(child, ast.Raise):
+            target = child.exc  # a bare ``raise GridMismatchError``
+        else:
+            continue
+        name = getattr(target, "id", getattr(target, "attr", None))
+        if name == "GridMismatchError":
+            found.append(f"{path.name}:{child.lineno} in {function}")
+    return found
+
+
+def test_grid_errors_only_from_the_grid_check():
+    found = [
+        hit for path in sorted(SRC.glob("*.py")) if path.name != "grids.py"
+        for hit in _grid_errors_raised(path)
+    ]
+    assert not found, found
+
+
+def test_grid_error_guard_flags_a_mutated_copy(tmp_path):
+    source = (SRC / "maxwell.py").read_text()
+    anchor = "    check_same_grid(grid, rho)\n"
+    assert anchor in source
+    mutated = tmp_path / "maxwell.py"
+    inline = "    if rho.grid != grid:\n        raise errors.GridMismatchError('rho')\n"
+    mutated.write_text(source.replace(anchor, inline, 1))
+    assert len(_grid_errors_raised(mutated)) == 1
+    mutated.write_text(source.replace(anchor, "    raise GridMismatchError\n", 1))
+    assert len(_grid_errors_raised(mutated)) == 1
