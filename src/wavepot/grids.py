@@ -113,9 +113,10 @@ def check_same_grid(grid: Grid, *fields) -> None:
 class _SampleField:
     """Finite samples of one field on ``grid``, coerced to the class's dtype.
 
-    ``values`` has shape ``_components + grid.shape``. Sums, differences,
-    negation and scaling by a number keep the class. A scalar-valued field
-    also multiplies pointwise by a real field or one of its own class.
+    ``values`` has shape ``_components + grid.shape``. A real class refuses
+    complex samples. Sums and differences take a field of the same class;
+    they, negation and scaling by a number keep the class. A scalar-valued
+    field also multiplies pointwise by a real field or one of its own class.
     """
 
     grid: Grid
@@ -127,6 +128,8 @@ class _SampleField:
     _components: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self):
+        if self._number is float and np.iscomplexobj(self.values):
+            raise TypeError(f"{type(self).__name__} takes real samples, got complex ones")
         arr = np.asarray(self.values, dtype=self._number)
         shape = self._components + self.grid.shape
         if arr.shape != shape:
@@ -140,10 +143,14 @@ class _SampleField:
         return cls(grid, np.zeros(cls._components + grid.shape, dtype=cls._number))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         check_same_grid(self.grid, other)
         return type(self)(self.grid, self.values + other.values)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         check_same_grid(self.grid, other)
         return type(self)(self.grid, self.values - other.values)
 

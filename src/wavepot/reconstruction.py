@@ -6,11 +6,11 @@ Quantum side: given a wave-function trajectory, the potential is
 
 with the elliptic solve pinned to the minimum-norm solution (zero along any
 numerical kernel of L, which is exactly the gauge sector). The kernel is
-found matrix-free on every grid: LOBPCG computes the lowest eigenpairs of
-H = -L through the FFT operator, at the cost of tens to a few hundred block
-applies of H; a search that does not converge raises SolverError rather
-than assuming the kernel trivial. Electromagnetic side: given an (E, B)
-trajectory,
+found matrix-free on every grid: ``linsolve.lowest_eigenpairs`` (LOBPCG)
+computes the lowest eigenpairs of H = -L through the FFT operator, at the
+cost of tens to a few hundred block applies of H; a search that does not
+converge raises SolverError rather than assuming the kernel trivial.
+Electromagnetic side: given an (E, B) trajectory,
 
     A(t) = -c Int_0^t E dtau + K,   curl K = B(0),
 
@@ -24,14 +24,13 @@ Cayley update *is* the trapezoid relation between the two parts.
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import IncompatibleRhsError, SolverError
 from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3, check_same_grid
-from .linsolve import conjugate_gradient, normal_equations_cg
+from .linsolve import conjugate_gradient, lowest_eigenpairs, normal_equations_cg
 from .maxwell import EMState, PotentialState
 from .operators import (
     DEAD_MODE_TOL,
@@ -152,18 +151,16 @@ def _kernel_basis(
     """Orthonormal (plain dot) basis of the numerical kernel of L = -H.
 
     The kernel is the span of the eigenvectors of H with |E| <= zero_tol * emax,
-    emax = ``max_energy_bound``. LOBPCG (Knyazev 2001) finds the lowest
-    eigenpairs of H matrix-free, through ``l_operator_array`` on whole blocks
-    and the Fourier preconditioner of ``solve_elliptic``, from a fixed
-    pseudo-random start block. The block doubles until the eigenpairs that
-    converged, counted from the lowest up, reach one above the threshold: that
-    shows every eigenvalue at or below it (the kernel, and the negative
-    spectrum of an indefinite H) was found. A search that gets there only with
-    more than ``_KERNEL_BLOCK_CAP`` vectors raises SolverError; it never
-    assumes the kernel away.
+    emax = ``max_energy_bound``. ``linsolve.lowest_eigenpairs`` (LOBPCG,
+    Knyazev 2001) finds the lowest eigenpairs of H matrix-free, through
+    ``l_operator_array`` on whole blocks and the Fourier preconditioner of
+    ``solve_elliptic``, from a fixed pseudo-random start block. The block
+    doubles until the eigenpairs that converged, counted from the lowest up,
+    reach one above the threshold: that shows every eigenvalue at or below it
+    (the kernel, and the negative spectrum of an indefinite H) was found. A
+    search that gets there only with more than ``_KERNEL_BLOCK_CAP`` vectors
+    raises SolverError; it never assumes the kernel away.
     """
-    from scipy.sparse.linalg import LinearOperator, lobpcg
-
     grid = V.grid
     m = grid.size
     v = V.sampled.values
@@ -171,29 +168,19 @@ def _kernel_basis(
     threshold = zero_tol * emax
     res_tol = _KERNEL_RESIDUAL_TOL * emax
 
-    def as_columns(op) -> LinearOperator:
-        # lobpcg keeps vectors as columns (an integer identity on grids too small
-        # to iterate on); the grid operators take a leading batch axis
-        def apply(x: np.ndarray) -> np.ndarray:
-            batch = np.ascontiguousarray(x.T, dtype=np.float64).reshape((-1,) + grid.shape)
-            return op(batch).reshape(-1, m).T
+    def h(f: np.ndarray) -> np.ndarray:
+        return -l_operator_array(f, v, grid, params, method)
 
-        return LinearOperator((m, m), matvec=apply, matmat=apply, dtype=np.float64)
-
-    h = as_columns(lambda f: -l_operator_array(f, v, grid, params, method))
-    preconditioner = as_columns(_fourier_preconditioner(grid, v, params, method))
+    preconditioner = _fourier_preconditioner(grid, v, params, method)
     block = min(_KERNEL_BLOCK_START, m)
     while True:
         start = np.random.default_rng(0).standard_normal((m, block))
-        with warnings.catch_warnings():
-            # lobpcg warns on slow convergence and on small problems; the true
-            # residuals below decide whether its answer stands
-            warnings.simplefilter("ignore", UserWarning)
-            energies, vectors = lobpcg(
-                h, start, M=preconditioner, tol=0.1 * res_tol,
-                maxiter=_KERNEL_MAX_ITER, largest=False,
-            )
-        residual = np.linalg.norm(h.matmat(vectors) - vectors * energies, axis=0)
+        energies, vectors = lowest_eigenpairs(
+            h, start.T.reshape((block,) + grid.shape),
+            tol=0.1 * res_tol, max_iter=_KERNEL_MAX_ITER, precondition=preconditioner,
+        )
+        flat = vectors.reshape(block, m)
+        residual = np.linalg.norm(h(vectors).reshape(block, m) - energies[:, None] * flat, axis=1)
         # energies ascend; count the converged eigenpairs from the bottom up, as a
         # cluster of close eigenvalues straddling the top edge of the block converges slowly
         converged = residual <= res_tol
@@ -209,7 +196,7 @@ def _kernel_basis(
             )
         block = min(2 * block, _KERNEL_BLOCK_CAP, m)
     keep = np.nonzero(np.abs(energies[:found]) <= threshold)[0]
-    return [vectors[:, i].copy() for i in keep]
+    return list(flat[keep])
 
 
 def solve_elliptic(
@@ -224,9 +211,10 @@ def solve_elliptic(
     (relative tolerance ``_KERNEL_ZERO_TOL``), else IncompatibleRhsError; the
     returned solution carries no kernel component. The kernel is the span of
     the eigenvectors of H = -L with |E| <= _KERNEL_ZERO_TOL *
-    ``max_energy_bound``, found by LOBPCG without forming a matrix (see
-    ``_kernel_basis``) at the cost of tens to a few hundred block applies of
-    H; a search that does not converge raises SolverError. CG runs on the
+    ``max_energy_bound``, found by ``linsolve.lowest_eigenpairs`` (LOBPCG)
+    without forming a matrix (see ``_kernel_basis``) at the cost of tens to a
+    few hundred block applies of H; a search that does not converge raises
+    SolverError. CG runs on the
     positive-semidefinite -L when V >= 0, otherwise on the normal equations;
     both are checked against the true relative residual ``_ELLIPTIC_TOL``.
     """

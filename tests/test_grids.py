@@ -1,3 +1,6 @@
+import itertools
+import operator
+
 import numpy as np
 import pytest
 
@@ -213,6 +216,28 @@ class TestCrossClassProducts:
             _ = v * s
         with pytest.raises(TypeError):
             _ = s * v
+
+
+class TestCrossClassSums:
+    """Sums and differences between classes raise: no part of a sample is dropped."""
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    @pytest.mark.parametrize(
+        "left, right",
+        list(itertools.permutations(FIELD_CLASSES, 2)),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_mixed_classes_raise(self, left, right, op):
+        grid = Grid.cube(4, 2.0)
+        with pytest.raises(TypeError):
+            op(left.zeros(grid), right.zeros(grid))
+
+    @pytest.mark.parametrize("cls", [ScalarSampleField, VectorSampleField3])
+    def test_real_classes_refuse_complex_samples(self, cls):
+        grid = FIELD_CLASSES[cls][0]
+        # even a zero imaginary part: a real field is built from real samples
+        with pytest.raises(TypeError, match="real samples"):
+            cls(grid, np.zeros(sample_shape(cls, grid), dtype=complex))
 
 
 def _quantum_cases():

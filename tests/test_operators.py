@@ -481,11 +481,6 @@ def test_transforms_only_in_the_operator_layer():
     assert not found, found
 
 
-# The one scipy import src/wavepot may hold: LOBPCG for the kernel of L, loaded
-# inside the function so that no other run pays for it.
-ALLOWED_SCIPY = {("reconstruction.py", "_kernel_basis", "scipy.sparse.linalg")}
-
-
 def _scipy_imports(path: Path) -> list[tuple[str, str | None, str]]:
     """(file, enclosing function or None at module level, module) of each scipy import."""
     found = []
@@ -504,9 +499,11 @@ def _scipy_imports(path: Path) -> list[tuple[str, str | None, str]]:
     return found
 
 
-def test_scipy_only_inside_the_kernel_search():
+# src/wavepot imports no scipy anywhere, not even inside a function: numpy's
+# dense and block eigensolvers serve every path, and no run pays scipy's import.
+def test_no_scipy_import_in_the_package():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _scipy_imports(path)]
-    assert set(found) == ALLOWED_SCIPY, found
+    assert found == [], found
 
 
 def test_scipy_guard_flags_a_mutated_copy(tmp_path):
@@ -518,7 +515,7 @@ def test_scipy_guard_flags_a_mutated_copy(tmp_path):
     assert _scipy_imports(inside) == [("schrodinger.py", "dense_eigensystem", "scipy.linalg")]
     top = tmp_path / "reconstruction.py"
     top.write_text("from scipy.sparse.linalg import lobpcg\n" + (SRC / "reconstruction.py").read_text())
-    assert ("reconstruction.py", None, "scipy.sparse.linalg") in _scipy_imports(top)
+    assert _scipy_imports(top) == [("reconstruction.py", None, "scipy.sparse.linalg")]
 
 
 def _grid_errors_raised(path: Path) -> list[str]:

@@ -15,7 +15,7 @@ from wavepot.grids import (
     l2_norm,
     max_norm,
 )
-from wavepot.linsolve import conjugate_gradient, normal_equations_cg
+from wavepot.linsolve import conjugate_gradient, lowest_eigenpairs, normal_equations_cg
 from wavepot.maxwell import (
     EMState,
     SourceSpec,
@@ -366,6 +366,89 @@ class TestConjugateGradient:
             normal_equations_cg(
                 lambda x: diag * x, lambda x: diag * x, np.ones(8), tol=1e-12, max_iter=2
             )
+
+
+# 60 eigenvalues: two negative, then a degenerate pair, then a spread to 40
+_SPECTRUM = np.concatenate([[-2.0, -0.5, 0.3, 0.3], np.linspace(1.0, 40.0, 56)])
+
+
+def _symmetric(spectrum: np.ndarray) -> np.ndarray:
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((spectrum.size,) * 2))[0]
+    return (q * spectrum) @ q.T
+
+
+def _stacked_op(a: np.ndarray, shape: tuple[int, ...]):
+    """A applied to each vector of a stack whose vectors are shaped ``shape``."""
+    return lambda x: (x.reshape(len(x), -1) @ a).reshape((len(x),) + shape)
+
+
+class TestLowestEigenpairs:
+    SHAPE = (6, 10)
+
+    def _start(self, k: int) -> np.ndarray:
+        return np.random.default_rng(0).standard_normal((k,) + self.SHAPE)
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_matches_dense_eigh(self, preconditioned):
+        a = _symmetric(_SPECTRUM)
+        # a positive definite stand-in for the inverse of A, as the kernel search's
+        # Fourier preconditioner is for H
+        shifted_inverse = np.linalg.inv(a + 3.0 * np.eye(a.shape[0]))
+        energies, vectors = lowest_eigenpairs(
+            _stacked_op(a, self.SHAPE), self._start(5), tol=1e-10, max_iter=500,
+            precondition=_stacked_op(shifted_inverse, self.SHAPE) if preconditioned else None,
+        )
+        ref_energies, ref_vectors = np.linalg.eigh(a)
+        assert vectors.shape == (5,) + self.SHAPE
+        assert np.max(np.abs(energies - ref_energies[:5])) <= 1e-12
+        found = vectors.reshape(5, -1).T
+        assert np.max(np.abs(found.T @ found - np.eye(5))) <= 1e-12
+        assert np.max(np.linalg.norm(a @ found - found * energies, axis=0)) <= 1e-10
+        # the degenerate pair 0.3, 0.3 is fixed only as a subspace: compare projectors
+        for cols in [[0], [1], [2, 3], [4]]:
+            ours, ref = found[:, cols], ref_vectors[:, cols]
+            assert np.max(np.abs(ours @ ours.T - ref @ ref.T)) <= 1e-9
+
+    def test_dense_when_the_block_is_a_third_of_the_space(self):
+        # 3k >= m: one apply to the identity and numpy's eigh, whatever max_iter says
+        spectrum = np.array([-1.0, 0.5, 0.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+        a = _symmetric(spectrum)
+        batches = []
+
+        def apply(x):
+            batches.append(len(x))
+            return _stacked_op(a, (12,))(x)
+
+        start = np.random.default_rng(0).standard_normal((4, 12))
+        energies, vectors = lowest_eigenpairs(apply, start, tol=0.0, max_iter=0)
+        assert batches == [12]
+        ref_energies, ref_vectors = np.linalg.eigh(0.5 * (a + a.T))
+        assert np.array_equal(energies, ref_energies[:4])
+        assert np.array_equal(vectors, ref_vectors[:, :4].T)
+
+    def test_bitwise_equal_for_a_fixed_start(self):
+        a = _symmetric(_SPECTRUM)
+        runs = [
+            lowest_eigenpairs(_stacked_op(a, self.SHAPE), self._start(4), tol=1e-10, max_iter=500)
+            for _ in range(2)
+        ]
+        for first, second in zip(*runs):
+            assert first.tobytes() == second.tobytes()
+
+    def test_unconverged_run_returns_its_last_ritz_pairs(self):
+        # tol 0 is never met: the run stops at max_iter and raises nothing
+        a = _symmetric(_SPECTRUM)
+        energies, vectors = lowest_eigenpairs(
+            _stacked_op(a, self.SHAPE), self._start(4), tol=0.0, max_iter=2
+        )
+        found = vectors.reshape(4, -1).T
+        # Ritz pairs: orthonormal vectors that diagonalise A with the returned values,
+        # each value an upper bound on its eigenvalue, residuals far from converged
+        assert np.all(np.diff(energies) >= 0.0)
+        assert np.max(np.abs(found.T @ found - np.eye(4))) <= 1e-12
+        assert np.max(np.abs(found.T @ a @ found - np.diag(energies))) <= 1e-12
+        assert np.all(energies >= _SPECTRUM[:4] - 1e-12)
+        assert np.min(np.linalg.norm(a @ found - found * energies, axis=0)) > 1e-6
 
 
 class TestReconstructPhi:

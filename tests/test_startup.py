@@ -1,8 +1,8 @@
 """What start-up loads, and what the step loops cost the allocator.
 
-scipy serves one path only: the kernel search of ``reconstruct-phi``.
-Everything else, ``type = stationary`` initial data included, must run without
-importing it. The Maxwell step loops allocate and free about 1 MB a step, so
+No path imports scipy: start-up and every scenario kind, ``type = stationary``
+initial data and the kernel search of ``reconstruct-phi`` included, run on
+numpy alone. The Maxwell step loops allocate and free about 1 MB a step, so
 under glibc ``stepping.drive`` keeps freed heap for reuse; the fault budget
 below catches a run that maps its temporaries in again each step.
 Both checks need a fresh interpreter, so each runs in a subprocess.
@@ -24,7 +24,7 @@ GRID_3D = "[grid]\npoints = 8 8 8\nlengths = " + " ".join(["6.283185307179586"] 
 HARMONIC = "[potential]\nv = 0.5*(x-10)^2\n"
 PHI_STEPS = "[integrator]\ndt = auto\nsteps = 6\nsnapshot_stride = 3\n"
 
-WITHOUT_SCIPY = {
+KINDS = {
     "maxwell-fields": GRID_3D + """
 [scenario]
 kind = maxwell-fields
@@ -81,9 +81,7 @@ type = stationary
 mode = 0
 time = 0
 """,
-}
-
-WITH_SCIPY = {
+    # reads the record that the schrodinger run above writes, so it runs after it
     "reconstruct-phi": HARMONIC + """
 [scenario]
 kind = reconstruct-phi
@@ -126,17 +124,13 @@ def _run_child(code, *args):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_startup_and_scipy_free_kinds_load_no_scipy(tmp_path):
-    for kind, text in {**WITHOUT_SCIPY, **WITH_SCIPY}.items():
+def test_startup_and_every_kind_load_no_scipy(tmp_path):
+    for kind, text in KINDS.items():
         (tmp_path / f"{kind}.scn").write_text(text)
-    kinds = list(WITHOUT_SCIPY) + list(WITH_SCIPY)
-    after = _run_child(STARTUP_CHILD, ROOT, tmp_path, json.dumps(kinds))
-    for step in ["import", *WITHOUT_SCIPY]:
+    after = _run_child(STARTUP_CHILD, ROOT, tmp_path, json.dumps(list(KINDS)))
+    for step in ["import", *KINDS]:
         assert after[step] == [], f"scipy loaded by {step}: {after[step][:3]}"
-    # the one scipy path still runs, loading the part it needs
-    for kind in WITH_SCIPY:
-        assert (tmp_path / kind / "snapshots.wps").is_file()
-    assert "scipy.sparse.linalg" in after["reconstruct-phi"]
+    assert (tmp_path / "reconstruct-phi" / "snapshots.wps").is_file()
 
 
 FAULTS_CHILD = textwrap.dedent(
