@@ -11,29 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    ContinuityError,
-    ExprEvalError,
-    ExprSyntaxError,
-    GridMismatchError,
-    MonitorError,
-    NonFiniteSampleError,
-    ScenarioError,
-    SolverError,
-    StabilityError,
-)
+from .errors import MonitorError, NonFiniteSampleError, SolverError, StabilityError
 from . import scenario as scn
 from .snapshots import dump_csv, read_snapshot
 
-USAGE_ERRORS = (
-    ScenarioError,
-    ExprSyntaxError,
-    ExprEvalError,
-    ContinuityError,
-    GridMismatchError,
-    ValueError,
-)
+# Checked in this order: NonFiniteSampleError is a ValueError, yet a numerical failure.
 NUMERICAL_ERRORS = (StabilityError, SolverError, NonFiniteSampleError)
+USAGE_ERRORS = (ValueError,)
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

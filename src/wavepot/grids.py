@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, NonFiniteSampleError
 
 __all__ = [
     "Grid",
@@ -135,7 +135,7 @@ class _SampleField:
         if arr.shape != shape:
             raise ValueError(f"sample shape {arr.shape} does not match {shape}")
         if not np.isfinite(arr).all():
-            raise ValueError("field contains non-finite samples")
+            raise NonFiniteSampleError("field contains non-finite samples")
         object.__setattr__(self, "values", arr)
 
     @classmethod

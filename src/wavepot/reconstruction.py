@@ -46,6 +46,7 @@ from .operators import (
 from .schrodinger import (
     PotentialSpec,
     QuantumParams,
+    hamiltonian_array,
     l_operator_array,
     max_energy_bound,
 )
@@ -147,13 +148,14 @@ def _fourier_preconditioner(grid: Grid, v: np.ndarray, params: QuantumParams, me
 
 def _kernel_basis(
     V: PotentialSpec, params: QuantumParams, method: str, zero_tol: float
-) -> list[np.ndarray]:
-    """Orthonormal (plain dot) basis of the numerical kernel of L = -H.
+) -> np.ndarray:
+    """Orthonormal (plain dot) basis of the numerical kernel of L = -H, as the
+    rows of a ``(k, grid.size)`` array over the flattened grid.
 
     The kernel is the span of the eigenvectors of H with |E| <= zero_tol * emax,
     emax = ``max_energy_bound``. ``linsolve.lowest_eigenpairs`` (LOBPCG,
     Knyazev 2001) finds the lowest eigenpairs of H matrix-free, through
-    ``l_operator_array`` on whole blocks and the Fourier preconditioner of
+    ``hamiltonian_array`` on whole blocks and the Fourier preconditioner of
     ``solve_elliptic``, from a fixed pseudo-random start block. The block
     doubles until the eigenpairs that converged, counted from the lowest up,
     reach one above the threshold: that shows every eigenvalue at or below it
@@ -169,7 +171,7 @@ def _kernel_basis(
     res_tol = _KERNEL_RESIDUAL_TOL * emax
 
     def h(f: np.ndarray) -> np.ndarray:
-        return -l_operator_array(f, v, grid, params, method)
+        return hamiltonian_array(f, v, grid, params, method)
 
     preconditioner = _fourier_preconditioner(grid, v, params, method)
     block = min(_KERNEL_BLOCK_START, m)
@@ -195,8 +197,7 @@ def _kernel_basis(
                 f"the zero threshold {threshold:.3e}, so the kernel may be larger"
             )
         block = min(2 * block, _KERNEL_BLOCK_CAP, m)
-    keep = np.nonzero(np.abs(energies[:found]) <= threshold)[0]
-    return list(flat[keep])
+    return flat[:found][np.abs(energies[:found]) <= threshold]
 
 
 def solve_elliptic(
@@ -223,27 +224,22 @@ def solve_elliptic(
     v = V.sampled.values
     kernel = _kernel_basis(V, params, method, _KERNEL_ZERO_TOL)
 
-    flat_rhs = rhs.values.ravel().copy()
+    flat_rhs = rhs.values.ravel()
     rhs_norm = float(np.linalg.norm(flat_rhs))
     if rhs_norm == 0.0:
         return ScalarSampleField.zeros(grid)
-    for u in kernel:
-        overlap = float(u @ flat_rhs)
-        if abs(overlap) > _KERNEL_ZERO_TOL * rhs_norm:
-            raise IncompatibleRhsError(
-                "incompatible right-hand side: component along a zero mode of L "
-                f"has relative magnitude {abs(overlap) / rhs_norm:.3e} "
-                f"(tolerance {_KERNEL_ZERO_TOL:g})"
-            )
+    overlap = float(np.max(np.abs(kernel @ flat_rhs), initial=0.0))
+    if overlap > _KERNEL_ZERO_TOL * rhs_norm:
+        raise IncompatibleRhsError(
+            "incompatible right-hand side: component along a zero mode of L "
+            f"has relative magnitude {overlap / rhs_norm:.3e} (tolerance {_KERNEL_ZERO_TOL:g})"
+        )
 
     def project(x: np.ndarray) -> np.ndarray:
-        out = x
-        for u in kernel:
-            out = out - u.reshape(x.shape) * np.sum(u.reshape(x.shape) * x)
-        return out
+        return x - (kernel.T @ (kernel @ x.ravel())).reshape(x.shape)
 
     def apply_h(x: np.ndarray) -> np.ndarray:
-        return -l_operator_array(x, v, grid, params, method)
+        return hamiltonian_array(x, v, grid, params, method)
 
     b = -rhs.values  # H C = -rhs
     inner_tol = 0.5 * _ELLIPTIC_TOL

@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -66,7 +66,7 @@ class _Kind:
     integrate: Callable | None = None  # (scenario, state, **options): run the integrator
     auto_dt: Callable | None = None  # scenario -> the stability bound "dt = auto" resolves to
     needs_3d: bool = False
-    reconstruct: Callable | None = None  # (scenario, record, state iterable) -> state iterator
+    reconstruct: Callable | None = None  # (scenario, times, state iterable) -> state iterator
 
 
 _DEFAULT_CONSTANTS = {"hbar": 1.0, "m": 1.0, "c": 1.0}
@@ -296,6 +296,14 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
             raise ScenarioError(f"bad [sources] section: {exc}") from exc
 
     scenario.initial = _read_initial(parser, kind)
+    if scenario.initial["type"] == "stationary":
+        mode = _get_number(parser, "initial", "mode", int)
+        if not 0 <= mode < grid.size:
+            raise ScenarioError(
+                f"field [initial] mode must be an eigenstate index from 0 to {grid.size - 1}, "
+                f"got {mode}"
+            )
+        scenario.initial["mode"] = mode
 
     steps = _get_number(parser, "integrator", "steps", int)
     if steps <= 0:
@@ -575,7 +583,7 @@ def _phi_evolution(scenario: Scenario):
     V = scenario.potential
     init = scenario.initial
     if init["type"] == "stationary":
-        mode = int(init["mode"])
+        mode = init["mode"]
         t0 = float(init["time"])
         energy_n, psi_n = schrodinger.eigenpairs_small(V, params, mode + 1, scenario.backend)[mode]
         state = wavepotential.stationary_phi(psi_n, energy_n, t0, params, V, scenario.backend)
@@ -689,18 +697,24 @@ def _write_diffs(kind, out_dir, times, pairs, vol, columns, prefix, summary) -> 
 
 
 def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
-    """Map a field-form record to potentials and check the round trip frame by frame."""
+    """Map a field-form record to potentials and check the round trip frame by frame.
+
+    The scenario, moved onto the record's grid with its potential sampled there,
+    decodes each source frame once, runs the map, maps each result forward and
+    labels the output. The record supplies only its grid, times and samples,
+    and the round trip is checked against the frames' own arrays."""
     spec = KIND[scenario.kind]
     out_kind = spec.forward
     source_kind = KIND[out_kind].forward
     data = _load_run(scenario, "source")
     if data.kind != source_kind:
         raise ScenarioError(f"{scenario.kind} needs a {source_kind} run, got {data.kind!r}")
-    decode = _decoder(data)[1]
-    # the map and the comparison each decode the frames as they go
-    states = spec.reconstruct(scenario, data, map(decode, data.frames))
-    originals = map(decode, data.frames)
-    backend, vol = scenario.backend, data.grid.cell_volume
+    scn = replace(scenario, grid=data.grid)
+    if scn.potential_source is not None:
+        scn.potential = _sample_potential(scn.potential_source, data.grid, scn.constants)
+    source = KIND[source_kind]
+    originals = [[frame[name] for name in source.fields] for frame in data.frames]
+    states = spec.reconstruct(scn, data.times, (source.from_arrays(scn, a) for a in originals))
     with SnapshotWriter(
         out_dir / SNAPSHOT_FILE,
         kind=out_kind,
@@ -710,18 +724,17 @@ def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
         time_step=float(data.times[1] - data.times[0]),
         frame_count=len(data.frames),
         time_end=data.time_end,
-        provenance=scenario.provenance(),
+        provenance=scn.provenance(),
     ) as snap:
 
         def pairs():
             for st, original in zip(states, originals):
                 snap.write_frame(KIND[out_kind].to_arrays(st))
-                yield _forward_arrays(out_kind, st, backend), KIND[source_kind].to_arrays(original)
+                yield _forward_arrays(out_kind, st, scn.backend), original
 
         columns, summary = ("roundtrip_l2", "roundtrip_max"), {"frames": len(data.frames)}
-        return _write_diffs(
-            scenario.kind, out_dir, data.times, pairs(), vol, columns, "sup_", summary
-        )
+        vol = data.grid.cell_volume
+        return _write_diffs(scn.kind, out_dir, data.times, pairs(), vol, columns, "sup_", summary)
 
 
 def _transform_frames(data: SnapshotData, transform: str):
@@ -859,12 +872,8 @@ KIND = {
         run=_run_reconstruct,
         inputs={"source": None},
         forward="phi",
-        reconstruct=lambda scn, data, waves: reconstruction.reconstruct_phi(
-            data.times,
-            (w.psi for w in waves),
-            _sample_potential(scn.potential_source, data.grid, scn.constants),
-            scn.params,
-            scn.backend,
+        reconstruct=lambda scn, times, waves: reconstruction.reconstruct_phi(
+            times, (w.psi for w in waves), scn.potential, scn.params, scn.backend
         ),
     ),
     "reconstruct-a": _Kind(
@@ -873,8 +882,8 @@ KIND = {
         run=_run_reconstruct,
         inputs={"source": None},
         forward="maxwell-potential",
-        reconstruct=lambda scn, data, states: reconstruction.reconstruct_vector_potential(
-            data.times, states, scn.backend
+        reconstruct=lambda scn, times, states: reconstruction.reconstruct_vector_potential(
+            times, states, scn.backend
         ),
     ),
     "compare": _Kind(

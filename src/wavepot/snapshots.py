@@ -208,7 +208,9 @@ def read_snapshot(path: str | Path) -> SnapshotData:
         try:
             grid = Grid(tuple(header["grid"]["points"]), tuple(header["grid"]["lengths"]))
             kind, fields = header["kind"], tuple(header["fields"])
-            count = int(header["frame_count"])
+            count = header["frame_count"]
+            if type(count) is not int or count < 1:  # a run records its first and last step
+                raise ValueError(f"{path} has frame_count {count!r}, not a positive integer")
             times = header["time_start"] + header["time_step"] * np.arange(count)
         except KeyError as exc:
             raise ValueError(f"{path} header lacks the key {exc.args[0]!r}") from None

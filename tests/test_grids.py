@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavepot import maxwell, reconstruction, schrodinger, wavepotential
-from wavepot.errors import GridMismatchError
+from wavepot.errors import GridMismatchError, NonFiniteSampleError
 from wavepot.grids import (
     ComplexSampleField,
     Grid,
@@ -88,6 +88,16 @@ class TestFields:
         bad[5] = np.nan
         with pytest.raises(ValueError):
             ScalarSampleField(grid64, bad)
+
+    @pytest.mark.parametrize("cls", [ScalarSampleField, ComplexSampleField, VectorSampleField3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_raise_non_finite_error(self, cls, bad):
+        # a state that overflows is a numerical failure (exit 2), not a usage error
+        grid = Grid.cube(4, 1.0)
+        values = cls.zeros(grid).values.copy()
+        values.flat[5] = bad
+        with pytest.raises(NonFiniteSampleError, match="non-finite samples"):
+            cls(grid, values)
 
     def test_scalar_arithmetic(self, grid64):
         a = ScalarSampleField.full(grid64, 2.0)

@@ -319,7 +319,7 @@ class TestKernelBasis:
         assert len(basis) == dense.shape[1]
         if potential == "tuned_constant":
             assert len(basis) >= 2
-        if basis:
+        if len(basis):
             found = np.stack(basis, axis=1)
             assert np.max(np.abs(found.T @ found - np.eye(len(basis)))) <= 1e-12
             assert np.max(np.abs(found @ found.T - dense @ dense.T)) <= 1e-8

@@ -409,6 +409,38 @@ class TestCli:
         code = main(["maxwell-fields", "--scenario", str(p), "--out", str(tmp_path / "r")])
         assert code == 1
 
+    @pytest.mark.parametrize("mode, message", [
+        ("-1", "from 0 to 15, got -1"),
+        ("16", "from 0 to 15, got 16"),
+        ("99", "from 0 to 15, got 99"),
+        ("1.5", "[initial] mode must be an integer, got '1.5'"),
+    ])
+    def test_stationary_mode_out_of_range_exit_one(self, tmp_path, capsys, mode, message):
+        # an IndexError traceback (or int()'s bare message) before the range check
+        text = HARMONIC_PHI.replace("points = 64", "points = 16").replace(
+            "type = expressions\nphi = cos(2*pi*x/20)\nphi_dot = 0",
+            f"type = stationary\nmode = {mode}",
+        )
+        p = write(tmp_path, "a.scn", text)
+        assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        # the last mode of the grid is in range
+        run(load_scenario(p, overrides=["initial.mode=15"]), tmp_path / "last")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("kind, text, overrides", [
+        ("phi", HARMONIC_PHI, ["grid.points=16", "initial.phi=1e306*cos(2*pi*x/20)"]),
+        ("maxwell-fields", MAXWELL, ["initial.e_y=1e307*cos(x)", "initial.b_z=1e307*cos(x)"]),
+    ], ids=["phi", "maxwell-fields"])
+    def test_overflowing_state_exit_two(self, tmp_path, capsys, kind, text, overrides):
+        # finite initial data whose evolution overflows: a numerical failure, not a usage error
+        p = write(tmp_path, "a.scn", text)
+        argv = [kind, "--scenario", str(p), "--out", str(tmp_path / "r")]
+        assert main(argv + [arg for ov in overrides for arg in ("--override", ov)]) == 2
+        assert "numerical failure: field contains non-finite samples" in capsys.readouterr().err
+        assert not list((tmp_path / "r").iterdir())
+
     def test_stationary_beyond_the_dense_limit_exit_one(self, tmp_path, capsys):
         text = HARMONIC_PHI.replace("points = 64", "points = 4098").replace(
             "type = expressions\nphi = cos(2*pi*x/20)\nphi_dot = 0",
@@ -576,6 +608,79 @@ transform_a = phi_to_psi
         summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
         assert summary["frames_compared"] == 6
         assert summary["max_l2_diff"] <= 1e-3
+
+    @pytest.mark.parametrize("kind, overrides", [
+        ("reconstruct-phi", []),
+        ("reconstruct-phi", ["constants.hbar=1.5", "constants.m=2"]),
+        ("reconstruct-a", []),
+        ("reconstruct-a", ["constants.c=7.5"]),
+    ])
+    def test_roundtrip_matches_a_compare_of_the_output(self, tmp_path, kind, overrides):
+        # the run maps with the physics its output is labelled with: with c = 7.5
+        # over a c = 1 record, reconstruct-a used to map with the record's c and
+        # label its output with its own, so a compare of the output disagreed
+        source_kind, source, transform, rec_text = {
+            "reconstruct-phi": ("schrodinger", SCHRODINGER.replace("steps = 100", "steps = 20"),
+                                "phi_to_psi", "[scenario]\nkind = reconstruct-phi\n[potential]\n"
+                                "v = 0.5*(x-10)^2\n[inputs]\nsource = src\n"),
+            "reconstruct-a": ("maxwell-fields", MAXWELL, "a_to_fields",
+                              RECONSTRUCT_A.replace("source = fields", "source = src")),
+        }[kind]
+        argv = [source_kind, "--scenario", str(write(tmp_path, "s.scn", source))]
+        assert main(argv + ["--out", str(tmp_path / "src")]) == 0
+        argv = [kind, "--scenario", str(write(tmp_path, "r.scn", rec_text))]
+        argv += ["--out", str(tmp_path / "rec")]
+        assert main(argv + [arg for ov in overrides for arg in ("--override", ov)]) == 0
+        cmp_text = COMPARE.replace("r1", "rec").replace("r2", "src")
+        cmp_p = write(tmp_path, "c.scn", cmp_text + f"transform_a = {transform}\n")
+        assert main(["compare", "--scenario", str(cmp_p), "--out", str(tmp_path / "cmp")]) == 0
+        rec = json.loads((tmp_path / "rec" / "summary.json").read_text())
+        cmp = json.loads((tmp_path / "cmp" / "summary.json").read_text())
+        assert rec["sup_roundtrip_l2"] == cmp["max_l2_diff"]
+        rows, cmp_rows = (_csv_columns(tmp_path / d / "report.csv") for d in ("rec", "cmp"))
+        assert rows["roundtrip_l2"] == cmp_rows["l2_diff"]
+        assert rows["roundtrip_max"] == cmp_rows["max_diff"]
+        if not overrides:  # with the record's own constants the round trip closes
+            assert rec["sup_roundtrip_l2"] <= 0.1
+        if kind == "reconstruct-a":
+            # dA/dt = -c E with the scenario's c, the one in the output's provenance
+            out, fields = (read_snapshot(tmp_path / d / SNAPSHOT) for d in ("rec", "src"))
+            c = out.provenance["constants"]["c"]
+            assert c == (7.5 if overrides else 1.0)
+            for a, f in zip(out.frames, fields.frames, strict=True):
+                assert np.array_equal(a["a_dot_y"], -c * f["e_y"])
+
+    @pytest.mark.parametrize("kind, source_kind, source", [
+        ("reconstruct-phi", "schrodinger", SCHRODINGER),
+        ("reconstruct-a", "maxwell-fields", MAXWELL),
+    ], ids=["reconstruct-phi", "reconstruct-a"])
+    def test_each_source_frame_decoded_once(self, tmp_path, monkeypatch, kind, source_kind, source):
+        argv = [source_kind, "--scenario", str(write(tmp_path, "s.scn", source))]
+        argv += ["--out", str(tmp_path / "fields"), "--override", "integrator.steps=20"]
+        assert main(argv) == 0
+        frames = len(read_snapshot(tmp_path / "fields" / SNAPSHOT).frames)
+        spec = scenario_module.KIND[source_kind]
+        decoded = []
+
+        def from_arrays(scn, arrays):
+            decoded.append(len(arrays))
+            return spec.from_arrays(scn, arrays)
+
+        monkeypatch.setitem(
+            scenario_module.KIND, source_kind, dataclasses.replace(spec, from_arrays=from_arrays)
+        )
+
+        def no_decoder(data):  # the record's own provenance serves compare's transforms only
+            raise AssertionError("a reconstruct run decoded with the record's provenance")
+
+        monkeypatch.setattr(scenario_module, "_decoder", no_decoder)
+        rec_text = {
+            "reconstruct-phi": "[scenario]\nkind = reconstruct-phi\n[potential]\n"
+            "v = 0.5*(x-10)^2\n[inputs]\nsource = fields\n",
+            "reconstruct-a": RECONSTRUCT_A,
+        }[kind]
+        run(load_scenario(write(tmp_path, "r.scn", rec_text)), tmp_path / "rec")
+        assert decoded == [len(spec.fields)] * frames
 
     def test_compare_monitors_are_checked(self, tmp_path):
         p = write(tmp_path, "a.scn", MINIMAL_PHI)
@@ -792,6 +897,33 @@ class TestMalformedSnapshots:
         out = tmp_path / "dump.csv"
         assert main(["dump", "--snapshot", str(path), "--out", str(out)]) == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5])
+def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, count):
+    # frame_count 0 (or -1, read as 0) ended compare in an IndexError at times_a[-1]
+    header = {
+        "fields": ["psi_re", "psi_im"], "frame_count": count,
+        "grid": {"points": [8], "lengths": [20.0]}, "kind": "schrodinger",
+        "provenance": {}, "time_start": 0.0, "time_step": 0.1,
+    }
+    (tmp_path / "empty").mkdir()
+    path = tmp_path / "empty" / SNAPSHOT
+    path.write_text(f"WAVEPOT-SNAP 1\n{json.dumps(header)}\n")
+    with pytest.raises(ValueError, match=f"frame_count {count!r}, not a positive integer"):
+        read_snapshot(path)
+    scenarios = {
+        "compare": COMPARE.replace("r1", "empty").replace("r2", "empty"),
+        "reconstruct-phi": "[scenario]\nkind = reconstruct-phi\n[potential]\nv = 0\n"
+        "[inputs]\nsource = empty\n",
+    }
+    for kind, text in scenarios.items():
+        argv = [kind, "--scenario", str(write(tmp_path, f"{kind}.scn", text))]
+        assert main(argv + ["--out", str(tmp_path / kind)]) == 1
+        assert not list((tmp_path / kind).iterdir())
+    assert main(["dump", "--snapshot", str(path), "--out", str(tmp_path / "dump.csv")]) == 1
+    assert not (tmp_path / "dump.csv").exists()
+    assert capsys.readouterr().err.count("not a positive integer") == 3
 
 
 class TestAtomicSnapshots:
