@@ -4,8 +4,9 @@ The two linear solvers work on raw ndarrays of any shape, track the true
 relative residual of the original system, and raise SolverError when the
 iteration cap is hit. A right-preconditioned system A M^-1 y = b, x = M^-1 y,
 has the same residual as A x = b, so CGLS on it keeps that meaning.
-``project`` removes known null-space components (applied to the data and to
-every search update) so solutions are minimum-norm in that subspace.
+CG's ``project`` removes a known invariant subspace of the operator (applied
+to the data and to every search update), so the solution has no component in
+it: the elliptic solve projects out the kernel and the negative spectrum.
 
 ``lowest_eigenpairs`` is the block eigensolver LOBPCG (Knyazev, SIAM J. Sci.
 Comput. 23, 517 (2001)) for a real symmetric operator, on a block of such
@@ -26,10 +27,6 @@ __all__ = ["conjugate_gradient", "normal_equations_cg", "lowest_eigenpairs"]
 Op = Callable[[np.ndarray], np.ndarray]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float | complex:
-    return np.vdot(a, b)
-
-
 def conjugate_gradient(
     apply_op: Op,
     rhs: np.ndarray,
@@ -37,37 +34,29 @@ def conjugate_gradient(
     tol: float,
     max_iter: int,
     precondition: Op | None = None,
-    project: Op | None = None,
+    project: Op = lambda x: x,
 ) -> np.ndarray:
-    """Preconditioned CG for a Hermitian positive (semi)definite operator."""
-    b = project(rhs) if project else rhs
+    """Preconditioned CG for a Hermitian operator, positive definite off ``project``'s subspace."""
+    b = project(rhs)
     b_norm = float(np.linalg.norm(b.ravel()))
     if b_norm == 0.0:
         return np.zeros_like(b)
     x = np.zeros_like(b)
-    r = b - apply_op(x)
-    if project:
-        r = project(r)
+    r = project(b - apply_op(x))
     p = None
     rz_old = 0.0
     for it in range(max_iter):
         if np.linalg.norm(r.ravel()) <= tol * b_norm:
-            true_r = b - apply_op(x)
-            if project:
-                true_r = project(true_r)
+            true_r = project(b - apply_op(x))
             if np.linalg.norm(true_r.ravel()) <= tol * b_norm:
                 return x
             r = true_r
-        z = precondition(r) if precondition else r
-        if project:
-            z = project(z)
-        rz = _dot(r, z)
+        z = project(precondition(r) if precondition else r)
+        rz = np.vdot(r, z)
         p = z if p is None else z + (rz / rz_old) * p
         rz_old = rz
-        ap = apply_op(p)
-        if project:
-            ap = project(ap)
-        pap = _dot(p, ap)
+        ap = project(apply_op(p))
+        pap = np.vdot(p, ap)
         if not (np.isfinite(pap) and pap.real > 0.0):
             # a singular operator meets a right-hand side outside its range
             raise SolverError(
@@ -92,37 +81,30 @@ def normal_equations_cg(
     *,
     tol: float,
     max_iter: int,
-    project: Op | None = None,
 ) -> np.ndarray:
     """CGLS: conjugate gradient on A^H A x = A^H b, tracking ||b - Ax||.
 
     Works for any operator with an adjoint (indefinite or non-Hermitian);
-    used for the Cayley step (the Cayley matrix right-preconditioned by its
-    kinetic part, close to the identity) and as the fallback elliptic path
-    when the operator is indefinite.
+    used for the Cayley step, whose matrix right-preconditioned by its
+    kinetic part is close to the identity but not Hermitian.
     """
-    b = project(rhs) if project else rhs
-    b_norm = float(np.linalg.norm(b.ravel()))
+    b_norm = float(np.linalg.norm(rhs.ravel()))
     if b_norm == 0.0:
-        return np.zeros_like(b)
-    x = np.zeros_like(b)
-    r = b.copy()
+        return np.zeros_like(rhs)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     s = apply_adjoint(r)
-    if project:
-        s = project(s)
     p = s.copy()
-    s_norm2 = float(np.real(_dot(s, s)))
+    s_norm2 = float(np.real(np.vdot(s, s)))
     for _ in range(max_iter):
         if np.linalg.norm(r.ravel()) <= tol * b_norm:
             return x
         ap = apply_op(p)
-        alpha = s_norm2 / float(np.real(_dot(ap, ap)))
+        alpha = s_norm2 / float(np.real(np.vdot(ap, ap)))
         x = x + alpha * p
         r = r - alpha * ap
         s = apply_adjoint(r)
-        if project:
-            s = project(s)
-        s_norm2_new = float(np.real(_dot(s, s)))
+        s_norm2_new = float(np.real(np.vdot(s, s)))
         beta = s_norm2_new / s_norm2
         s_norm2 = s_norm2_new
         p = s + beta * p

@@ -5,11 +5,11 @@ Quantum side: given a wave-function trajectory, the potential is
     phi(t) = (1/hbar) Int_0^t Im Psi dtau + C,   L C = -Re Psi(0),
 
 with the elliptic solve pinned to the minimum-norm solution (zero along any
-numerical kernel of L, which is exactly the gauge sector). The kernel is
-found matrix-free on every grid: ``linsolve.lowest_eigenpairs`` (LOBPCG)
-computes the lowest eigenpairs of H = -L through the FFT operator, at the
-cost of tens to a few hundred block applies of H; a search that does not
-converge raises SolverError rather than assuming the kernel trivial.
+numerical kernel of L, which is exactly the gauge sector). The kernel and the
+negative spectrum of H = -L are found matrix-free on every grid, by LOBPCG
+through the FFT operator; a search that does not converge raises SolverError
+rather than assuming the kernel trivial. The negative pairs are inverted
+directly and CG solves on the rest, so every potential takes one path.
 Electromagnetic side: given an (E, B) trajectory,
 
     A(t) = -c Int_0^t E dtau + K,   curl K = B(0),
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IncompatibleRhsError, SolverError
 from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3, check_same_grid
-from .linsolve import conjugate_gradient, lowest_eigenpairs, normal_equations_cg
+from .linsolve import conjugate_gradient, lowest_eigenpairs
 from .maxwell import EMState, PotentialState
 from .operators import (
     DEAD_MODE_TOL,
@@ -117,9 +117,12 @@ def _first(frames: Iterable, kind: type, name: str) -> tuple:
 # Relative residual of the elliptic solve L C = -Re Psi(0). The round-trip
 # error it adds to every frame is of that order, far below the 1e-5 that the
 # reverse-equivalence criterion allows. The iteration cap only stops a solve
-# that has stalled.
+# that has stalled. A solve that misses the tolerance is repeated on its
+# residual, up to _ELLIPTIC_PASSES solves: the negative eigenpairs it inverts
+# directly are exact only to the kernel search's residual tolerance.
 _ELLIPTIC_TOL = 1e-10
 _ELLIPTIC_MAX_ITER = 20000
+_ELLIPTIC_PASSES = 3
 # The numerical kernel of L: eigenvectors of H with |E| <= _KERNEL_ZERO_TOL *
 # emax, emax the spectral bound of H. A right-hand side may carry at most that
 # fraction of its norm along the kernel.
@@ -148,20 +151,22 @@ def _fourier_preconditioner(grid: Grid, v: np.ndarray, params: QuantumParams, me
 
 def _kernel_basis(
     V: PotentialSpec, params: QuantumParams, method: str, zero_tol: float
-) -> np.ndarray:
-    """Orthonormal (plain dot) basis of the numerical kernel of L = -H, as the
-    rows of a ``(k, grid.size)`` array over the flattened grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of H = -L with E <= zero_tol * emax: the energies,
+    ascending, and the eigenvectors as the rows of a ``(k, grid.size)`` array
+    over the flattened grid, orthonormal in the plain dot product.
 
-    The kernel is the span of the eigenvectors of H with |E| <= zero_tol * emax,
-    emax = ``max_energy_bound``. ``linsolve.lowest_eigenpairs`` (LOBPCG,
+    emax is ``max_energy_bound``. The pairs with |E| <= zero_tol * emax span
+    the numerical kernel of L; those below -zero_tol * emax are the negative
+    spectrum of an indefinite H. ``linsolve.lowest_eigenpairs`` (LOBPCG,
     Knyazev 2001) finds the lowest eigenpairs of H matrix-free, through
     ``hamiltonian_array`` on whole blocks and the Fourier preconditioner of
     ``solve_elliptic``, from a fixed pseudo-random start block. The block
     doubles until the eigenpairs that converged, counted from the lowest up,
     reach one above the threshold: that shows every eigenvalue at or below it
-    (the kernel, and the negative spectrum of an indefinite H) was found. A
-    search that gets there only with more than ``_KERNEL_BLOCK_CAP`` vectors
-    raises SolverError; it never assumes the kernel away.
+    was found. A search that gets there only with more than
+    ``_KERNEL_BLOCK_CAP`` vectors raises SolverError; it never assumes the
+    kernel away.
     """
     grid = V.grid
     m = grid.size
@@ -197,7 +202,8 @@ def _kernel_basis(
                 f"the zero threshold {threshold:.3e}, so the kernel may be larger"
             )
         block = min(2 * block, _KERNEL_BLOCK_CAP, m)
-    return flat[:found][np.abs(energies[:found]) <= threshold]
+    low = energies[:found] <= threshold
+    return energies[:found][low], flat[:found][low]
 
 
 def solve_elliptic(
@@ -210,25 +216,26 @@ def solve_elliptic(
 
     The right-hand side must be orthogonal to the numerical kernel of L
     (relative tolerance ``_KERNEL_ZERO_TOL``), else IncompatibleRhsError; the
-    returned solution carries no kernel component. The kernel is the span of
-    the eigenvectors of H = -L with |E| <= _KERNEL_ZERO_TOL *
-    ``max_energy_bound``, found by ``linsolve.lowest_eigenpairs`` (LOBPCG)
-    without forming a matrix (see ``_kernel_basis``) at the cost of tens to a
-    few hundred block applies of H; a search that does not converge raises
-    SolverError. CG runs on the
-    positive-semidefinite -L when V >= 0, otherwise on the normal equations;
-    both are checked against the true relative residual ``_ELLIPTIC_TOL``.
+    returned solution carries no kernel component. ``_kernel_basis`` finds the
+    kernel and the negative eigenpairs of H = -L without forming a matrix.
+    Preconditioned CG runs on H with both projected out, where H is positive
+    definite, and the negative pairs are inverted directly (deflation, Frank &
+    Vuik, SIAM J. Sci. Comput. 23, 442 (2001)). A solve whose true relative
+    residual misses ``_ELLIPTIC_TOL`` is repeated on its residual, up to
+    ``_ELLIPTIC_PASSES`` solves, then raises SolverError.
     """
     grid = V.grid
     check_same_grid(grid, rhs)
     v = V.sampled.values
-    kernel = _kernel_basis(V, params, method, _KERNEL_ZERO_TOL)
+    energies, low = _kernel_basis(V, params, method, _KERNEL_ZERO_TOL)
+    negative = energies < -_KERNEL_ZERO_TOL * max_energy_bound(V, params, method)
+    u, u_energies = low[negative], energies[negative]
 
     flat_rhs = rhs.values.ravel()
     rhs_norm = float(np.linalg.norm(flat_rhs))
     if rhs_norm == 0.0:
         return ScalarSampleField.zeros(grid)
-    overlap = float(np.max(np.abs(kernel @ flat_rhs), initial=0.0))
+    overlap = float(np.max(np.abs(low[~negative] @ flat_rhs), initial=0.0))
     if overlap > _KERNEL_ZERO_TOL * rhs_norm:
         raise IncompatibleRhsError(
             "incompatible right-hand side: component along a zero mode of L "
@@ -236,28 +243,32 @@ def solve_elliptic(
         )
 
     def project(x: np.ndarray) -> np.ndarray:
-        return x - (kernel.T @ (kernel @ x.ravel())).reshape(x.shape)
+        return x - (low.T @ (low @ x.ravel())).reshape(x.shape)
 
     def apply_h(x: np.ndarray) -> np.ndarray:
         return hamiltonian_array(x, v, grid, params, method)
 
-    b = -rhs.values  # H C = -rhs
-    inner_tol = 0.5 * _ELLIPTIC_TOL
-    if float(v.min()) >= 0.0:
-        sol = conjugate_gradient(
-            apply_h, b, tol=inner_tol, max_iter=_ELLIPTIC_MAX_ITER,
-            precondition=_fourier_preconditioner(grid, v, params, method), project=project,
-        )
-    else:
-        sol = normal_equations_cg(
-            apply_h, apply_h, b, tol=inner_tol, max_iter=_ELLIPTIC_MAX_ITER, project=project
-        )
-    sol = project(sol)
-    residual = l_operator_array(sol, v, grid, params, method) - rhs.values
-    rel = float(np.linalg.norm(residual.ravel())) / rhs_norm
-    if rel > _ELLIPTIC_TOL:
-        raise SolverError(f"elliptic solve residual {rel:.3e} exceeds tolerance {_ELLIPTIC_TOL:g}")
-    return ScalarSampleField(grid, sol)
+    preconditioner = _fourier_preconditioner(grid, v, params, method)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = project(conjugate_gradient(
+            apply_h, b, tol=0.5 * _ELLIPTIC_TOL, max_iter=_ELLIPTIC_MAX_ITER,
+            precondition=preconditioner, project=project,
+        ))
+        # add nothing when no pair is negative (any V >= 0): zeros would turn -0.0 into 0.0
+        return x + (u.T @ ((u @ b.ravel()) / u_energies)).reshape(x.shape) if len(u) else x
+
+    sol = solve(-rhs.values)  # H C = -rhs
+    for passes in range(1, _ELLIPTIC_PASSES + 1):
+        # L sol - rhs = -rhs - H sol is also the residual of H C = -rhs
+        residual = l_operator_array(sol, v, grid, params, method) - rhs.values
+        rel = float(np.linalg.norm(residual.ravel())) / rhs_norm
+        if rel <= _ELLIPTIC_TOL:
+            return ScalarSampleField(grid, sol)
+        if passes < _ELLIPTIC_PASSES:
+            sol = sol + solve(residual)
+    raise SolverError(f"elliptic solve residual {rel:.3e} exceeds tolerance {_ELLIPTIC_TOL:g} "
+                      f"after {_ELLIPTIC_PASSES} solves")
 
 
 def reconstruct_phi(

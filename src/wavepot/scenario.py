@@ -55,7 +55,6 @@ class _Kind:
     fields: tuple[str, ...] = ()  # the record fields
     to_arrays: Callable | None = None  # state -> arrays in field order
     from_arrays: Callable | None = None  # (scenario, arrays) -> state on the scenario's grid
-    needs_potential: bool = False  # from_arrays needs the scenario's potential
     forward: str | None = None  # the kind this one maps forward to
     forward_map: Callable | None = None  # (state, backend) -> state of the forward kind
     # each [initial] type, default first -> its keys -> their defaults (None: the key
@@ -65,7 +64,6 @@ class _Kind:
     setup: Callable | None = None
     integrate: Callable | None = None  # (scenario, state, **options): run the integrator
     auto_dt: Callable | None = None  # scenario -> the stability bound "dt = auto" resolves to
-    needs_3d: bool = False
     reconstruct: Callable | None = None  # (scenario, times, state iterable) -> state iterator
 
 
@@ -187,8 +185,10 @@ def _get(parser, section, key, *, required=True, default=None) -> str | None:
 
 def _get_number(parser, section, key, cast, *, required=True, default=None):
     raw = _get(parser, section, key, required=required, default=None)
-    if raw is None:
-        return default
+    return default if raw is None else _number(raw, section, key, cast)
+
+
+def _number(raw: str, section: str, key: str, cast):
     try:
         return cast(raw)
     except ValueError:
@@ -228,6 +228,8 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         if section not in readable:
             raise ScenarioError(f"kind={kind} does not read [{section}]; expected one of {readable}")
     seed = _get_number(parser, "scenario", "seed", int, required=False, default=0)
+    if seed < 0:
+        raise ScenarioError(f"field [scenario] seed must be a non-negative integer, got {seed}")
 
     backend = _get(parser, "operators", "backend", required=False, default="spectral")
     if backend not in METHODS:
@@ -281,7 +283,7 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         raise ScenarioError(f"bad [grid] section: {exc}") from exc
     scenario.grid = grid
 
-    if spec.needs_3d and grid.dims != 3:
+    if "sources" in spec.sections and grid.dims != 3:
         raise ScenarioError(f"kind={kind} needs a 3D grid, got {grid.dims}D")
 
     if scenario.potential_source is not None:
@@ -295,15 +297,19 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         except WavepotError as exc:
             raise ScenarioError(f"bad [sources] section: {exc}") from exc
 
-    scenario.initial = _read_initial(parser, kind)
-    if scenario.initial["type"] == "stationary":
-        mode = _get_number(parser, "initial", "mode", int)
-        if not 0 <= mode < grid.size:
-            raise ScenarioError(
-                f"field [initial] mode must be an eigenstate index from 0 to {grid.size - 1}, "
-                f"got {mode}"
-            )
-        scenario.initial["mode"] = mode
+    scenario.initial = init = _read_initial(parser, kind)
+    # the numbers of each [initial] type, read as numbers here so a bad one names its field
+    for key, cast, valid, noun in (
+        ("mode", int, lambda n: 0 <= n < grid.size,
+         f"an eigenstate index from 0 to {grid.size - 1}"),
+        ("modes", int, lambda n: n > 0, "a positive integer"),
+        ("amplitude", float, np.isfinite, "a finite number"),
+        ("time", float, np.isfinite, "a finite number"),
+    ):
+        if key in init:
+            init[key] = _number(init[key], "initial", key, cast)
+            if not valid(init[key]):
+                raise ScenarioError(f"field [initial] {key} must be {noun}, got {init[key]}")
 
     steps = _get_number(parser, "integrator", "steps", int)
     if steps <= 0:
@@ -384,15 +390,14 @@ def _initial_state(scenario: Scenario, arrays: list | None = None):
 
 def _random_band_limited(scenario: Scenario, seed_offset: int = 0) -> np.ndarray:
     """Deterministic low-mode random field from the scenario seed."""
-    modes = int(float(scenario.initial["modes"]))
-    amplitude = float(scenario.initial["amplitude"])
+    modes, amplitude = scenario.initial["modes"], scenario.initial["amplitude"]
     rng = np.random.default_rng(scenario.seed + seed_offset)
     grid = scenario.grid
     out = np.zeros(grid.shape)
     coords = grid.coordinate_arrays()
     for _ in range(modes):
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        coeff = rng.normal() * amplitude / max(modes, 1)
+        coeff = rng.normal() * amplitude / modes
         wave = phase
         for a in range(grid.dims):
             n = rng.integers(-3, 4)
@@ -584,7 +589,7 @@ def _phi_evolution(scenario: Scenario):
     init = scenario.initial
     if init["type"] == "stationary":
         mode = init["mode"]
-        t0 = float(init["time"])
+        t0 = init["time"]
         energy_n, psi_n = schrodinger.eigenpairs_small(V, params, mode + 1, scenario.backend)[mode]
         state = wavepotential.stationary_phi(psi_n, energy_n, t0, params, V, scenario.backend)
     elif init["type"] == "random":
@@ -664,7 +669,7 @@ def _decoder(data: SnapshotData):
     constants = {**_DEFAULT_CONSTANTS, **prov.get("constants", {})}
     scn = Scenario(data.kind, None, "", 0, prov.get("backend", "spectral"), constants, data.grid)
     spec = KIND[data.kind]
-    if spec.needs_potential:
+    if "potential" in spec.sections:
         if "potential" not in prov:
             raise ScenarioError(f"{data.kind} run lacks a potential in its provenance")
         scn.potential = _sample_potential(prov["potential"], data.grid, constants)
@@ -826,7 +831,6 @@ KIND = {
         from_arrays=lambda scn, a: wavepotential.PhiState(
             *(ScalarSampleField(scn.grid, x) for x in a), scn.params, scn.potential
         ),
-        needs_potential=True,
         forward="schrodinger",
         forward_map=lambda st, backend: wavepotential.to_wavefunction(st, backend),
         initial={"expressions": {}, "stationary": {"mode": None, "time": "0.0"}, "random": _RANDOM},
@@ -846,7 +850,6 @@ KIND = {
         setup=_maxwell_fields_evolution,
         integrate=lambda scn, st, **kw: maxwell.run_rk4(st, scn.sources, scn.dt, scn.steps, **kw),
         auto_dt=lambda scn: maxwell.rk4_dt_bound(scn.grid, scn.light_speed),
-        needs_3d=True,
     ),
     "maxwell-potential": _Kind(
         sections=("grid", "operators", "sources", "initial", "integrator"),
@@ -864,7 +867,6 @@ KIND = {
             st, scn.sources, scn.dt, scn.steps, **kw
         ),
         auto_dt=lambda scn: maxwell.potential_dt_bound(scn.grid, scn.light_speed),
-        needs_3d=True,
     ),
     "reconstruct-phi": _Kind(
         sections=("operators", "potential", "inputs"),

@@ -552,3 +552,31 @@ def test_grid_error_guard_flags_a_mutated_copy(tmp_path):
     assert len(_grid_errors_raised(mutated)) == 1
     mutated.write_text(source.replace(anchor, "    raise GridMismatchError\n", 1))
     assert len(_grid_errors_raised(mutated)) == 1
+
+
+def _cgls_calls(path: Path) -> list[tuple[str, str | None]]:
+    """(file, enclosing function) of each call of normal_equations_cg."""
+    return [
+        (path.name, function)
+        for child, function in _nodes_with_function(path)
+        if isinstance(child, ast.Call)
+        and getattr(child.func, "id", getattr(child.func, "attr", None)) == "normal_equations_cg"
+    ]
+
+
+# CGLS serves the Cayley step alone. The elliptic solve inverts the negative
+# spectrum of H and runs CG on the rest for every potential; a CGLS path for
+# indefinite potentials stalled on a 2048-point grid.
+def test_normal_equations_only_in_the_cayley_step():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _cgls_calls(path)]
+    assert found == [("schrodinger.py", "crank_nicolson_step")], found
+
+
+def test_cgls_guard_flags_a_mutated_copy(tmp_path):
+    source = (SRC / "reconstruction.py").read_text()
+    anchor = "    sol = solve(-rhs.values)  # H C = -rhs\n"
+    assert anchor in source
+    mutated = tmp_path / "reconstruction.py"
+    fork = "    if v.min() < 0:\n        sol = linsolve.normal_equations_cg(apply_h, apply_h, b)\n"
+    mutated.write_text(source.replace(anchor, anchor + fork))
+    assert _cgls_calls(mutated) == [("reconstruction.py", "solve_elliptic")]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import band_limited, smooth_vector
+from wavepot import reconstruction
 from wavepot.errors import IncompatibleRhsError, SolverError
 from wavepot.grids import (
     ComplexSampleField,
@@ -238,14 +239,39 @@ class TestSolveElliptic:
         rel = np.linalg.norm((res - rhs.values).ravel()) / np.linalg.norm(rhs.values.ravel())
         assert rel <= 1e-10
 
-    def test_indefinite_potential_fallback(self, grid64, rng):
+    def test_indefinite_potential_deflated(self, grid64, rng):
         V = PotentialSpec.from_expression("0-1.5*cos(2*pi*x/L)", grid64, {"L": grid64.lengths[0]})
         rhs = ScalarSampleField(grid64, band_limited(grid64, rng))
-        # an indefinite V takes the normal-equations path; the kernel search finds no zero mode
+        # H has a negative eigenvalue and no zero mode: it is inverted directly, CG solves the rest
         sol = solve_elliptic(V, rhs, PARAMS)
         res = l_operator_array(sol.values, V.sampled.values, grid64, PARAMS, "spectral")
         rel = np.linalg.norm((res - rhs.values).ravel()) / np.linalg.norm(rhs.values.ravel())
         assert rel <= 1e-10
+
+    # CGLS on H^2 took 580-9900 iterations on these, or stalled on 2048 spectral points
+    @pytest.mark.parametrize("potential", [
+        "0-1.5*cos(2*pi*x/20)", "0-20*cos(2*pi*x/20)", "0.5*(x-10)^2-3"
+    ], ids=["shallow_cos", "deep_cos", "shifted_harmonic"])
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @pytest.mark.parametrize("points", [512, 2048])
+    def test_indefinite_potentials_within_apply_cap(self, monkeypatch, points, method, potential):
+        grid = Grid.line(points, 20.0)
+        V = PotentialSpec.from_expression(potential, grid)
+        rhs = ScalarSampleField(grid, band_limited(grid, np.random.default_rng(1)))
+        applies = [0]
+
+        def counted_cg(apply_op, b, **kwargs):
+            def counted(x):
+                applies[0] += 1
+                return apply_op(x)
+
+            return conjugate_gradient(counted, b, **kwargs)
+
+        monkeypatch.setattr(reconstruction, "conjugate_gradient", counted_cg)
+        sol = solve_elliptic(V, rhs, PARAMS, method)
+        res = l_operator_array(sol.values, V.sampled.values, grid, PARAMS, method)
+        assert np.linalg.norm(res - rhs.values) <= 1e-10 * np.linalg.norm(rhs.values)
+        assert 0 < applies[0] <= 300
 
     def test_minimum_norm_solution(self, grid64, rng):
         V = PotentialSpec.zero(grid64)
@@ -314,23 +340,32 @@ class TestKernelBasis:
             with pytest.raises(SolverError, match="cap of"):
                 _kernel_basis(V, PARAMS, method, zero_tol)
             return
-        basis = _kernel_basis(V, PARAMS, method, zero_tol)
+        energies, low = _kernel_basis(V, PARAMS, method, zero_tol)
+        below = system.energies <= threshold
+        assert len(energies) == np.sum(below)
+        # a Ritz value lies within its residual, 1e-12 of emax, of an eigenvalue
+        assert np.max(np.abs(energies - system.energies[below]), initial=0.0) <= 0.01 * threshold
+        basis = low[np.abs(energies) <= threshold]
         dense = system.vectors[:, np.abs(system.energies) <= threshold]
         assert len(basis) == dense.shape[1]
         if potential == "tuned_constant":
             assert len(basis) >= 2
-        if len(basis):
-            found = np.stack(basis, axis=1)
-            assert np.max(np.abs(found.T @ found - np.eye(len(basis)))) <= 1e-12
-            assert np.max(np.abs(found @ found.T - dense @ dense.T)) <= 1e-8
+        if potential == "indefinite_cos":
+            assert len(energies) > len(basis)
+        # the kernel, and with it the negative pairs the elliptic solve inverts
+        for found, ref in [(basis.T, dense), (low.T, system.vectors[:, below])]:
+            assert np.max(np.abs(found.T @ found - np.eye(len(found.T))), initial=0.0) <= 1e-12
+            assert np.max(np.abs(found @ found.T - ref @ ref.T)) <= 1e-8
 
     def test_bases_are_deterministic(self):
         grid = Grid.line(512, 20.0)
         V = _tuned_constant(grid, "spectral")
-        first = _kernel_basis(V, PARAMS, "spectral", 1e-10)
-        second = _kernel_basis(V, PARAMS, "spectral", 1e-10)
-        assert len(first) == len(second) == 2
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+        (first_energies, first), (second_energies, second) = (
+            _kernel_basis(V, PARAMS, "spectral", 1e-10) for _ in range(2)
+        )
+        assert len(first) == len(second) == 3  # the constant mode below the two zero modes
+        assert first_energies.tobytes() == second_energies.tobytes()
+        assert first.tobytes() == second.tobytes()
 
     def test_kernel_found_above_dense_limit(self):
         # 8192 points: beyond the dense oracle, yet the two zero modes are still detected

@@ -244,7 +244,7 @@ class TestLoadScenario:
         text = MINIMAL_PHI.replace("type = expressions", "type = random\nmodes = 3\namplitude = 0.5")
         text = text.replace("phi = cos(2*pi*x/20)\nphi_dot = 0\n", "")
         assert load_scenario(write(tmp_path, "o.scn", text)).initial == {
-            "type": "random", "modes": "3", "amplitude": "0.5"
+            "type": "random", "modes": 3, "amplitude": 0.5
         }
         bad = write(tmp_path, "p.scn", text.replace("modes = 3", "mode = 3"))
         with pytest.raises(ScenarioError, match=r"unknown field \[initial\] mode for type = random"):
@@ -341,6 +341,9 @@ class TestRun:
             assert diag["potential_constraint_residual"][step] == residual
 
 
+_STATIONARY = ["initial.type=stationary", "initial.mode=0"]
+
+
 class TestCli:
     def test_phi_exit_zero(self, tmp_path):
         p = write(tmp_path, "a.scn", MINIMAL_PHI)
@@ -427,6 +430,29 @@ class TestCli:
         assert not (tmp_path / "r").exists()
         # the last mode of the grid is in range
         run(load_scenario(p, overrides=["initial.mode=15"]), tmp_path / "last")
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["initial.modes=2.7"], "[initial] modes must be an integer, got '2.7'"),
+        (["initial.modes=-3"], "[initial] modes must be a positive integer, got -3"),
+        (["initial.modes=nan"], "[initial] modes must be an integer, got 'nan'"),
+        (["initial.amplitude=abc"], "[initial] amplitude must be a number, got 'abc'"),
+        (["initial.amplitude=inf"], "[initial] amplitude must be a finite number, got inf"),
+        (_STATIONARY + ["initial.time=abc"], "[initial] time must be a number, got 'abc'"),
+        (_STATIONARY + ["initial.time=nan"], "[initial] time must be a finite number, got nan"),
+        (["scenario.seed=-1"], "[scenario] seed must be a non-negative integer, got -1"),
+    ], ids=["modes-2.7", "modes-negative", "modes-nan", "amplitude-abc", "amplitude-inf",
+            "time-abc", "time-nan", "seed-negative"])
+    def test_initial_numbers_and_seed_checked_exit_one(self, tmp_path, capsys, overrides, message):
+        # each ran with another value, wrote all-zero or non-finite data, or
+        # failed late with a message that named no field
+        text = HARMONIC_PHI.replace("points = 64", "points = 16").replace(
+            "type = expressions\nphi = cos(2*pi*x/20)\nphi_dot = 0", "type = random"
+        )
+        p = write(tmp_path, "a.scn", text)
+        argv = ["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]
+        assert main(argv + [arg for ov in overrides for arg in ("--override", ov)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("kind, text, overrides", [
@@ -586,6 +612,21 @@ transform_a = phi_to_psi
         assert main(["compare", "--scenario", str(cmp_p), "--out", str(tmp_path / "cmp")]) == 0
         summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
         assert summary["max_l2_diff"] <= 1e-9
+
+    def test_shifted_potential_chain_on_2048_points(self, tmp_path):
+        # V = 0.5*(x-10)^2 - 3 has three negative levels: the normal-equations path
+        # this used to take stalled at residual 0.5 after 20000 iterations
+        shifted = SCHRODINGER.replace("v = 0.5*(x-10)^2", "v = 0.5*(x-10)^2 - 3")
+        sch = write(tmp_path, "s.scn", shifted)
+        argv = ["schrodinger", "--scenario", str(sch), "--out", str(tmp_path / "sch")]
+        argv += ["--override", "grid.points=2048", "--override", "integrator.steps=4"]
+        assert main(argv) == 0
+        rec = write(tmp_path, "r.scn", "[scenario]\nkind = reconstruct-phi\n[potential]\n"
+                    "v = 0.5*(x-10)^2 - 3\n[inputs]\nsource = sch\n")
+        argv = ["reconstruct-phi", "--scenario", str(rec), "--out", str(tmp_path / "rec")]
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
+        assert summary["sup_roundtrip_l2"] <= 1e-9
 
     def test_transform_uses_the_record_backend(self, tmp_path):
         # the compare scenario has no [operators]: phi_to_psi must apply the L
