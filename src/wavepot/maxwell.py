@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .errors import ContinuityError, StabilityError
+from .errors import ContinuityError
 from .expressions import Expression
 from .grids import Grid, ScalarSampleField, VectorSampleField3, check_same_grid
 from .operators import (
@@ -42,7 +42,7 @@ from .operators import (
     max_wavenumber,
     modes,
 )
-from .stepping import drive
+from .stepping import check_dt, drive
 
 __all__ = [
     "EMState",
@@ -206,11 +206,6 @@ def rk4_dt_bound(grid: Grid, c: float) -> float:
     return SAFETY * RK4_IMAG_STABILITY / (c * max_wavenumber(grid))
 
 
-def _require_cfl(dt: float, bound: float, label: str) -> None:
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={dt:g} exceeds the {label} budget {bound:g}")
-
-
 def _em_rhs_arrays(
     e: np.ndarray, b: np.ndarray, j: np.ndarray, c: float, grid: Grid, method: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +229,7 @@ def run_rk4(
     (E, B) arrays.
     """
     grid = state.grid
-    _require_cfl(dt, rk4_dt_bound(grid, state.c), "RK4 CFL")
+    check_dt(dt, rk4_dt_bound(grid, state.c), "RK4 CFL")
     c = state.c
     e = state.e.values.copy()
     b = state.b.values.copy()
@@ -342,7 +337,7 @@ def run_potential_verlet(
     The observer sees the raw (A, dA/dt) arrays.
     """
     grid = state.grid
-    _require_cfl(dt, potential_dt_bound(grid, state.c), "potential Verlet")
+    check_dt(dt, potential_dt_bound(grid, state.c), "potential Verlet")
     c = state.c
     a = state.a.values.copy()
     vel = state.a_dot.values.copy()

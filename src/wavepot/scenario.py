@@ -51,14 +51,13 @@ class _Kind:
     sections: tuple[str, ...]  # the sections read besides [scenario], [constants], [monitors]
     monitors: dict[str, str]  # each peak reported -> the column it watches (_MonitoredWriter)
     run: Callable  # the run path: (scenario, out_dir) -> RunReport
-    inputs: dict = field(default_factory=dict)  # key -> None (a path) or its values, default first
+    inputs: tuple[str, ...] = ()  # the [inputs] keys
     fields: tuple[str, ...] = ()  # the record fields
     to_arrays: Callable | None = None  # state -> arrays in field order
     from_arrays: Callable | None = None  # (scenario, arrays) -> state on the scenario's grid
     forward: str | None = None  # the kind this one maps forward to
     forward_map: Callable | None = None  # (state, backend) -> state of the forward kind
-    # each [initial] type, default first -> its keys -> their defaults (None: the key
-    # is required; a bool default makes it a true/false flag)
+    # each [initial] type, default first -> the keys it takes besides the expressions
     initial: dict = field(default_factory=dict)
     # scenario -> (initial state, its diagnostics columns after step and time, observe)
     setup: Callable | None = None
@@ -72,19 +71,69 @@ _DEFAULT_CONSTANTS = {"hbar": 1.0, "m": 1.0, "c": 1.0}
 # the sections every kind may carry; each kind's record in KIND names the others it reads
 _COMMON_SECTIONS = ("scenario", "constants", "monitors")
 
-# the keys each section may hold; None leaves a section open ([constants] binds
-# user names, and [initial], [inputs] and [monitors] keys are checked per kind)
-SECTION_KEYS = {
-    "scenario": ("kind", "seed"),
-    "grid": ("points", "lengths"),
-    "constants": None,
-    "operators": ("backend",),
-    "potential": ("v",),
-    "initial": None,
-    "sources": ("rho", "j_x", "j_y", "j_z"),
-    "integrator": ("dt", "dt_scale", "steps", "snapshot_stride"),
-    "monitors": None,
-    "inputs": None,
+
+@dataclass(frozen=True)
+class _Field:
+    """One scenario key: the text it takes when absent (None: it is required),
+    the ``cast`` that reads its text, and the rule its value must meet,
+    ``valid(value, last)``, with ``rule`` the words of its error. ``last`` is
+    the grid's last point index, which only the rule of ``[initial] mode`` reads."""
+
+    default: str | None = None
+    cast: Callable = str
+    valid: Callable = lambda value, last: True
+    rule: str = ""
+
+
+_POSITIVE_INTEGER = {"cast": int, "valid": lambda n, last: n > 0, "rule": "a positive integer"}
+_FINITE = {"cast": float, "valid": lambda x, last: np.isfinite(x), "rule": "a finite number"}
+_FLAG = {"default": "false", "cast": lambda raw: bool(("false", "true").index(raw.lower())),
+         "rule": "true or false"}  # any case; index raises ValueError on any other text
+_TRANSFORM = _Field("identity", valid=lambda name, last: name in TRANSFORMS,
+                    rule=f"one of {tuple(TRANSFORMS)}")
+
+# Every section and its keys. The key None stands for any other key: [constants]
+# binds user names, and the [initial], [inputs] and [monitors] keys a kind takes
+# are checked per kind (see KIND).
+FIELDS = {
+    "scenario": {
+        "kind": _Field(),
+        "seed": _Field("0", int, lambda n, last: n >= 0, "a non-negative integer"),
+    },
+    "grid": {"points": _Field(), "lengths": _Field()},
+    "constants": {None: _Field(**_FINITE)},
+    "operators": {
+        "backend": _Field("spectral", valid=lambda name, last: name in METHODS,
+                          rule=f"one of {METHODS}"),
+    },
+    "potential": {"v": _Field()},
+    "initial": {
+        "mode": _Field(None, int, lambda n, last: 0 <= n <= last,
+                       "an eigenstate index from 0 to {last}"),
+        "time": _Field("0.0", **_FINITE),
+        "modes": _Field("4", **_POSITIVE_INTEGER),
+        "amplitude": _Field("1.0", **_FINITE),
+        "normalize": _Field(**_FLAG),
+        "fix_divergence": _Field(**_FLAG),
+        None: _Field(),  # type, and the expression of each record field
+    },
+    "sources": {key: _Field("0") for key in ("rho", "j_x", "j_y", "j_z")},
+    "integrator": {
+        "dt": _Field(
+            None, lambda raw: "auto" if raw.strip() == "auto" else float(raw),
+            lambda x, last: x == "auto" or np.isfinite(x) and x > 0,
+            "'auto' or a positive finite number",
+        ),
+        "dt_scale": _Field("1.0", float, lambda x, last: np.isfinite(x) and x > 0,
+                           "a positive finite number"),
+        "steps": _Field(**_POSITIVE_INTEGER),
+        "snapshot_stride": _Field("1", **_POSITIVE_INTEGER),
+    },
+    "monitors": {
+        None: _Field(None, float, lambda x, last: np.isfinite(x) and x >= 0,
+                     "a non-negative finite number"),
+    },
+    "inputs": {"transform_a": _TRANSFORM, "transform_b": _TRANSFORM, None: _Field()},
 }
 
 SNAPSHOT_FILE = "snapshots.wps"
@@ -163,37 +212,46 @@ def _parse_expr(text: str, where: str) -> Expression:
 def _check_keys(parser: configparser.ConfigParser) -> None:
     """Reject a section or key the format does not define, rather than ignore it."""
     for section in parser.sections():
-        if section not in SECTION_KEYS:
-            raise ScenarioError(
-                f"unknown section [{section}]; expected one of {tuple(SECTION_KEYS)}"
-            )
-        known = SECTION_KEYS[section]
-        if known is None:
-            continue
+        if section not in FIELDS:
+            raise ScenarioError(f"unknown section [{section}]; expected one of {tuple(FIELDS)}")
+        known = FIELDS[section]
         for key in parser[section]:
-            if key not in known:
-                raise ScenarioError(f"unknown field [{section}] {key}; expected one of {known}")
+            if key not in known and None not in known:
+                raise ScenarioError(
+                    f"unknown field [{section}] {key}; expected one of {tuple(known)}"
+                )
 
 
-def _get(parser, section, key, *, required=True, default=None) -> str | None:
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    if required:
+def _keys(parser: configparser.ConfigParser, section: str):
+    """The keys of ``[section]``, none when the scenario lacks the section."""
+    return parser[section] if parser.has_section(section) else ()
+
+
+def _field(section: str, key: str) -> _Field:
+    return FIELDS[section].get(key) or FIELDS[section][None]
+
+
+def _get(parser, section: str, key: str, last: int | None = None):
+    """``[section] key``, or its field's default, read by ``_number``."""
+    raw = parser.get(section, key, fallback=_field(section, key).default)
+    if raw is None:
         raise ScenarioError(f"missing field [{section}] {key}")
-    return default
+    return _number(raw, section, key, last)
 
 
-def _get_number(parser, section, key, cast, *, required=True, default=None):
-    raw = _get(parser, section, key, required=required, default=None)
-    return default if raw is None else _number(raw, section, key, cast)
-
-
-def _number(raw: str, section: str, key: str, cast):
+def _number(raw: str, section: str, key: str, last: int | None = None):
+    """``raw`` read by the cast of the field of ``[section] key`` and checked by
+    its rule: the one place a scenario value is cast and checked."""
+    spec = _field(section, key)
     try:
-        return cast(raw)
+        value = spec.cast(raw)
     except ValueError:
-        noun = "an integer" if cast is int else "a number"
+        noun = {int: "an integer", float: "a number"}.get(spec.cast, spec.rule)
         raise ScenarioError(f"field [{section}] {key} must be {noun}, got {raw!r}") from None
+    if not spec.valid(value, last):
+        rule = spec.rule.format(last=last)
+        raise ScenarioError(f"field [{section}] {key} must be {rule}, got {value!r}")
+    return value
 
 
 def load_scenario(path: str | Path, overrides=()) -> Scenario:
@@ -227,48 +285,30 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     for section in parser.sections():
         if section not in readable:
             raise ScenarioError(f"kind={kind} does not read [{section}]; expected one of {readable}")
-    seed = _get_number(parser, "scenario", "seed", int, required=False, default=0)
-    if seed < 0:
-        raise ScenarioError(f"field [scenario] seed must be a non-negative integer, got {seed}")
-
-    backend = _get(parser, "operators", "backend", required=False, default="spectral")
-    if backend not in METHODS:
-        raise ScenarioError(f"unknown operator backend {backend!r}; expected one of {METHODS}")
-
-    constants = dict(_DEFAULT_CONSTANTS)
-    if parser.has_section("constants"):
-        for key in parser["constants"]:
-            constants[key] = _get_number(parser, "constants", key, float)
-
+    for key in _keys(parser, "monitors"):
+        if key not in spec.monitors:
+            raise ScenarioError(
+                f"unknown monitor {key!r} for kind={kind}; expected one of {tuple(spec.monitors)}"
+            )
+    for key in _keys(parser, "inputs"):
+        if key not in spec.inputs:
+            raise ScenarioError(
+                f"unknown field [inputs] {key} for kind={kind}; expected one of {spec.inputs}"
+            )
+    constants = {k: _get(parser, "constants", k) for k in _keys(parser, "constants")}
     scenario = Scenario(
-        kind=kind, path=path, sha256=sha, seed=seed, backend=backend, constants=constants
+        kind=kind, path=path, sha256=sha, seed=_get(parser, "scenario", "seed"),
+        backend=_get(parser, "operators", "backend"),
+        constants={**_DEFAULT_CONSTANTS, **constants},
+        monitors={k: _get(parser, "monitors", k) for k in _keys(parser, "monitors")},
+        inputs={key: _get(parser, "inputs", key) for key in spec.inputs},
     )
-
-    if parser.has_section("monitors"):
-        for key in parser["monitors"]:
-            if key not in spec.monitors:
-                raise ScenarioError(
-                    f"unknown monitor {key!r} for kind={kind}; "
-                    f"expected one of {tuple(spec.monitors)}"
-                )
-            scenario.monitors[key] = _get_number(parser, "monitors", key, float)
 
     if "potential" in spec.sections:
         source = _get(parser, "potential", "v")
         if expressions.references_time(_parse_expr(source, "[potential] v")):
             raise ScenarioError(f"time-dependent potential unsupported for {kind}")
         scenario.potential_source = source
-
-    for key in parser["inputs"] if parser.has_section("inputs") else ():
-        if key not in spec.inputs:
-            raise ScenarioError(
-                f"unknown field [inputs] {key} for kind={kind}; expected one of {tuple(spec.inputs)}"
-            )
-    for key, choices in spec.inputs.items():
-        value = _get(parser, "inputs", key, required=not choices, default=choices and choices[0])
-        if choices and value not in choices:
-            raise ScenarioError(f"unknown {key} {value!r}; expected one of {choices}")
-        scenario.inputs[key] = value
     if spec.setup is None:
         return scenario
 
@@ -287,52 +327,21 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         raise ScenarioError(f"kind={kind} needs a 3D grid, got {grid.dims}D")
 
     if scenario.potential_source is not None:
-        scenario.potential = _sample_potential(scenario.potential_source, grid, constants)
+        scenario.potential = _sample_potential(scenario.potential_source, grid, scenario.constants)
 
     if "sources" in spec.sections:
-        keys = SECTION_KEYS["sources"]
-        rho, jx, jy, jz = (_get(parser, "sources", k, required=False, default="0") for k in keys)
+        rho, jx, jy, jz = (_get(parser, "sources", key) for key in FIELDS["sources"])
         try:
-            scenario.sources = maxwell.SourceSpec(rho, (jx, jy, jz), constants)
+            scenario.sources = maxwell.SourceSpec(rho, (jx, jy, jz), scenario.constants)
         except WavepotError as exc:
             raise ScenarioError(f"bad [sources] section: {exc}") from exc
 
-    scenario.initial = init = _read_initial(parser, kind)
-    # the numbers of each [initial] type, read as numbers here so a bad one names its field
-    for key, cast, valid, noun in (
-        ("mode", int, lambda n: 0 <= n < grid.size,
-         f"an eigenstate index from 0 to {grid.size - 1}"),
-        ("modes", int, lambda n: n > 0, "a positive integer"),
-        ("amplitude", float, np.isfinite, "a finite number"),
-        ("time", float, np.isfinite, "a finite number"),
-    ):
-        if key in init:
-            init[key] = _number(init[key], "initial", key, cast)
-            if not valid(init[key]):
-                raise ScenarioError(f"field [initial] {key} must be {noun}, got {init[key]}")
-
-    steps = _get_number(parser, "integrator", "steps", int)
-    if steps <= 0:
-        raise ScenarioError("[integrator] steps must be positive")
-    scenario.steps = steps
-    scenario.snapshot_stride = _get_number(
-        parser, "integrator", "snapshot_stride", int, required=False, default=1
-    )
-    if scenario.snapshot_stride <= 0:
-        raise ScenarioError("[integrator] snapshot_stride must be positive")
-    dt_raw = _get(parser, "integrator", "dt")
-    dt_scale = _get_number(
-        parser, "integrator", "dt_scale", float, required=False, default=1.0
-    )
-    if dt_raw.strip() == "auto":
-        scenario.dt = dt_scale * spec.auto_dt(scenario)
-    else:
-        try:
-            scenario.dt = dt_scale * float(dt_raw)
-        except ValueError:
-            raise ScenarioError(f"[integrator] dt must be a number or 'auto', got {dt_raw!r}") from None
-    if scenario.dt <= 0:
-        raise ScenarioError("[integrator] dt must resolve to a positive number")
+    scenario.initial = _read_initial(parser, kind, grid.size - 1)
+    scenario.steps = _get(parser, "integrator", "steps")
+    scenario.snapshot_stride = _get(parser, "integrator", "snapshot_stride")
+    dt = _get(parser, "integrator", "dt")
+    dt_scale = _get(parser, "integrator", "dt_scale")
+    scenario.dt = dt_scale * (spec.auto_dt(scenario) if dt == "auto" else dt)
     return scenario
 
 
@@ -344,30 +353,21 @@ def _sample_potential(source: str, grid: Grid, bindings: dict) -> schrodinger.Po
         raise ScenarioError(f"cannot sample the potential: {exc}") from exc
 
 
-def _read_initial(parser: configparser.ConfigParser, kind: str) -> dict:
-    """The [initial] entries with ``type`` and the defaults of the type's keys filled in."""
-    if not parser.has_section("initial"):
-        raise ScenarioError("missing field [initial] (initial data section)")
+def _read_initial(parser: configparser.ConfigParser, kind: str, last: int) -> dict:
+    """The [initial] ``type`` and each key it takes, read by ``_get`` (``last``:
+    the grid's last point index, the bound of ``mode``)."""
     spec = KIND[kind]
-    init = dict(parser["initial"])
-    itype = init.setdefault("type", next(iter(spec.initial)))
+    itype = parser.get("initial", "type", fallback=next(iter(spec.initial)))
     if itype not in spec.initial:
         raise ScenarioError(f"unknown [initial] type {itype!r} for kind={kind}")
     exprs = spec.fields if itype == "expressions" else ()
-    keys = {**dict.fromkeys(exprs), **spec.initial[itype]}
-    for key in init:
+    keys = (*exprs, *spec.initial[itype])
+    for key in _keys(parser, "initial"):
         if key != "type" and key not in keys:
             raise ScenarioError(
-                f"unknown field [initial] {key} for type = {itype}; expected one of {tuple(keys)}"
+                f"unknown field [initial] {key} for type = {itype}; expected one of {keys}"
             )
-    for key, default in keys.items():
-        if key not in init and default is None:
-            raise ScenarioError(f"missing field [initial] {key} (type = {itype})")
-        value = init.setdefault(key, default)
-        if isinstance(default, bool) and isinstance(value, str):
-            if value.lower() not in ("true", "false"):
-                raise ScenarioError(f"field [initial] {key} must be true or false, got {value!r}")
-            init[key] = value.lower() == "true"
+    init = {"type": itype, **{key: _get(parser, "initial", key, last) for key in keys}}
     for key in exprs:
         _parse_expr(init[key], f"[initial] {key}")
     return init
@@ -803,7 +803,7 @@ def compare(
 # Each scenario kind, described once. Integrators and the maps they feed are
 # named inside lambdas, so they are looked up on their modules at call time and
 # wrappers installed there see every run.
-_RANDOM = {"modes": "4", "amplitude": "1.0"}
+_RANDOM = ("modes", "amplitude")
 
 KIND = {
     "schrodinger": _Kind(
@@ -815,7 +815,7 @@ KIND = {
         from_arrays=lambda scn, a: schrodinger.WaveFunction(
             ComplexSampleField(scn.grid, a[0] + 1j * a[1]), scn.params
         ),
-        initial={"expressions": {"normalize": False}, "random": {**_RANDOM, "normalize": False}},
+        initial={"expressions": ("normalize",), "random": (*_RANDOM, "normalize")},
         setup=_schrodinger_evolution,
         integrate=lambda scn, st, **kw: schrodinger.propagate_cn(
             st, scn.potential, scn.dt, scn.steps, **kw
@@ -833,7 +833,7 @@ KIND = {
         ),
         forward="schrodinger",
         forward_map=lambda st, backend: wavepotential.to_wavefunction(st, backend),
-        initial={"expressions": {}, "stationary": {"mode": None, "time": "0.0"}, "random": _RANDOM},
+        initial={"expressions": (), "stationary": ("mode", "time"), "random": _RANDOM},
         setup=_phi_evolution,
         integrate=lambda scn, st, **kw: wavepotential.run_verlet(st, scn.dt, scn.steps, **kw),
         auto_dt=lambda scn: wavepotential.stable_dt(scn.potential, scn.params, scn.backend),
@@ -846,7 +846,7 @@ KIND = {
         fields=("e_x", "e_y", "e_z", "b_x", "b_y", "b_z"),
         to_arrays=lambda s: [*s.e.values, *s.b.values],
         from_arrays=lambda scn, a: maxwell.EMState(*_vectors(scn.grid, a), scn.light_speed),
-        initial={"expressions": {"fix_divergence": False}},
+        initial={"expressions": ("fix_divergence",)},
         setup=_maxwell_fields_evolution,
         integrate=lambda scn, st, **kw: maxwell.run_rk4(st, scn.sources, scn.dt, scn.steps, **kw),
         auto_dt=lambda scn: maxwell.rk4_dt_bound(scn.grid, scn.light_speed),
@@ -861,7 +861,7 @@ KIND = {
         from_arrays=lambda scn, a: maxwell.PotentialState(*_vectors(scn.grid, a), scn.light_speed),
         forward="maxwell-fields",
         forward_map=lambda st, backend: maxwell.potential_to_fields(st, backend),
-        initial={"expressions": {}},
+        initial={"expressions": ()},
         setup=_maxwell_potential_evolution,
         integrate=lambda scn, st, **kw: maxwell.run_potential_verlet(
             st, scn.sources, scn.dt, scn.steps, **kw
@@ -872,7 +872,7 @@ KIND = {
         sections=("operators", "potential", "inputs"),
         monitors={"roundtrip_l2": "roundtrip_l2"},
         run=_run_reconstruct,
-        inputs={"source": None},
+        inputs=("source",),
         forward="phi",
         reconstruct=lambda scn, times, waves: reconstruction.reconstruct_phi(
             times, (w.psi for w in waves), scn.potential, scn.params, scn.backend
@@ -882,7 +882,7 @@ KIND = {
         sections=("operators", "inputs"),
         monitors={"roundtrip_l2": "roundtrip_l2"},
         run=_run_reconstruct,
-        inputs={"source": None},
+        inputs=("source",),
         forward="maxwell-potential",
         reconstruct=lambda scn, times, states: reconstruction.reconstruct_vector_potential(
             times, states, scn.backend
@@ -892,8 +892,7 @@ KIND = {
         sections=("inputs",),
         monitors={"l2_diff": "l2_diff", "max_diff": "max_diff"},
         run=_run_compare,
-        inputs={"run_a": None, "run_b": None, "transform_a": tuple(TRANSFORMS),
-                "transform_b": tuple(TRANSFORMS)},
+        inputs=("run_a", "run_b", "transform_a", "transform_b"),
     ),
 }
 

@@ -38,7 +38,7 @@ from .operators import (
     symbols,
 )
 from .expressions import Expression
-from .stepping import drive
+from .stepping import check_dt, drive
 
 __all__ = [
     "QuantumParams",
@@ -308,8 +308,7 @@ def crank_nicolson_step(
     b - A M^-1 y, is the Cayley residual itself, driven below ``_CAYLEY_TOL``
     relative to ||b||; norm is then conserved to the same tolerance.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_dt(dt)
     grid = psi.grid
     check_same_grid(grid, V.sampled)
     params = psi.params

@@ -32,23 +32,16 @@ __all__ = [
     "dump_csv",
     "DiagnosticsWriter",
     "StagedFile",
-    "format_float",
 ]
 
 MAGIC = "WAVEPOT-SNAP 1"
 
 
-def format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _cells(column) -> Iterable[str]:
-    """One CSV column: a Python int prints as an integer and any other value as
-    ``format_float`` prints it. An ndarray column counts as its ``tolist()``, so
-    an integer array prints as integers and a float array through ``repr``."""
-    if isinstance(column, np.ndarray):
-        return map(str if column.dtype.kind in "iu" else repr, column.tolist())
-    return (str(v) if isinstance(v, int) else format_float(v) for v in column)
+    """One CSV column as the ``tolist()`` of its array: integers through ``str``,
+    floats through ``repr``."""
+    values = np.asarray(column)
+    return map(str if values.dtype.kind in "iu" else repr, values.tolist())
 
 
 def _json_default(obj):
@@ -211,7 +204,15 @@ def read_snapshot(path: str | Path) -> SnapshotData:
             count = header["frame_count"]
             if type(count) is not int or count < 1:  # a run records its first and last step
                 raise ValueError(f"{path} has frame_count {count!r}, not a positive integer")
-            times = header["time_start"] + header["time_step"] * np.arange(count)
+            start, step = header["time_start"], header["time_step"]
+            time_end = header.get("time_end")
+            if not np.isfinite([start, step, start if time_end is None else time_end]).all():
+                raise ValueError(f"{path} has a time that is not finite in its header")
+            times = start + step * np.arange(count, dtype=float)
+            if time_end is not None:
+                times[-1] = time_end
+            if (np.diff(times) <= 0).any():
+                raise ValueError(f"{path} has frame times that do not ascend")
         except KeyError as exc:
             raise ValueError(f"{path} header lacks the key {exc.args[0]!r}") from None
         except TypeError as exc:  # a header that is not an object, or a grid that is not lists
@@ -231,9 +232,6 @@ def read_snapshot(path: str | Path) -> SnapshotData:
         tail = fh.read(1)
         if tail:
             raise ValueError(f"{path} has trailing bytes")
-    time_end = header.get("time_end")
-    if time_end is not None:
-        times[-1] = time_end
     return SnapshotData(kind, grid, fields, times, frames, header.get("provenance", {}), time_end)
 
 

@@ -1,23 +1,27 @@
 """The one time-stepping loop behind every integrator.
 
 ``run_verlet``, ``propagate_cn``, ``run_rk4`` and ``run_potential_verlet``
-each write their scheme once, as an ``advance(n)`` that moves the state from
-step n-1 to step n (in place on raw arrays where the scheme allows), and hand
-it to ``drive``. All four take ``steps`` and the keywords ``sink``,
-``snapshot_stride``, ``method`` and ``observer``, and return the final state,
-so ``steps=1`` is a single step. Frames reach the sink as soon as they exist;
-no run holds more than one. Under glibc the first ``drive`` of a process
-keeps freed heap for reuse, so steps do not fault their temporaries in again.
+pass their dt through ``check_dt`` and write their scheme once, as an
+``advance(n)`` that moves the state from step n-1 to step n (in place on raw
+arrays where the scheme allows), for ``drive``. All four take ``steps`` and
+the keywords ``sink``, ``snapshot_stride``, ``method`` and ``observer``, and
+return the final state, so ``steps=1`` is a single step. Frames reach the sink
+as soon as they exist; no run holds more than one. Under glibc the first
+``drive`` of a process keeps freed heap for reuse, so steps do not fault their
+temporaries in again.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from functools import cache
 from typing import Callable, TypeVar
 
-__all__ = ["frame_steps", "drive"]
+from .errors import StabilityError
+
+__all__ = ["check_dt", "frame_steps", "drive"]
 
 State = TypeVar("State")
 
@@ -43,6 +47,15 @@ def frame_steps(steps: int, snapshot_stride: int) -> list[int]:
     if recorded[-1] != steps:
         recorded.append(steps)
     return recorded
+
+
+def check_dt(dt: float, budget: float = math.inf, scheme: str = "", note: str = "") -> None:
+    """Refuse a dt that is not a positive finite number, NaN included (ValueError), or
+    that exceeds the scheme's stability ``budget`` by over 1e-12 of it (StabilityError)."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a positive finite number, got {dt:g}")
+    if dt > budget * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt:g} exceeds the {scheme} budget {budget:g}{note}")
 
 
 @cache

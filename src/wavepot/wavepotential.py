@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GaugeError, StabilityError
+from .errors import GaugeError
 from .grids import Grid, ComplexSampleField, ScalarSampleField, check_same_grid
 from .schrodinger import (
     PotentialSpec,
@@ -28,7 +28,7 @@ from .schrodinger import (
     max_energy_bound,
     real_l_operator,
 )
-from .stepping import drive
+from .stepping import check_dt, drive
 
 __all__ = [
     "PhiState",
@@ -94,16 +94,6 @@ def stable_dt(V: PotentialSpec, params: QuantumParams, method: str = "spectral")
     return SAFETY * 2.0 * params.hbar / max_energy_bound(V, params, method)
 
 
-def _require_stable(dt: float, state: PhiState, method: str) -> None:
-    budget = stable_dt(state.potential, state.params, method)
-    if dt > budget * (1.0 + 1e-12):
-        emax = max_energy_bound(state.potential, state.params, method)
-        raise StabilityError(
-            f"dt={dt:g} exceeds the Verlet budget {budget:g} "
-            f"(E_max={emax:g}, hard stability limit {2 * state.params.hbar / emax:g})"
-        )
-
-
 def run_verlet(
     state: PhiState,
     dt: float,
@@ -119,9 +109,13 @@ def run_verlet(
     The observer sees L(phi) and phi_dot, enough to form Psi and all densities
     without extra transforms. Refuses unstable dt.
     """
-    _require_stable(dt, state, method)
     grid = state.grid
     params = state.params
+    emax = max_energy_bound(state.potential, params, method)
+    check_dt(
+        dt, stable_dt(state.potential, params, method), "Verlet",
+        f" (E_max={emax:g}, hard stability limit {2 * params.hbar / emax:g})",
+    )
     lop = real_l_operator(grid, state.potential.sampled.values, params, method)
     phi = state.phi.values.copy()
     vel = state.phi_dot.values.copy()

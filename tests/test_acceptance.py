@@ -44,8 +44,9 @@ from wavepot.operators import (
     divergence,
     gradient,
 )
-from wavepot.reconstruction import reconstruct_phi, reconstruct_vector_potential
+from wavepot.reconstruction import _ELLIPTIC_TOL, reconstruct_phi, reconstruct_vector_potential
 from wavepot.schrodinger import (
+    _CAYLEY_TOL,
     PotentialSpec,
     QuantumParams,
     WaveFunction,
@@ -55,6 +56,8 @@ from wavepot.schrodinger import (
     eigenpairs_small,
     exact_propagate_small,
     generalized_rhs,
+    hamiltonian_array,
+    l_operator_array,
     max_energy_bound,
     propagate_cn,
 )
@@ -605,3 +608,96 @@ def test_c11_determinism(tmp_path):
         + f"; chained compare max L2 {summary['max_l2_diff']:.3e}",
     )
     assert not mismatches
+
+
+# The roundoff allowance of criterion 13, in units of eps times the norm of the
+# operator applied: an FFT-based apply errs by a few eps times log2 of the point
+# count, and the running trapezoid adds a few eps a frame. It makes up under a
+# tenth of either bound on the grids below.
+_ROUNDOFF = 100 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("method", ["spectral", "central2"])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_c13_discrete_reverse_equivalence(dims, method):
+    """A Cayley record rebuilt by ``reconstruct_phi`` is the trapezoidal phi scheme, at any dt.
+
+    ``reconstruct_phi`` solves L phi^0 = -Re Psi^0 to ``_ELLIPTIC_TOL`` and sets
+    phi^{n+1} - phi^n = a (Im Psi^n + Im Psi^{n+1}), a = dt / 2 hbar. Each Cayley
+    step solves (1 + i a H) Psi^{n+1} = b_n + r_n, b_n = (1 - i a H) Psi^n, with
+    H = -L and ||r_n|| <= ``_CAYLEY_TOL`` ||b_n||. Its real part gives
+    e^{n+1} = e^n + Re r_n for e^n = Re Psi^n + L phi^n, so Re Psi^n = -L phi^n
+    holds at every frame to
+
+        B_n = _ELLIPTIC_TOL ||Re Psi^0|| + _CAYLEY_TOL sum_{k<n} ||b_k||.
+
+    Its imaginary part then makes phi the trapezoidal rule (Newmark beta = 1/4,
+    gamma = 1/2) for hbar^2 phi'' = -L^2 phi: the residual
+
+        R_n = hbar^2 (phi^{n+1} - 2 phi^n + phi^{n-1}) / dt^2
+              + L^2 (phi^{n+1} + 2 phi^n + phi^{n-1}) / 4
+            = L (e^{n+1} + 2 e^n + e^{n-1}) / 4 + (hbar / 2 dt) Im (r_n + r_{n-1})
+
+    is at most E_max (B_{n+1} + 2 B_n + B_{n-1}) / 4
+    + (hbar / 2 dt) _CAYLEY_TOL (||b_n|| + ||b_{n-1}||), E_max bounding ||L||.
+    Norms are 2-norms of the sample arrays, as the solvers measure residuals,
+    and each bound adds ``_ROUNDOFF`` times the norms it applies L to. Neither
+    bound depends on the dt^2 error that c02's field-equation residual measures,
+    so the check runs at 50 times c02's dt. The Maxwell reverse map is not exact
+    in this sense: RK4 is not the trapezoidal rule, and the trapezoid of E keeps
+    a dt^2 error.
+    """
+    points, dt, steps = {1: ((128,), 0.05, 60), 2: ((32, 32), 0.05, 40)}[dims]
+    grid = Grid(points, (20.0,) * dims)
+    coords = np.meshgrid(*(grid.axis_coordinates(a) for a in range(dims)), indexing="ij")
+    V = PotentialSpec.from_expression(
+        "0.5*((x-10)^2 + (y-10)^2)" if dims == 2 else "0.5*(x-10)^2", grid
+    )
+    v = V.sampled.values
+    packet = np.exp(-((coords[0] - 12.0) ** 2 + sum((c - 10.0) ** 2 for c in coords[1:])) / 2)
+    packet = packet / np.sqrt(np.sum(packet**2) * grid.cell_volume)
+    frames = {}
+    propagate_cn(
+        WaveFunction(ComplexSampleField(grid, packet.astype(complex)), PARAMS), V, dt, steps,
+        sink=frames.__setitem__, method=method,
+    )
+    psis = [frames[n].psi.values for n in range(steps + 1)]
+    states = reconstruct_phi(
+        [n * dt for n in range(steps + 1)], (frames[n].psi for n in range(steps + 1)),
+        V, PARAMS, method,
+    )
+    phis = [st.phi.values for st in states]
+
+    def apply_l(f):
+        return l_operator_array(f, v, grid, PARAMS, method)
+
+    hbar, a = PARAMS.hbar, dt / (2.0 * PARAMS.hbar)
+    e_max = max_energy_bound(V, PARAMS, method)
+    b_norms = np.array([
+        np.linalg.norm(p - 1j * a * hamiltonian_array(p, v, grid, PARAMS, method)) for p in psis
+    ])
+    phi_norms = np.array([np.linalg.norm(f) for f in phis])
+    bounds = (_ELLIPTIC_TOL * np.linalg.norm(psis[0].real)
+              + _CAYLEY_TOL * np.concatenate([[0.0], np.cumsum(b_norms[:-1])])
+              + _ROUNDOFF * e_max * phi_norms)
+    identity = np.array([np.linalg.norm(p.real + apply_l(f)) for p, f in zip(psis, phis)])
+
+    newmark = []
+    for n in range(1, steps):
+        second = hbar**2 * (phis[n + 1] - 2.0 * phis[n] + phis[n - 1]) / dt**2
+        residual = second + apply_l(apply_l(phis[n + 1] + 2.0 * phis[n] + phis[n - 1])) / 4.0
+        bound = (e_max * (bounds[n + 1] + 2.0 * bounds[n] + bounds[n - 1]) / 4.0
+                 + hbar / (2.0 * dt) * _CAYLEY_TOL * (b_norms[n] + b_norms[n - 1])
+                 + _ROUNDOFF * (4.0 * hbar**2 / dt**2 + e_max**2) * phi_norms[n - 1 : n + 2].sum())
+        newmark.append(np.linalg.norm(residual) / bound)
+    identity_ratio, newmark_ratio = float(np.max(identity / bounds)), float(np.max(newmark))
+    ok = identity_ratio <= 1.0 and newmark_ratio <= 1.0
+    report(
+        f"criterion 13 discrete reverse equivalence ({dims}D {method})",
+        ok,
+        f"Re Psi + L phi at {identity_ratio:.2f} of its bound (largest "
+        f"{identity.max():.3e}), Newmark residual at {newmark_ratio:.2f} of its bound, "
+        f"dt = {dt} over {steps} steps",
+    )
+    assert identity_ratio <= 1.0
+    assert newmark_ratio <= 1.0

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -440,11 +441,23 @@ class TestCli:
         (_STATIONARY + ["initial.time=abc"], "[initial] time must be a number, got 'abc'"),
         (_STATIONARY + ["initial.time=nan"], "[initial] time must be a finite number, got nan"),
         (["scenario.seed=-1"], "[scenario] seed must be a non-negative integer, got -1"),
+        (["integrator.dt=nan"], "[integrator] dt must be 'auto' or a positive finite number, got nan"),
+        (["integrator.dt=inf"], "[integrator] dt must be 'auto' or a positive finite number, got inf"),
+        (["integrator.dt_scale=nan"], "[integrator] dt_scale must be a positive finite number, got nan"),
+        (["integrator.dt_scale=0"], "[integrator] dt_scale must be a positive finite number, got 0.0"),
+        (["monitors.norm_drift=nan"],
+         "[monitors] norm_drift must be a non-negative finite number, got nan"),
+        (["monitors.norm_drift=-1"],
+         "[monitors] norm_drift must be a non-negative finite number, got -1.0"),
+        (["constants.L=nan"], "[constants] L must be a finite number, got nan"),
     ], ids=["modes-2.7", "modes-negative", "modes-nan", "amplitude-abc", "amplitude-inf",
-            "time-abc", "time-nan", "seed-negative"])
+            "time-abc", "time-nan", "seed-negative", "dt-nan", "dt-inf", "dt_scale-nan",
+            "dt_scale-zero", "ceiling-nan", "ceiling-negative", "constant-nan"])
     def test_initial_numbers_and_seed_checked_exit_one(self, tmp_path, capsys, overrides, message):
-        # each ran with another value, wrote all-zero or non-finite data, or
-        # failed late with a message that named no field
+        # each ran with another value, wrote all-zero or non-finite data, failed
+        # late with a message that named no field, stepped a NaN dt to exit 2,
+        # exited 3 after the whole run against a ceiling no peak can meet, or
+        # wrote an unused NaN constant into the record header
         text = HARMONIC_PHI.replace("points = 64", "points = 16").replace(
             "type = expressions\nphi = cos(2*pi*x/20)\nphi_dot = 0", "type = random"
         )
@@ -843,6 +856,16 @@ def snapshot_header(path) -> dict:
 
 
 class TestRecordTimes:
+    def test_integer_header_times_read_as_floats(self, tmp_path):
+        # JSON integers made an integer time array, which truncated a time_end of 2.5 to 2
+        header = {
+            "fields": ["phi"], "frame_count": 3, "grid": {"points": [8], "lengths": [20.0]},
+            "kind": "phi", "provenance": {}, "time_start": 0, "time_step": 1, "time_end": 2.5,
+        }
+        path = tmp_path / SNAPSHOT
+        path.write_bytes(f"WAVEPOT-SNAP 1\n{json.dumps(header)}\n".encode() + bytes(8 * 8 * 3))
+        assert read_snapshot(path).times.tolist() == [0.0, 1.0, 2.5]
+
     def test_off_stride_last_frame_time(self, tmp_path):
         scn = load_scenario(
             SCENARIO_DIR / "c03_identity_drift.scn",
@@ -940,18 +963,30 @@ class TestMalformedSnapshots:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("count", [0, -1, 1.5])
-def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, count):
-    # frame_count 0 (or -1, read as 0) ended compare in an IndexError at times_a[-1]
+@pytest.mark.parametrize("changes, message", [
+    ({"frame_count": 0}, "frame_count 0, not a positive integer"),
+    ({"frame_count": -1}, "frame_count -1, not a positive integer"),
+    ({"frame_count": 1.5}, "frame_count 1.5, not a positive integer"),
+    ({"time_step": float("nan")}, "has a time that is not finite"),
+    ({"time_start": float("inf")}, "has a time that is not finite"),
+    ({"time_end": float("nan")}, "has a time that is not finite"),
+    ({"time_step": 0.0}, "has frame times that do not ascend"),
+    ({"time_step": -0.1}, "has frame times that do not ascend"),
+    ({"time_end": 0.05}, "has frame times that do not ascend"),
+], ids=["0", "-1", "1.5", "step-nan", "start-inf", "end-nan", "step-zero", "step-negative",
+        "end-early"])
+def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, changes, message):
+    # frame_count 0 (or -1, read as 0) ended compare in an IndexError at times_a[-1];
+    # NaN times read as NaN, and compare's time check passed them against a good record
     header = {
-        "fields": ["psi_re", "psi_im"], "frame_count": count,
+        "fields": ["psi_re", "psi_im"], "frame_count": 3,
         "grid": {"points": [8], "lengths": [20.0]}, "kind": "schrodinger",
-        "provenance": {}, "time_start": 0.0, "time_step": 0.1,
+        "provenance": {}, "time_start": 0.0, "time_step": 0.1, **changes,
     }
     (tmp_path / "empty").mkdir()
     path = tmp_path / "empty" / SNAPSHOT
     path.write_text(f"WAVEPOT-SNAP 1\n{json.dumps(header)}\n")
-    with pytest.raises(ValueError, match=f"frame_count {count!r}, not a positive integer"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_snapshot(path)
     scenarios = {
         "compare": COMPARE.replace("r1", "empty").replace("r2", "empty"),
@@ -964,7 +999,7 @@ def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, count):
         assert not list((tmp_path / kind).iterdir())
     assert main(["dump", "--snapshot", str(path), "--out", str(tmp_path / "dump.csv")]) == 1
     assert not (tmp_path / "dump.csv").exists()
-    assert capsys.readouterr().err.count("not a positive integer") == 3
+    assert capsys.readouterr().err.count(message) == 3
 
 
 class TestAtomicSnapshots:
@@ -1253,3 +1288,41 @@ def test_kind_name_guard_catches_offenders():
         'ok = "potential" in sections and name.endswith("_drift") and itype == "random"\n'
     )
     assert not _kind_name_branches(allowed, KINDS)
+
+
+_FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario_format.md"
+
+
+def _undocumented(doc: str) -> list[str]:
+    """Each section, key of the field table, monitor and ``[inputs]`` name that
+    ``doc`` does not name: a section as `[section]`, any other name in
+    backticks or as the first cell of a table row."""
+
+    def named(name: str) -> bool:
+        return re.search(rf"`{re.escape(name)}\b|^\| {re.escape(name)} +\|", doc, re.M) is not None
+
+    missing = [f"[{section}]" for section in scenario_module.FIELDS if f"`[{section}]`" not in doc]
+    missing += [
+        f"[{section}] {key}"
+        for section, fields in scenario_module.FIELDS.items()
+        for key in fields
+        if key is not None and not named(key)
+    ]
+    for spec in scenario_module.KIND.values():
+        missing += [f"monitor {name}" for name in spec.monitors if not named(name)]
+        missing += [f"[inputs] {name}" for name in spec.inputs if not named(name)]
+    return list(dict.fromkeys(missing))
+
+
+def test_every_section_key_monitor_and_input_documented():
+    assert _undocumented(_FORMAT_DOC.read_text()) == []
+
+
+def test_doc_guard_flags_a_mutated_copy():
+    doc = _FORMAT_DOC.read_text()
+    assert _undocumented(doc.replace("dt_scale", "dt_scal")) == ["[integrator] dt_scale"]
+    assert _undocumented(doc.replace("`[sources]`", "sources")) == ["[sources]"]
+    assert _undocumented(doc.replace("potential_constraint_residual", "residual")) == [
+        "monitor potential_constraint_residual"
+    ]
+    assert _undocumented(doc.replace("`run_b`", "run b")) == ["[inputs] run_b"]
