@@ -87,6 +87,8 @@ class _Field:
 
 _POSITIVE_INTEGER = {"cast": int, "valid": lambda n, last: n > 0, "rule": "a positive integer"}
 _FINITE = {"cast": float, "valid": lambda x, last: np.isfinite(x), "rule": "a finite number"}
+_POSITIVE_FINITE = {"cast": float, "valid": lambda x, last: np.isfinite(x) and x > 0,
+             "rule": "a positive finite number"}
 _FLAG = {"default": "false", "cast": lambda raw: bool(("false", "true").index(raw.lower())),
          "rule": "true or false"}  # any case; index raises ValueError on any other text
 _TRANSFORM = _Field("identity", valid=lambda name, last: name in TRANSFORMS,
@@ -101,7 +103,8 @@ FIELDS = {
         "seed": _Field("0", int, lambda n, last: n >= 0, "a non-negative integer"),
     },
     "grid": {"points": _Field(), "lengths": _Field()},
-    "constants": {None: _Field(**_FINITE)},
+    "constants": {**{name: _Field(**_POSITIVE_FINITE) for name in _DEFAULT_CONSTANTS},
+                  None: _Field(**_FINITE)},
     "operators": {
         "backend": _Field("spectral", valid=lambda name, last: name in METHODS,
                           rule=f"one of {METHODS}"),
@@ -124,8 +127,7 @@ FIELDS = {
             lambda x, last: x == "auto" or np.isfinite(x) and x > 0,
             "'auto' or a positive finite number",
         ),
-        "dt_scale": _Field("1.0", float, lambda x, last: np.isfinite(x) and x > 0,
-                           "a positive finite number"),
+        "dt_scale": _Field("1.0", **_POSITIVE_FINITE),
         "steps": _Field(**_POSITIVE_INTEGER),
         "snapshot_stride": _Field("1", **_POSITIVE_INTEGER),
     },
@@ -342,6 +344,9 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
     dt = _get(parser, "integrator", "dt")
     dt_scale = _get(parser, "integrator", "dt_scale")
     scenario.dt = dt_scale * (spec.auto_dt(scenario) if dt == "auto" else dt)
+    if not 0 < scenario.dt < np.inf:  # a product of two valid factors can overflow or underflow
+        raise ScenarioError(f"field [integrator] dt times dt_scale must be "
+                            f"a positive finite number, got {scenario.dt!r}")
     return scenario
 
 
@@ -503,15 +508,17 @@ def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     if scenario.sources is not None:
         scenario.sources.validate_continuity(scenario.grid, dt, steps * dt, scenario.backend)
     blocks = []
+    rows = 0
 
     def observer(step: int, *arrays: np.ndarray) -> None:
+        nonlocal rows
         if not blocks:
-            rows = max(1, _DIAG_BLOCK_BYTES // sum(a.nbytes for a in arrays))
-            blocks.extend(np.empty((min(rows, steps + 1), *a.shape), a.dtype) for a in arrays)
-        k = step % len(blocks[0])  # the observer sees steps 0, 1, ..., steps in order
+            rows = min(max(1, _DIAG_BLOCK_BYTES // sum(a.nbytes for a in arrays)), steps + 1)
+            blocks.extend(np.empty((rows, *a.shape), a.dtype) for a in arrays)
+        k = step % rows  # the observer sees steps 0, 1, ..., steps in order
         for block, a in zip(blocks, arrays):
             block[k] = a
-        if k == len(blocks[0]) - 1 or step == steps:
+        if k == rows - 1 or step == steps:
             block_steps = np.arange(step - k, step + 1)
             times = block_steps * dt
             diag.write_rows([block_steps, times, *observe(times, *(b[: k + 1] for b in blocks))])
@@ -601,12 +608,21 @@ def _phi_evolution(scenario: Scenario):
     vol = grid.cell_volume
 
     def observe(times: np.ndarray, lphi: np.ndarray, vel: np.ndarray) -> list:
-        psi = -lphi + 1j * hbar * vel
-        psi_sq = np.abs(psi) ** 2
-        energy = 0.5 * hbar * vel**2 + 0.5 / hbar * lphi**2
-        dens2 = 2.0 * hbar * energy
+        # Psi = -L phi + i hbar phi_dot, energy = hbar phi_dot^2 / 2 + (L phi)^2 / 2 hbar, in
+        # place; |Psi| is np.abs of the complex Psi, which np.hypot does not match bit for bit
+        psi = np.empty(lphi.shape, complex)
+        np.negative(lphi, out=psi.real)
+        np.multiply(vel, hbar, out=psi.imag)
+        psi_sq = np.square(np.abs(psi))
+        energy = np.square(vel)
+        energy *= 0.5 * hbar
+        work = np.square(lphi)
+        work *= 0.5 / hbar
+        energy += work
+        np.multiply(energy, 2.0 * hbar, out=work)
+        np.abs(np.subtract(psi_sq, work, out=work), out=work)
         scale = np.maximum(_rows(psi_sq).max(axis=1), 1e-300)
-        identity_rel = _rows(np.abs(psi_sq - dens2)).max(axis=1) / scale
+        identity_rel = _rows(work).max(axis=1) / scale
         return [_rows(psi_sq).sum(axis=1) * vol, _rows(energy).sum(axis=1) * vol, identity_rel]
 
     return state, ("psi_norm", "total_energy", "identity_residual"), observe

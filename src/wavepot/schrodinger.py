@@ -168,14 +168,14 @@ def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: st
     to the unit vectors instead, and the closure returned is one matvec with
     the resulting dense matrix over the flattened grid axes: the same operator,
     with per-call overhead that dominates small grids cut away. Leading batch
-    axes pass through either way.
+    axes pass through either way. Given ``out``, a C-contiguous float64 array
+    of f's shape other than f, either closure writes L f there and returns it,
+    with the same bytes as a call without it.
     """
     kinetic = fourier_multiplier(grid, params.kinetic * symbols(grid, method).lap, real=True)
 
-    def lop(f: np.ndarray) -> np.ndarray:
-        out = kinetic(f)
-        out -= v * f
-        return out
+    def lop(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.subtract(kinetic(f), v * f, out=out)
 
     size = grid.size
     if size > DENSE_L_LIMIT:
@@ -186,11 +186,16 @@ def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: st
     mat = buf[start : start + size * size * 8].view(np.float64).reshape(size, size)
     mat[...] = lop(np.eye(size).reshape((size,) + grid.shape)).reshape(size, size)
 
-    def dense(f: np.ndarray) -> np.ndarray:
-        lead = f.shape[: f.ndim - grid.dims]
-        return (f.reshape(lead + (size,)) @ mat).reshape(f.shape)
+    def dense(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        flat = f.shape[: f.ndim - grid.dims] + (size,)
+        out = np.empty(f.shape) if out is None else out
+        np.matmul(f.reshape(flat), mat, out=out.reshape(flat))
+        return out
 
-    return dense
+    def line(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(f, mat, out=out)  # no reshapes: they cost 1/8 of a 256-point apply
+
+    return line if grid.dims == 1 else dense
 
 
 def apply_hamiltonian(

@@ -107,7 +107,9 @@ def run_verlet(
     """Kick-drift-kick velocity-Verlet on raw arrays, driven by ``stepping.drive``.
 
     The observer sees L(phi) and phi_dot, enough to form Psi and all densities
-    without extra transforms. Refuses unstable dt.
+    without extra transforms; both are arrays the next step overwrites. A step
+    allocates nothing: the kicks, the drift and both applies of L write into
+    arrays made once. Refuses unstable dt.
     """
     grid = state.grid
     params = state.params
@@ -119,20 +121,20 @@ def run_verlet(
     lop = real_l_operator(grid, state.potential.sampled.values, params, method)
     phi = state.phi.values.copy()
     vel = state.phi_dot.values.copy()
-    neg_inv_hbar2 = -1.0 / params.hbar**2
-    half_dt = 0.5 * dt
+    # 0-d arrays, not Python floats: a ufunc converts a float operand on every
+    # call, which on small grids costs more than the multiply
+    neg_inv_hbar2, half_dt, full_dt = (np.array(x) for x in (-1.0 / params.hbar**2, 0.5 * dt, dt))
     lphi = lop(phi)
-    accel = lop(lphi)
-    accel *= neg_inv_hbar2
+    accel = np.multiply(lop(lphi), neg_inv_hbar2)
+    tmp = np.empty_like(phi)
 
     def advance(n: int) -> None:
-        nonlocal phi, vel, lphi, accel
-        vel += half_dt * accel
-        phi += dt * vel
-        lphi = lop(phi)
-        accel = lop(lphi)
-        accel *= neg_inv_hbar2
-        vel += half_dt * accel
+        nonlocal phi, vel
+        vel += np.multiply(accel, half_dt, out=tmp)
+        phi += np.multiply(vel, full_dt, out=tmp)
+        lop(phi, out=lphi)
+        np.multiply(lop(lphi, out=accel), neg_inv_hbar2, out=accel)
+        vel += np.multiply(accel, half_dt, out=tmp)
 
     def box() -> PhiState:
         return PhiState(

@@ -155,6 +155,11 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     assert metrics["maxwell.rk4_steps"] == 4
     assert metrics["maxwell.verlet_steps"] == 4
     assert metrics["scenario.observer_calls"] == 2 * (6 + 1) + (4 + 1) + (4 + 1)
+    # every operators.* span of the seven runs, as counted before the phi-Verlet
+    # step wrote its applies into arrays made once: among them two operators.real_l
+    # spans a step of the two 6-step phi runs, which the span around
+    # real_l_operator's closure counts only while it passes out= through
+    assert metrics["operators.applies"] == 271
     # the tracer wraps dense_eigensystem by name, so the stationary eigensolve is counted
     assert metrics["schrodinger.dense_eig_calls"] == 1
 

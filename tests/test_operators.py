@@ -405,6 +405,28 @@ class TestDenseSmallGridL:
         assert got.shape == f.shape
         assert_close(got, l_operator_array(f, v, grid, params, method), rel=1e-13)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "grid, batch",
+        [
+            (Grid.line(DENSE_L_LIMIT, 20.0), ()),
+            (Grid.line(2 * DENSE_L_LIMIT, 20.0), ()),
+            (Grid((8, 16), (3.0, 5.0)), ()),
+            (Grid.line(DENSE_L_LIMIT, 20.0), (2,)),
+            (Grid.line(2 * DENSE_L_LIMIT, 20.0), (3,)),
+        ],
+        ids=["dense", "fft", "dense-2d-8x16", "dense-batch", "fft-batch"],
+    )
+    def test_out_gets_the_same_bytes(self, grid, batch, method, rng):
+        f = rng.standard_normal(batch + grid.shape)
+        v = rng.uniform(0.0, 3.0, grid.shape)
+        lop = real_l_operator(grid, v, QuantumParams(1.3, 0.7), method)
+        kept = f.copy()
+        buf = np.full_like(f, np.nan)
+        assert lop(f, out=buf) is buf
+        assert buf.tobytes() == lop(f).tobytes()
+        assert f.tobytes() == kept.tobytes()
+
     def test_dense_matrix_starts_on_a_cache_line(self):
         grid = Grid.line(DENSE_L_LIMIT, 20.0)
         np.ones(1 << 20)  # freed at once: glibc then serves the matrices from its heap

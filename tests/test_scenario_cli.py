@@ -467,6 +467,32 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    _PHI_16 = HARMONIC_PHI.replace("points = 64", "points = 16").replace("dt = auto", "dt = 0.01")
+
+    @pytest.mark.parametrize("kind, text, overrides, message", [
+        ("phi", _PHI_16, ["constants.hbar=0"],
+         "field [constants] hbar must be a positive finite number, got 0.0"),
+        ("phi", _PHI_16, ["constants.m=-1"],
+         "field [constants] m must be a positive finite number, got -1.0"),
+        ("maxwell-fields", MAXWELL, ["constants.c=0"],
+         "field [constants] c must be a positive finite number, got 0.0"),
+        ("maxwell-fields", MAXWELL, ["integrator.dt=1e200", "integrator.dt_scale=1e200"],
+         "field [integrator] dt times dt_scale must be a positive finite number, got inf"),
+        ("phi", _PHI_16, ["integrator.dt=1e-200", "integrator.dt_scale=1e-200"],
+         "field [integrator] dt times dt_scale must be a positive finite number, got 0.0"),
+    ], ids=["phi-hbar-zero", "phi-m-negative", "maxwell-c-zero", "maxwell-dt-overflow",
+            "phi-dt-underflow"])
+    def test_constants_and_resolved_dt_checked_exit_one(
+        self, tmp_path, capsys, kind, text, overrides, message
+    ):
+        # each loaded, then exited 1 at run time with a message that named no
+        # field, leaving an empty --out directory
+        p = write(tmp_path, "a.scn", text)
+        argv = [kind, "--scenario", str(p), "--out", str(tmp_path / "r")]
+        assert main(argv + [arg for ov in overrides for arg in ("--override", ov)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("kind, text, overrides", [
         ("phi", HARMONIC_PHI, ["grid.points=16", "initial.phi=1e306*cos(2*pi*x/20)"]),
@@ -1203,6 +1229,29 @@ class TestDiagnosticBlocks:
             run(load_scenario(write(tmp_path, "a.scn", text)), tmp_path / "out")
         assert seen == []  # the block never filled
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("hbar", ["1.0", "0.7"])
+    def test_phi_observe_matches_the_formula(self, tmp_path, rng, hbar):
+        text = HARMONIC_PHI.replace("points = 64", "points = 16")
+        text = text.replace("hbar = 1.0", f"hbar = {hbar}")
+        scn = load_scenario(write(tmp_path, "a.scn", text))
+        observe = scenario_module.KIND["phi"].setup(scn)[2]
+        lphi, vel = rng.standard_normal((2, 5, 16))
+        lphi[0], vel[0] = 0.0, -0.0  # an all-zero row: identity_rel divides by its floor
+        vel[1] = -0.0
+        lphi[2, ::2], vel[2, 1::3] = -0.0, 0.0
+        lphi[3, :4] = vel[3, 2:6] = -0.0
+        h, vol = scn.params.hbar, scn.grid.cell_volume
+        psi = -lphi + 1j * h * vel
+        psi_sq = np.abs(psi) ** 2
+        energy = 0.5 * h * vel**2 + 0.5 / h * lphi**2
+        dens2 = 2.0 * h * energy
+        scale = np.maximum(psi_sq.max(axis=1), 1e-300)
+        expected = [psi_sq.sum(axis=1) * vol, energy.sum(axis=1) * vol,
+                    np.abs(psi_sq - dens2).max(axis=1) / scale]
+        got = observe(np.arange(5) * scn.dt, lphi, vel)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert got[2][0] == 0.0 and got[0][0] == 0.0
 
     def test_write_rows_writes_what_write_row_writes(self, tmp_path):
         steps, values = np.arange(3), np.array([0.1, 1e-300, np.inf])

@@ -13,6 +13,7 @@ from wavepot.schrodinger import (
     eigenpairs_small,
     exact_propagate_small,
     max_energy_bound,
+    real_l_operator,
 )
 from wavepot.wavepotential import (
     PhiState,
@@ -139,6 +140,58 @@ class TestVerlet:
         energies = np.array(energies)
         drift = np.max(np.abs(energies - energies[0])) / energies[0]
         assert drift <= 1e-6
+
+
+def allocating_verlet(state, dt, steps, method):
+    """Kick-drift-kick written out with a new array per operation: the reference
+    run_verlet's in-place step must match byte for byte. Returns the (step, L phi,
+    phi_dot) the observer should see at every step and the final (phi, phi_dot)."""
+    lop = real_l_operator(state.grid, state.potential.sampled.values, state.params, method)
+    neg_inv_hbar2 = -1.0 / state.params.hbar**2
+    phi, vel = state.phi.values.copy(), state.phi_dot.values.copy()
+    lphi = lop(phi)
+    accel = lop(lphi) * neg_inv_hbar2
+    seen = [(0, lphi.tobytes(), vel.tobytes())]
+    for n in range(1, steps + 1):
+        vel = vel + 0.5 * dt * accel
+        phi = phi + dt * vel
+        lphi = lop(phi)
+        accel = lop(lphi) * neg_inv_hbar2
+        vel = vel + 0.5 * dt * accel
+        seen.append((n, lphi.tobytes(), vel.tobytes()))
+    return seen, (phi.tobytes(), vel.tobytes())
+
+
+class TestInPlaceVerlet:
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @pytest.mark.parametrize(
+        "grid, v",
+        [
+            (Grid.line(256, 20.0), "0.5*(x-10)^2"),
+            (Grid((8, 16), (3.0, 5.0)), "1 + cos(2*pi*x/3)*sin(2*pi*y/5)"),
+            (Grid.line(512, 20.0), "0.5*(x-10)^2"),
+        ],
+        ids=["dense-256", "dense-8x16", "fft-512"],
+    )
+    def test_matches_the_allocating_loop_bit_for_bit(self, grid, v, method, rng):
+        V = PotentialSpec.from_expression(v, grid)
+        params = QuantumParams(0.9, 1.1)
+        st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng), params)
+        dt = stable_dt(V, params, method)
+        seen, last = allocating_verlet(st0, dt, 500, method)
+        observed, frames = [], {}
+
+        def observer(step, lphi, vel):
+            observed.append((step, lphi.tobytes(), vel.tobytes()))
+
+        def sink(step, state):
+            frames[step] = (state.phi.values.tobytes(), state.phi_dot.values.tobytes())
+
+        final = run_verlet(st0, dt, 500, sink=sink, snapshot_stride=100, method=method,
+                           observer=observer)
+        assert observed == seen
+        assert frames[500] == last == (final.phi.values.tobytes(), final.phi_dot.values.tobytes())
+        assert sorted(frames) == [0, 100, 200, 300, 400, 500]
 
 
 class TestWaveFunctionMap:
