@@ -4,10 +4,12 @@ The first-order system
 
     dE/dt = c curl B - J,   dB/dt = -c curl E
 
-is integrated with classical RK4; the divergence equations are *initial
-conditions* whose residuals are monitored, not enforced (their persistence
-along the flow is itself one of the checked claims). The second-order vector
-potential obeys
+is integrated with classical RK4 on the spectra of E and B: the curls are
+mode-wise products, each source sample is transformed once, and samples of the
+fields are made only when an observer or a sink asks for them. The divergence
+equations are *initial conditions* whose residuals are monitored, not enforced
+(their persistence along the flow is itself one of the checked claims). The
+second-order vector potential obeys
 
     d^2A/dt^2 = c^2 (Lap A - grad div A) + c J,
 
@@ -191,25 +193,33 @@ class SourceSpec:
                 )
 
 
+def _em_rhs_modes(fields: np.ndarray, j: np.ndarray, c: float, sym: Symbols) -> np.ndarray:
+    """The spectrum of d/dt (E, B) = (c curl B - J, -c curl E).
+
+    ``fields`` stacks the spectra of E and B on axis 0, and the rate comes back
+    stacked the same way: the scheme that ``em_rhs`` and every RK4 stage apply.
+    """
+    rate = np.empty_like(fields)
+    rate[0] = c * _curl_modes(fields[1], sym) - j
+    rate[1] = -c * _curl_modes(fields[0], sym)
+    return rate
+
+
 def em_rhs(
     state: EMState, current: VectorSampleField3, method: str = "spectral"
 ) -> tuple[VectorSampleField3, VectorSampleField3]:
-    """dE/dt = c curl B - J, dB/dt = -c curl E."""
+    """dE/dt = c curl B - J, dB/dt = -c curl E, through one transform pair."""
     grid = state.grid
     check_same_grid(grid, current)
-    de, db = _em_rhs_arrays(state.e.values, state.b.values, current.values, state.c, grid, method)
+    spectrum = modes(np.stack((state.e.values, state.b.values, current.values)), grid, method)
+    rate = _em_rhs_modes(spectrum.hat[:2], spectrum.hat[2], state.c, spectrum.sym)
+    de, db = from_modes(spectrum._replace(hat=rate))
     return VectorSampleField3(grid, de), VectorSampleField3(grid, db)
 
 
 def rk4_dt_bound(grid: Grid, c: float) -> float:
     """CFL budget SAFETY * 2.8 / (c k_max) for the first-order system."""
     return SAFETY * RK4_IMAG_STABILITY / (c * max_wavenumber(grid))
-
-
-def _em_rhs_arrays(
-    e: np.ndarray, b: np.ndarray, j: np.ndarray, c: float, grid: Grid, method: str
-) -> tuple[np.ndarray, np.ndarray]:
-    return c * _curl_arrays(b, grid, method) - j, -c * _curl_arrays(e, grid, method)
 
 
 def run_rk4(
@@ -225,32 +235,48 @@ def run_rk4(
 ) -> EMState:
     """Classical RK4 from t=0; see ``stepping.drive``.
 
-    Sources are sampled at the substage times; the observer sees the raw
-    (E, B) arrays.
+    The state is the spectrum of (E, B), transformed once at the start, so a
+    stage is mode-wise arithmetic. Sources are sampled at the substage times
+    and each sample is transformed once; j(t + dt/2) serves stages 2 and 3.
+    Samples of the fields are made on demand, by at most one inverse transform
+    a step, when the observer or the sink asks for them. The observer sees the
+    raw (E, B) arrays; at step 0 it and the sink see the initial samples
+    themselves.
     """
     grid = state.grid
     check_dt(dt, rk4_dt_bound(grid, state.c), "RK4 CFL")
     c = state.c
-    e = state.e.values.copy()
-    b = state.b.values.copy()
+    samples = np.stack((state.e.values, state.b.values))
+    spectrum = modes(samples, grid, method)
+    hat, sym = spectrum.hat, spectrum.sym
+    fresh = True  # whether samples holds the fields of the last step
+
+    def current(t: float) -> np.ndarray:
+        return modes(sources.current_at(t, grid).values, grid, method).hat
 
     def advance(n: int) -> None:
-        nonlocal e, b
+        nonlocal hat, fresh
         t = (n - 1) * dt
-        j0 = sources.current_at(t, grid).values
-        j_half = sources.current_at(t + 0.5 * dt, grid).values
-        j1 = sources.current_at(t + dt, grid).values
-        ke1, kb1 = _em_rhs_arrays(e, b, j0, c, grid, method)
-        ke2, kb2 = _em_rhs_arrays(e + 0.5 * dt * ke1, b + 0.5 * dt * kb1, j_half, c, grid, method)
-        ke3, kb3 = _em_rhs_arrays(e + 0.5 * dt * ke2, b + 0.5 * dt * kb2, j_half, c, grid, method)
-        ke4, kb4 = _em_rhs_arrays(e + dt * ke3, b + dt * kb3, j1, c, grid, method)
-        e += (dt / 6.0) * (ke1 + 2.0 * ke2 + 2.0 * ke3 + ke4)
-        b += (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+        j0, j_half, j1 = current(t), current(t + 0.5 * dt), current(t + dt)
+        k1 = _em_rhs_modes(hat, j0, c, sym)
+        k2 = _em_rhs_modes(hat + 0.5 * dt * k1, j_half, c, sym)
+        k3 = _em_rhs_modes(hat + 0.5 * dt * k2, j_half, c, sym)
+        k4 = _em_rhs_modes(hat + dt * k3, j1, c, sym)
+        hat += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # in place: it is spectrum.hat
+        fresh = False
+
+    def observed() -> tuple[np.ndarray, np.ndarray]:
+        # steps replace samples rather than write into it, so its arrays need no copy
+        nonlocal samples, fresh
+        if not fresh:
+            samples, fresh = from_modes(spectrum), True
+        return samples[0], samples[1]
 
     def box() -> EMState:
-        return EMState(VectorSampleField3(grid, e.copy()), VectorSampleField3(grid, b.copy()), c)
+        e, b = observed()
+        return EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), c)
 
-    return drive(advance, box, lambda: (e, b), steps, snapshot_stride, sink, observer)
+    return drive(advance, box, observed, steps, snapshot_stride, sink, observer)
 
 
 def constraint_residual(state: EMState, rho: ScalarSampleField, method: str = "spectral") -> tuple[float, float]:

@@ -30,6 +30,7 @@ from .expressions import Expression
 from .grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3
 from .operators import METHODS, divergence_array, solenoidal_projection
 from .snapshots import (
+    LAYOUTS,
     DiagnosticsWriter,
     SnapshotData,
     SnapshotWriter,
@@ -826,7 +827,7 @@ KIND = {
         sections=("grid", "operators", "potential", "initial", "integrator"),
         monitors={"norm_drift": "norm", "energy_drift": "energy"},
         run=_run_evolving,
-        fields=("psi_re", "psi_im"),
+        fields=LAYOUTS["schrodinger"],
         to_arrays=lambda s: [s.psi.values.real, s.psi.values.imag],
         from_arrays=lambda scn, a: schrodinger.WaveFunction(
             ComplexSampleField(scn.grid, a[0] + 1j * a[1]), scn.params
@@ -842,7 +843,7 @@ KIND = {
         sections=("grid", "operators", "potential", "initial", "integrator"),
         monitors={"norm_drift": "psi_norm", "identity_residual": "identity_residual"},
         run=_run_evolving,
-        fields=("phi", "phi_dot"),
+        fields=LAYOUTS["phi"],
         to_arrays=lambda s: [s.phi.values, s.phi_dot.values],
         from_arrays=lambda scn, a: wavepotential.PhiState(
             *(ScalarSampleField(scn.grid, x) for x in a), scn.params, scn.potential
@@ -859,7 +860,7 @@ KIND = {
         monitors={"div_e_residual": "div_e_residual", "div_b_residual": "div_b_residual",
                   "energy_drift": "h_prime"},
         run=_run_evolving,
-        fields=("e_x", "e_y", "e_z", "b_x", "b_y", "b_z"),
+        fields=LAYOUTS["maxwell-fields"],
         to_arrays=lambda s: [*s.e.values, *s.b.values],
         from_arrays=lambda scn, a: maxwell.EMState(*_vectors(scn.grid, a), scn.light_speed),
         initial={"expressions": ("fix_divergence",)},
@@ -872,7 +873,7 @@ KIND = {
         monitors={"potential_constraint_residual": "potential_constraint_residual",
                   "div_b_residual": "div_b_residual"},
         run=_run_evolving,
-        fields=("a_x", "a_y", "a_z", "a_dot_x", "a_dot_y", "a_dot_z"),
+        fields=LAYOUTS["maxwell-potential"],
         to_arrays=lambda s: [*s.a.values, *s.a_dot.values],
         from_arrays=lambda scn, a: maxwell.PotentialState(*_vectors(scn.grid, a), scn.light_speed),
         forward="maxwell-fields",

@@ -32,9 +32,19 @@ __all__ = [
     "dump_csv",
     "DiagnosticsWriter",
     "StagedFile",
+    "LAYOUTS",
 ]
 
 MAGIC = "WAVEPOT-SNAP 1"
+
+# The fields a record of each kind stores, in frame order; a header must name
+# one of these kinds and exactly its fields.
+LAYOUTS = {
+    "schrodinger": ("psi_re", "psi_im"),
+    "phi": ("phi", "phi_dot"),
+    "maxwell-fields": ("e_x", "e_y", "e_z", "b_x", "b_y", "b_z"),
+    "maxwell-potential": ("a_x", "a_y", "a_z", "a_dot_x", "a_dot_y", "a_dot_z"),
+}
 
 
 def _cells(column) -> Iterable[str]:
@@ -201,6 +211,23 @@ def read_snapshot(path: str | Path) -> SnapshotData:
         try:
             grid = Grid(tuple(header["grid"]["points"]), tuple(header["grid"]["lengths"]))
             kind, fields = header["kind"], tuple(header["fields"])
+            if not isinstance(kind, str) or kind not in LAYOUTS:
+                raise ValueError(f"{path} has kind {kind!r}, not one of {', '.join(LAYOUTS)}")
+            if fields != LAYOUTS[kind]:
+                raise ValueError(
+                    f"{path} has fields {list(fields)}, but a {kind} record holds "
+                    f"{list(LAYOUTS[kind])}"
+                )
+            provenance = header.get("provenance", {})
+            if type(provenance) is not dict:
+                raise ValueError(f"{path} has a provenance that is not an object")
+            constants = provenance.get("constants", {})
+            if type(constants) is not dict or not all(
+                type(v) in (int, float) and np.isfinite(v) for v in constants.values()
+            ):
+                raise ValueError(
+                    f"{path} has a provenance.constants that is not an object of finite numbers"
+                )
             count = header["frame_count"]
             if type(count) is not int or count < 1:  # a run records its first and last step
                 raise ValueError(f"{path} has frame_count {count!r}, not a positive integer")
@@ -232,7 +259,7 @@ def read_snapshot(path: str | Path) -> SnapshotData:
         tail = fh.read(1)
         if tail:
             raise ValueError(f"{path} has trailing bytes")
-    return SnapshotData(kind, grid, fields, times, frames, header.get("provenance", {}), time_end)
+    return SnapshotData(kind, grid, fields, times, frames, provenance, time_end)
 
 
 def dump_csv(data: SnapshotData, out_path: str | Path, frame: int | None = None) -> None:

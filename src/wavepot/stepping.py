@@ -28,14 +28,14 @@ State = TypeVar("State")
 # glibc gives the free top of its heap back to the system once more than its trim
 # threshold (128 KiB by default) is free there, and serves blocks above its mmap
 # threshold (128 KiB) from fresh mappings. An RK4 or A-Verlet step on a 16^3 grid
-# allocates and frees about 1 MB of ~100 KB arrays, so at those defaults each step
-# faults that memory in again: on the benchmark's driven plane wave, about 770
-# minor faults a step in the RK4 fields run and 110-120 in the A-Verlet potential
-# run. (Importing scipy hides part of it: freeing one large mapping makes glibc
-# raise both thresholds on its own, to where the RK4 run takes 310-365 a step.)
-# With the two thresholds below, a first run takes under 7 faults a step and a
-# repeated run 0. They bound the memory kept for reuse, not the memory a run may
-# use.
+# allocates and frees a dozen or more arrays of 100-220 KB (samples and spectra of
+# three or six components), so at those defaults each step faults them in again:
+# on the benchmark's driven plane wave, about 690 minor faults a step in the RK4
+# fields run and about 80 in the A-Verlet potential run. (Importing scipy hides
+# part of it: freeing one large mapping makes glibc raise both thresholds on its
+# own, to where the RK4 run takes about 400 a step.) With the two thresholds
+# below, a first run takes under 11 faults a step and a repeated run about 0.1.
+# They bound the memory kept for reuse, not the memory a run may use.
 _TRIM_THRESHOLD = 64 << 20
 _MMAP_THRESHOLD = 32 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters in glibc's malloc.h
@@ -87,7 +87,7 @@ def drive(
     ``observer(n, *observed())`` runs after every step and once for n = 0;
     ``sink(n, box())`` runs at each of ``frame_steps(steps, snapshot_stride)``,
     after the observer of that step. Either may be None. ``box`` must return
-    a copy that later steps leave alone.
+    arrays that later steps leave alone: a copy, or arrays no step writes into.
     """
     _keep_freed_heap()
     if observer is not None:

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import smooth_scalar, smooth_vector
-from wavepot import expressions
+from wavepot import expressions, maxwell
 from wavepot.errors import ContinuityError, GridMismatchError, StabilityError
 from wavepot.grids import Grid, ScalarSampleField, VectorSampleField3, l2_norm, max_norm
 from wavepot.maxwell import (
@@ -27,7 +27,7 @@ from wavepot.maxwell import (
     run_potential_verlet,
     run_rk4,
 )
-from wavepot.operators import curl, divergence, gradient
+from wavepot.operators import _curl_arrays, curl, divergence, gradient
 
 
 def mesh(grid):
@@ -155,6 +155,110 @@ class TestRk4:
             drifts.append(per_step)
         measured = np.log2(drifts[1] / drifts[0])
         assert 5.5 <= measured <= 6.5
+
+
+def sampled_rk4(state, sources, dt, steps, method):
+    """RK4 on the sampled fields, each curl through its own transform pair: the
+    stage formula run_rk4 applied before it kept its state as spectra. Returns
+    the (E, B) arrays of every step."""
+    grid, c = state.grid, state.c
+    e, b = state.e.values.copy(), state.b.values.copy()
+
+    def rhs(e, b, j):
+        return c * _curl_arrays(b, grid, method) - j, -c * _curl_arrays(e, grid, method)
+
+    out = [(e.copy(), b.copy())]
+    for n in range(1, steps + 1):
+        t = (n - 1) * dt
+        j0 = sources.current_at(t, grid).values
+        j_half = sources.current_at(t + 0.5 * dt, grid).values
+        j1 = sources.current_at(t + dt, grid).values
+        ke1, kb1 = rhs(e, b, j0)
+        ke2, kb2 = rhs(e + 0.5 * dt * ke1, b + 0.5 * dt * kb1, j_half)
+        ke3, kb3 = rhs(e + 0.5 * dt * ke2, b + 0.5 * dt * kb2, j_half)
+        ke4, kb4 = rhs(e + dt * ke3, b + dt * kb3, j1)
+        e += (dt / 6.0) * (ke1 + 2.0 * ke2 + 2.0 * ke3 + ke4)
+        b += (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+        out.append((e.copy(), b.copy()))
+    return out
+
+
+# a non-cubic box whose last axis, the one the real transform halves, has 10 points:
+# n/2 = 5 is odd (point counts themselves must be even)
+ODD_BOX = Grid((8, 12, 10), (2 * np.pi, 5.0, 3.7))
+
+
+class TestRk4Spectra:
+    """run_rk4 keeps (E, B) as spectra; it must step as the sampled scheme does."""
+
+    @staticmethod
+    def driven(grid, seed):
+        rng = np.random.default_rng(seed)
+        state = EMState(smooth_vector(grid, rng), smooth_vector(grid, rng), 1.3)
+        kx, ky = (2 * np.pi / length for length in grid.lengths[:2])
+        src = SourceSpec("0", ("0", "0", f"0.5*cos({kx!r}*x+{2 * ky!r}*y)*sin(t+0.3)"))
+        return state, src, 0.3 * rk4_dt_bound(grid, state.c)
+
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @pytest.mark.parametrize("box", ["cube16", "odd_box"])
+    def test_matches_the_sampled_scheme(self, cube16, box, method):
+        grid = cube16 if box == "cube16" else ODD_BOX
+        state, src, dt = self.driven(grid, 3)
+        steps = 24
+        seen = []
+        run_rk4(state, src, dt, steps, sink=None, method=method,
+                observer=lambda n, e, b: seen.append(np.stack((e, b))))
+        expected = sampled_rk4(state, src, dt, steps, method)
+        assert len(seen) == steps + 1
+        scale = max(np.max(np.abs(np.stack(pair))) for pair in expected)
+        worst = max(np.max(np.abs(got - np.stack(want))) for got, want in zip(seen, expected))
+        assert worst <= 1e-14 * scale
+        # step 0 hands on the initial samples themselves, not a transform round trip
+        assert np.array_equal(seen[0][0], state.e.values)
+        assert np.array_equal(seen[0][1], state.b.values)
+
+    def test_frames_without_an_observer(self, cube16):
+        state, src, dt = self.driven(cube16, 4)
+        watched, seen, unwatched = {}, {}, {}
+        run_rk4(state, src, dt, 23, sink=watched.__setitem__, snapshot_stride=5,
+                observer=lambda n, e, b: seen.setdefault(n, (e.copy(), b.copy())))
+        final = run_rk4(state, src, dt, 23, sink=unwatched.__setitem__, snapshot_stride=5)
+        assert list(unwatched) == list(watched) == [0, 5, 10, 15, 20, 23]
+        for n, frame in unwatched.items():
+            pairs = zip((frame.e, frame.b), (watched[n].e, watched[n].b), seen[n])
+            for got, other, observed in pairs:
+                assert got.values.tobytes() == other.values.tobytes() == observed.tobytes()
+        assert unwatched[0].e.values.tobytes() == state.e.values.tobytes()
+        assert unwatched[0].b.values.tobytes() == state.b.values.tobytes()
+        assert final.e.values.tobytes() == unwatched[23].e.values.tobytes()
+
+    def test_transforms_a_step(self, cube16, monkeypatch):
+        # three forward transforms of the sampled current a step, at most one inverse
+        # transform of the six field components, and no sampled curl
+        calls = {"forward": [], "inverse": 0}
+        forward, inverse = maxwell.modes, maxwell.from_modes
+
+        def counting_forward(values, grid, method):
+            calls["forward"].append(values.shape[0])
+            return forward(values, grid, method)
+
+        def counting_inverse(spectrum):
+            calls["inverse"] += 1
+            return inverse(spectrum)
+
+        def no_curl(*args):
+            raise AssertionError("run_rk4 took a sampled curl")
+
+        monkeypatch.setattr(maxwell, "modes", counting_forward)
+        monkeypatch.setattr(maxwell, "from_modes", counting_inverse)
+        monkeypatch.setattr(maxwell, "_curl_arrays", no_curl)
+        state, src, dt = self.driven(cube16, 5)
+        run_rk4(state, src, dt, 7, sink=None, observer=lambda n, e, b: None)
+        assert calls == {"forward": [2] + [3] * 3 * 7, "inverse": 7}
+        calls["forward"].clear()
+        calls["inverse"] = 0
+        run_rk4(state, src, dt, 7, sink=lambda n, st: None, snapshot_stride=3)
+        assert calls == {"forward": [2] + [3] * 3 * 7, "inverse": 3}  # frames 3, 6, 7
 
 
 class TestConstraints:
@@ -555,3 +659,31 @@ class TestEquivalence:
                 l2_norm(mapped.b - fs.b) / ref,
             )
         assert worst <= 1e-6
+
+
+class TestPotentialVerletModifiedEnergy:
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    def test_modified_energy_conserved_to_roundoff(self, cube16, method):
+        # velocity-Verlet on A'' = -Omega^2 A conserves A'^2 + A.Omega^2(1 - h^2 Omega^2/4)A
+        # exactly (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2nd ed.,
+        # 2006); with Omega^2 = c^2 curl curl, in vacuum, that is
+        # H'_h = H' - (c/2)(c h/2)^2 ||curl B||^2, while H' itself moves at O(h^2)
+        rng = np.random.default_rng(5)
+        c = 1.3
+        state = PotentialState(smooth_vector(cube16, rng), smooth_vector(cube16, rng), c)
+        h = 0.9 * potential_dt_bound(cube16, c)
+
+        def energies(st):
+            fields = potential_to_fields(st, method)
+            curl_b = _curl_arrays(fields.b.values, cube16, method)
+            h_prime = field_energy(fields)
+            curl_b_sq = float(np.sum(curl_b * curl_b)) * cube16.cell_volume
+            shift = 0.5 * c * (0.5 * c * h) ** 2 * curl_b_sq
+            return h_prime, h_prime - shift
+
+        snaps = {}
+        run_potential_verlet(state, SourceSpec.vacuum(), h, 1000, sink=snaps.__setitem__,
+                             snapshot_stride=100, method=method)
+        (h0, modified0), *rest = [energies(s) for s in snaps.values()]
+        assert max(abs(m - modified0) for _, m in rest) <= 1e-11 * modified0
+        assert max(abs(e - h0) for e, _ in rest) >= 1e-3 * h0

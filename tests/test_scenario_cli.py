@@ -885,11 +885,12 @@ class TestRecordTimes:
     def test_integer_header_times_read_as_floats(self, tmp_path):
         # JSON integers made an integer time array, which truncated a time_end of 2.5 to 2
         header = {
-            "fields": ["phi"], "frame_count": 3, "grid": {"points": [8], "lengths": [20.0]},
-            "kind": "phi", "provenance": {}, "time_start": 0, "time_step": 1, "time_end": 2.5,
+            "fields": ["phi", "phi_dot"], "frame_count": 3,
+            "grid": {"points": [8], "lengths": [20.0]}, "kind": "phi", "provenance": {},
+            "time_start": 0, "time_step": 1, "time_end": 2.5,
         }
         path = tmp_path / SNAPSHOT
-        path.write_bytes(f"WAVEPOT-SNAP 1\n{json.dumps(header)}\n".encode() + bytes(8 * 8 * 3))
+        path.write_bytes(f"WAVEPOT-SNAP 1\n{json.dumps(header)}\n".encode() + bytes(8 * 8 * 2 * 3))
         assert read_snapshot(path).times.tolist() == [0.0, 1.0, 2.5]
 
     def test_off_stride_last_frame_time(self, tmp_path):
@@ -975,9 +976,9 @@ class TestMalformedSnapshots:
     def test_rejected_naming_the_file(self, tmp_path, defect, message):
         grid = Grid.line(8, 1.0)
         path = tmp_path / "run.wps"
-        frames = [[np.full(grid.shape, float(n))] for n in range(3)]
+        frames = [[np.full(grid.shape, float(n)), np.zeros(grid.shape)] for n in range(3)]
         write_snapshot(
-            path, kind="phi", grid=grid, fields=["phi"], times=[0.0, 0.5, 1.0],
+            path, kind="phi", grid=grid, fields=["phi", "phi_dot"], times=[0.0, 0.5, 1.0],
             frames=frames, provenance={},
         )
         _corrupt_snapshot(path, defect)
@@ -1026,6 +1027,44 @@ def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, changes, 
     assert main(["dump", "--snapshot", str(path), "--out", str(tmp_path / "dump.csv")]) == 1
     assert not (tmp_path / "dump.csv").exists()
     assert capsys.readouterr().err.count(message) == 3
+
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"kind": "banana"}, "has kind 'banana', not one of schrodinger, phi,"),
+    ({"fields": ["phi", "phi"]}, "has fields ['phi', 'phi'], but a phi record holds"),
+    ({"fields": ["phi", "psi"]}, "has fields ['phi', 'psi'], but a phi record holds"),
+    ({"provenance": [1]}, "has a provenance that is not an object"),
+    ({"provenance": {"constants": "abc"}}, "has a provenance.constants that is not an object"),
+    ({"provenance": {"constants": {"hbar": "1.0"}}}, "provenance.constants that is not an object"),
+], ids=["kind", "fields-repeated", "fields-other", "provenance", "constants", "constant-string"])
+def test_header_that_does_not_fit_its_kind_exit_one(tmp_path, capsys, changes, message):
+    # on a valid 4-frame phi record: dump wrote a kind of "banana" out with exit 0,
+    # compare ended fields ["phi", "phi"] in KeyError 'phi_dot' and a list
+    # provenance in AttributeError
+    argv = ["phi", "--scenario", str(write(tmp_path, "phi.scn", MINIMAL_PHI))]
+    assert main(argv + ["--out", str(tmp_path / "bad"), "--override", "integrator.steps=30"]) == 0
+    path = tmp_path / "bad" / SNAPSHOT
+    magic, header, frames = path.read_bytes().split(b"\n", 2)
+    assert json.loads(header)["frame_count"] == 4
+    header = json.dumps({**json.loads(header), **changes}).encode()
+    path.write_bytes(b"\n".join([magic, header, frames]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_snapshot(path)
+    scenarios = {
+        "compare": COMPARE.replace("r1", "bad").replace("r2", "bad") + "transform_a = phi_to_psi\n",
+        "reconstruct-phi": "[scenario]\nkind = reconstruct-phi\n[potential]\nv = 0\n"
+        "[inputs]\nsource = bad\n",
+        "reconstruct-a": "[scenario]\nkind = reconstruct-a\n[inputs]\nsource = bad\n",
+    }
+    capsys.readouterr()
+    for kind, text in scenarios.items():
+        argv = [kind, "--scenario", str(write(tmp_path, f"{kind}.scn", text))]
+        assert main(argv + ["--out", str(tmp_path / kind)]) == 1
+        assert not list((tmp_path / kind).iterdir())
+    assert main(["dump", "--snapshot", str(path), "--out", str(tmp_path / "dump.csv")]) == 1
+    assert not (tmp_path / "dump.csv").exists()
+    assert capsys.readouterr().err.count(message) == 4
 
 
 class TestAtomicSnapshots:

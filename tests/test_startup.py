@@ -159,10 +159,10 @@ FAULTS_CHILD = textwrap.dedent(
 )
 
 # Minor page faults a step in the second run of each scenario, on the benchmark's
-# driven 16^3 plane wave (2-vCPU x86-64 VM, glibc 2.36). With the heap kept: 0 in
-# the RK4 fields run and 0.03 in the A-Verlet potential run. With glibc's default
-# thresholds: 770 and 110-120. With the thresholds that importing scipy happened to
-# set: 310-365 and 0.6.
+# driven 16^3 plane wave (2-vCPU x86-64 VM, glibc 2.36). With the heap kept: 0.1 in
+# the RK4 fields run and 0.1 in the A-Verlet potential run. With glibc's default
+# thresholds: about 690 and 80. With the thresholds that importing scipy happened to
+# set: about 400 and 0.2.
 FAULTS_PER_STEP_BOUND = 20
 
 
