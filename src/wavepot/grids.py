@@ -14,6 +14,7 @@ is the package's one same-grid test; no other module raises GridMismatchError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -90,7 +91,7 @@ class Grid:
 
     @cached_property
     def size(self) -> int:
-        return int(np.prod(self.points))
+        return math.prod(self.points)  # exact, where np.prod wraps past 2**63
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         n = self.points[axis]

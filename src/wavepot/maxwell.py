@@ -5,18 +5,20 @@ The first-order system
     dE/dt = c curl B - J,   dB/dt = -c curl E
 
 is integrated with classical RK4 on the spectra of E and B: the curls are
-mode-wise products, each source sample is transformed once, and samples of the
-fields are made only when an observer or a sink asks for them. The divergence
+mode-wise products and each source sample is transformed once. The divergence
 equations are *initial conditions* whose residuals are monitored, not enforced
 (their persistence along the flow is itself one of the checked claims). The
 second-order vector potential obeys
 
     d^2A/dt^2 = c^2 (Lap A - grad div A) + c J,
 
-integrated with velocity-Verlet exactly like the wave potential, and maps to
-fields through B = curl A, E = -(1/c) dA/dt. The complex combination
-B + i E (Riemann-Silberstein vector) repackages the first-order system into
-one equation whose residual must vanish identically.
+integrated with velocity-Verlet exactly like the wave potential, on the spectra
+of A and dA/dt, and maps to fields through B = curl A, E = -(1/c) dA/dt. Both
+integrators hand their observer the state's half spectrum and make samples
+only for the sink; ``modal_diagnostics`` reads a diagnostics row off that
+spectrum. The complex combination B + i E (Riemann-Silberstein vector)
+repackages the first-order system into one equation whose residual must vanish
+identically.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import ContinuityError
 from .expressions import Expression
 from .grids import Grid, ScalarSampleField, VectorSampleField3, check_same_grid
 from .operators import (
+    Modes,
     Symbols,
     _curl_arrays,
     _curl_modes,
@@ -43,8 +46,9 @@ from .operators import (
     inverse_div_grad,
     max_wavenumber,
     modes,
+    symbols,
 )
-from .stepping import check_dt, drive
+from .stepping import State, check_dt, drive
 
 __all__ = [
     "EMState",
@@ -61,6 +65,7 @@ __all__ = [
     "potential_to_fields",
     "potential_constraint_residual",
     "potential_diagnostics",
+    "modal_diagnostics",
     "em_hamiltonians",
     "field_energy",
     "gauge_shift_potential",
@@ -231,17 +236,15 @@ def run_rk4(
     sink: Callable[[int, EMState], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
-    observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    observer: Callable[[int, np.ndarray], None] | None = None,
 ) -> EMState:
     """Classical RK4 from t=0; see ``stepping.drive``.
 
-    The state is the spectrum of (E, B), transformed once at the start, so a
-    stage is mode-wise arithmetic. Sources are sampled at the substage times
-    and each sample is transformed once; j(t + dt/2) serves stages 2 and 3.
-    Samples of the fields are made on demand, by at most one inverse transform
-    a step, when the observer or the sink asks for them. The observer sees the
-    raw (E, B) arrays; at step 0 it and the sink see the initial samples
-    themselves.
+    The state is the half spectrum of (E, B), transformed once at the start,
+    so a stage is mode-wise arithmetic. Sources are sampled at the substage
+    times and each sample is transformed once; j(t + dt/2) serves stages 2 and
+    3. The observer sees the spectrum, E and B stacked on axis 0; see
+    ``_drive_spectrum`` for the samples the sink gets.
     """
     grid = state.grid
     check_dt(dt, rk4_dt_bound(grid, state.c), "RK4 CFL")
@@ -249,13 +252,12 @@ def run_rk4(
     samples = np.stack((state.e.values, state.b.values))
     spectrum = modes(samples, grid, method)
     hat, sym = spectrum.hat, spectrum.sym
-    fresh = True  # whether samples holds the fields of the last step
 
     def current(t: float) -> np.ndarray:
         return modes(sources.current_at(t, grid).values, grid, method).hat
 
     def advance(n: int) -> None:
-        nonlocal hat, fresh
+        nonlocal hat
         t = (n - 1) * dt
         j0, j_half, j1 = current(t), current(t + 0.5 * dt), current(t + dt)
         k1 = _em_rhs_modes(hat, j0, c, sym)
@@ -263,20 +265,47 @@ def run_rk4(
         k3 = _em_rhs_modes(hat + 0.5 * dt * k2, j_half, c, sym)
         k4 = _em_rhs_modes(hat + dt * k3, j1, c, sym)
         hat += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # in place: it is spectrum.hat
+
+    def boxed(e: np.ndarray, b: np.ndarray) -> EMState:
+        return EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), c)
+
+    return _drive_spectrum(
+        advance, spectrum, samples, boxed, steps, snapshot_stride, sink, observer
+    )
+
+
+def _drive_spectrum(
+    advance: Callable[[int], None],
+    spectrum: Modes,
+    samples: np.ndarray,
+    boxed: Callable[[np.ndarray, np.ndarray], State],
+    steps: int,
+    snapshot_stride: int,
+    sink: Callable[[int, State], None] | None,
+    observer: Callable[[int, np.ndarray], None] | None,
+) -> State:
+    """``stepping.drive`` for a state kept as ``spectrum``, which ``advance`` steps in place.
+
+    The observer sees ``spectrum.hat`` itself. The two halves of the samples
+    are made by one inverse transform, and only when the sink or the returned
+    state asks for a step that has not been transformed yet; ``samples``, those
+    of the initial state, serve frame 0 bit for bit.
+    """
+    fresh = True  # whether samples holds the state of the last step
+
+    def step(n: int) -> None:
+        nonlocal fresh
+        advance(n)
         fresh = False
 
-    def observed() -> tuple[np.ndarray, np.ndarray]:
-        # steps replace samples rather than write into it, so its arrays need no copy
+    def box() -> State:
+        # a step replaces samples rather than write into it, so its arrays need no copy
         nonlocal samples, fresh
         if not fresh:
             samples, fresh = from_modes(spectrum), True
-        return samples[0], samples[1]
+        return boxed(samples[0], samples[1])
 
-    def box() -> EMState:
-        e, b = observed()
-        return EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), c)
-
-    return drive(advance, box, observed, steps, snapshot_stride, sink, observer)
+    return drive(step, box, lambda: (spectrum.hat,), steps, snapshot_stride, sink, observer)
 
 
 def constraint_residual(state: EMState, rho: ScalarSampleField, method: str = "spectral") -> tuple[float, float]:
@@ -356,34 +385,43 @@ def run_potential_verlet(
     sink: Callable[[int, PotentialState], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
-    observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    observer: Callable[[int, np.ndarray], None] | None = None,
 ) -> PotentialState:
     """Velocity-Verlet of the potential dynamics from t=0; see ``stepping.drive``.
 
-    The observer sees the raw (A, dA/dt) arrays.
+    The state is the half spectrum of (A, dA/dt), transformed once at the
+    start, so a kick is mode-wise arithmetic; each step transforms the current
+    sample J(n dt) once. The observer sees the spectrum, A and dA/dt stacked on
+    axis 0; see ``_drive_spectrum`` for the samples the sink gets.
     """
     grid = state.grid
     check_dt(dt, potential_dt_bound(grid, state.c), "potential Verlet")
     c = state.c
-    a = state.a.values.copy()
-    vel = state.a_dot.values.copy()
-    accel = _potential_accel_arrays(a, sources.current_at(0.0, grid).values, c, grid, method)
+    samples = np.stack((state.a.values, state.a_dot.values))
+    spectrum = modes(samples, grid, method)
+    a, vel = spectrum.hat  # views: the kicks and drifts below step spectrum.hat in place
+
+    def accel(t: float) -> np.ndarray:
+        j = modes(sources.current_at(t, grid).values, grid, method).hat
+        return c * c * _potential_accel_modes(a, spectrum.sym) + c * j
+
+    acc = accel(0.0)
 
     def advance(n: int) -> None:
-        nonlocal a, vel, accel
-        vel += 0.5 * dt * accel
+        nonlocal a, vel, acc
+        vel += 0.5 * dt * acc
         a += dt * vel
-        accel = _potential_accel_arrays(
-            a, sources.current_at(n * dt, grid).values, c, grid, method
-        )
-        vel += 0.5 * dt * accel
+        acc = accel(n * dt)
+        vel += 0.5 * dt * acc
 
-    def box() -> PotentialState:
+    def boxed(a_values: np.ndarray, vel_values: np.ndarray) -> PotentialState:
         return PotentialState(
-            VectorSampleField3(grid, a.copy()), VectorSampleField3(grid, vel.copy()), c
+            VectorSampleField3(grid, a_values), VectorSampleField3(grid, vel_values), c
         )
 
-    return drive(advance, box, lambda: (a, vel), steps, snapshot_stride, sink, observer)
+    return _drive_spectrum(
+        advance, spectrum, samples, boxed, steps, snapshot_stride, sink, observer
+    )
 
 
 def potential_to_fields(state: PotentialState, method: str = "spectral") -> EMState:
@@ -407,22 +445,53 @@ def potential_constraint_residual(
 def potential_diagnostics(
     state: PotentialState, rho: ScalarSampleField, method: str = "spectral"
 ) -> tuple[float, float, float]:
-    """(H' of the mapped fields, the potential constraint residual, max |div B|).
-
-    A is transformed once: B = curl A and div B are symbol products of its
-    modes. H' equals ``field_energy(potential_to_fields(state))`` bit for bit;
-    div curl A cancels mode by mode, so div B sits at the roundoff of that
-    product rather than at that of a second transform.
-    """
+    """(H' of the mapped fields, the potential constraint residual, max |div B|):
+    ``modal_diagnostics`` of the state's spectrum, one forward transform."""
     grid = state.grid
-    a = modes(state.a.values, grid, method)
-    curl_hat = _curl_modes(a.hat, a.sym)
-    div_b = from_modes(a._replace(hat=_div_modes(curl_hat, a.sym)))
-    b = from_modes(a._replace(hat=curl_hat))
-    e = -state.a_dot.values / state.c
-    fields = EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), state.c)
-    residual = potential_constraint_residual(state, rho, method)
-    return field_energy(fields), residual, float(np.max(np.abs(div_b)))
+    check_same_grid(grid, rho)
+    spectrum = modes(np.stack((state.a.values, state.a_dot.values)), grid, method)
+    return modal_diagnostics(spectrum.hat, rho, state.c, method, potential=True)
+
+
+def _parseval_sum(hat: np.ndarray) -> float:
+    """N times the sum of squares of the real samples whose half spectrum is ``hat``.
+
+    Parseval's identity on the half spectrum: each mode stands for itself and
+    its conjugate, except on the last axis's 0 and n/2 planes, which hold their
+    own conjugates (point counts are even, so n/2 is the last plane).
+    """
+    sq = np.square(hat.real)
+    sq += np.square(hat.imag)
+    return float(2.0 * sq.sum() - sq[..., 0].sum() - sq[..., -1].sum())
+
+
+def modal_diagnostics(
+    hat: np.ndarray, rho: ScalarSampleField, c: float, method: str, potential: bool = False
+) -> tuple[float, float, float]:
+    """(H', constraint residual, max |div B|) of a state given as its half spectrum.
+
+    ``hat`` stacks the half spectra of (E, B) on axis 0, or with ``potential``
+    those of (A, dA/dt), as ``run_rk4`` and ``run_potential_verlet`` hand them
+    to their observer; the potential's fields are E = -(dA/dt)/c and B = curl A.
+    The residual is max |div E - rho| for the fields and max |div(dA/dt) + c rho|
+    for the potential. H' = Int (c/2)(E^2 + B^2) comes from Parseval's identity,
+    and the two divergences from one inverse transform, to which rho is added
+    in samples; div curl A cancels mode by mode.
+    """
+    grid = rho.grid
+    sym = symbols(grid, method, real=True)
+    if potential:
+        b_hat = _curl_modes(hat[0], sym)
+        squares = _parseval_sum(hat[1]) / (c * c) + _parseval_sum(b_hat)
+        constrained, source = hat[1], c * rho.values
+    else:
+        b_hat = hat[1]
+        squares = _parseval_sum(hat)
+        constrained, source = hat[0], -rho.values
+    div_hat = np.stack((_div_modes(constrained, sym), _div_modes(b_hat, sym)))
+    div = from_modes(Modes(div_hat, sym, grid, True))
+    h_prime = 0.5 * c * squares * grid.cell_volume / grid.size
+    return h_prime, float(np.max(np.abs(div[0] + source))), float(np.max(np.abs(div[1])))
 
 
 def em_hamiltonians(

@@ -496,9 +496,10 @@ def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     """Step any evolving kind, streaming frames and diagnostics rows to disk.
 
     Sources must pass the continuity gate first. The integrator's observed
-    arrays of consecutive steps are copied into one ``(K, *shape)`` buffer
-    each, K from ``_DIAG_BLOCK_BYTES``; when the buffers fill, and at the last
-    step, the kind's ``observe(times, *blocks)`` turns them into its
+    arrays of consecutive steps (samples for the quantum kinds, the state's
+    half spectrum for the Maxwell kinds) are copied into one ``(K, *shape)``
+    buffer each, K from ``_DIAG_BLOCK_BYTES``; when the buffers fill, and at
+    the last step, the kind's ``observe(times, *blocks)`` turns them into its
     diagnostics columns and the block is written at once. The summary holds
     the first-row value of each drift monitor's column.
     """
@@ -547,21 +548,6 @@ def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
 def _rows(block: np.ndarray) -> np.ndarray:
     """A block of observed arrays as one flat row per step, for row-wise reductions."""
     return block.reshape(len(block), -1)
-
-
-def _row_by_row(observe_row: Callable) -> Callable:
-    """A block ``observe`` that takes one step at a time.
-
-    For the Maxwell kinds: each row needs the sources at its own time, 3D
-    transforms rather than per-call overhead set the cost, and at the
-    ``_DIAG_BLOCK_BYTES`` cap a 16^3 grid's block is a single step anyway.
-    """
-
-    def observe(times: np.ndarray, *blocks: np.ndarray) -> list:
-        rows = [observe_row(t, *arrays) for t, *arrays in zip(times.tolist(), *blocks)]
-        return list(zip(*rows))
-
-    return observe
 
 
 def _schrodinger_evolution(scenario: Scenario):
@@ -641,28 +627,28 @@ def _maxwell_fields_evolution(scenario: Scenario):
         e0 = VectorSampleField3(grid, state.e.values + longitudinal.values)
         state = maxwell.EMState(e0, solenoidal_projection(state.b, scenario.backend), c)
 
-    def observe_row(t: float, e: np.ndarray, b: np.ndarray) -> tuple:
-        st = maxwell.EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), c)
-        rho = sources.rho_at(t, grid)
-        div_e_res, div_b_res = maxwell.constraint_residual(st, rho, scenario.backend)
-        return maxwell.field_energy(st), div_e_res, div_b_res
-
-    columns = ("h_prime", "div_e_residual", "div_b_residual")
-    return state, columns, _row_by_row(observe_row)
+    return state, ("h_prime", "div_e_residual", "div_b_residual"), _maxwell_observe(scenario)
 
 
 def _maxwell_potential_evolution(scenario: Scenario):
-    grid = scenario.grid
-    c = scenario.light_speed
-    sources = scenario.sources
-    state = _initial_state(scenario)
-
-    def observe_row(t: float, a: np.ndarray, a_dot: np.ndarray) -> tuple:
-        st = maxwell.PotentialState(VectorSampleField3(grid, a), VectorSampleField3(grid, a_dot), c)
-        return maxwell.potential_diagnostics(st, sources.rho_at(t, grid), scenario.backend)
-
     columns = ("h_prime", "potential_constraint_residual", "div_b_residual")
-    return state, columns, _row_by_row(observe_row)
+    return _initial_state(scenario), columns, _maxwell_observe(scenario, potential=True)
+
+
+def _maxwell_observe(scenario: Scenario, potential: bool = False) -> Callable:
+    """The block ``observe`` of a Maxwell kind: ``maxwell.modal_diagnostics`` of
+    each observed spectrum, one step at a time, since each row needs the charge
+    at its own time."""
+    grid, c, sources = scenario.grid, scenario.light_speed, scenario.sources
+
+    def observe(times: np.ndarray, hats: np.ndarray) -> list:
+        rows = [
+            maxwell.modal_diagnostics(hat, sources.rho_at(t, grid), c, scenario.backend, potential)
+            for t, hat in zip(times.tolist(), hats)
+        ]
+        return list(zip(*rows))
+
+    return observe
 
 
 def _load_run(scenario: Scenario, key: str) -> SnapshotData:

@@ -15,6 +15,7 @@ form), which keeps reruns byte-identical.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -235,6 +236,14 @@ def read_snapshot(path: str | Path) -> SnapshotData:
             time_end = header.get("time_end")
             if not np.isfinite([start, step, start if time_end is None else time_end]).all():
                 raise ValueError(f"{path} has a time that is not finite in its header")
+            # the header's promise checked against the file before anything is allocated
+            body = count * len(fields) * grid.size * 8
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if body != left:
+                fault = "is truncated" if body > left else "has trailing bytes"
+                raise ValueError(
+                    f"{path} {fault}: its header promises {body} bytes of frames, and {left} follow"
+                )
             times = start + step * np.arange(count, dtype=float)
             if time_end is not None:
                 times[-1] = time_end
@@ -250,15 +259,10 @@ def read_snapshot(path: str | Path) -> SnapshotData:
             entry = {}
             for name in fields:
                 raw = fh.read(frame_bytes)
-                if len(raw) != frame_bytes:
-                    raise ValueError(f"{path} is truncated")
                 entry[name] = (
                     np.frombuffer(raw, dtype="<f8").reshape(grid.shape, order="F").copy()
                 )
             frames.append(entry)
-        tail = fh.read(1)
-        if tail:
-            raise ValueError(f"{path} has trailing bytes")
     return SnapshotData(kind, grid, fields, times, frames, provenance, time_end)
 
 

@@ -88,6 +88,10 @@ def drive(
     ``sink(n, box())`` runs at each of ``frame_steps(steps, snapshot_stride)``,
     after the observer of that step. Either may be None. ``box`` must return
     arrays that later steps leave alone: a copy, or arrays no step writes into.
+    The observed arrays are the integrator's working state, which the next
+    step overwrites: samples for the quantum integrators (L phi and phi_dot,
+    or Psi), and for both Maxwell integrators the half spectrum of the state
+    itself, so that a diagnostics row costs no transform of the state.
     """
     _keep_freed_heap()
     if observer is not None:

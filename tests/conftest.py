@@ -55,3 +55,37 @@ def smooth_scalar(grid: Grid, rng, kmax: int = 3) -> ScalarSampleField:
 
 def smooth_vector(grid: Grid, rng, kmax: int = 3) -> VectorSampleField3:
     return VectorSampleField3(grid, np.stack([band_limited(grid, rng, kmax) for _ in range(3)]))
+
+
+@pytest.fixture
+def maxwell_transforms(monkeypatch):
+    """The transforms the ``maxwell`` module makes from here on, by component count.
+
+    ``"forward"`` and ``"inverse"`` list, in call order, how many components
+    each forward and inverse transform carried (a stacked (E, B) or (A, dA/dt)
+    counts six). A sampled curl or potential acceleration in the module raises.
+    """
+    from wavepot import maxwell
+
+    calls = {"forward": [], "inverse": []}
+    forward, inverse = maxwell.modes, maxwell.from_modes
+
+    def counting_forward(values, grid, method):
+        calls["forward"].append(int(np.prod(values.shape[: -grid.dims])))
+        return forward(values, grid, method)
+
+    def counting_inverse(spectrum):
+        calls["inverse"].append(int(np.prod(spectrum.hat.shape[: -spectrum.grid.dims])))
+        return inverse(spectrum)
+
+    def sampled(name):
+        def refuse(*args):
+            raise AssertionError(f"maxwell called {name}")
+
+        return refuse
+
+    monkeypatch.setattr(maxwell, "modes", counting_forward)
+    monkeypatch.setattr(maxwell, "from_modes", counting_inverse)
+    for name in ("_curl_arrays", "_potential_accel_arrays"):
+        monkeypatch.setattr(maxwell, name, sampled(name))
+    return calls

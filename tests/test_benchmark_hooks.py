@@ -160,8 +160,11 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     # spans a step of the two 6-step phi runs, which the span around
     # real_l_operator's closure counts only while it passes out= through. RK4 keeps
     # its state as spectra and takes mode-wise curls between its own transforms, so
-    # the 4-step fields run no longer makes eight operators.curl spans a step (32)
-    assert metrics["operators.applies"] == 239
+    # the 4-step fields run no longer makes eight operators.curl spans a step (32).
+    # A-Verlet keeps (A, dA/dt) as spectra too, and neither its step nor the rows of
+    # either Maxwell kind call _potential_accel_arrays: the 4-step potential run no
+    # longer makes an operators.potential_accel span at the start and at each step (5)
+    assert metrics["operators.applies"] == 234
     # the tracer wraps dense_eigensystem by name, so the stationary eigensolve is counted
     assert metrics["schrodinger.dense_eig_calls"] == 1
 

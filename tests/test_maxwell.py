@@ -17,6 +17,7 @@ from wavepot.maxwell import (
     em_rhs,
     field_energy,
     gauge_shift_potential,
+    modal_diagnostics,
     potential_acceleration,
     potential_constraint_residual,
     potential_diagnostics,
@@ -160,14 +161,14 @@ class TestRk4:
 def sampled_rk4(state, sources, dt, steps, method):
     """RK4 on the sampled fields, each curl through its own transform pair: the
     stage formula run_rk4 applied before it kept its state as spectra. Returns
-    the (E, B) arrays of every step."""
+    the stacked (E, B) arrays of every step."""
     grid, c = state.grid, state.c
     e, b = state.e.values.copy(), state.b.values.copy()
 
     def rhs(e, b, j):
         return c * _curl_arrays(b, grid, method) - j, -c * _curl_arrays(e, grid, method)
 
-    out = [(e.copy(), b.copy())]
+    out = [np.stack((e, b))]
     for n in range(1, steps + 1):
         t = (n - 1) * dt
         j0 = sources.current_at(t, grid).values
@@ -179,8 +180,36 @@ def sampled_rk4(state, sources, dt, steps, method):
         ke4, kb4 = rhs(e + dt * ke3, b + dt * kb3, j1)
         e += (dt / 6.0) * (ke1 + 2.0 * ke2 + 2.0 * ke3 + ke4)
         b += (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        out.append((e.copy(), b.copy()))
+        out.append(np.stack((e, b)))
     return out
+
+
+def sampled_potential_verlet(state, sources, dt, steps, method):
+    """Velocity-Verlet on the sampled (A, dA/dt), each acceleration through its
+    own transform pair: the step run_potential_verlet took before it kept its
+    state as spectra. Returns the stacked (A, dA/dt) arrays of every step."""
+    grid, c = state.grid, state.c
+    a, vel = state.a.values.copy(), state.a_dot.values.copy()
+
+    def accel(t):
+        j = sources.current_at(t, grid).values
+        return maxwell._potential_accel_arrays(a, j, c, grid, method)
+
+    acc = accel(0.0)
+    out = [np.stack((a, vel))]
+    for n in range(1, steps + 1):
+        vel += 0.5 * dt * acc
+        a += dt * vel
+        acc = accel(n * dt)
+        vel += 0.5 * dt * acc
+        out.append(np.stack((a, vel)))
+    return out
+
+
+def samples_of(hat, grid):
+    """The real samples of a half spectrum over the three grid axes: the inverse
+    transform a Maxwell integrator makes for its sink."""
+    return np.fft.irfftn(hat, s=grid.shape, axes=(-3, -2, -1))
 
 
 # a non-cubic box whose last axis, the one the real transform halves, has 10 points:
@@ -188,16 +217,21 @@ def sampled_rk4(state, sources, dt, steps, method):
 ODD_BOX = Grid((8, 12, 10), (2 * np.pi, 5.0, 3.7))
 
 
-class TestRk4Spectra:
-    """run_rk4 keeps (E, B) as spectra; it must step as the sampled scheme does."""
+class SpectralRun:
+    """An integrator that keeps its state as half spectra must step as its
+    sampled scheme does, hand its observer the spectrum and transform only
+    what it must. A subclass names the integrator: ``run``, ``sampled`` (the
+    scheme on samples), ``make_state``, ``halves`` (the state's two vector
+    fields), ``budget`` (its dt bound) and ``forward`` (the component counts of
+    the forward transforms a run of n steps makes)."""
 
-    @staticmethod
-    def driven(grid, seed):
+    @classmethod
+    def driven(cls, grid, seed):
         rng = np.random.default_rng(seed)
-        state = EMState(smooth_vector(grid, rng), smooth_vector(grid, rng), 1.3)
+        state = cls.make_state(smooth_vector(grid, rng), smooth_vector(grid, rng), 1.3)
         kx, ky = (2 * np.pi / length for length in grid.lengths[:2])
         src = SourceSpec("0", ("0", "0", f"0.5*cos({kx!r}*x+{2 * ky!r}*y)*sin(t+0.3)"))
-        return state, src, 0.3 * rk4_dt_bound(grid, state.c)
+        return state, src, 0.3 * cls.budget(grid, state.c)
 
     @pytest.mark.parametrize("method", ["spectral", "central2"])
     @pytest.mark.parametrize("box", ["cube16", "odd_box"])
@@ -205,60 +239,76 @@ class TestRk4Spectra:
         grid = cube16 if box == "cube16" else ODD_BOX
         state, src, dt = self.driven(grid, 3)
         steps = 24
-        seen = []
-        run_rk4(state, src, dt, steps, sink=None, method=method,
-                observer=lambda n, e, b: seen.append(np.stack((e, b))))
-        expected = sampled_rk4(state, src, dt, steps, method)
+        seen, frames = [], {}
+        self.run(state, src, dt, steps, sink=frames.__setitem__, snapshot_stride=steps,
+                 method=method, observer=lambda n, hat: seen.append(samples_of(hat, grid)))
+        expected = self.sampled(state, src, dt, steps, method)
         assert len(seen) == steps + 1
-        scale = max(np.max(np.abs(np.stack(pair))) for pair in expected)
-        worst = max(np.max(np.abs(got - np.stack(want))) for got, want in zip(seen, expected))
+        scale = max(np.max(np.abs(pair)) for pair in expected)
+        worst = max(np.max(np.abs(got - want)) for got, want in zip(seen, expected))
         assert worst <= 1e-14 * scale
-        # step 0 hands on the initial samples themselves, not a transform round trip
-        assert np.array_equal(seen[0][0], state.e.values)
-        assert np.array_equal(seen[0][1], state.b.values)
+        # frame 0 hands on the initial samples themselves, not a transform round trip
+        for got, initial in zip(self.halves(frames[0]), self.halves(state)):
+            assert np.array_equal(got.values, initial.values)
 
     def test_frames_without_an_observer(self, cube16):
         state, src, dt = self.driven(cube16, 4)
         watched, seen, unwatched = {}, {}, {}
-        run_rk4(state, src, dt, 23, sink=watched.__setitem__, snapshot_stride=5,
-                observer=lambda n, e, b: seen.setdefault(n, (e.copy(), b.copy())))
-        final = run_rk4(state, src, dt, 23, sink=unwatched.__setitem__, snapshot_stride=5)
+        self.run(state, src, dt, 23, sink=watched.__setitem__, snapshot_stride=5,
+                 observer=lambda n, hat: seen.setdefault(n, samples_of(hat, cube16)))
+        final = self.run(state, src, dt, 23, sink=unwatched.__setitem__, snapshot_stride=5)
         assert list(unwatched) == list(watched) == [0, 5, 10, 15, 20, 23]
         for n, frame in unwatched.items():
-            pairs = zip((frame.e, frame.b), (watched[n].e, watched[n].b), seen[n])
-            for got, other, observed in pairs:
-                assert got.values.tobytes() == other.values.tobytes() == observed.tobytes()
-        assert unwatched[0].e.values.tobytes() == state.e.values.tobytes()
-        assert unwatched[0].b.values.tobytes() == state.b.values.tobytes()
-        assert final.e.values.tobytes() == unwatched[23].e.values.tobytes()
+            pairs = zip(self.halves(frame), self.halves(watched[n]), seen[n], self.halves(state))
+            for got, other, observed, initial in pairs:
+                assert got.values.tobytes() == other.values.tobytes()
+                # a frame is the sink's one inverse transform of the observed spectrum
+                want = observed if n else initial.values
+                assert got.values.tobytes() == want.tobytes()
+        for got, last in zip(self.halves(final), self.halves(unwatched[23])):
+            assert got.values.tobytes() == last.values.tobytes()
 
-    def test_transforms_a_step(self, cube16, monkeypatch):
-        # three forward transforms of the sampled current a step, at most one inverse
-        # transform of the six field components, and no sampled curl
-        calls = {"forward": [], "inverse": 0}
-        forward, inverse = maxwell.modes, maxwell.from_modes
-
-        def counting_forward(values, grid, method):
-            calls["forward"].append(values.shape[0])
-            return forward(values, grid, method)
-
-        def counting_inverse(spectrum):
-            calls["inverse"] += 1
-            return inverse(spectrum)
-
-        def no_curl(*args):
-            raise AssertionError("run_rk4 took a sampled curl")
-
-        monkeypatch.setattr(maxwell, "modes", counting_forward)
-        monkeypatch.setattr(maxwell, "from_modes", counting_inverse)
-        monkeypatch.setattr(maxwell, "_curl_arrays", no_curl)
+    def test_transforms_a_step(self, cube16, maxwell_transforms):
+        # the fixture refuses a sampled curl or potential acceleration; with an
+        # observer only, no inverse transform runs while stepping, and one makes
+        # the returned state
+        calls = maxwell_transforms
         state, src, dt = self.driven(cube16, 5)
-        run_rk4(state, src, dt, 7, sink=None, observer=lambda n, e, b: None)
-        assert calls == {"forward": [2] + [3] * 3 * 7, "inverse": 7}
+        inverses = []
+        self.run(state, src, dt, 7, sink=None,
+                 observer=lambda n, hat: inverses.append(len(calls["inverse"])))
+        assert calls == {"forward": self.forward(7), "inverse": [6]}
+        assert inverses == [0] * 8
         calls["forward"].clear()
-        calls["inverse"] = 0
-        run_rk4(state, src, dt, 7, sink=lambda n, st: None, snapshot_stride=3)
-        assert calls == {"forward": [2] + [3] * 3 * 7, "inverse": 3}  # frames 3, 6, 7
+        calls["inverse"].clear()
+        self.run(state, src, dt, 7, sink=lambda n, st: None, snapshot_stride=3)
+        assert calls == {"forward": self.forward(7), "inverse": [6] * 3}  # frames 3, 6, 7
+
+
+class TestRk4Spectra(SpectralRun):
+    run = staticmethod(run_rk4)
+    sampled = staticmethod(sampled_rk4)
+    make_state = EMState
+    halves = staticmethod(lambda st: (st.e, st.b))
+    budget = staticmethod(rk4_dt_bound)
+
+    @staticmethod
+    def forward(steps):
+        # the initial (E, B), then the current at each step's three substage times
+        return [6] + [3] * 3 * steps
+
+
+class TestPotentialVerletSpectra(SpectralRun):
+    run = staticmethod(run_potential_verlet)
+    sampled = staticmethod(sampled_potential_verlet)
+    make_state = PotentialState
+    halves = staticmethod(lambda st: (st.a, st.a_dot))
+    budget = staticmethod(potential_dt_bound)
+
+    @staticmethod
+    def forward(steps):
+        # the initial (A, dA/dt) and J(0), then J(n dt) at each step
+        return [6, 3] + [3] * steps
 
 
 class TestConstraints:
@@ -502,7 +552,10 @@ class TestPotentialDiagnostics:
         rho = ScalarSampleField(cube16, -divergence(state.a_dot).values / state.c)
         for method in ("spectral", "central2"):
             h_prime, con, div_b = potential_diagnostics(state, rho, method)
-            assert h_prime == field_energy(potential_to_fields(state, method))
+            # H' comes from Parseval's identity on the spectrum, so it meets the
+            # sampled sum at roundoff rather than bit for bit
+            energy = field_energy(potential_to_fields(state, method))
+            assert abs(h_prime - energy) <= 1e-14 * energy
             assert con == potential_constraint_residual(state, rho, method)
             assert div_b <= 1e-13 * max_norm(potential_to_fields(state, method).b)
 
@@ -510,6 +563,35 @@ class TestPotentialDiagnostics:
         state = plane_wave_potential(cube16)
         with pytest.raises(GridMismatchError):
             potential_diagnostics(state, ScalarSampleField.zeros(Grid.cube(8, 2 * np.pi)))
+
+
+class TestModalDiagnostics:
+    """modal_diagnostics, the Maxwell rows' one map, against the sample-space maps."""
+
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @pytest.mark.parametrize("box", ["cube16", "odd_box"])
+    @pytest.mark.parametrize("potential", [False, True], ids=["fields", "potential"])
+    def test_matches_the_sampled_maps(self, cube16, box, method, potential):
+        grid = cube16 if box == "cube16" else ODD_BOX
+        rng = np.random.default_rng(7)
+        first, second = smooth_vector(grid, rng), smooth_vector(grid, rng)
+        rho = smooth_scalar(grid, rng)
+        c = 1.7
+        hat = np.fft.rfftn(np.stack((first.values, second.values)), axes=(-3, -2, -1))
+        got = modal_diagnostics(hat, rho, c, method, potential)
+        if potential:
+            state = PotentialState(first, second, c)
+            fields = potential_to_fields(state, method)
+            want = (field_energy(fields), potential_constraint_residual(state, rho, method))
+            # div curl A vanishes: both maps leave only roundoff of the size of its terms
+            scale = max_norm(fields.b) * max(np.pi / dx for dx in grid.spacings)
+            assert got[2] <= 1e-14 * scale
+            assert constraint_residual(fields, rho, method)[1] <= 1e-14 * scale
+        else:
+            state = EMState(first, second, c)
+            want = (field_energy(state), *constraint_residual(state, rho, method))
+        for value, oracle in zip(got, want):
+            assert abs(value - oracle) <= 1e-14 * oracle
 
 
 class TestHamiltonians:

@@ -194,6 +194,34 @@ class TestInPlaceVerlet:
         assert sorted(frames) == [0, 100, 200, 300, 400, 500]
 
 
+class TestVerletModifiedNorm:
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    def test_modified_norm_conserved_to_roundoff(self, method):
+        # with q = -L phi = Re Psi and p = hbar phi_dot = Im Psi, phi-Verlet is the
+        # leapfrog q'' = -(H/hbar)^2 q, whose modified quadratic invariant
+        # (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2nd ed., 2006)
+        # is N_h = ||Psi||^2 - (h/2 hbar)^2 ||H Re Psi||^2, while ||Psi||^2 moves at O(h^2)
+        grid = Grid.line(256, 20.0)
+        params = QuantumParams(1.3, 0.7)
+        V = PotentialSpec.from_expression("0.5*(x-10)^2 + 3*cos(x)", grid)
+        rng = np.random.default_rng(5)
+        st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng), params)
+        h = stable_dt(V, params, method)
+        lop = real_l_operator(grid, V.sampled.values, params, method)
+
+        def norms(state):
+            lphi = lop(state.phi.values)
+            norm = np.sum(lphi**2 + (params.hbar * state.phi_dot.values) ** 2) * grid.cell_volume
+            shift = (0.5 * h / params.hbar) ** 2 * np.sum(lop(lphi) ** 2) * grid.cell_volume
+            return norm, norm - shift
+
+        snaps = {}
+        run_verlet(st0, h, 10_000, sink=snaps.__setitem__, snapshot_stride=1000, method=method)
+        (n0, modified0), *rest = [norms(s) for s in snaps.values()]
+        assert max(abs(m - modified0) for _, m in rest) <= 1e-12 * modified0
+        assert max(abs(n - n0) for n, _ in rest) >= 1e-7 * n0
+
+
 class TestWaveFunctionMap:
     def test_zero_maps_to_zero(self, grid64):
         st0 = make_state(grid64, PotentialSpec.zero(grid64), np.zeros(grid64.shape))
