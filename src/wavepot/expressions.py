@@ -28,6 +28,8 @@ __all__ = [
     "to_source",
     "free_names",
     "references_time",
+    "separate",
+    "ONE",
     "FUNCTIONS",
 ]
 
@@ -253,6 +255,56 @@ def references_time(node: Expression) -> bool:
 
 
 _COORD_NAMES = ("x", "y", "z")
+ONE = Number(1.0)
+
+
+def _times(a: Expression, b: Expression) -> Expression:
+    return b if a == ONE else a if b == ONE else Binary("*", a, b)
+
+
+def separate(node: Expression) -> list[tuple[Expression, Expression]] | None:
+    """``node`` as a sum of terms ``S_i(x) * g_i(t)``, or None where t and x do not separate.
+
+    Each term is a pair (S_i, g_i): S_i does not reference t and g_i no
+    coordinate, and either may be ``ONE``. A t-free node is the one term
+    ``(node, ONE)`` and a coordinate-free one ``(ONE, node)``; unary minus, ``+``
+    and ``-`` join the terms of their operands; ``*`` separates when one factor
+    is a single term, and ``/`` when the divisor is t-free or coordinate-free.
+    Nothing else separates, so there are never more terms than leaves.
+    """
+    names = free_names(node)
+    if "t" not in names:
+        return [(node, ONE)]
+    if names.isdisjoint(_COORD_NAMES):
+        return [(ONE, node)]
+    if isinstance(node, Unary):
+        terms = separate(node.operand)
+        return None if terms is None else [(s, Unary("-", g)) for s, g in terms]
+    if not isinstance(node, Binary) or node.op == "^":
+        return None
+    left = separate(node.left)
+    if node.op == "/":
+        divisor, names = node.right, free_names(node.right)
+        if left is None:
+            return None
+        if "t" not in names:
+            return [(Binary("/", s, divisor), g) for s, g in left]
+        if names.isdisjoint(_COORD_NAMES):
+            return [(s, Binary("/", g, divisor)) for s, g in left]
+        return None
+    right = separate(node.right)
+    if left is None or right is None:
+        return None
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left + [(s, Unary("-", g)) for s, g in right]
+    if len(right) == 1:
+        left, right = right, left
+    if len(left) != 1:
+        return None
+    (s0, g0), = left
+    return [(_times(s0, s), _times(g0, g)) for s, g in right]
 
 
 def sample(

@@ -5,10 +5,11 @@ The first-order system
     dE/dt = c curl B - J,   dB/dt = -c curl E
 
 is integrated with classical RK4 on the spectra of E and B: the curls are
-mode-wise products and each source sample is transformed once. The divergence
-equations are *initial conditions* whose residuals are monitored, not enforced
-(their persistence along the flow is itself one of the checked claims). The
-second-order vector potential obeys
+mode-wise products, and the current's spectrum is a sum of the kept spectra
+of t-free factors times scalar time factors (``SourceSpec.current_modes``).
+The divergence equations are *initial conditions* whose residuals are
+monitored, not enforced (their persistence along the flow is itself one of
+the checked claims). The second-order vector potential obeys
 
     d^2A/dt^2 = c^2 (Lap A - grad div A) + c J,
 
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import expressions
-from .errors import ContinuityError
+from .errors import ContinuityError, NonFiniteSampleError
 from .expressions import Expression
 from .grids import Grid, ScalarSampleField, VectorSampleField3, check_same_grid
 from .operators import (
@@ -122,8 +123,12 @@ class SourceSpec:
 
     The pair must satisfy the continuity equation; ``validate_continuity``
     gates a run by probing d(rho)/dt + div J at sample times (d/dt by a
-    centered difference with step dt/100). A component that does not reference
-    t is sampled once per grid, whether or not the others do.
+    centered difference with step dt/100). In ``rho_at`` and ``current_at``, a
+    component that does not reference t is sampled once per grid, whether or
+    not the others do. The integrators take the current's spectrum from
+    ``current_modes``, which writes each component of J as a sum of t-free
+    spatial factors times coordinate-free time factors once, at construction,
+    and transforms the spatial factors once per grid and method.
     """
 
     def __init__(
@@ -139,6 +144,9 @@ class SourceSpec:
         # rho, j_x, j_y, j_z: which reference t, and the samples of those that do not
         self._timed = tuple(expressions.references_time(node) for node in (self.rho, *self.j))
         self._cache: dict = {}
+        # j_x, j_y, j_z as terms S_i(x) g_i(t), or None; the spectra of every S_i per (grid, method)
+        self._terms = tuple(expressions.separate(node) for node in self.j)
+        self._spatial_modes: dict = {}
 
     @classmethod
     def vacuum(cls) -> "SourceSpec":
@@ -163,6 +171,43 @@ class SourceSpec:
 
     def current_at(self, t: float, grid: Grid) -> VectorSampleField3:
         return VectorSampleField3.from_components(*(self._component(i, t, grid) for i in (1, 2, 3)))
+
+    def current_modes(self, t: float, grid: Grid, method: str) -> np.ndarray:
+        """The half spectrum of J at time t, its three components stacked on axis 0.
+
+        A component that ``expressions.separate`` writes as a sum of terms
+        S_i(x) g_i(t) is the sum of g_i(t) times the spectrum of S_i. The S_i of
+        all three components are sampled and transformed together, once per
+        grid and method, and kept; g_i is a scalar, and a term whose g_i is 1
+        is that spectrum itself, so a static component costs no sample or
+        transform per call. A component where t and x do not separate is
+        sampled and transformed on its own. A spectrum that is not finite
+        raises NonFiniteSampleError.
+        """
+        key = (grid, method)
+        if key not in self._spatial_modes:
+            spatial = [s for terms in self._terms if terms for s, _ in terms]
+            samples = [expressions.sample(s, grid, self.bindings).values for s in spatial]
+            self._spatial_modes[key] = modes(np.stack(samples), grid, method).hat if samples else []
+        spatial_hats = iter(self._spatial_modes[key])
+        env = {"pi": np.pi, "t": float(t), **self.bindings}
+        components = []
+        for node, terms in zip(self.j, self._terms):
+            if terms is None:
+                sample = expressions.sample(node, grid, self.bindings, t).values
+                components.append(modes(sample, grid, method).hat)
+                continue
+            total = None
+            for _, g in terms:
+                hat = next(spatial_hats)
+                with np.errstate(all="ignore"):  # a factor that is not finite raises below
+                    term = hat if g is expressions.ONE else expressions.evaluate(g, env) * hat
+                    total = term if total is None else total + term
+            components.append(total)
+        out = np.stack(components)
+        if not np.isfinite(out).all():
+            raise NonFiniteSampleError(f"the current is not finite at t={float(t)!r}")
+        return out
 
     def continuity_residual(
         self, t: float, grid: Grid, dt: float, method: str = "spectral"
@@ -241,9 +286,9 @@ def run_rk4(
     """Classical RK4 from t=0; see ``stepping.drive``.
 
     The state is the half spectrum of (E, B), transformed once at the start,
-    so a stage is mode-wise arithmetic. Sources are sampled at the substage
-    times and each sample is transformed once; j(t + dt/2) serves stages 2 and
-    3. The observer sees the spectrum, E and B stacked on axis 0; see
+    so a stage is mode-wise arithmetic. The current's spectrum comes from
+    ``SourceSpec.current_modes`` at the substage times; j(t + dt/2) serves
+    stages 2 and 3. The observer sees the spectrum, E and B stacked on axis 0; see
     ``_drive_spectrum`` for the samples the sink gets.
     """
     grid = state.grid
@@ -254,7 +299,7 @@ def run_rk4(
     hat, sym = spectrum.hat, spectrum.sym
 
     def current(t: float) -> np.ndarray:
-        return modes(sources.current_at(t, grid).values, grid, method).hat
+        return sources.current_modes(t, grid, method)
 
     def advance(n: int) -> None:
         nonlocal hat
@@ -390,9 +435,10 @@ def run_potential_verlet(
     """Velocity-Verlet of the potential dynamics from t=0; see ``stepping.drive``.
 
     The state is the half spectrum of (A, dA/dt), transformed once at the
-    start, so a kick is mode-wise arithmetic; each step transforms the current
-    sample J(n dt) once. The observer sees the spectrum, A and dA/dt stacked on
-    axis 0; see ``_drive_spectrum`` for the samples the sink gets.
+    start, so a kick is mode-wise arithmetic; each step takes the spectrum of
+    J(n dt) from ``SourceSpec.current_modes``. The observer sees the spectrum,
+    A and dA/dt stacked on axis 0; see ``_drive_spectrum`` for the samples the
+    sink gets.
     """
     grid = state.grid
     check_dt(dt, potential_dt_bound(grid, state.c), "potential Verlet")
@@ -402,7 +448,7 @@ def run_potential_verlet(
     a, vel = spectrum.hat  # views: the kicks and drifts below step spectrum.hat in place
 
     def accel(t: float) -> np.ndarray:
-        j = modes(sources.current_at(t, grid).values, grid, method).hat
+        j = sources.current_modes(t, grid, method)
         return c * c * _potential_accel_modes(a, spectrum.sym) + c * j
 
     acc = accel(0.0)

@@ -140,12 +140,17 @@ _KERNEL_RESIDUAL_TOL = 1e-12
 
 
 def _fourier_preconditioner(grid: Grid, v: np.ndarray, params: QuantumParams, method: str):
-    """Inverse of the symbol -kin Lap + |mean V|: the kinetic part of H plus the mean potential.
+    """Inverse of the symbol -kin Lap + mean V - min(0, min V): the kinetic part of H
+    plus the mean potential, shifted up by the depth of V below zero.
 
-    Positive definite for every V, so it serves both CG on H and LOBPCG. Takes
-    real arrays; a leading batch axis passes through.
+    The shift is never negative, and for V >= 0 it is mean V itself; for a
+    deep well such as -20 cos x it keeps the symbol away from the near-zero
+    kinetic one that |mean V| would give. Positive definite for every V, so it
+    serves both CG on H and LOBPCG. Takes real arrays; a leading batch axis
+    passes through.
     """
-    sym = -params.kinetic * symbols(grid, method).lap + abs(float(v.mean()))
+    shift = float(v.mean()) - min(0.0, float(v.min()))
+    sym = -params.kinetic * symbols(grid, method).lap + shift
     return fourier_multiplier(grid, 1.0 / np.where(np.abs(sym) < 1e-14, 1.0, sym), real=True)
 
 

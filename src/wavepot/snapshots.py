@@ -210,7 +210,13 @@ def read_snapshot(path: str | Path) -> SnapshotData:
             raise ValueError(f"{path} is not a snapshot file (magic {magic!r})")
         header = json.loads(fh.readline().decode("ascii"))
         try:
-            grid = Grid(tuple(header["grid"]["points"]), tuple(header["grid"]["lengths"]))
+            points, lengths = header["grid"]["points"], header["grid"]["lengths"]
+            # Grid would take "16" or 16.5 for 16
+            if type(points) is not list or not all(type(n) is int for n in points):
+                raise ValueError(f"{path} has grid.points {points!r}, not a list of integers")
+            if type(lengths) is not list or not all(type(x) in (int, float) for x in lengths):
+                raise ValueError(f"{path} has grid.lengths {lengths!r}, not a list of numbers")
+            grid = Grid(tuple(points), tuple(lengths))
             kind, fields = header["kind"], tuple(header["fields"])
             if not isinstance(kind, str) or kind not in LAYOUTS:
                 raise ValueError(f"{path} has kind {kind!r}, not one of {', '.join(LAYOUTS)}")

@@ -16,6 +16,7 @@ from wavepot.expressions import (
     parse,
     references_time,
     sample,
+    separate,
     to_source,
 )
 
@@ -151,3 +152,78 @@ class TestRoundTrip:
             parse(text)
         except ExprSyntaxError as err:
             assert 0 <= err.position <= len(text)
+
+
+def _leaves(node) -> int:
+    if isinstance(node, Binary):
+        return _leaves(node.left) + _leaves(node.right)
+    if isinstance(node, (Unary, Call)):
+        return _leaves(node.operand if isinstance(node, Unary) else node.arg)
+    return 1
+
+
+# a factor in one of x, y, t or a binding: t-free or coordinate-free
+_factors = st.one_of(
+    _numbers,
+    st.tuples(st.sampled_from(["sin", "cos", "exp"]), st.sampled_from(["x", "y", "t", "a"]),
+              _numbers).map(lambda f: Call(f[0], Binary("+", Name(f[1]), f[2]))),
+)
+
+
+@st.composite
+def _separable(draw):
+    """A sum of products of factors, each term maybe negated or divided by a factor,
+    and the whole maybe times or over one more factor: separable by construction."""
+    node = None
+    products = st.lists(st.lists(_factors, min_size=1, max_size=3), min_size=1, max_size=4)
+    for factors in draw(products):
+        term = factors[0]
+        for f in factors[1:]:
+            term = Binary("*", term, f)
+        shape = draw(st.sampled_from(["", "-", "/"]))
+        if shape == "-":
+            term = Unary("-", term)
+        elif shape == "/":
+            term = Binary("/", term, draw(_factors))
+        node = term if node is None else Binary(draw(st.sampled_from("+-")), node, term)
+    outer = draw(st.sampled_from(["", "*", "/"]))
+    return Binary(outer, node, draw(_factors)) if outer else node
+
+
+class TestSeparate:
+    @pytest.mark.parametrize("source, terms", [
+        ("0", [("0.0", "1.0")]),
+        ("sin(t)", [("1.0", "sin(t)")]),
+        ("0.5*cos(x+2*y)*sin(t+0.3)", [("0.5 * cos(x + 2.0 * y)", "sin(t + 0.3)")]),
+        ("sin(t+0.3)*0.5*cos(x)", [("cos(x)", "sin(t + 0.3) * 0.5")]),
+        ("(2+cos(x))/(t-0.04)", [("2.0 + cos(x)", "1.0 / (t - 0.04)")]),
+        ("(cos(x)*t - sin(y))/exp(x)", [("cos(x) / exp(x)", "t"), ("sin(y) / exp(x)", "-1.0")]),
+        ("-sin(x)*cos(t) + cos(x)*sin(t) - 3*t",
+         [("-sin(x)", "cos(t)"), ("cos(x)", "sin(t)"), ("1.0", "-(3.0 * t)")]),
+        ("sin(t)*(cos(x)*cos(t) + sin(x))", [("cos(x)", "sin(t) * cos(t)"), ("sin(x)", "sin(t)")]),
+        ("cos(x-t)", None),
+        ("(x*t)^2", None),
+        ("(cos(x) + sin(t))*(sin(x) + cos(t))", None),
+        ("cos(x)/sin(x+t)", None),
+    ])
+    def test_terms(self, source, terms):
+        found = separate(parse(source))
+        if terms is None:
+            assert found is None
+        else:
+            assert [(to_source(s), to_source(g)) for s, g in found] == terms
+
+    @given(node=_separable(), seed=st.integers(0, 2**16))
+    def test_terms_sum_to_the_expression(self, node, seed):
+        terms = separate(node)
+        assert terms is not None and len(terms) <= _leaves(node)
+        for s, g in terms:
+            assert "t" not in free_names(s) and free_names(g).isdisjoint({"x", "y"})
+        rng = np.random.default_rng(seed)
+        env = {name: rng.uniform(-2, 2) for name in ("x", "y", "t", "a")}
+        with np.errstate(all="ignore"):
+            value = evaluate(node, env)
+            parts = [evaluate(s, env) * evaluate(g, env) for s, g in terms]
+        if np.isfinite(value) and np.isfinite(parts).all():
+            scale = abs(value) + sum(abs(p) for p in parts)
+            assert abs(sum(parts) - value) <= 1e-12 * scale

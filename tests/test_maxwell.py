@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import smooth_scalar, smooth_vector
 from wavepot import expressions, maxwell
-from wavepot.errors import ContinuityError, GridMismatchError, StabilityError
+from wavepot.errors import ContinuityError, GridMismatchError, NonFiniteSampleError, StabilityError
 from wavepot.grids import Grid, ScalarSampleField, VectorSampleField3, l2_norm, max_norm
 from wavepot.maxwell import (
     EMState,
@@ -28,7 +28,7 @@ from wavepot.maxwell import (
     run_potential_verlet,
     run_rk4,
 )
-from wavepot.operators import _curl_arrays, curl, divergence, gradient
+from wavepot.operators import _curl_arrays, curl, divergence, gradient, modes
 
 
 def mesh(grid):
@@ -129,9 +129,9 @@ class TestRk4:
         times = []
 
         class Recording(SourceSpec):
-            def current_at(self, t, grid):
+            def current_modes(self, t, grid, method):
                 times.append(t)
-                return super().current_at(t, grid)
+                return super().current_modes(t, grid, method)
 
         dt, steps = 0.04, 12
         src = Recording("0", ("0", "0", "0.5*cos(x+2*y)*sin(t+0.3)"))
@@ -222,15 +222,15 @@ class SpectralRun:
     sampled scheme does, hand its observer the spectrum and transform only
     what it must. A subclass names the integrator: ``run``, ``sampled`` (the
     scheme on samples), ``make_state``, ``halves`` (the state's two vector
-    fields), ``budget`` (its dt bound) and ``forward`` (the component counts of
-    the forward transforms a run of n steps makes)."""
+    fields), ``budget`` (its dt bound) and ``source_times`` (how many times a
+    run of n steps asks for the current)."""
 
     @classmethod
-    def driven(cls, grid, seed):
+    def driven(cls, grid, seed, drive="0.5*cos({kx!r}*x+{ky2!r}*y)*sin(t+0.3)"):
         rng = np.random.default_rng(seed)
         state = cls.make_state(smooth_vector(grid, rng), smooth_vector(grid, rng), 1.3)
         kx, ky = (2 * np.pi / length for length in grid.lengths[:2])
-        src = SourceSpec("0", ("0", "0", f"0.5*cos({kx!r}*x+{2 * ky!r}*y)*sin(t+0.3)"))
+        src = SourceSpec("0", ("0", "0", drive.format(kx=kx, ky2=2 * ky)))
         return state, src, 0.3 * cls.budget(grid, state.c)
 
     @pytest.mark.parametrize("method", ["spectral", "central2"])
@@ -271,18 +271,40 @@ class SpectralRun:
     def test_transforms_a_step(self, cube16, maxwell_transforms):
         # the fixture refuses a sampled curl or potential acceleration; with an
         # observer only, no inverse transform runs while stepping, and one makes
-        # the returned state
+        # the returned state. The current's three spatial factors are
+        # transformed once, at its first time, and kept by the sources.
         calls = maxwell_transforms
         state, src, dt = self.driven(cube16, 5)
         inverses = []
         self.run(state, src, dt, 7, sink=None,
                  observer=lambda n, hat: inverses.append(len(calls["inverse"])))
-        assert calls == {"forward": self.forward(7), "inverse": [6]}
+        assert calls == {"forward": [6, 3], "inverse": [6]}
         assert inverses == [0] * 8
         calls["forward"].clear()
         calls["inverse"].clear()
         self.run(state, src, dt, 7, sink=lambda n, st: None, snapshot_stride=3)
-        assert calls == {"forward": self.forward(7), "inverse": [6] * 3}  # frames 3, 6, 7
+        assert calls == {"forward": [6], "inverse": [6] * 3}  # frames 3, 6, 7
+
+    def test_non_separable_drive(self, cube16, maxwell_transforms):
+        # t and x do not separate in j_z: it is sampled and transformed alone at
+        # each time, and the static j_x, j_y once
+        drive = "0.5*cos({kx!r}*x+{ky2!r}*y-t)"
+        state, src, dt = self.driven(cube16, 6, drive)
+        self.run(state, src, dt, 7, sink=None)
+        assert maxwell_transforms["forward"] == [6, 2] + [1] * self.source_times(7)
+        for t in (0.0, 0.5 * dt, 7 * dt):
+            want = modes(src.current_at(t, cube16).values, cube16, "spectral").hat
+            assert src.current_modes(t, cube16, "spectral").tobytes() == want.tobytes()
+
+    def test_non_finite_drive_raises_at_step_one(self, cube16):
+        # the time factor 1/(t - 0.04) is infinite at t = dt while (2 + cos x) stays finite
+        wave = plane_wave_state(cube16)
+        state = self.make_state(wave.e, wave.b)
+        src = SourceSpec("0", ("0", "0", "(2+cos(x))/(t-0.04)"))
+        seen = []
+        with pytest.raises(NonFiniteSampleError, match="not finite"):
+            self.run(state, src, 0.04, 3, sink=None, observer=lambda n, hat: seen.append(n))
+        assert seen == [0]
 
 
 class TestRk4Spectra(SpectralRun):
@@ -293,9 +315,8 @@ class TestRk4Spectra(SpectralRun):
     budget = staticmethod(rk4_dt_bound)
 
     @staticmethod
-    def forward(steps):
-        # the initial (E, B), then the current at each step's three substage times
-        return [6] + [3] * 3 * steps
+    def source_times(steps):
+        return 3 * steps  # each step's three substage times
 
 
 class TestPotentialVerletSpectra(SpectralRun):
@@ -306,9 +327,8 @@ class TestPotentialVerletSpectra(SpectralRun):
     budget = staticmethod(potential_dt_bound)
 
     @staticmethod
-    def forward(steps):
-        # the initial (A, dA/dt) and J(0), then J(n dt) at each step
-        return [6, 3] + [3] * steps
+    def source_times(steps):
+        return steps + 1  # J(0), then J(n dt) at each step
 
 
 class TestConstraints:
@@ -711,6 +731,41 @@ class TestSourceCache:
                     assert j[comp].tobytes() == fresh.tobytes()
                 fresh_rho = expressions.sample(src.rho, cube16, src.bindings, t).values
                 assert src.rho_at(t, cube16).values.tobytes() == fresh_rho.tobytes()
+
+    def test_static_current_spectrum_is_the_transformed_sample(self, cube16):
+        # a static component is one term with factor 1: its kept spectrum, bit for bit
+        src = SourceSpec("0", ("cos(y)", "0", "0.3*sin(x)*cos(z)"))
+        want = modes(src.current_at(0.0, cube16).values, cube16, "central2").hat
+        for t in (0.0, 0.37):
+            assert src.current_modes(t, cube16, "central2").tobytes() == want.tobytes()
+
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.floats(0.25, 2.0), st.sampled_from(["", "-"]),
+                st.lists(st.tuples(st.sampled_from(["sin", "cos"]), st.integers(-3, 3),
+                                   st.integers(-3, 3), st.sampled_from(["x", "y", "t"])),
+                         min_size=1, max_size=3),
+            ),
+            min_size=1, max_size=3,
+        ),
+        scale=st.sampled_from(["", "cos(2*t+0.5)*", "(1+sin(t))*", "sin(x-y)*"]),
+        t=st.floats(0.0, 10.0),
+    )
+    def test_separable_spectrum_matches_the_transformed_sample(self, terms, scale, t):
+        # sums and products of sin/cos factors in x, y and t separate into S_i(x) g_i(t);
+        # term i also carries cos((i+1) z), so the terms cannot cancel one another
+        grid = Grid.cube(8, 2 * np.pi)
+        factors = lambda fs: "".join(f"*{fn}({a}*{v}+{b})" for fn, a, b, v in fs)
+        j_z = scale + "(" + " + ".join(
+            f"{sign}{coef!r}*cos({i + 1}*z){factors(fs)}"
+            for i, (coef, sign, fs) in enumerate(terms)
+        ) + ")"
+        assert expressions.separate(expressions.parse(j_z)) is not None
+        src = SourceSpec("0", ("0", "0", j_z))
+        got = src.current_modes(t, grid, "spectral")
+        want = modes(src.current_at(t, grid).values, grid, "spectral").hat
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(got))
 
     def test_is_static_only_when_no_component_references_t(self):
         assert SourceSpec("sin(x)", ("0", "cos(y)", "0")).is_static

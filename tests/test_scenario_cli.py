@@ -1042,13 +1042,23 @@ def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, changes, 
     ({"frame_count": 10**12}, "is truncated: its header promises 1024000000000000 bytes of frames"),
     ({"grid": {"points": [10**6] * 3, "lengths": [20.0] * 3}},
      "is truncated: its header promises 64000000000000000000 bytes of frames"),
+    ({"grid": {"points": ["64"], "lengths": [20.0]}}, "has grid.points ['64'], not a list of integers"),
+    ({"grid": {"points": [64.5], "lengths": [20.0]}}, "has grid.points [64.5], not a list of integers"),
+    ({"grid": {"points": [64.0], "lengths": [20.0]}}, "has grid.points [64.0], not a list of integers"),
+    ({"grid": {"points": [True], "lengths": [20.0]}}, "has grid.points [True], not a list of integers"),
+    ({"grid": {"points": 64, "lengths": [20.0]}}, "has grid.points 64, not a list of integers"),
+    ({"grid": {"points": [64], "lengths": ["20.0"]}}, "has grid.lengths ['20.0'], not a list of numbers"),
+    ({"grid": {"points": [64], "lengths": [False]}}, "has grid.lengths [False], not a list of numbers"),
 ], ids=["kind", "fields-repeated", "fields-other", "provenance", "constants", "constant-string",
-        "frame-count-huge", "points-huge"])
+        "frame-count-huge", "points-huge", "points-string", "points-fraction", "points-float",
+        "points-bool", "points-not-a-list", "lengths-string", "lengths-bool"])
 def test_header_that_does_not_fit_its_kind_exit_one(tmp_path, capsys, changes, message):
     # on a valid 4-frame phi record: dump wrote a kind of "banana" out with exit 0,
     # compare ended fields ["phi", "phi"] in KeyError 'phi_dot' and a list
     # provenance in AttributeError; a frame count of 10**12 ended in MemoryError from
-    # the 7.28 TiB time array, and 10**18 grid points from reading one frame's bytes
+    # the 7.28 TiB time array, and 10**18 grid points from reading one frame's bytes.
+    # Grid read points of "64" or 64.5 as 64, and the record then failed as having
+    # trailing bytes
     argv = ["phi", "--scenario", str(write(tmp_path, "phi.scn", MINIMAL_PHI))]
     assert main(argv + ["--out", str(tmp_path / "bad"), "--override", "integrator.steps=30"]) == 0
     path = tmp_path / "bad" / SNAPSHOT
