@@ -50,6 +50,7 @@ from .schrodinger import (
     l_operator_array,
     max_energy_bound,
 )
+from .stepping import one_blas_thread
 from .wavepotential import PhiState
 
 __all__ = [
@@ -166,7 +167,8 @@ def _kernel_basis(
     spectrum of an indefinite H. ``linsolve.lowest_eigenpairs`` (LOBPCG,
     Knyazev 2001) finds the lowest eigenpairs of H matrix-free, through
     ``hamiltonian_array`` on whole blocks and the Fourier preconditioner of
-    ``solve_elliptic``, from a fixed pseudo-random start block. The block
+    ``solve_elliptic``, from a fixed pseudo-random start block, on one BLAS
+    thread (``stepping.one_blas_thread``). The block
     doubles until the eigenpairs that converged, counted from the lowest up,
     reach one above the threshold: that shows every eigenvalue at or below it
     was found. A search that gets there only with more than
@@ -187,10 +189,11 @@ def _kernel_basis(
     block = min(_KERNEL_BLOCK_START, m)
     while True:
         start = np.random.default_rng(0).standard_normal((m, block))
-        energies, vectors = lowest_eigenpairs(
-            h, start.T.reshape((block,) + grid.shape),
-            tol=0.1 * res_tol, max_iter=_KERNEL_MAX_ITER, precondition=preconditioner,
-        )
+        with one_blas_thread():
+            energies, vectors = lowest_eigenpairs(
+                h, start.T.reshape((block,) + grid.shape),
+                tol=0.1 * res_tol, max_iter=_KERNEL_MAX_ITER, precondition=preconditioner,
+            )
         flat = vectors.reshape(block, m)
         residual = np.linalg.norm(h(vectors).reshape(block, m) - energies[:, None] * flat, axis=1)
         # energies ascend; count the converged eigenpairs from the bottom up, as a

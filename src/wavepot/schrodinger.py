@@ -38,7 +38,7 @@ from .operators import (
     symbols,
 )
 from .expressions import Expression
-from .stepping import check_dt, drive
+from .stepping import check_dt, drive, one_blas_thread
 
 __all__ = [
     "QuantumParams",
@@ -59,21 +59,9 @@ __all__ = [
     "l_operator_array",
     "hamiltonian_array",
     "DENSE_GRID_LIMIT",
-    "DENSE_L_LIMIT",
 ]
 
 DENSE_GRID_LIMIT = 4096
-# Largest grid on which real_l_operator applies L as a dense matvec. Measured
-# once per apply on a 2-vCPU VM, one BLAS thread, real FFT closure vs matvec:
-# 64 points 20.7 vs 2.6 us, 128 23.0 vs 3.1, 256 24.3 vs 12.3, 384 19.3 vs
-# 25.1, 512 22.7 vs 61.0. A constant, never timed at run time, so that the
-# bytes a run writes do not depend on the machine.
-DENSE_L_LIMIT = 256
-# numpy aligns arrays to 16 bytes; the dense L matrix is placed on a cache
-# line. Measured in a 256-point Verlet loop (2-vCPU x86-64 VM, one BLAS
-# thread): 20-24 us a step with the matrix on a 64-byte boundary, 29-38 us
-# off it, so without this a run's speed depended on where the heap put it.
-_CACHE_LINE = 64
 _SIGN_TIE = 1e-8  # relative band of eigenvector entries that tie for the largest
 # Relative residual of each Cayley solve, which bounds the norm error one step
 # adds; the cap stops a solve that has stalled (see crank_nicolson_step).
@@ -164,38 +152,16 @@ def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: st
 
     The kinetic symbol is scaled once, so each apply is one real transform
     pair and one pointwise product; equal to l_operator_array up to roundoff.
-    On grids of at most ``DENSE_L_LIMIT`` points that closure is applied once
-    to the unit vectors instead, and the closure returned is one matvec with
-    the resulting dense matrix over the flattened grid axes: the same operator,
-    with per-call overhead that dominates small grids cut away. Leading batch
-    axes pass through either way. Given ``out``, a C-contiguous float64 array
-    of f's shape other than f, either closure writes L f there and returns it,
-    with the same bytes as a call without it.
+    Leading batch axes pass through. Given ``out``, a C-contiguous float64
+    array of f's shape other than f, the closure writes L f there and returns
+    it, with the same bytes as a call without it.
     """
     kinetic = fourier_multiplier(grid, params.kinetic * symbols(grid, method).lap, real=True)
 
     def lop(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.subtract(kinetic(f), v * f, out=out)
 
-    size = grid.size
-    if size > DENSE_L_LIMIT:
-        return lop
-    # row i is L of the i-th unit vector, so f @ mat = L f
-    buf = np.empty(size * size * 8 + _CACHE_LINE, dtype=np.uint8)
-    start = -buf.ctypes.data % _CACHE_LINE
-    mat = buf[start : start + size * size * 8].view(np.float64).reshape(size, size)
-    mat[...] = lop(np.eye(size).reshape((size,) + grid.shape)).reshape(size, size)
-
-    def dense(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        flat = f.shape[: f.ndim - grid.dims] + (size,)
-        out = np.empty(f.shape) if out is None else out
-        np.matmul(f.reshape(flat), mat, out=out.reshape(flat))
-        return out
-
-    def line(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(f, mat, out=out)  # no reshapes: they cost 1/8 of a 256-point apply
-
-    return line if grid.dims == 1 else dense
+    return lop
 
 
 def apply_hamiltonian(
@@ -415,10 +381,12 @@ def dense_eigensystem(
     """Every eigenpair of ``dense_hamiltonian``, each vector signed by one fixed rule.
 
     The solver is numpy's ``eigh`` (LAPACK ``syevd``, divide and conquer), so
-    stationary initial data import nothing beyond numpy.
+    stationary initial data import nothing beyond numpy. It runs on one BLAS
+    thread, so their bytes do not depend on the thread count.
     """
     mat = dense_hamiltonian(V, params, method)
-    energies, vectors = np.linalg.eigh(mat)
+    with one_blas_thread():
+        energies, vectors = np.linalg.eigh(mat)
     # deterministic sign: the largest-magnitude entry is positive. Entries within
     # _SIGN_TIE of the maximum tie, and the tie goes to the lowest flat index, so
     # odd and mirror-symmetric states are not signed by roundoff.

@@ -8,7 +8,8 @@ the keywords ``sink``, ``snapshot_stride``, ``method`` and ``observer``, and
 return the final state, so ``steps=1`` is a single step. Frames reach the sink
 as soon as they exist; no run holds more than one. Under glibc the first
 ``drive`` of a process keeps freed heap for reuse, so steps do not fault their
-temporaries in again.
+temporaries in again. ``one_blas_thread`` runs the dense eigensolves, whose
+bytes depend on OpenBLAS's thread count, on one thread.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from contextlib import contextmanager
 from functools import cache
 from typing import Callable, TypeVar
 
 from .errors import StabilityError
 
-__all__ = ["check_dt", "frame_steps", "drive"]
+__all__ = ["check_dt", "frame_steps", "drive", "one_blas_thread"]
 
 State = TypeVar("State")
 
@@ -39,6 +41,14 @@ State = TypeVar("State")
 _TRIM_THRESHOLD = 64 << 20
 _MMAP_THRESHOLD = 32 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters in glibc's malloc.h
+# OpenBLAS's thread-count entry points, (set, get), under the names its builds
+# export: plain, with the 64-bit-integer suffix, and with the prefix of the
+# scipy-openblas libraries that numpy's wheels load.
+_OPENBLAS_THREADS = [
+    (f"{prefix}openblas_set_num_threads{suffix}", f"{prefix}openblas_get_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+]
 
 
 def frame_steps(steps: int, snapshot_stride: int) -> list[int]:
@@ -73,6 +83,51 @@ def _keep_freed_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
+@cache
+def _openblas_thread_controls() -> tuple:
+    """The (set, get) thread-count functions of each OpenBLAS the process has
+    loaded, found in ``/proc/self/maps`` by their symbols; () where that file
+    cannot be read or no library exports them. Cached: numpy, and with it its
+    BLAS, is loaded before any caller runs."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "blas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREADS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+                controls.append((set_threads, get_threads))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore
+    each one's thread count. LAPACK's dense eigensolvers return other bytes
+    on other thread counts, so the eigensolves a run's output depends on run
+    inside this, whatever ``OPENBLAS_NUM_THREADS`` says. Where no OpenBLAS is
+    found it does nothing."""
+    controls = _openblas_thread_controls()
+    previous = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, previous):
+            set_threads(count)
+
+
 def drive(
     advance: Callable[[int], None],
     box: Callable[[], State],
@@ -92,6 +147,8 @@ def drive(
     step overwrites: samples for the quantum integrators (L phi and phi_dot,
     or Psi), and for both Maxwell integrators the half spectrum of the state
     itself, so that a diagnostics row costs no transform of the state.
+    Modal phi-Verlet observes nothing here: its own observer stores each
+    step's mode coordinates and hands samples on a block at a time.
     """
     _keep_freed_heap()
     if observer is not None:

@@ -5,7 +5,11 @@ A real field phi with velocity phi_dot generates a wave function through
     Re Psi = -L phi,   Im Psi = hbar * phi_dot,   L = (hbar^2/2m) Lap - V,
 
 and obeys hbar^2 phi_ddot + L^2 phi = 0, integrated here with velocity-Verlet
-(symplectic, time-reversible). |Psi|^2 equals 2*hbar times the field energy
+(symplectic, time-reversible). L is real and symmetric, so in its orthonormal
+eigenbasis L = Q Lambda Q^T that equation is one oscillator per mode, of
+frequency |Lambda|/hbar: on grids of at most ``DENSE_L_LIMIT`` points
+``run_verlet`` steps those modes, and on larger grids the samples through
+the transform-based L. |Psi|^2 equals 2*hbar times the field energy
 density pointwise, so probability conservation is literally energy
 conservation of this field. Functions alpha with L alpha = 0 shift phi
 without changing Psi; that kernel is the gauge sector.
@@ -18,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GaugeError
+from .errors import GaugeError, NonFiniteSampleError
 from .grids import Grid, ComplexSampleField, ScalarSampleField, check_same_grid
 from .schrodinger import (
     PotentialSpec,
@@ -28,7 +32,7 @@ from .schrodinger import (
     max_energy_bound,
     real_l_operator,
 )
-from .stepping import check_dt, drive
+from .stepping import check_dt, drive, one_blas_thread
 
 __all__ = [
     "PhiState",
@@ -41,12 +45,29 @@ __all__ = [
     "energy_density",
     "lagrangian_density",
     "gauge_shift",
+    "DENSE_L_LIMIT",
 ]
 
 # Fraction of the Verlet stability limit 2 hbar / E_max that a step may use.
 SAFETY = 0.2
 # Largest ||L alpha|| / (||alpha|| E_max) of a gauge function alpha.
 _GAUGE_TOL = 1e-10
+# Largest grid, in points and in any dimension, on which run_verlet steps the
+# normal modes of L. There a step is four O(N) ufuncs, and a run adds one
+# O(N^3) eigensolve and an N^2 map of each observed step to samples. The value
+# is where the dense L matvec used to stop, not a measured crossover of the
+# modal path: that path was about twice as fast as the samples at 512 points,
+# and where it stops paying is unmeasured. At 256 points (2-vCPU VM, one BLAS
+# thread, 20000 steps) a step took 1.9 us (15 us with two dense matvecs),
+# 8.2 us with a no-op observer, after 6.5 ms of set-up. A constant, never
+# timed at run time, so that the bytes a run writes do not depend on the
+# machine.
+DENSE_L_LIMIT = 256
+# Observed steps a modal run keeps as rows of mode coordinates (Lambda a and
+# a_dot) before one matmul by Q^T maps the block to samples: 256 KiB of rows on
+# a 256-point grid. Measured there on one BLAS thread, the matmul costs about
+# 2 us a row at 64 steps a block, 3-4 us at 32 and 7 us as a matvec.
+_OBSERVED_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -78,7 +99,8 @@ class EnergyDensity:
 def phi_acceleration(state: PhiState, method: str = "spectral") -> ScalarSampleField:
     """phi_ddot = -(1/hbar^2) L(L(phi)); L applied twice, never expanded.
 
-    L is ``real_l_operator``, the operator ``run_verlet`` steps with.
+    L is ``real_l_operator``, the transform-based L whose normal modes or
+    samples ``run_verlet`` steps.
     """
     grid = state.grid
     lop = real_l_operator(grid, state.potential.sampled.values, state.params, method)
@@ -104,21 +126,33 @@ def run_verlet(
     method: str = "spectral",
     observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> PhiState:
-    """Kick-drift-kick velocity-Verlet on raw arrays, driven by ``stepping.drive``.
+    """Kick-drift-kick velocity-Verlet, driven by ``stepping.drive``. Refuses
+    unstable dt, and on the modes a state whose acceleration overflows.
 
-    The observer sees L(phi) and phi_dot, enough to form Psi and all densities
-    without extra transforms; both are arrays the next step overwrites. A step
-    allocates nothing: the kicks, the drift and both applies of L write into
-    arrays made once. Refuses unstable dt.
+    On grids of at most ``DENSE_L_LIMIT`` points the state is the coordinates
+    of phi and phi_dot in L's orthonormal eigenbasis, and a step is O(N);
+    above it, the samples, with L applied through ``real_l_operator``. Both
+    are the same scheme, so their trajectories agree to roundoff. The
+    observer sees L(phi) and phi_dot samples at every step, in order and
+    before the sink of that step; both are arrays a later step overwrites. A
+    step allocates nothing.
     """
-    grid = state.grid
     params = state.params
     emax = max_energy_bound(state.potential, params, method)
     check_dt(
         dt, stable_dt(state.potential, params, method), "Verlet",
         f" (E_max={emax:g}, hard stability limit {2 * params.hbar / emax:g})",
     )
-    lop = real_l_operator(grid, state.potential.sampled.values, params, method)
+    lop = real_l_operator(state.grid, state.potential.sampled.values, params, method)
+    verlet = _modal_verlet if state.grid.size <= DENSE_L_LIMIT else _sampled_verlet
+    return verlet(state, lop, dt, steps, sink, snapshot_stride, observer)
+
+
+def _sampled_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> PhiState:
+    """``run_verlet`` on raw samples: the kicks, the drift and both applies of L
+    write into arrays made once, and the observer sees two of them."""
+    grid = state.grid
+    params = state.params
     phi = state.phi.values.copy()
     vel = state.phi_dot.values.copy()
     # 0-d arrays, not Python floats: a ufunc converts a float operand on every
@@ -145,6 +179,109 @@ def run_verlet(
         )
 
     return drive(advance, box, lambda: (lphi, vel), steps, snapshot_stride, sink, observer)
+
+
+def _l_eigenbasis(lop, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(Lambda, Q) with L = Q diag(Lambda) Q^T over the flattened grid, Lambda
+    ascending and Q orthogonal, for the L that ``lop`` applies. L is built by
+    applying ``lop`` to the unit vectors and symmetrised; ``eigh`` runs on one
+    BLAS thread, so the basis does not depend on the thread count.
+
+    Not ``-dense_hamiltonian``, on purpose: that applies complex full-spectrum
+    transforms, while ``lop`` is the real closure the sampled path and
+    ``phi_acceleration`` apply, so both paths step one and the same L."""
+    size = grid.size
+    mat = lop(np.eye(size).reshape((size,) + grid.shape)).reshape(size, size)
+    with one_blas_thread():
+        return np.linalg.eigh(0.5 * (mat + mat.T))
+
+
+def _modal_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> PhiState:
+    """``run_verlet`` on the mode coordinates a = Q^T phi and a_dot = Q^T phi_dot.
+
+    The acceleration is -(Lambda/hbar)^2 a, so a step is four ufuncs on arrays
+    made once. The observer's samples are made ``_OBSERVED_BLOCK`` steps at a
+    time: each step copies Lambda a and a_dot into a block of rows, and one
+    matmul by Q^T maps the block to samples when it is full, before each sink
+    call and at the end of the run. Frames are Q a and Q a_dot, except that
+    frame 0 is the initial state itself. A state whose modal acceleration can
+    overflow raises NonFiniteSampleError before the first step.
+    """
+    grid = state.grid
+    params = state.params
+    size = grid.size
+    lam, q = _l_eigenbasis(lop, grid)
+    qt = q.T.copy()  # one mode a row: coordinates are Q^T f, and samples a Q^T
+    a = qt @ state.phi.values.reshape(size)
+    vel = qt @ state.phi_dot.values.reshape(size)
+    # each mode's acceleration peaks at |Lambda| |Psi_k| / hbar^2 over an
+    # oscillation, Psi_k = -Lambda a_k + i hbar a_dot_k. Where that overflows,
+    # the run cannot represent L(L phi), which on samples turns the state
+    # non-finite; the modes never form it, so they refuse the state here
+    peak = np.abs(lam) / params.hbar**2 * np.hypot(lam * a, params.hbar * vel)
+    if not np.isfinite(peak).all():
+        raise NonFiniteSampleError(
+            "field contains non-finite samples: the acceleration L(L phi)/hbar^2 "
+            f"overflows in {int(np.count_nonzero(~np.isfinite(peak)))} of {size} modes of L"
+        )
+    half_kick = lam**2 * (-0.5 * dt / params.hbar**2)  # -(dt/2)(Lambda/hbar)^2
+    full_dt = np.array(dt)
+    kick = a * half_kick  # what a half kick adds to a_dot
+    tmp = np.empty_like(a)
+    taken = 0
+
+    def advance(n: int) -> None:
+        nonlocal a, vel, taken
+        vel += kick
+        a += np.multiply(vel, full_dt, out=tmp)
+        np.multiply(a, half_kick, out=kick)
+        vel += kick
+        taken = n
+
+    def box() -> PhiState:
+        if not taken:
+            return state
+        return PhiState(
+            ScalarSampleField(grid, (a @ qt).reshape(grid.shape)),
+            ScalarSampleField(grid, (vel @ qt).reshape(grid.shape)),
+            params,
+            state.potential,
+        )
+
+    rows = np.empty((_OBSERVED_BLOCK, 2, size))
+    samples = np.empty((_OBSERVED_BLOCK, 2) + grid.shape)
+    first = count = 0
+
+    def watch(n: int) -> None:
+        nonlocal first, count
+        if not count:
+            first = n
+        np.multiply(a, lam, out=rows[count, 0])
+        rows[count, 1] = vel
+        count += 1
+        if count == _OBSERVED_BLOCK:
+            flush()
+
+    def flush() -> None:
+        nonlocal count
+        if not count:
+            return
+        block = samples[:count]
+        np.matmul(rows[:count].reshape(2 * count, size), qt, out=block.reshape(2 * count, size))
+        for n, (lphi, phi_dot) in enumerate(block, first):
+            observer(n, lphi, phi_dot)
+        count = 0
+
+    def record(n: int, boxed: PhiState) -> None:
+        flush()
+        sink(n, boxed)
+
+    final = drive(
+        advance, box, lambda: (), steps, snapshot_stride,
+        None if sink is None else record, None if observer is None else watch,
+    )
+    flush()
+    return final
 
 
 def to_wavefunction(state: PhiState, method: str = "spectral") -> WaveFunction:

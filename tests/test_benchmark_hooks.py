@@ -155,16 +155,16 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     assert metrics["maxwell.rk4_steps"] == 4
     assert metrics["maxwell.verlet_steps"] == 4
     assert metrics["scenario.observer_calls"] == 2 * (6 + 1) + (4 + 1) + (4 + 1)
-    # every operators.* span of the seven runs, as counted before the phi-Verlet
-    # step wrote its applies into arrays made once: among them two operators.real_l
-    # spans a step of the two 6-step phi runs, which the span around
-    # real_l_operator's closure counts only while it passes out= through. RK4 keeps
-    # its state as spectra and takes mode-wise curls between its own transforms, so
-    # the 4-step fields run no longer makes eight operators.curl spans a step (32).
-    # A-Verlet keeps (A, dA/dt) as spectra too, and neither its step nor the rows of
-    # either Maxwell kind call _potential_accel_arrays: the 4-step potential run no
-    # longer makes an operators.potential_accel span at the start and at each step (5)
-    assert metrics["operators.applies"] == 234
+    # every operators.* span of the seven runs. RK4 keeps its state as spectra and
+    # takes mode-wise curls between its own transforms, so the 4-step fields run no
+    # longer makes eight operators.curl spans a step (32). A-Verlet keeps (A, dA/dt)
+    # as spectra too, and neither its step nor the rows of either Maxwell kind call
+    # _potential_accel_arrays: the 4-step potential run no longer makes an
+    # operators.potential_accel span at the start and at each step (5). Up to
+    # DENSE_L_LIMIT points phi-Verlet steps the normal modes of L, so the two 6-step
+    # phi runs no longer make two operators.real_l spans at the start and at each
+    # step (2 x 14): each makes one, the apply to the unit vectors that builds L
+    assert metrics["operators.applies"] == 208
     # the tracer wraps dense_eigensystem by name, so the stationary eigensolve is counted
     assert metrics["schrodinger.dense_eig_calls"] == 1
 

@@ -30,12 +30,12 @@ from wavepot.operators import (
     symbols,
 )
 from wavepot.schrodinger import (
-    DENSE_L_LIMIT,
     QuantumParams,
     hamiltonian_array,
     l_operator_array,
     real_l_operator,
 )
+from wavepot.wavepotential import DENSE_L_LIMIT
 
 METHODS = ("spectral", "central2")
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavepot"
@@ -376,32 +376,26 @@ class TestOneTransformPath:
         self.same_bytes(_potential_accel_arrays(a, j, 1.7, CUBE, method), ref)
 
 
-class TestDenseSmallGridL:
-    """real_l_operator is one matvec up to DENSE_L_LIMIT points, the FFT closure above."""
-
-    @staticmethod
-    def holds_dense_matrix(lop, size):
-        cells = lop.__closure__ or ()
-        return any(getattr(cell.cell_contents, "shape", None) == (size, size) for cell in cells)
+class TestRealLOperator:
+    """real_l_operator is the FFT closure on every grid, at and above the size
+    up to which run_verlet steps L's normal modes."""
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize(
-        "grid, batch, dense",
+        "grid, batch",
         [
-            (Grid.line(DENSE_L_LIMIT, 20.0), (), True),
-            (Grid.line(2 * DENSE_L_LIMIT, 20.0), (), False),
-            (Grid((8, 16), (3.0, 5.0)), (), True),
-            (Grid.line(DENSE_L_LIMIT, 20.0), (2,), True),
+            (Grid.line(DENSE_L_LIMIT, 20.0), ()),
+            (Grid.line(2 * DENSE_L_LIMIT, 20.0), ()),
+            (Grid((8, 16), (3.0, 5.0)), ()),
+            (Grid.line(DENSE_L_LIMIT, 20.0), (2,)),
         ],
         ids=["at-cutoff", "above-cutoff", "2d-8x16", "batch"],
     )
-    def test_matches_l_operator_array(self, grid, batch, dense, method, rng):
+    def test_matches_l_operator_array(self, grid, batch, method, rng):
         f = rng.standard_normal(batch + grid.shape)
         v = rng.uniform(0.0, 3.0, grid.shape)
         params = QuantumParams(1.3, 0.7)
-        lop = real_l_operator(grid, v, params, method)
-        assert self.holds_dense_matrix(lop, grid.size) == dense
-        got = lop(f)
+        got = real_l_operator(grid, v, params, method)(f)
         assert got.shape == f.shape
         assert_close(got, l_operator_array(f, v, grid, params, method), rel=1e-13)
 
@@ -415,7 +409,7 @@ class TestDenseSmallGridL:
             (Grid.line(DENSE_L_LIMIT, 20.0), (2,)),
             (Grid.line(2 * DENSE_L_LIMIT, 20.0), (3,)),
         ],
-        ids=["dense", "fft", "dense-2d-8x16", "dense-batch", "fft-batch"],
+        ids=["at-cutoff", "above-cutoff", "2d-8x16", "batch", "batch-above-cutoff"],
     )
     def test_out_gets_the_same_bytes(self, grid, batch, method, rng):
         f = rng.standard_normal(batch + grid.shape)
@@ -426,18 +420,6 @@ class TestDenseSmallGridL:
         assert lop(f, out=buf) is buf
         assert buf.tobytes() == lop(f).tobytes()
         assert f.tobytes() == kept.tobytes()
-
-    def test_dense_matrix_starts_on_a_cache_line(self):
-        grid = Grid.line(DENSE_L_LIMIT, 20.0)
-        np.ones(1 << 20)  # freed at once: glibc then serves the matrices from its heap
-        kept = []
-        for n in range(1, 9):
-            # each live matrix and odd-sized block moves the heap for the next build
-            kept.append(np.ones(128 + 2 * n))
-            kept.append(real_l_operator(grid, np.zeros(grid.shape), QuantumParams(), "spectral"))
-        for lop in kept[1::2]:
-            cells = dict(zip(lop.__code__.co_freevars, lop.__closure__))
-            assert cells["mat"].cell_contents.ctypes.data % 64 == 0
 
 
 class TestDeadModes:

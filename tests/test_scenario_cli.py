@@ -497,8 +497,11 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("kind, text, overrides", [
         ("phi", HARMONIC_PHI, ["grid.points=16", "initial.phi=1e306*cos(2*pi*x/20)"]),
+        # 1e306 overflows L(L phi) only, 1e307 L phi itself
+        ("phi", HARMONIC_PHI, ["grid.points=16", "initial.phi=1e307*cos(2*pi*x/20)"]),
+        ("phi", HARMONIC_PHI, ["grid.points=512", "initial.phi=1e306*cos(2*pi*x/20)"]),
         ("maxwell-fields", MAXWELL, ["initial.e_y=1e307*cos(x)", "initial.b_z=1e307*cos(x)"]),
-    ], ids=["phi", "maxwell-fields"])
+    ], ids=["phi", "phi-l-overflow", "phi-sampled", "maxwell-fields"])
     def test_overflowing_state_exit_two(self, tmp_path, capsys, kind, text, overrides):
         # finite initial data whose evolution overflows: a numerical failure, not a usage error
         p = write(tmp_path, "a.scn", text)
@@ -555,32 +558,39 @@ class TestCli:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
-        # grids up to DENSE_L_LIMIT points step phi through a BLAS matvec, and the
-        # thread count must not move a bit. Expression initial data: the dense
-        # eigensolve behind stationary data is not bit-stable across thread counts.
-        scn = write(tmp_path, "a.scn", HARMONIC_PHI.replace("points = 64", "points = 256"))
+        # on grids up to DENSE_L_LIMIT points phi steps in L's eigenbasis, from a dense
+        # eigensolve, and stationary data come from another: neither may move a bit
+        # with the thread count, whatever OPENBLAS_NUM_THREADS says
+        harmonic = HARMONIC_PHI.replace("points = 64", "points = 256")
+        stationary = harmonic.replace(
+            "type = expressions\nphi = cos(2*pi*x/20)\nphi_dot = 0",
+            "type = stationary\nmode = 2\ntime = 0.3",
+        )
+        assert stationary != harmonic
         src = str(SCENARIO_DIR.parent / "src")
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "wavepot.cli", "phi",
-                    "--scenario", str(scn), "--out", str(out),
-                    "--override", "integrator.steps=300",
-                    "--override", "integrator.snapshot_stride=100",
-                ],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs.append(out)
-        for name in ("snapshots.wps", "diagnostics.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        for initial, text in (("expressions", harmonic), ("stationary", stationary)):
+            scn = write(tmp_path, f"{initial}.scn", text)
+            outs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{initial}-threads{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                proc = subprocess.run(
+                    [
+                        sys.executable, "-m", "wavepot.cli", "phi",
+                        "--scenario", str(scn), "--out", str(out),
+                        "--override", "integrator.steps=300",
+                        "--override", "integrator.snapshot_stride=100",
+                    ],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outs.append(out)
+            for name in ("snapshots.wps", "diagnostics.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (initial, name)
 
     def test_random_initial_data_seeded(self, tmp_path):
         text = HARMONIC_PHI.replace(

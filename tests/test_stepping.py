@@ -1,11 +1,12 @@
-"""The one time-step gate of the four integrators, ``stepping.check_dt``."""
+"""The one time-step gate of the four integrators, ``stepping.check_dt``, and the
+BLAS thread pin of the dense eigensolves, ``stepping.one_blas_thread``."""
 
 import re
 
 import numpy as np
 import pytest
 
-from wavepot import maxwell, schrodinger, wavepotential
+from wavepot import maxwell, schrodinger, stepping, wavepotential
 from wavepot.errors import StabilityError
 from wavepot.grids import ComplexSampleField, Grid, ScalarSampleField, VectorSampleField3
 from wavepot.maxwell import EMState, PotentialState, SourceSpec
@@ -62,3 +63,28 @@ def test_dt_over_the_budget_raises_stability_error(name, budget, scheme):
     text = f"dt={dt:g} exceeds the {scheme} budget {budget:g}"
     with pytest.raises(StabilityError, match=re.escape(text)):
         RUNS[name](dt, None)
+
+
+def test_one_blas_thread_pins_and_restores_the_count():
+    controls = stepping._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy loaded no OpenBLAS")
+    before = [get_threads() for _, get_threads in controls]
+    try:
+        for set_threads, _ in controls:
+            set_threads(2)
+        with stepping.one_blas_thread():
+            assert [get_threads() for _, get_threads in controls] == [1] * len(controls)
+        assert [get_threads() for _, get_threads in controls] == [2] * len(controls)
+        with pytest.raises(ZeroDivisionError), stepping.one_blas_thread():
+            1 / 0
+        assert [get_threads() for _, get_threads in controls] == [2] * len(controls)
+    finally:
+        for (set_threads, _), count in zip(controls, before):
+            set_threads(count)
+
+
+def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
+    monkeypatch.setattr(stepping, "_openblas_thread_controls", lambda: ())
+    with stepping.one_blas_thread():
+        assert np.linalg.eigh(np.eye(3))[0].tolist() == [1.0, 1.0, 1.0]

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import band_limited
-from wavepot.errors import GaugeError, StabilityError
+from wavepot.errors import GaugeError, NonFiniteSampleError, StabilityError
 from wavepot.grids import ComplexSampleField, Grid, ScalarSampleField, l2_norm, max_norm
 from wavepot.schrodinger import (
     PotentialSpec,
@@ -12,11 +12,16 @@ from wavepot.schrodinger import (
     dense_eigensystem,
     eigenpairs_small,
     exact_propagate_small,
+    hamiltonian_array,
     max_energy_bound,
     real_l_operator,
 )
+from wavepot.stepping import frame_steps
 from wavepot.wavepotential import (
+    _OBSERVED_BLOCK,
+    DENSE_L_LIMIT,
     PhiState,
+    _l_eigenbasis,
     energy_density,
     gauge_shift,
     lagrangian_density,
@@ -143,9 +148,10 @@ class TestVerlet:
 
 
 def allocating_verlet(state, dt, steps, method):
-    """Kick-drift-kick written out with a new array per operation: the reference
-    run_verlet's in-place step must match byte for byte. Returns the (step, L phi,
-    phi_dot) the observer should see at every step and the final (phi, phi_dot)."""
+    """Kick-drift-kick on samples, written out with a new array per operation and
+    L through the FFT closure: above DENSE_L_LIMIT points run_verlet's in-place
+    step must match it byte for byte. Returns the (step, L phi, phi_dot) the
+    observer should see at every step and the final (phi, phi_dot)."""
     lop = real_l_operator(state.grid, state.potential.sampled.values, state.params, method)
     neg_inv_hbar2 = -1.0 / state.params.hbar**2
     phi, vel = state.phi.values.copy(), state.phi_dot.values.copy()
@@ -160,6 +166,41 @@ def allocating_verlet(state, dt, steps, method):
         vel = vel + 0.5 * dt * accel
         seen.append((n, lphi.tobytes(), vel.tobytes()))
     return seen, (phi.tobytes(), vel.tobytes())
+
+
+def allocating_modal_verlet(state, dt, steps, stride, method):
+    """The same scheme on the coordinates a = Q^T phi, a_dot = Q^T phi_dot in L's
+    eigenbasis, written out with a new array per operation: up to DENSE_L_LIMIT
+    points run_verlet must match it byte for byte, with a sink at every
+    ``stride`` steps. The observed samples are rows of (Lambda a, a_dot) mapped
+    by one matmul by Q^T a block, the blocks ending where run_verlet's do: when
+    full and at each recorded step. Returns what the observer should see and
+    the final (phi, phi_dot)."""
+    grid = state.grid
+    lop = real_l_operator(grid, state.potential.sampled.values, state.params, method)
+    lam, q = _l_eigenbasis(lop, grid)
+    qt = q.T.copy()
+    half_kick = lam**2 * (-0.5 * dt / state.params.hbar**2)
+    a = qt @ state.phi.values.reshape(grid.size)
+    vel = qt @ state.phi_dot.values.reshape(grid.size)
+    recorded = set(frame_steps(steps, stride))
+    seen, pending = [], []
+    for n in range(steps + 1):
+        if n:
+            vel = vel + a * half_kick
+            a = a + vel * dt
+            vel = vel + a * half_kick
+        pending.append(np.stack([lam * a, vel]))
+        if len(pending) == _OBSERVED_BLOCK or n in recorded:
+            block = (np.stack(pending).reshape(-1, grid.size) @ qt).reshape(-1, 2, grid.size)
+            first = n + 1 - len(pending)
+            seen += [(first + k, lphi.tobytes(), v.tobytes()) for k, (lphi, v) in enumerate(block)]
+            pending = []
+    return seen, ((a @ qt).tobytes(), (vel @ qt).tobytes())
+
+
+def relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
 class TestInPlaceVerlet:
@@ -178,7 +219,10 @@ class TestInPlaceVerlet:
         params = QuantumParams(0.9, 1.1)
         st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng), params)
         dt = stable_dt(V, params, method)
-        seen, last = allocating_verlet(st0, dt, 500, method)
+        if grid.size <= DENSE_L_LIMIT:
+            seen, last = allocating_modal_verlet(st0, dt, 500, 100, method)
+        else:
+            seen, last = allocating_verlet(st0, dt, 500, method)
         observed, frames = [], {}
 
         def observer(step, lphi, vel):
@@ -190,8 +234,123 @@ class TestInPlaceVerlet:
         final = run_verlet(st0, dt, 500, sink=sink, snapshot_stride=100, method=method,
                            observer=observer)
         assert observed == seen
+        assert frames[0] == (st0.phi.values.tobytes(), st0.phi_dot.values.tobytes())
         assert frames[500] == last == (final.phi.values.tobytes(), final.phi_dot.values.tobytes())
         assert sorted(frames) == [0, 100, 200, 300, 400, 500]
+
+
+SMALL_GRIDS = pytest.mark.parametrize(
+    "grid, v",
+    [
+        (Grid.line(256, 20.0), "0.5*(x-10)^2"),
+        (Grid((8, 16), (3.0, 5.0)), "1 + cos(2*pi*x/3)*sin(2*pi*y/5)"),
+        (Grid((4, 8, 8), (2.0, 3.0, 4.0)), "1 + cos(2*pi*x/2)*sin(2*pi*z/4) + y"),
+    ],
+    ids=["1d-256", "2d-8x16", "3d-4x8x8"],
+)
+
+
+class TestModalVerlet:
+    """Up to DENSE_L_LIMIT points run_verlet steps the normal modes of L."""
+
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @SMALL_GRIDS
+    def test_eigenbasis_diagonalises_the_closure(self, grid, v, method, rng):
+        V = PotentialSpec.from_expression(v, grid)
+        params = QuantumParams(1.3, 0.7)
+        lop = real_l_operator(grid, V.sampled.values, params, method)
+        lam, q = _l_eigenbasis(lop, grid)
+        assert np.all(np.diff(lam) >= 0)
+        assert np.max(np.abs(q.T @ q - np.eye(grid.size))) <= 1e-13
+        f = rng.standard_normal((3,) + grid.shape)
+        rebuilt = ((f.reshape(3, -1) @ q) * lam) @ q.T
+        assert relative_gap(rebuilt, lop(f).reshape(3, -1)) <= 1e-13
+
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @SMALL_GRIDS
+    def test_agrees_with_the_sampled_verlet(self, grid, v, method, rng):
+        # the same kick-drift-kick through the FFT closure on the samples
+        V = PotentialSpec.from_expression(v, grid)
+        params = QuantumParams(0.9, 1.1)
+        st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng), params)
+        dt = stable_dt(V, params, method)
+        seen, (phi_ref, vel_ref) = allocating_verlet(st0, dt, 500, method)
+        observed = []
+        final = run_verlet(st0, dt, 500, sink=None, method=method,
+                           observer=lambda n, lphi, vel: observed.append((n, lphi.copy(), vel.copy())))
+        assert [n for n, *_ in observed] == list(range(501))
+        as_array = lambda b: np.frombuffer(b).reshape(grid.shape)
+        assert relative_gap(final.phi.values, as_array(phi_ref)) <= 1e-12
+        assert relative_gap(final.phi_dot.values, as_array(vel_ref)) <= 1e-12
+        for (n, lphi, vel), (_, lphi_ref, vel_ref) in zip(observed, seen):
+            assert relative_gap(lphi, as_array(lphi_ref)) <= 1e-12, n
+            assert relative_gap(vel, as_array(vel_ref)) <= 1e-12, n
+
+    def test_zero_steps_return_the_initial_state(self, rng):
+        grid = Grid.line(64, 20.0)
+        V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
+        st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng))
+        frames = {}
+        final = run_verlet(st0, stable_dt(V, PARAMS), 0, sink=frames.__setitem__)
+        for state in (final, frames[0]):
+            assert state.phi.values.tobytes() == st0.phi.values.tobytes()
+            assert state.phi_dot.values.tobytes() == st0.phi_dot.values.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("phi_scale, vel_scale", [(1e306, 0.0), (0.0, 1e307)],
+                             ids=["displaced", "kicked"])
+    def test_overflowing_acceleration_refused(self, phi_scale, vel_scale):
+        # L(L phi) of the kicked state is 0 at first, but overflows a quarter period on
+        grid = Grid.line(16, 20.0)
+        V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
+        shape = np.cos(2 * np.pi * grid.axis_coordinates(0) / 20.0)
+        st0 = make_state(grid, V, phi_scale * shape, vel_scale * shape)
+        frames = {}
+        with pytest.raises(NonFiniteSampleError, match=r"overflows in \d+ of 16 modes of L"):
+            run_verlet(st0, stable_dt(V, PARAMS), 10, sink=frames.__setitem__)
+        assert not frames
+        # a thousandth of it overflows nothing the step forms
+        small = make_state(grid, V, 1e-3 * phi_scale * shape, 1e-3 * vel_scale * shape)
+        final = run_verlet(small, stable_dt(V, PARAMS), 10, sink=None)
+        assert np.isfinite(final.phi.values).all() and np.isfinite(final.phi_dot.values).all()
+
+
+class TestLeapfrogOnPsi:
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @pytest.mark.parametrize(
+        "grid, v",
+        [
+            (Grid.line(256, 20.0), "0.5*(x-10)^2 + 3*cos(x)"),
+            (Grid((8, 16), (3.0, 5.0)), "1 + cos(2*pi*x/3)*sin(2*pi*y/5)"),
+            (Grid((4, 8, 8), (2.0, 3.0, 4.0)), "1 + cos(2*pi*x/2)*sin(2*pi*z/4) + y"),
+            (Grid((16, 32), (3.0, 5.0)), "1 + cos(2*pi*x/3)*sin(2*pi*y/5)"),
+        ],
+        ids=["modal-1d-256", "modal-2d-8x16", "modal-3d-4x8x8", "sampled-2d-16x32"],
+    )
+    def test_forward_map_commutes_with_stepping(self, grid, v, method, rng):
+        # with q = -L phi = Re Psi and p = hbar phi_dot = Im Psi, kick-drift-kick on phi
+        # is the symplectic leapfrog on (Re Psi, Im Psi) (Gray & Verosky, J. Chem. Phys.
+        # 100, 5011 (1994)): p -= (h/2 hbar) H q; q += (h/hbar) H p; p -= (h/2 hbar) H q
+        V = PotentialSpec.from_expression(v, grid)
+        params = QuantumParams(1.3, 0.7)
+        st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng), params)
+        h = stable_dt(V, params, method)
+        frames = {}
+        run_verlet(st0, h, 200, sink=frames.__setitem__, snapshot_stride=50, method=method)
+        psi = to_wavefunction(st0, method).psi.values
+        q, p = psi.real, psi.imag
+        kick, drift = 0.5 * h / params.hbar, h / params.hbar
+
+        def ham(f):
+            return hamiltonian_array(f, V.sampled.values, grid, params, method)
+
+        for n in range(1, 201):
+            p = p - kick * ham(q)
+            q = q + drift * ham(p)
+            p = p - kick * ham(q)
+            if n in frames:
+                mapped = to_wavefunction(frames[n], method).psi.values
+                assert relative_gap(mapped, q + 1j * p) <= 1e-12, n
 
 
 class TestVerletModifiedNorm:
