@@ -15,11 +15,11 @@ the checked claims). The second-order vector potential obeys
 
 integrated with velocity-Verlet exactly like the wave potential, on the spectra
 of A and dA/dt, and maps to fields through B = curl A, E = -(1/c) dA/dt. Both
-integrators hand their observer the state's half spectrum and make samples
-only for the sink; ``modal_diagnostics`` reads a diagnostics row off that
-spectrum. The complex combination B + i E (Riemann-Silberstein vector)
-repackages the first-order system into one equation whose residual must vanish
-identically.
+integrators hand their observer blocks of the state's half spectrum and make
+samples only for a frame or the returned state; ``modal_diagnostics`` reads a
+diagnostics row off each spectrum. The complex combination B + i E
+(Riemann-Silberstein vector) repackages the first-order system into one
+equation whose residual must vanish identically.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .operators import (
     modes,
     symbols,
 )
-from .stepping import State, check_dt, drive
+from .stepping import check_dt, drive
 
 __all__ = [
     "EMState",
@@ -281,21 +281,22 @@ def run_rk4(
     sink: Callable[[int, EMState], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
-    observer: Callable[[int, np.ndarray], None] | None = None,
+    observer: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> EMState:
     """Classical RK4 from t=0; see ``stepping.drive``.
 
     The state is the half spectrum of (E, B), transformed once at the start,
     so a stage is mode-wise arithmetic. The current's spectrum comes from
     ``SourceSpec.current_modes`` at the substage times; j(t + dt/2) serves
-    stages 2 and 3. The observer sees the spectrum, E and B stacked on axis 0; see
-    ``_drive_spectrum`` for the samples the sink gets.
+    stages 2 and 3. The observer sees blocks of the spectrum, E and B stacked
+    on axis 0. The fields are sampled by one inverse transform of the
+    spectrum, and only for a frame or the returned state; frame 0 is the
+    initial state itself.
     """
     grid = state.grid
     check_dt(dt, rk4_dt_bound(grid, state.c), "RK4 CFL")
     c = state.c
-    samples = np.stack((state.e.values, state.b.values))
-    spectrum = modes(samples, grid, method)
+    spectrum = modes(np.stack((state.e.values, state.b.values)), grid, method)
     hat, sym = spectrum.hat, spectrum.sym
 
     def current(t: float) -> np.ndarray:
@@ -311,46 +312,13 @@ def run_rk4(
         k4 = _em_rhs_modes(hat + dt * k3, j1, c, sym)
         hat += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # in place: it is spectrum.hat
 
-    def boxed(e: np.ndarray, b: np.ndarray) -> EMState:
+    def box() -> EMState:
+        e, b = from_modes(spectrum)
         return EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), c)
 
-    return _drive_spectrum(
-        advance, spectrum, samples, boxed, steps, snapshot_stride, sink, observer
+    return drive(
+        advance, box, lambda: (spectrum.hat,), state, steps, snapshot_stride, sink, observer
     )
-
-
-def _drive_spectrum(
-    advance: Callable[[int], None],
-    spectrum: Modes,
-    samples: np.ndarray,
-    boxed: Callable[[np.ndarray, np.ndarray], State],
-    steps: int,
-    snapshot_stride: int,
-    sink: Callable[[int, State], None] | None,
-    observer: Callable[[int, np.ndarray], None] | None,
-) -> State:
-    """``stepping.drive`` for a state kept as ``spectrum``, which ``advance`` steps in place.
-
-    The observer sees ``spectrum.hat`` itself. The two halves of the samples
-    are made by one inverse transform, and only when the sink or the returned
-    state asks for a step that has not been transformed yet; ``samples``, those
-    of the initial state, serve frame 0 bit for bit.
-    """
-    fresh = True  # whether samples holds the state of the last step
-
-    def step(n: int) -> None:
-        nonlocal fresh
-        advance(n)
-        fresh = False
-
-    def box() -> State:
-        # a step replaces samples rather than write into it, so its arrays need no copy
-        nonlocal samples, fresh
-        if not fresh:
-            samples, fresh = from_modes(spectrum), True
-        return boxed(samples[0], samples[1])
-
-    return drive(step, box, lambda: (spectrum.hat,), steps, snapshot_stride, sink, observer)
 
 
 def constraint_residual(state: EMState, rho: ScalarSampleField, method: str = "spectral") -> tuple[float, float]:
@@ -430,21 +398,21 @@ def run_potential_verlet(
     sink: Callable[[int, PotentialState], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
-    observer: Callable[[int, np.ndarray], None] | None = None,
+    observer: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> PotentialState:
     """Velocity-Verlet of the potential dynamics from t=0; see ``stepping.drive``.
 
     The state is the half spectrum of (A, dA/dt), transformed once at the
     start, so a kick is mode-wise arithmetic; each step takes the spectrum of
-    J(n dt) from ``SourceSpec.current_modes``. The observer sees the spectrum,
-    A and dA/dt stacked on axis 0; see ``_drive_spectrum`` for the samples the
-    sink gets.
+    J(n dt) from ``SourceSpec.current_modes``. The observer sees blocks of the
+    spectrum, A and dA/dt stacked on axis 0. The potential is sampled by one
+    inverse transform of the spectrum, and only for a frame or the returned
+    state; frame 0 is the initial state itself.
     """
     grid = state.grid
     check_dt(dt, potential_dt_bound(grid, state.c), "potential Verlet")
     c = state.c
-    samples = np.stack((state.a.values, state.a_dot.values))
-    spectrum = modes(samples, grid, method)
+    spectrum = modes(np.stack((state.a.values, state.a_dot.values)), grid, method)
     a, vel = spectrum.hat  # views: the kicks and drifts below step spectrum.hat in place
 
     def accel(t: float) -> np.ndarray:
@@ -460,13 +428,14 @@ def run_potential_verlet(
         acc = accel(n * dt)
         vel += 0.5 * dt * acc
 
-    def boxed(a_values: np.ndarray, vel_values: np.ndarray) -> PotentialState:
+    def box() -> PotentialState:
+        a_values, vel_values = from_modes(spectrum)
         return PotentialState(
             VectorSampleField3(grid, a_values), VectorSampleField3(grid, vel_values), c
         )
 
-    return _drive_spectrum(
-        advance, spectrum, samples, boxed, steps, snapshot_stride, sink, observer
+    return drive(
+        advance, box, lambda: (spectrum.hat,), state, steps, snapshot_stride, sink, observer
     )
 
 
@@ -517,8 +486,9 @@ def modal_diagnostics(
     """(H', constraint residual, max |div B|) of a state given as its half spectrum.
 
     ``hat`` stacks the half spectra of (E, B) on axis 0, or with ``potential``
-    those of (A, dA/dt), as ``run_rk4`` and ``run_potential_verlet`` hand them
-    to their observer; the potential's fields are E = -(dA/dt)/c and B = curl A.
+    those of (A, dA/dt), as one step of the blocks ``run_rk4`` and
+    ``run_potential_verlet`` hand their observer; the potential's fields are
+    E = -(dA/dt)/c and B = curl A.
     The residual is max |div E - rho| for the fields and max |div(dA/dt) + c rho|
     for the potential. H' = Int (c/2)(E^2 + B^2) comes from Parseval's identity,
     and the two divergences from one inverse transform, to which rho is added

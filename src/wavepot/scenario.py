@@ -418,11 +418,13 @@ class RunReport:
     out_dir: Path
     monitor_peaks: dict[str, float]
     summary: dict
+    non_finite: str | None  # where a diagnostics or report value was first not finite, if one was
 
 
 def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
     """Execute a scenario into ``out_dir``; raises MonitorError after writing
-    outputs if a configured ceiling was exceeded."""
+    outputs if a configured ceiling was exceeded or a value written to
+    ``diagnostics.csv`` or ``report.csv`` is not finite."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = KIND[scenario.kind].run(scenario, out_dir)
@@ -432,6 +434,8 @@ def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
         for name, ceiling in scenario.monitors.items()
         if not peaks[name] <= ceiling  # a NaN peak exceeds every ceiling
     ]
+    if report.non_finite is not None:
+        violations.insert(0, report.non_finite)
     if violations:
         raise MonitorError("; ".join(violations))
     return report
@@ -439,14 +443,6 @@ def run(scenario: Scenario, out_dir: str | Path) -> RunReport:
 
 def _vectors(grid: Grid, a: list) -> tuple[VectorSampleField3, VectorSampleField3]:
     return VectorSampleField3(grid, np.stack(a[:3])), VectorSampleField3(grid, np.stack(a[3:]))
-
-
-# The byte cap of the buffers that hold observed arrays until their diagnostics
-# are computed as one block. On small grids a step's diagnostics cost more in
-# per-call overhead than in arithmetic, and a block pays that overhead once. The
-# cap bounds the memory the buffers add to a run; 256 KiB gives 64 steps a block
-# on a 256-point phi grid and one on a 16^3 Maxwell grid.
-_DIAG_BLOCK_BYTES = 256 * 1024
 
 
 class _MonitoredWriter(DiagnosticsWriter):
@@ -459,7 +455,9 @@ class _MonitoredWriter(DiagnosticsWriter):
     first value leaves it at 0); any other monitor at its column's largest
     value. Every peak starts at 0. A NaN or infinity in a watched column makes
     that monitor's peak NaN for the rest of the run, and ``run`` counts a NaN
-    peak as over every ceiling.
+    peak as over every ceiling. ``non_finite`` names the first value in any
+    column that is not finite, by its column and its row's first cell (the
+    step or frame), and is None while there is none; ``run`` fails on it.
     """
 
     def __init__(self, path: Path, columns, monitors: dict[str, str]):
@@ -468,9 +466,18 @@ class _MonitoredWriter(DiagnosticsWriter):
         self.drifts = {name: i for name, i in self.watched.items() if name.endswith("_drift")}
         self.peaks = dict.fromkeys(monitors, 0.0)
         self.first = None
+        self.non_finite = None
 
     def write_rows(self, columns) -> None:
         super().write_rows(columns)
+        if self.non_finite is None:
+            # rows by columns; argmax finds the first row with a bad value, then its column
+            bad = ~np.isfinite(np.array([np.asarray(c, dtype=float) for c in columns]).T)
+            if bad.any():
+                row, i = divmod(int(np.argmax(bad)), len(columns))
+                self.non_finite = (
+                    f"{self.columns[i]} is not finite at {self.columns[0]} {columns[0][row]}"
+                )
         if self.first is None:
             self.first = {i: float(columns[i][0]) for i in self.drifts.values()}
         for name, i in self.watched.items():
@@ -495,13 +502,12 @@ class _MonitoredWriter(DiagnosticsWriter):
 def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     """Step any evolving kind, streaming frames and diagnostics rows to disk.
 
-    Sources must pass the continuity gate first. The integrator's observed
-    arrays of consecutive steps (samples for the quantum kinds, the state's
-    half spectrum for the Maxwell kinds) are copied into one ``(K, *shape)``
-    buffer each, K from ``_DIAG_BLOCK_BYTES``; when the buffers fill, and at
-    the last step, the kind's ``observe(times, *blocks)`` turns them into its
-    diagnostics columns and the block is written at once. The summary holds
-    the first-row value of each drift monitor's column.
+    Sources must pass the continuity gate first. The integrator hands its
+    observed arrays (samples for the quantum kinds, the state's half spectrum
+    for the Maxwell kinds) a block of steps at a time (``stepping.drive``), and
+    the kind's ``observe(times, *blocks)`` turns each block into its
+    diagnostics columns, written at once. The summary holds the first-row
+    value of each drift monitor's column.
     """
     kind = scenario.kind
     spec = KIND[kind]
@@ -509,21 +515,10 @@ def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     dt, steps, stride = scenario.dt, scenario.steps, scenario.snapshot_stride
     if scenario.sources is not None:
         scenario.sources.validate_continuity(scenario.grid, dt, steps * dt, scenario.backend)
-    blocks = []
-    rows = 0
 
-    def observer(step: int, *arrays: np.ndarray) -> None:
-        nonlocal rows
-        if not blocks:
-            rows = min(max(1, _DIAG_BLOCK_BYTES // sum(a.nbytes for a in arrays)), steps + 1)
-            blocks.extend(np.empty((rows, *a.shape), a.dtype) for a in arrays)
-        k = step % rows  # the observer sees steps 0, 1, ..., steps in order
-        for block, a in zip(blocks, arrays):
-            block[k] = a
-        if k == rows - 1 or step == steps:
-            block_steps = np.arange(step - k, step + 1)
-            times = block_steps * dt
-            diag.write_rows([block_steps, times, *observe(times, *(b[: k + 1] for b in blocks))])
+    def observer(block_steps: np.ndarray, *blocks: np.ndarray) -> None:
+        times = block_steps * dt
+        diag.write_rows([block_steps, times, *observe(times, *blocks)])
 
     with SnapshotWriter(
         out_dir / SNAPSHOT_FILE,
@@ -542,7 +537,7 @@ def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
             scenario, state, sink=lambda n, recorded: snap.write_frame(spec.to_arrays(recorded)),
             snapshot_stride=stride, method=scenario.backend, observer=observer,
         )
-    return RunReport(kind, out_dir, diag.peaks, diag.baselines())
+    return RunReport(kind, out_dir, diag.peaks, diag.baselines(), diag.non_finite)
 
 
 def _rows(block: np.ndarray) -> np.ndarray:
@@ -701,7 +696,7 @@ def _write_diffs(kind, out_dir, times, pairs, vol, columns, prefix, summary) -> 
         summary = {**summary, **{prefix + name: peak for name, peak in rep.peaks.items()}}
         with StagedFile(out_dir / SUMMARY_FILE) as out:
             out.tmp.write_text(json.dumps(summary, sort_keys=True) + "\n")
-    return RunReport(kind, out_dir, rep.peaks, summary)
+    return RunReport(kind, out_dir, rep.peaks, summary, rep.non_finite)
 
 
 def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:

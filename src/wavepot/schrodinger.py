@@ -319,11 +319,11 @@ def propagate_cn(
     sink: Callable[[int, WaveFunction], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
-    observer: Callable[[int, np.ndarray], None] | None = None,
+    observer: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> WaveFunction:
     """Cayley steps through ``crank_nicolson_step``; see ``stepping.drive``.
 
-    The observer sees the raw Psi samples.
+    The observer sees blocks of the raw Psi samples.
     """
     current = psi
 
@@ -332,7 +332,7 @@ def propagate_cn(
         current = crank_nicolson_step(current, V, dt, method)
 
     return drive(
-        advance, lambda: current, lambda: (current.psi.values,),
+        advance, lambda: current, lambda: (current.psi.values,), psi,
         steps, snapshot_stride, sink, observer,
     )
 

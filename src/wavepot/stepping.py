@@ -6,10 +6,12 @@ pass their dt through ``check_dt`` and write their scheme once, as an
 arrays where the scheme allows), for ``drive``. All four take ``steps`` and
 the keywords ``sink``, ``snapshot_stride``, ``method`` and ``observer``, and
 return the final state, so ``steps=1`` is a single step. Frames reach the sink
-as soon as they exist; no run holds more than one. Under glibc the first
-``drive`` of a process keeps freed heap for reuse, so steps do not fault their
-temporaries in again. ``one_blas_thread`` runs the dense eigensolves, whose
-bytes depend on OpenBLAS's thread count, on one thread.
+as soon as they exist; no run holds more than one. The observer sees each
+step's observed arrays a block of steps at a time, in blocks of at most
+``_OBSERVED_BLOCK_BYTES``. Under glibc the first ``drive`` of a process keeps
+freed heap for reuse, so steps do not fault their temporaries in again.
+``one_blas_thread`` runs the dense eigensolves, whose bytes depend on
+OpenBLAS's thread count, on one thread.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import os
 from contextlib import contextmanager
 from functools import cache
 from typing import Callable, TypeVar
+
+import numpy as np
 
 from .errors import StabilityError
 
@@ -49,6 +53,12 @@ _OPENBLAS_THREADS = [
     for prefix in ("scipy_", "")
     for suffix in ("64_", "")
 ]
+# The byte cap of the blocks in which ``drive`` hands observed steps to the
+# observer. On small grids a step's diagnostics cost more in per-call overhead
+# than in arithmetic, and a block pays that overhead once. The cap bounds the
+# memory the blocks add to a run; 256 KiB gives 64 steps a block on a
+# 256-point phi grid and one on a 16^3 Maxwell grid.
+_OBSERVED_BLOCK_BYTES = 256 * 1024
 
 
 def frame_steps(steps: int, snapshot_stride: int) -> list[int]:
@@ -132,34 +142,60 @@ def drive(
     advance: Callable[[int], None],
     box: Callable[[], State],
     observed: Callable[[], tuple],
+    initial: State,
     steps: int,
     snapshot_stride: int,
     sink: Callable[[int, State], None] | None,
     observer: Callable[..., None] | None,
 ) -> State:
-    """Call ``advance(n)`` for n = 1..steps and return the boxed final state.
+    """Call ``advance(n)`` for n = 1..steps and return the final state.
 
-    ``observer(n, *observed())`` runs after every step and once for n = 0;
-    ``sink(n, box())`` runs at each of ``frame_steps(steps, snapshot_stride)``,
-    after the observer of that step. Either may be None. ``box`` must return
-    arrays that later steps leave alone: a copy, or arrays no step writes into.
-    The observed arrays are the integrator's working state, which the next
-    step overwrites: samples for the quantum integrators (L phi and phi_dot,
-    or Psi), and for both Maxwell integrators the half spectrum of the state
-    itself, so that a diagnostics row costs no transform of the state.
-    Modal phi-Verlet observes nothing here: its own observer stores each
-    step's mode coordinates and hands samples on a block at a time.
+    ``sink(n, state)`` runs at each of ``frame_steps(steps, snapshot_stride)``:
+    with ``initial`` itself at step 0, and with ``box()`` at the others, which
+    runs once per recorded step and only when there is a sink or the step is
+    the last one, whose state is returned (``initial`` when ``steps`` is 0).
+    ``box`` must return arrays that later steps leave alone: a copy, or arrays
+    no step writes into.
+
+    ``observed()`` is read for step 0 and after every step, and its arrays are
+    copied into one block each, the steps on a new leading axis. A block holds
+    at most ``_OBSERVED_BLOCK_BYTES`` (one step if a step is larger) and at
+    most ``steps + 1`` steps. ``observer(ns, *blocks)`` runs when the blocks are
+    full and after the last step, with ``ns`` the block's step numbers, so it
+    sees every step once and in order, though possibly after the sink of that
+    step; the next block is written into the same arrays. The observed arrays
+    are the integrator's working state: samples for the quantum integrators
+    (L phi and phi_dot, or Psi; modal phi-Verlet maps its block of mode
+    coordinates to samples first), and for both Maxwell integrators the half
+    spectrum of the state itself, so that a diagnostics row costs no transform
+    of the state. Either callback may be None.
     """
     _keep_freed_heap()
     if observer is not None:
-        observer(0, *observed())
-    n = 0
-    for target in frame_steps(steps, snapshot_stride):
+        arrays = observed()
+        rows = min(max(1, _OBSERVED_BLOCK_BYTES // sum(a.nbytes for a in arrays)), steps + 1)
+        blocks = [np.empty((rows, *a.shape), a.dtype) for a in arrays]
+
+    def watch(n: int) -> None:
+        k = n % rows  # steps arrive as 0, 1, ..., steps
+        for block, a in zip(blocks, observed()):
+            block[k] = a
+        if k == rows - 1 or n == steps:
+            observer(np.arange(n - k, n + 1), *(block[: k + 1] for block in blocks))
+
+    if observer is not None:
+        watch(0)
+    if sink is not None:
+        sink(0, initial)
+    state, n = initial, 0
+    for target in frame_steps(steps, snapshot_stride)[1:]:
         while n < target:
             n += 1
             advance(n)
             if observer is not None:
-                observer(n, *observed())
-        if sink is not None:
-            sink(n, box())
-    return box()
+                watch(n)
+        if sink is not None or n == steps:
+            state = box()
+            if sink is not None:
+                sink(n, state)
+    return state

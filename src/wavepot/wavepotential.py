@@ -63,11 +63,6 @@ _GAUGE_TOL = 1e-10
 # timed at run time, so that the bytes a run writes do not depend on the
 # machine.
 DENSE_L_LIMIT = 256
-# Observed steps a modal run keeps as rows of mode coordinates (Lambda a and
-# a_dot) before one matmul by Q^T maps the block to samples: 256 KiB of rows on
-# a 256-point grid. Measured there on one BLAS thread, the matmul costs about
-# 2 us a row at 64 steps a block, 3-4 us at 32 and 7 us as a matvec.
-_OBSERVED_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,7 @@ def run_verlet(
     sink: Callable[[int, PhiState], None] | None,
     snapshot_stride: int = 1,
     method: str = "spectral",
-    observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    observer: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> PhiState:
     """Kick-drift-kick velocity-Verlet, driven by ``stepping.drive``. Refuses
     unstable dt, and on the modes a state whose acceleration overflows.
@@ -133,9 +128,8 @@ def run_verlet(
     of phi and phi_dot in L's orthonormal eigenbasis, and a step is O(N);
     above it, the samples, with L applied through ``real_l_operator``. Both
     are the same scheme, so their trajectories agree to roundoff. The
-    observer sees L(phi) and phi_dot samples at every step, in order and
-    before the sink of that step; both are arrays a later step overwrites. A
-    step allocates nothing.
+    observer sees blocks of L(phi) and phi_dot samples, every step once and
+    in order; see ``stepping.drive``. On the samples a step allocates nothing.
     """
     params = state.params
     emax = max_energy_bound(state.potential, params, method)
@@ -178,7 +172,7 @@ def _sampled_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> P
             state.potential,
         )
 
-    return drive(advance, box, lambda: (lphi, vel), steps, snapshot_stride, sink, observer)
+    return drive(advance, box, lambda: (lphi, vel), state, steps, snapshot_stride, sink, observer)
 
 
 def _l_eigenbasis(lop, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -200,20 +194,19 @@ def _modal_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> Phi
     """``run_verlet`` on the mode coordinates a = Q^T phi and a_dot = Q^T phi_dot.
 
     The acceleration is -(Lambda/hbar)^2 a, so a step is four ufuncs on arrays
-    made once. The observer's samples are made ``_OBSERVED_BLOCK`` steps at a
-    time: each step copies Lambda a and a_dot into a block of rows, and one
-    matmul by Q^T maps the block to samples when it is full, before each sink
-    call and at the end of the run. Frames are Q a and Q a_dot, except that
-    frame 0 is the initial state itself. A state whose modal acceleration can
-    overflow raises NonFiniteSampleError before the first step.
+    made once. ``drive`` observes (a, a_dot) as one (2, N) array; a block of k
+    steps becomes samples by scaling its a rows by Lambda and one matmul of
+    the stacked (2k, N) rows by Q^T. Frames are Q a and Q a_dot. A state whose
+    modal acceleration can overflow raises NonFiniteSampleError before the
+    first step.
     """
     grid = state.grid
     params = state.params
     size = grid.size
     lam, q = _l_eigenbasis(lop, grid)
     qt = q.T.copy()  # one mode a row: coordinates are Q^T f, and samples a Q^T
-    a = qt @ state.phi.values.reshape(size)
-    vel = qt @ state.phi_dot.values.reshape(size)
+    coords = np.stack([qt @ f.values.reshape(size) for f in (state.phi, state.phi_dot)])
+    a, vel = coords  # views: the steps write into coords, which drive observes
     # each mode's acceleration peaks at |Lambda| |Psi_k| / hbar^2 over an
     # oscillation, Psi_k = -Lambda a_k + i hbar a_dot_k. Where that overflows,
     # the run cannot represent L(L phi), which on samples turns the state
@@ -228,19 +221,15 @@ def _modal_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> Phi
     full_dt = np.array(dt)
     kick = a * half_kick  # what a half kick adds to a_dot
     tmp = np.empty_like(a)
-    taken = 0
 
     def advance(n: int) -> None:
-        nonlocal a, vel, taken
+        nonlocal a, vel
         vel += kick
         a += np.multiply(vel, full_dt, out=tmp)
         np.multiply(a, half_kick, out=kick)
         vel += kick
-        taken = n
 
     def box() -> PhiState:
-        if not taken:
-            return state
         return PhiState(
             ScalarSampleField(grid, (a @ qt).reshape(grid.shape)),
             ScalarSampleField(grid, (vel @ qt).reshape(grid.shape)),
@@ -248,40 +237,15 @@ def _modal_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> Phi
             state.potential,
         )
 
-    rows = np.empty((_OBSERVED_BLOCK, 2, size))
-    samples = np.empty((_OBSERVED_BLOCK, 2) + grid.shape)
-    first = count = 0
+    def to_samples(ns: np.ndarray, block: np.ndarray) -> None:
+        block[:, 0] *= lam  # L phi = Q Lambda a
+        samples = (block.reshape(-1, size) @ qt).reshape(block.shape[:2] + grid.shape)
+        observer(ns, samples[:, 0], samples[:, 1])
 
-    def watch(n: int) -> None:
-        nonlocal first, count
-        if not count:
-            first = n
-        np.multiply(a, lam, out=rows[count, 0])
-        rows[count, 1] = vel
-        count += 1
-        if count == _OBSERVED_BLOCK:
-            flush()
-
-    def flush() -> None:
-        nonlocal count
-        if not count:
-            return
-        block = samples[:count]
-        np.matmul(rows[:count].reshape(2 * count, size), qt, out=block.reshape(2 * count, size))
-        for n, (lphi, phi_dot) in enumerate(block, first):
-            observer(n, lphi, phi_dot)
-        count = 0
-
-    def record(n: int, boxed: PhiState) -> None:
-        flush()
-        sink(n, boxed)
-
-    final = drive(
-        advance, box, lambda: (), steps, snapshot_stride,
-        None if sink is None else record, None if observer is None else watch,
+    return drive(
+        advance, box, lambda: (coords,), state, steps, snapshot_stride,
+        sink, None if observer is None else to_samples,
     )
-    flush()
-    return final
 
 
 def to_wavefunction(state: PhiState, method: str = "spectral") -> WaveFunction:

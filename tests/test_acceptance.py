@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import band_limited
 from wavepot.cli import main as cli_main
@@ -201,12 +203,13 @@ def test_c03_probability_energy_identity(harmonic_128):
     vol = grid.cell_volume
     norms, identity_rel = [], []
 
-    def observer(step, lphi, vel):
-        psi = -lphi + 1j * hbar * vel
-        psi_sq = np.abs(psi) ** 2
-        dens2 = 2.0 * hbar * (0.5 * hbar * vel**2 + 0.5 / hbar * lphi**2)
-        norms.append(float(psi_sq.sum() * vol))
-        identity_rel.append(float(np.max(np.abs(psi_sq - dens2)) / psi_sq.max()))
+    def observer(steps, lphis, vels):
+        for lphi, vel in zip(lphis, vels):
+            psi = -lphi + 1j * hbar * vel
+            psi_sq = np.abs(psi) ** 2
+            dens2 = 2.0 * hbar * (0.5 * hbar * vel**2 + 0.5 / hbar * lphi**2)
+            norms.append(float(psi_sq.sum() * vol))
+            identity_rel.append(float(np.max(np.abs(psi_sq - dens2)) / psi_sq.max()))
 
     run_verlet(state0, dt, steps, sink=None, observer=observer)
     norms = np.array(norms)
@@ -649,10 +652,28 @@ def test_c13_discrete_reverse_equivalence(dims, method):
     """
     points, dt, steps = {1: ((128,), 0.05, 60), 2: ((32, 32), 0.05, 40)}[dims]
     grid = Grid(points, (20.0,) * dims)
-    coords = np.meshgrid(*(grid.axis_coordinates(a) for a in range(dims)), indexing="ij")
     V = PotentialSpec.from_expression(
         "0.5*((x-10)^2 + (y-10)^2)" if dims == 2 else "0.5*(x-10)^2", grid
     )
+    identity_ratio, newmark_ratio, largest = _c13_ratios(grid, V, dt, steps, method)
+    ok = identity_ratio <= 1.0 and newmark_ratio <= 1.0
+    report(
+        f"criterion 13 discrete reverse equivalence ({dims}D {method})",
+        ok,
+        f"Re Psi + L phi at {identity_ratio:.2f} of its bound (largest "
+        f"{largest:.3e}), Newmark residual at {newmark_ratio:.2f} of its bound, "
+        f"dt = {dt} over {steps} steps",
+    )
+    assert identity_ratio <= 1.0
+    assert newmark_ratio <= 1.0
+
+
+def _c13_ratios(grid, V, dt, steps, method):
+    """Criterion 13 on a Gaussian packet, ``steps`` Cayley steps of ``dt``: the
+    largest ||Re Psi + L phi|| over its bound, the largest Newmark residual over
+    its bound, and the largest ||Re Psi + L phi||."""
+    dims = grid.dims
+    coords = np.meshgrid(*(grid.axis_coordinates(a) for a in range(dims)), indexing="ij")
     v = V.sampled.values
     packet = np.exp(-((coords[0] - 12.0) ** 2 + sum((c - 10.0) ** 2 for c in coords[1:])) / 2)
     packet = packet / np.sqrt(np.sum(packet**2) * grid.cell_volume)
@@ -666,7 +687,7 @@ def test_c13_discrete_reverse_equivalence(dims, method):
         [n * dt for n in range(steps + 1)], (frames[n].psi for n in range(steps + 1)),
         V, PARAMS, method,
     )
-    phis = [st.phi.values for st in states]
+    phis = [state.phi.values for state in states]
 
     def apply_l(f):
         return l_operator_array(f, v, grid, PARAMS, method)
@@ -690,14 +711,43 @@ def test_c13_discrete_reverse_equivalence(dims, method):
                  + hbar / (2.0 * dt) * _CAYLEY_TOL * (b_norms[n] + b_norms[n - 1])
                  + _ROUNDOFF * (4.0 * hbar**2 / dt**2 + e_max**2) * phi_norms[n - 1 : n + 2].sum())
         newmark.append(np.linalg.norm(residual) / bound)
-    identity_ratio, newmark_ratio = float(np.max(identity / bounds)), float(np.max(newmark))
-    ok = identity_ratio <= 1.0 and newmark_ratio <= 1.0
-    report(
-        f"criterion 13 discrete reverse equivalence ({dims}D {method})",
-        ok,
-        f"Re Psi + L phi at {identity_ratio:.2f} of its bound (largest "
-        f"{identity.max():.3e}), Newmark residual at {newmark_ratio:.2f} of its bound, "
-        f"dt = {dt} over {steps} steps",
+    return float(np.max(identity / bounds)), float(np.max(newmark)), float(identity.max())
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_c13_property_over_band_limited_potentials(dims):
+    """Criterion 13's two bounds hold for any grid, dt, backend and band-limited
+    potential, V = 0.5 + a (1 + f) with f from ``conftest.band_limited`` (so
+    V >= 0.5 and L has no kernel)."""
+    worst = {"identity": 0.0, "newmark": 0.0}
+    examples = []
+    grids = [(64,), (128,), (256,)] if dims == 1 else [(16, 16), (32, 16), (16, 32)]
+
+    @given(
+        points=st.sampled_from(grids),
+        dt=st.floats(0.005, 0.25),
+        method=st.sampled_from(["spectral", "central2"]),
+        amplitude=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**16),
     )
-    assert identity_ratio <= 1.0
-    assert newmark_ratio <= 1.0
+    def check(points, dt, method, amplitude, seed):
+        grid = Grid(points, (20.0,) * dims)
+        f = band_limited(grid, np.random.default_rng(seed))
+        V = PotentialSpec(ScalarSampleField(grid, 0.5 + amplitude * (1.0 + f)))
+        identity_ratio, newmark_ratio, _ = _c13_ratios(grid, V, dt, 20, method)
+        examples.append(points)
+        worst["identity"] = max(worst["identity"], identity_ratio)
+        worst["newmark"] = max(worst["newmark"], newmark_ratio)
+        assert identity_ratio <= 1.0
+        assert newmark_ratio <= 1.0
+
+    try:
+        check()
+    finally:
+        report(
+            f"criterion 13 property ({dims}D)",
+            max(worst.values()) <= 1.0,
+            f"{len(examples)} drawn grids, dt, backends and potentials: Re Psi + L phi at "
+            f"most {worst['identity']:.2f} of its bound, Newmark residual at most "
+            f"{worst['newmark']:.2f} of its bound, 20 steps each",
+        )

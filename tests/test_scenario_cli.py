@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavepot import maxwell, schrodinger, wavepotential
+from wavepot import maxwell, schrodinger, stepping, wavepotential
 from wavepot import scenario as scenario_module
 from wavepot.cli import main
 from wavepot.errors import MonitorError, ScenarioError, SolverError
@@ -407,6 +407,17 @@ class TestCli:
         with pytest.raises(MonitorError, match="norm_drift: peak nan exceeds ceiling") as info:
             run(load_scenario(p), tmp_path / "r2")
         assert "identity_residual: peak nan" in str(info.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_diagnostics_without_monitors_exit_three(self, tmp_path, capsys):
+        # the same overflow with no ceiling to exceed used to exit 0
+        text = MINIMAL_PHI.replace("phi = cos(2*pi*x/20)", "phi = 1e160*exp(-(x-10)^2)")
+        text = text.replace("steps = 40", "steps = 10")
+        p = write(tmp_path, "a.scn", text)
+        assert main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")]) == 3
+        assert "psi_norm is not finite at step 0" in capsys.readouterr().err
+        assert len(read_snapshot(tmp_path / "r" / "snapshots.wps").frames) == 2
+        assert len(_csv_columns(tmp_path / "r" / "diagnostics.csv")["psi_norm"]) == 11
 
     def test_continuity_gate_exit_one(self, tmp_path):
         text = MAXWELL + "\n[sources]\nrho = sin(x)*cos(t)\nj_x = 0\nj_y = 0\nj_z = 0\n"
@@ -1228,7 +1239,7 @@ BLOCK_RUNS = {
 
 
 def _watch_blocks(monkeypatch, kind: str) -> list:
-    """Record (rows, buffer bytes) of every block the kind's ``observe`` receives."""
+    """Record (rows, bytes) of every block the kind's ``observe`` receives."""
     spec = scenario_module.KIND[kind]
     seen = []
 
@@ -1236,7 +1247,7 @@ def _watch_blocks(monkeypatch, kind: str) -> list:
         state, columns, observe = spec.setup(scn)
 
         def watched(times, *blocks):
-            seen.append((len(times), sum(b.base.nbytes for b in blocks)))
+            seen.append((len(times), sum(b.nbytes for b in blocks)))
             return observe(times, *blocks)
 
         return state, columns, watched
@@ -1254,7 +1265,7 @@ class TestDiagnosticBlocks:
         outputs = []
         seen = _watch_blocks(monkeypatch, kind)
         for rows, blocks in ((1, [1] * 11), (3, [3, 3, 3, 2]), (100, [11])):
-            monkeypatch.setattr(scenario_module, "_DIAG_BLOCK_BYTES", rows * step_bytes)
+            monkeypatch.setattr(stepping, "_OBSERVED_BLOCK_BYTES", rows * step_bytes)
             seen.clear()
             report = run(load_scenario(p, overrides), tmp_path / f"k{rows}")
             assert [n for n, _ in seen] == blocks
@@ -1275,9 +1286,9 @@ class TestDiagnosticBlocks:
         seen = _watch_blocks(monkeypatch, kind)
         scn = load_scenario(write(tmp_path, "a.scn", text), ["integrator.steps=70"])
         run(scn, tmp_path / "out")
-        assert {size for _, size in seen} == {rows * step_bytes}
-        assert max(n for n, _ in seen) == rows
-        assert rows * step_bytes <= max(scenario_module._DIAG_BLOCK_BYTES, step_bytes)
+        assert [n for n, _ in seen] == [rows] * (71 // rows) + [71 % rows] * bool(71 % rows)
+        assert max(size for _, size in seen) == rows * step_bytes
+        assert rows * step_bytes <= max(stepping._OBSERVED_BLOCK_BYTES, step_bytes)
 
     def test_failure_mid_block_leaves_no_diagnostics(self, tmp_path, monkeypatch):
         real_drive = wavepotential.drive
@@ -1341,6 +1352,14 @@ class TestDiagnosticBlocks:
             out.write_row([4.0, 1.0])
         assert np.isnan(out.peaks["x_drift"]) and np.isnan(out.peaks["y_max"])
 
+
+    def test_first_non_finite_value_is_named(self, tmp_path):
+        with scenario_module._MonitoredWriter(tmp_path / "d.csv", ("step", "x", "y"), {}) as out:
+            out.write_rows([[0, 1], [1.0, 2.0], [0.5, 1.0]])
+            assert out.non_finite is None
+            out.write_rows([[2, 3, 4], [1.0, np.inf, np.nan], [np.nan, 1.0, 1.0]])
+            out.write_row([5, np.nan, np.nan])
+        assert out.non_finite == "y is not finite at step 2"
 
 _SCENARIO_SOURCE = Path(__file__).resolve().parent.parent / "src" / "wavepot" / "scenario.py"
 
