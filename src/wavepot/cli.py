@@ -1,7 +1,8 @@
 """Command-line interface.
 
 One subcommand per scenario kind plus ``dump``. Exit codes: 0 ok, 1 usage or
-configuration error, 2 numerical failure (stability refusal, solver
+configuration error (including an input that asks for more memory than the
+process may have), 2 numerical failure (stability refusal, solver
 non-convergence, non-finite samples), 3 invariant ceiling exceeded.
 """
 
@@ -77,6 +78,10 @@ def main(argv=None) -> int:
         return 2
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message gives the bytes and the shape
+        source = args.snapshot if args.command == "dump" else args.scenario
+        print(f"error: {source}: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

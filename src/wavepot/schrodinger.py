@@ -356,23 +356,25 @@ class DenseEigensystem:
 
 
 def dense_hamiltonian(V: PotentialSpec, params: QuantumParams, method: str = "spectral") -> np.ndarray:
-    """Materialize H as a dense symmetric matrix (grids up to 4096 points)."""
+    """Materialize H as a dense symmetric matrix (grids up to 4096 points).
+
+    H is -L for the L of ``real_l_operator``, the closure phi-Verlet steps:
+    the closure is applied to real unit vectors a block of rows at a time,
+    and the result symmetrised and negated.
+    """
     grid = V.grid
     m = grid.size
     if m > DENSE_GRID_LIMIT:
         raise ValueError(f"grid too large for dense methods ({m} > {DENSE_GRID_LIMIT} points)")
-    v = V.sampled.values
+    lop = real_l_operator(grid, V.sampled.values, params, method)
     mat = np.empty((m, m))
     chunk = max(1, min(m, (1 << 22) // m))
     eye = np.eye(m)
     for start in range(0, m, chunk):
-        # complex unit vectors take the full-spectrum transform: as accurate as the
-        # half spectrum, and the stationary states of recorded runs keep their bits
-        block = eye[start : start + chunk].reshape((-1,) + grid.shape).astype(complex)
-        hb = hamiltonian_array(block, v, grid, params, method).real
-        mat[start : start + chunk] = hb.reshape(-1, m)
-    # rows hold H applied to basis vectors; symmetrize away roundoff skew
-    return 0.5 * (mat + mat.T)
+        rows = slice(start, start + chunk)
+        lop(eye[rows].reshape((-1,) + grid.shape), out=mat[rows].reshape((-1,) + grid.shape))
+    # rows hold L applied to basis vectors; symmetrize away roundoff skew
+    return -0.5 * (mat + mat.T)
 
 
 def dense_eigensystem(
@@ -382,7 +384,8 @@ def dense_eigensystem(
 
     The solver is numpy's ``eigh`` (LAPACK ``syevd``, divide and conquer), so
     stationary initial data import nothing beyond numpy. It runs on one BLAS
-    thread, so their bytes do not depend on the thread count.
+    thread, so the bytes of stationary data and of modal phi-Verlet do not
+    depend on the thread count.
     """
     mat = dense_hamiltonian(V, params, method)
     with one_blas_thread():
@@ -390,12 +393,9 @@ def dense_eigensystem(
     # deterministic sign: the largest-magnitude entry is positive. Entries within
     # _SIGN_TIE of the maximum tie, and the tie goes to the lowest flat index, so
     # odd and mirror-symmetric states are not signed by roundoff.
-    for n in range(vectors.shape[1]):
-        col = vectors[:, n]
-        mag = np.abs(col)
-        idx = int(np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max()))
-        if col[idx] < 0:
-            vectors[:, n] = -col
+    mag = np.abs(vectors)
+    lead = np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0), axis=0)
+    np.negative(vectors, out=vectors, where=vectors[lead, np.arange(lead.size)] < 0)
     return DenseEigensystem(V.grid, energies, vectors, params)
 
 

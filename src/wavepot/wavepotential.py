@@ -7,11 +7,13 @@ A real field phi with velocity phi_dot generates a wave function through
 and obeys hbar^2 phi_ddot + L^2 phi = 0, integrated here with velocity-Verlet
 (symplectic, time-reversible). L is real and symmetric, so in its orthonormal
 eigenbasis L = Q Lambda Q^T that equation is one oscillator per mode, of
-frequency |Lambda|/hbar: on grids of at most ``DENSE_L_LIMIT`` points
-``run_verlet`` steps those modes, and on larger grids the samples through
-the transform-based L. |Psi|^2 equals 2*hbar times the field energy
-density pointwise, so probability conservation is literally energy
-conservation of this field. Functions alpha with L alpha = 0 shift phi
+frequency |Lambda|/hbar. That basis is the stationary states of
+``schrodinger.dense_eigensystem``, with Lambda = -E, since its H is -L built
+from the same closure ``real_l_operator``: on grids of at most
+``DENSE_L_LIMIT`` points ``run_verlet`` steps those modes, and on larger
+grids the samples through that closure. |Psi|^2 equals 2*hbar times the
+field energy density pointwise, so probability conservation is literally
+energy conservation of this field. Functions alpha with L alpha = 0 shift phi
 without changing Psi; that kernel is the gauge sector.
 """
 
@@ -28,11 +30,12 @@ from .schrodinger import (
     PotentialSpec,
     QuantumParams,
     WaveFunction,
+    dense_eigensystem,
     l_operator_array,
     max_energy_bound,
     real_l_operator,
 )
-from .stepping import check_dt, drive, one_blas_thread
+from .stepping import check_dt, drive
 
 __all__ = [
     "PhiState",
@@ -125,9 +128,10 @@ def run_verlet(
     unstable dt, and on the modes a state whose acceleration overflows.
 
     On grids of at most ``DENSE_L_LIMIT`` points the state is the coordinates
-    of phi and phi_dot in L's orthonormal eigenbasis, and a step is O(N);
-    above it, the samples, with L applied through ``real_l_operator``. Both
-    are the same scheme, so their trajectories agree to roundoff. The
+    of phi and phi_dot in the eigenbasis ``dense_eigensystem`` gives for
+    ``method``, and a step is O(N); above it, the samples, with L applied
+    through ``real_l_operator``. The dense H is -L from that closure, so both
+    step one L by one scheme, and their trajectories agree to roundoff. The
     observer sees blocks of L(phi) and phi_dot samples, every step once and
     in order; see ``stepping.drive``. On the samples a step allocates nothing.
     """
@@ -137,16 +141,16 @@ def run_verlet(
         dt, stable_dt(state.potential, params, method), "Verlet",
         f" (E_max={emax:g}, hard stability limit {2 * params.hbar / emax:g})",
     )
-    lop = real_l_operator(state.grid, state.potential.sampled.values, params, method)
     verlet = _modal_verlet if state.grid.size <= DENSE_L_LIMIT else _sampled_verlet
-    return verlet(state, lop, dt, steps, sink, snapshot_stride, observer)
+    return verlet(state, dt, steps, sink, snapshot_stride, method, observer)
 
 
-def _sampled_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> PhiState:
+def _sampled_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> PhiState:
     """``run_verlet`` on raw samples: the kicks, the drift and both applies of L
     write into arrays made once, and the observer sees two of them."""
     grid = state.grid
     params = state.params
+    lop = real_l_operator(grid, state.potential.sampled.values, params, method)
     phi = state.phi.values.copy()
     vel = state.phi_dot.values.copy()
     # 0-d arrays, not Python floats: a ufunc converts a float operand on every
@@ -175,36 +179,23 @@ def _sampled_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> P
     return drive(advance, box, lambda: (lphi, vel), state, steps, snapshot_stride, sink, observer)
 
 
-def _l_eigenbasis(lop, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(Lambda, Q) with L = Q diag(Lambda) Q^T over the flattened grid, Lambda
-    ascending and Q orthogonal, for the L that ``lop`` applies. L is built by
-    applying ``lop`` to the unit vectors and symmetrised; ``eigh`` runs on one
-    BLAS thread, so the basis does not depend on the thread count.
-
-    Not ``-dense_hamiltonian``, on purpose: that applies complex full-spectrum
-    transforms, while ``lop`` is the real closure the sampled path and
-    ``phi_acceleration`` apply, so both paths step one and the same L."""
-    size = grid.size
-    mat = lop(np.eye(size).reshape((size,) + grid.shape)).reshape(size, size)
-    with one_blas_thread():
-        return np.linalg.eigh(0.5 * (mat + mat.T))
-
-
-def _modal_verlet(state, lop, dt, steps, sink, snapshot_stride, observer) -> PhiState:
+def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> PhiState:
     """``run_verlet`` on the mode coordinates a = Q^T phi and a_dot = Q^T phi_dot.
 
-    The acceleration is -(Lambda/hbar)^2 a, so a step is four ufuncs on arrays
-    made once. ``drive`` observes (a, a_dot) as one (2, N) array; a block of k
-    steps becomes samples by scaling its a rows by Lambda and one matmul of
-    the stacked (2k, N) rows by Q^T. Frames are Q a and Q a_dot. A state whose
-    modal acceleration can overflow raises NonFiniteSampleError before the
-    first step.
+    Q is ``dense_eigensystem``'s vectors and Lambda = -E its energies
+    negated, so Lambda descends. The acceleration is -(Lambda/hbar)^2 a, so
+    a step is four ufuncs on arrays made once. ``drive`` observes (a, a_dot)
+    as one (2, N) array; a block of k steps becomes samples by scaling its a
+    rows by Lambda and one matmul of the stacked (2k, N) rows by Q^T. Frames
+    are Q a and Q a_dot. A state whose modal acceleration can overflow raises
+    NonFiniteSampleError before the first step.
     """
     grid = state.grid
     params = state.params
     size = grid.size
-    lam, q = _l_eigenbasis(lop, grid)
-    qt = q.T.copy()  # one mode a row: coordinates are Q^T f, and samples a Q^T
+    eig = dense_eigensystem(state.potential, params, method)
+    lam = -eig.energies
+    qt = eig.vectors.T.copy()  # one mode a row: coordinates are Q^T f, and samples a Q^T
     coords = np.stack([qt @ f.values.reshape(size) for f in (state.phi, state.phi_dot)])
     a, vel = coords  # views: the steps write into coords, which drive observes
     # each mode's acceleration peaks at |Lambda| |Psi_k| / hbar^2 over an

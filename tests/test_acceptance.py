@@ -117,14 +117,22 @@ def plane_wave_potential(grid, c=1.0):
     return PotentialState(a, a_dot, c)
 
 
-def test_c01_forward_equivalence(harmonic_256):
-    """Wave-potential trajectory reproduces the dense reference propagator."""
-    grid, V, eig = harmonic_256
-    e0, psi0 = eigenpairs_small(V, PARAMS, 1, eig=eig)[0]
-    state0 = stationary_phi(psi0, e0, 0.0, PARAMS, V)
+# Criteria 1 and 2 beyond 1D. Unequal sides and curvatures leave no level
+# degenerate, and at most DENSE_L_LIMIT points make phi-Verlet step the modes.
+BOXES = {
+    "2d-16x16": (Grid((16, 16), (7.0, 9.0)), "0.5*(x-3.5)^2 + 1.3*(y-4.5)^2"),
+    "3d-8x8x4": (Grid((8, 8, 4), (3.0, 4.0, 2.5)), "0.5*(x-1.5)^2 + 0.8*(y-2)^2 + 1.3*(z-1.25)^2"),
+}
+
+
+def check_forward_equivalence(tag: str, state0: PhiState, eig) -> None:
+    """Criterion 1: phi-Verlet from ``state0`` over four periods of the lowest
+    energy, against the dense propagator, at two step sizes."""
+    V = state0.potential
+    grid = state0.grid
     psi_init = to_wavefunction(state0)
     dt = 0.1 * stable_dt(V, PARAMS)
-    total_time = 4.0 * (2.0 * np.pi * PARAMS.hbar / e0)
+    total_time = 4.0 * (2.0 * np.pi * PARAMS.hbar / float(eig.energies[0]))
 
     def sup_error(step_count: int, stride: int) -> float:
         step_dt = total_time / step_count
@@ -143,7 +151,7 @@ def test_c01_forward_equivalence(harmonic_256):
     ratio = err / err_half
     ok = err <= 1e-5 and ratio >= 3.6
     report(
-        "criterion 01 forward equivalence",
+        tag,
         ok,
         f"sup L2 error {err:.3e} (tol 1e-5), halving ratio {ratio:.2f} (need >= 3.6)",
     )
@@ -151,12 +159,32 @@ def test_c01_forward_equivalence(harmonic_256):
     assert ratio >= 3.6
 
 
-def test_c02_reverse_equivalence(harmonic_128):
-    """Reconstructed potential closes the round trip and solves the field equation."""
-    grid, V, eig = harmonic_128
-    x = grid.axis_coordinates(0)
-    packet = np.exp(-((x - 12.0) ** 2) / 2).astype(complex)
-    packet /= np.sqrt(np.sum(np.abs(packet) ** 2) * grid.cell_volume)
+def test_c01_forward_equivalence(harmonic_256):
+    """Wave-potential trajectory reproduces the dense reference propagator."""
+    grid, V, eig = harmonic_256
+    e0, psi0 = eigenpairs_small(V, PARAMS, 1, eig=eig)[0]
+    state0 = stationary_phi(psi0, e0, 0.0, PARAMS, V)
+    check_forward_equivalence("criterion 01 forward equivalence", state0, eig)
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_c01_forward_equivalence_in_boxes(box):
+    """Criterion 1 in 2D and 3D, from a superposition of two stationary states."""
+    grid, potential = BOXES[box]
+    V = PotentialSpec.from_expression(potential, grid)
+    eig = dense_eigensystem(V, PARAMS)
+    (e0, psi0), (e1, psi1) = eigenpairs_small(V, PARAMS, 2, eig=eig)
+    assert e1 - e0 > 0.1 * e0
+    s0, s1 = (stationary_phi(psi, e, 0.0, PARAMS, V) for e, psi in ((e0, psi0), (e1, psi1)))
+    state0 = PhiState(s0.phi + s1.phi, s0.phi_dot + s1.phi_dot, PARAMS, V)
+    check_forward_equivalence(f"criterion 01 forward equivalence {box}", state0, eig)
+
+
+def check_reverse_equivalence(tag: str, V: PotentialSpec, packet: np.ndarray) -> None:
+    """Criterion 2: phi reconstructed from a Cayley run of the normalised
+    ``packet`` maps back to it and solves the field equation."""
+    grid = V.grid
+    packet = packet.astype(complex) / np.sqrt(np.sum(packet**2) * grid.cell_volume)
     psi = WaveFunction(ComplexSampleField(grid, packet), PARAMS)
     dt = 1e-3
     steps = 6283
@@ -171,7 +199,6 @@ def test_c02_reverse_equivalence(harmonic_128):
     )
 
     # field-equation residual via centered second differences in time
-    hbar2 = PARAMS.hbar**2
     sample_idx = range(10, steps - 10, steps // 50)
     res_worst, scale_worst = 0.0, 0.0
     for n in sample_idx:
@@ -183,13 +210,31 @@ def test_c02_reverse_equivalence(harmonic_128):
     rel_res = res_worst / scale_worst
     ok = sup_l2 <= 1e-5 and rel_res <= 1e-4
     report(
-        "criterion 02 reverse equivalence",
+        tag,
         ok,
         f"sup L2 round trip {sup_l2:.3e} (tol 1e-5), "
         f"field-equation residual {rel_res:.3e} (tol 1e-4)",
     )
     assert sup_l2 <= 1e-5
     assert rel_res <= 1e-4
+
+
+def test_c02_reverse_equivalence(harmonic_128):
+    """Reconstructed potential closes the round trip and solves the field equation."""
+    grid, V, eig = harmonic_128
+    x = grid.axis_coordinates(0)
+    check_reverse_equivalence("criterion 02 reverse equivalence", V, np.exp(-((x - 12.0) ** 2) / 2))
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_c02_reverse_equivalence_in_boxes(box):
+    """Criterion 2 in 2D and 3D, from a narrow packet off the well's centre."""
+    grid, potential = BOXES[box]
+    V = PotentialSpec.from_expression(potential, grid)
+    coords = np.meshgrid(*(grid.axis_coordinates(a) for a in range(grid.dims)), indexing="ij")
+    centre = 0.5 * np.array(grid.lengths) + np.array([0.4, -0.3, 0.2][: grid.dims])
+    r2 = sum((x - c) ** 2 for x, c in zip(coords, centre))
+    check_reverse_equivalence(f"criterion 02 reverse equivalence {box}", V, np.exp(-r2 / 0.5))
 
 
 def test_c03_probability_energy_identity(harmonic_128):

@@ -169,8 +169,10 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     # phi runs no longer make two operators.real_l spans at the start and at each
     # step (2 x 14): each makes one, the apply to the unit vectors that builds L
     assert metrics["operators.applies"] == 208
-    # the tracer wraps dense_eigensystem by name, so the stationary eigensolve is counted
-    assert metrics["schrodinger.dense_eig_calls"] == 1
+    # the tracer wraps dense_eigensystem by name, so every eigensolve is counted: the
+    # stationary one, and one a phi run up to DENSE_L_LIMIT points, whose modes are
+    # dense_eigensystem's (the two 6-step phi runs)
+    assert metrics["schrodinger.dense_eig_calls"] == 3
 
 
 def test_every_workload_scenario_loads(tmp_path, monkeypatch):

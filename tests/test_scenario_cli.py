@@ -532,6 +532,41 @@ class TestCli:
         assert not (tmp_path / "r" / SNAPSHOT).exists()
         assert not (tmp_path / "r" / DIAG).exists()
 
+    @pytest.mark.parametrize("kind, scenario_file, points", [
+        ("phi", "c10_rescaling_base.scn", "400000000"),
+        ("maxwell-fields", "c06_maxwell_fields.scn", "1024 1024 1024"),
+    ], ids=["phi", "maxwell-fields"])
+    def test_grid_beyond_the_memory_limit_exit_one(self, tmp_path, kind, scenario_file, points):
+        # the child caps its address space at 1.5 GB before importing numpy, so the
+        # grid's first array cannot be allocated: one line naming the file and the
+        # bytes asked for, no traceback
+        capped_cli = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+            "from wavepot.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        scn = SCENARIO_DIR / scenario_file
+        out = tmp_path / "r"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(SCENARIO_DIR.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", capped_cli, kind, "--scenario", str(scn),
+                "--out", str(out), "--override", f"grid.points={points}",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {scn}: out of memory: Unable to allocate"), line
+        assert not out.exists() or not list(out.iterdir())
+
     def test_dump_csv(self, tmp_path):
         p = write(tmp_path, "a.scn", MINIMAL_PHI)
         main(["phi", "--scenario", str(p), "--out", str(tmp_path / "r")])

@@ -313,6 +313,25 @@ class TestDenseOracle:
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
 
+    @pytest.mark.parametrize("method", ["spectral", "central2"])
+    @pytest.mark.parametrize(
+        "grid, v",
+        [
+            (Grid.line(96, 20.0), "0.5*(x-10)^2"),
+            (Grid((8, 12), (3.0, 5.0)), "1 + cos(2*pi*x/3)*sin(2*pi*y/5)"),
+            (Grid((4, 6, 8), (2.0, 3.0, 4.0)), "1 + cos(2*pi*x/2)*sin(2*pi*z/4) + y"),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_hamiltonian_is_minus_the_real_closure(self, grid, v, method):
+        # one dense L: H is -L for the closure phi-Verlet steps, bit for bit
+        V = PotentialSpec.from_expression(v, grid)
+        params = QuantumParams(1.3, 0.7)
+        lop = schrodinger.real_l_operator(grid, V.sampled.values, params, method)
+        mat = lop(np.eye(grid.size).reshape((grid.size,) + grid.shape)).reshape(grid.size, -1)
+        expected = -(0.5 * (mat + mat.T))
+        assert schrodinger.dense_hamiltonian(V, params, method).tobytes() == expected.tobytes()
+
     def test_grid_too_large_refused(self):
         grid = Grid.line(8192, 10.0)
         V = PotentialSpec.zero(grid)

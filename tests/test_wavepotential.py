@@ -20,7 +20,6 @@ from wavepot.schrodinger import (
 from wavepot.wavepotential import (
     DENSE_L_LIMIT,
     PhiState,
-    _l_eigenbasis,
     energy_density,
     gauge_shift,
     lagrangian_density,
@@ -176,9 +175,9 @@ def allocating_modal_verlet(state, dt, steps, method):
     maps a block of k steps as one (2k, N) matmul, must not depend on k.
     Returns what the observer should see and the final (phi, phi_dot)."""
     grid = state.grid
-    lop = real_l_operator(grid, state.potential.sampled.values, state.params, method)
-    lam, q = _l_eigenbasis(lop, grid)
-    qt = q.T.copy()
+    eig = dense_eigensystem(state.potential, state.params, method)
+    lam = -eig.energies
+    qt = eig.vectors.T.copy()
     half_kick = lam**2 * (-0.5 * dt / state.params.hbar**2)
     a = qt @ state.phi.values.reshape(grid.size)
     vel = qt @ state.phi_dot.values.reshape(grid.size)
@@ -252,11 +251,13 @@ class TestModalVerlet:
     @pytest.mark.parametrize("method", ["spectral", "central2"])
     @SMALL_GRIDS
     def test_eigenbasis_diagonalises_the_closure(self, grid, v, method, rng):
+        # the modes run_verlet steps are dense_eigensystem's, with Lambda = -E
         V = PotentialSpec.from_expression(v, grid)
         params = QuantumParams(1.3, 0.7)
         lop = real_l_operator(grid, V.sampled.values, params, method)
-        lam, q = _l_eigenbasis(lop, grid)
-        assert np.all(np.diff(lam) >= 0)
+        eig = dense_eigensystem(V, params, method)
+        lam, q = -eig.energies, eig.vectors
+        assert np.all(np.diff(lam) <= 0)
         assert np.max(np.abs(q.T @ q - np.eye(grid.size))) <= 1e-13
         f = rng.standard_normal((3,) + grid.shape)
         rebuilt = ((f.reshape(3, -1) @ q) * lam) @ q.T
