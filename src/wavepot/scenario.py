@@ -503,7 +503,8 @@ def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     """Step any evolving kind, streaming frames and diagnostics rows to disk.
 
     Sources must pass the continuity gate first. The integrator hands its
-    observed arrays (samples for the quantum kinds, the state's half spectrum
+    observed arrays (samples for the quantum kinds, or phi's mode coordinates
+    on grids of at most ``DENSE_L_LIMIT`` points; the state's half spectrum
     for the Maxwell kinds) a block of steps at a time (``stepping.drive``), and
     the kind's ``observe(times, *blocks)`` turns each block into its
     diagnostics columns, written at once. The summary holds the first-row
@@ -591,7 +592,9 @@ def _phi_evolution(scenario: Scenario):
 
     def observe(times: np.ndarray, lphi: np.ndarray, vel: np.ndarray) -> list:
         # Psi = -L phi + i hbar phi_dot, energy = hbar phi_dot^2 / 2 + (L phi)^2 / 2 hbar, in
-        # place; |Psi| is np.abs of the complex Psi, which np.hypot does not match bit for bit
+        # place; |Psi| is np.abs of the complex Psi, which np.hypot does not match bit for bit.
+        # The rows are samples or mode coordinates of L (run_verlet): the sums are the same
+        # in either orthonormal basis, and the identity is checked per point or per mode
         psi = np.empty(lphi.shape, complex)
         np.negative(lphi, out=psi.real)
         np.multiply(vel, hbar, out=psi.imag)

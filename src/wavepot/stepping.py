@@ -164,11 +164,12 @@ def drive(
     full and after the last step, with ``ns`` the block's step numbers, so it
     sees every step once and in order, though possibly after the sink of that
     step; the next block is written into the same arrays. The observed arrays
-    are the integrator's working state: samples for the quantum integrators
-    (L phi and phi_dot, or Psi; modal phi-Verlet maps its block of mode
-    coordinates to samples first), and for both Maxwell integrators the half
-    spectrum of the state itself, so that a diagnostics row costs no transform
-    of the state. Either callback may be None.
+    are the integrator's working state, so that a diagnostics row costs no
+    transform of it: L phi and phi_dot for phi-Verlet, as samples or, on the
+    normal modes of L, as mode coordinates (modal phi-Verlet scales the a rows
+    of its block by Lambda first); Psi samples for the Cayley step; and for
+    both Maxwell integrators the half spectrum of the state. Either callback
+    may be None.
     """
     _keep_freed_heap()
     if observer is not None:

@@ -56,15 +56,14 @@ SAFETY = 0.2
 # Largest ||L alpha|| / (||alpha|| E_max) of a gauge function alpha.
 _GAUGE_TOL = 1e-10
 # Largest grid, in points and in any dimension, on which run_verlet steps the
-# normal modes of L. There a step is four O(N) ufuncs, and a run adds one
-# O(N^3) eigensolve and an N^2 map of each observed step to samples. The value
-# is where the dense L matvec used to stop, not a measured crossover of the
-# modal path: that path was about twice as fast as the samples at 512 points,
-# and where it stops paying is unmeasured. At 256 points (2-vCPU VM, one BLAS
-# thread, 20000 steps) a step took 1.9 us (15 us with two dense matvecs),
-# 8.2 us with a no-op observer, after 6.5 ms of set-up. A constant, never
-# timed at run time, so that the bytes a run writes do not depend on the
-# machine.
+# normal modes of L. There a step is four O(N) ufuncs, an observed step O(N)
+# more, and a run adds one O(N^3) eigensolve. The value is where the dense L
+# matvec used to stop, not a measured crossover of the modal path: that path
+# was about twice as fast as the samples at 512 points, and where it stops
+# paying is unmeasured. At 256 points (2-vCPU VM, one BLAS thread, 20000
+# steps) a step took 1.9 us (15 us with two dense matvecs), 3.1 us with a
+# no-op observer, after 6.0 ms of set-up. A constant, never timed at run
+# time, so that the bytes a run writes do not depend on the machine.
 DENSE_L_LIMIT = 256
 
 
@@ -132,8 +131,14 @@ def run_verlet(
     ``method``, and a step is O(N); above it, the samples, with L applied
     through ``real_l_operator``. The dense H is -L from that closure, so both
     step one L by one scheme, and their trajectories agree to roundoff. The
-    observer sees blocks of L(phi) and phi_dot samples, every step once and
-    in order; see ``stepping.drive``. On the samples a step allocates nothing.
+    observer sees blocks of L(phi) and phi_dot, every step once and in order
+    (see ``stepping.drive``), in an orthonormal basis: on the modes their
+    coordinates Q^T L phi and Q^T phi_dot, one row of N a step; on the
+    samples the samples, in the grid's shape. Sums of squares, and with them
+    the norm and energy of Psi, are the same in both. A caller that wants
+    samples on the modes maps a block by ``@ Q.T``, with Q the vectors of
+    ``dense_eigensystem(state.potential, state.params, method)``. On the
+    samples a step allocates nothing.
     """
     params = state.params
     emax = max_energy_bound(state.potential, params, method)
@@ -185,10 +190,11 @@ def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> 
     Q is ``dense_eigensystem``'s vectors and Lambda = -E its energies
     negated, so Lambda descends. The acceleration is -(Lambda/hbar)^2 a, so
     a step is four ufuncs on arrays made once. ``drive`` observes (a, a_dot)
-    as one (2, N) array; a block of k steps becomes samples by scaling its a
-    rows by Lambda and one matmul of the stacked (2k, N) rows by Q^T. Frames
-    are Q a and Q a_dot. A state whose modal acceleration can overflow raises
-    NonFiniteSampleError before the first step.
+    as one (2, N) array, and the observer gets a block of k steps as its
+    (k, N) rows Lambda a = Q^T L phi and a_dot, the a rows scaled in place in
+    ``drive``'s block. Frames are Q a and Q a_dot. A state whose modal
+    acceleration can overflow raises NonFiniteSampleError before the first
+    step.
     """
     grid = state.grid
     params = state.params
@@ -228,14 +234,13 @@ def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> 
             state.potential,
         )
 
-    def to_samples(ns: np.ndarray, block: np.ndarray) -> None:
-        block[:, 0] *= lam  # L phi = Q Lambda a
-        samples = (block.reshape(-1, size) @ qt).reshape(block.shape[:2] + grid.shape)
-        observer(ns, samples[:, 0], samples[:, 1])
+    def observe_modes(ns: np.ndarray, block: np.ndarray) -> None:
+        block[:, 0] *= lam  # Q^T L phi = Lambda a, in drive's block, never in coords
+        observer(ns, block[:, 0], block[:, 1])
 
     return drive(
         advance, box, lambda: (coords,), state, steps, snapshot_stride,
-        sink, None if observer is None else to_samples,
+        sink, None if observer is None else observe_modes,
     )
 
 

@@ -247,9 +247,12 @@ def test_c03_probability_energy_identity(harmonic_128):
     hbar = PARAMS.hbar
     vol = grid.cell_volume
     norms, identity_rel = [], []
+    # on 128 points the observer sees mode coordinates of L; the identity is
+    # pointwise, so each step is mapped to samples through Q first
+    qt = eig.vectors.T
 
     def observer(steps, lphis, vels):
-        for lphi, vel in zip(lphis, vels):
+        for lphi, vel in zip(lphis @ qt, vels @ qt):
             psi = -lphi + 1j * hbar * vel
             psi_sq = np.abs(psi) ** 2
             dens2 = 2.0 * hbar * (0.5 * hbar * vel**2 + 0.5 / hbar * lphi**2)

@@ -1273,22 +1273,35 @@ BLOCK_RUNS = {
 }
 
 
-def _watch_blocks(monkeypatch, kind: str) -> list:
-    """Record (rows, bytes) of every block the kind's ``observe`` receives."""
+def _wrap_observe(monkeypatch, kind: str, record) -> None:
+    """Call ``record(times, blocks)`` on every block the kind's ``observe`` receives."""
     spec = scenario_module.KIND[kind]
-    seen = []
 
     def setup(scn):
         state, columns, observe = spec.setup(scn)
 
         def watched(times, *blocks):
-            seen.append((len(times), sum(b.nbytes for b in blocks)))
+            record(times, blocks)
             return observe(times, *blocks)
 
         return state, columns, watched
 
     monkeypatch.setitem(scenario_module.KIND, kind, dataclasses.replace(spec, setup=setup))
+
+
+def _watch_blocks(monkeypatch, kind: str) -> list:
+    """Record (rows, bytes) of every block the kind's ``observe`` receives."""
+    seen = []
+    _wrap_observe(monkeypatch, kind, lambda times, blocks: seen.append(
+        (len(times), sum(b.nbytes for b in blocks))))
     return seen
+
+
+def _keep_blocks(monkeypatch, kind: str) -> list:
+    """Copy every block the kind's ``observe`` receives, one list of arrays a call."""
+    kept = []
+    _wrap_observe(monkeypatch, kind, lambda times, blocks: kept.append([b.copy() for b in blocks]))
+    return kept
 
 
 class TestDiagnosticBlocks:
@@ -1366,6 +1379,69 @@ class TestDiagnosticBlocks:
         got = observe(np.arange(5) * scn.dt, lphi, vel)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
         assert got[2][0] == 0.0 and got[0][0] == 0.0
+
+    @pytest.mark.parametrize(
+        "points, lengths, v",
+        [("256", "20.0", "0.5*(x-10)^2"),
+         ("16 16", "20.0 20.0", "0.5*(x-10)^2 + 0.5*(y-10)^2")],
+        ids=["1d-256", "2d-16x16"],
+    )
+    def test_modal_phi_rows_are_parseval_sums(self, tmp_path, monkeypatch, points, lengths, v):
+        # up to DENSE_L_LIMIT points observe reads L's mode coordinates: its sums match
+        # those over the samples, from the frames and from the blocks mapped through Q
+        text = HARMONIC_PHI.replace("points = 64", f"points = {points}").replace(
+            "lengths = 20.0", f"lengths = {lengths}").replace("v = 0.5*(x-10)^2", f"v = {v}")
+        text = text.replace("type = expressions\nphi = cos(2*pi*x/20)\nphi_dot = 0",
+                            "type = random\nmodes = 5\namplitude = 0.5")
+        scn = load_scenario(write(tmp_path, "a.scn", text), ["integrator.steps=150"])
+        assert scn.grid.size <= wavepotential.DENSE_L_LIMIT
+        blocks = _keep_blocks(monkeypatch, "phi")
+        run(scn, tmp_path / "out")
+        lam_a, a_dot = (np.concatenate(arrays) for arrays in zip(*blocks))
+        data = read_snapshot(tmp_path / "out" / SNAPSHOT)
+        recorded = stepping.frame_steps(scn.steps, scn.snapshot_stride)
+        assert len(data.frames) == len(recorded) > 2
+        eig = schrodinger.dense_eigensystem(scn.potential, scn.params, scn.backend)
+        q, lam = eig.vectors, -eig.energies
+        for n, frame in zip(recorded, data.frames):  # the rows are Q^T L phi and Q^T phi_dot
+            for got, want in ((lam_a[n], lam * (frame["phi"].ravel() @ q)),
+                              (a_dot[n], frame["phi_dot"].ravel() @ q)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+        rows = _csv_columns(tmp_path / "out" / DIAG)
+        h, vol = scn.params.hbar, scn.grid.cell_volume
+
+        def sums(lphi, vel):
+            lphi, vel = lphi.reshape(len(lphi), -1), vel.reshape(len(vel), -1)
+            return [(lphi**2 + (h * vel) ** 2).sum(axis=1) * vol,
+                    (0.5 * h * vel**2 + 0.5 / h * lphi**2).sum(axis=1) * vol]
+
+        mapped = sums(lam_a @ q.T, a_dot @ q.T)
+        lop = schrodinger.real_l_operator(scn.grid, scn.potential.sampled.values, scn.params,
+                                          scn.backend)
+        from_frames = sums(np.stack([lop(f["phi"]) for f in data.frames]),
+                           np.stack([f["phi_dot"] for f in data.frames]))
+        for name, every_step, at_frames in zip(("psi_norm", "total_energy"), mapped, from_frames):
+            column = np.array(rows[name])
+            assert np.max(np.abs(column - every_step) / every_step) <= 1e-13, name
+            assert np.max(np.abs(column[recorded] - at_frames) / at_frames) <= 1e-13, name
+        assert 0 < max(rows["identity_residual"]) <= 1e-15
+
+    def test_sampled_phi_observe_gets_grid_samples(self, tmp_path, monkeypatch):
+        # above DENSE_L_LIMIT points observe reads L phi and phi_dot on the grid itself
+        text = HARMONIC_PHI.replace("points = 64", "points = 16 32").replace(
+            "lengths = 20.0", "lengths = 20.0 20.0")
+        scn = load_scenario(write(tmp_path, "a.scn", text), ["integrator.steps=10"])
+        assert scn.grid.size > wavepotential.DENSE_L_LIMIT
+        blocks = _keep_blocks(monkeypatch, "phi")
+        run(scn, tmp_path / "out")
+        lphi, vel = (np.concatenate(arrays) for arrays in zip(*blocks))
+        assert lphi.shape == vel.shape == (11, 16, 32)
+        lop = schrodinger.real_l_operator(scn.grid, scn.potential.sampled.values, scn.params,
+                                          scn.backend)
+        data = read_snapshot(tmp_path / "out" / SNAPSHOT)
+        for n, frame in zip(stepping.frame_steps(scn.steps, scn.snapshot_stride), data.frames):
+            assert lphi[n].tobytes() == lop(frame["phi"]).tobytes()
+            assert vel[n].tobytes() == frame["phi_dot"].tobytes()
 
     def test_write_rows_writes_what_write_row_writes(self, tmp_path):
         steps, values = np.arange(3), np.array([0.1, 1e-300, np.inf])

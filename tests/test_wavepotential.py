@@ -170,10 +170,9 @@ def allocating_verlet(state, dt, steps, method):
 def allocating_modal_verlet(state, dt, steps, method):
     """The same scheme on the coordinates a = Q^T phi, a_dot = Q^T phi_dot in L's
     eigenbasis, written out with a new array per operation: up to DENSE_L_LIMIT
-    points run_verlet must match it byte for byte. Each step's (Lambda a, a_dot)
-    is mapped to samples by its own (2, N) matmul by Q^T, so run_verlet, which
-    maps a block of k steps as one (2k, N) matmul, must not depend on k.
-    Returns what the observer should see and the final (phi, phi_dot)."""
+    points run_verlet must match it byte for byte. The observer sees each step's
+    mode coordinates (Lambda a, a_dot) of (L phi, phi_dot) as they are. Returns
+    what the observer should see and the final (phi, phi_dot)."""
     grid = state.grid
     eig = dense_eigensystem(state.potential, state.params, method)
     lam = -eig.energies
@@ -187,8 +186,7 @@ def allocating_modal_verlet(state, dt, steps, method):
             vel = vel + a * half_kick
             a = a + vel * dt
             vel = vel + a * half_kick
-        lphi, v = np.stack([lam * a, vel]) @ qt
-        seen.append((n, lphi.tobytes(), v.tobytes()))
+        seen.append((n, (lam * a).tobytes(), vel.tobytes()))
     return seen, ((a @ qt).tobytes(), (vel @ qt).tobytes())
 
 
@@ -284,9 +282,28 @@ class TestModalVerlet:
         as_array = lambda b: np.frombuffer(b).reshape(grid.shape)
         assert relative_gap(final.phi.values, as_array(phi_ref)) <= 1e-12
         assert relative_gap(final.phi_dot.values, as_array(vel_ref)) <= 1e-12
+        # the modal observer sees mode coordinates; Q maps them to samples
+        qt = dense_eigensystem(V, params, method).vectors.T
         for (n, lphi, vel), (_, lphi_ref, vel_ref) in zip(observed, seen):
-            assert relative_gap(lphi, as_array(lphi_ref)) <= 1e-12, n
-            assert relative_gap(vel, as_array(vel_ref)) <= 1e-12, n
+            assert relative_gap((lphi @ qt).reshape(grid.shape), as_array(lphi_ref)) <= 1e-12, n
+            assert relative_gap((vel @ qt).reshape(grid.shape), as_array(vel_ref)) <= 1e-12, n
+
+    @SMALL_GRIDS
+    def test_observer_never_reaches_the_state(self, grid, v, rng):
+        # the observer's blocks, scaled by Lambda in place and then overwritten
+        # here, are copies: frames and the final state keep their bytes
+        V = PotentialSpec.from_expression(v, grid)
+        st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng))
+        dt = stable_dt(V, PARAMS)
+        runs = []
+        for observer in (None, lambda ns, lphis, vels: (lphis.fill(np.nan), vels.fill(np.inf))):
+            frames = []
+            final = run_verlet(st0, dt, 150, sink=lambda n, s: frames.append(
+                (n, s.phi.values.tobytes(), s.phi_dot.values.tobytes())),
+                snapshot_stride=40, observer=observer)
+            runs.append((frames, final.phi.values.tobytes(), final.phi_dot.values.tobytes()))
+        assert runs[0] == runs[1]
+        assert [n for n, *_ in runs[0][0]] == [0, 40, 80, 120, 150]
 
     def test_zero_steps_return_the_initial_state(self, rng):
         grid = Grid.line(64, 20.0)
