@@ -24,7 +24,7 @@ Cayley update *is* the trapezoid relation between the two parts.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -41,14 +41,13 @@ from .operators import (
     fourier_multiplier,
     live_quotient,
     max_wavenumber,
-    symbols,
 )
 from .schrodinger import (
     PotentialSpec,
     QuantumParams,
-    hamiltonian_array,
-    l_operator_array,
+    kinetic_symbol,
     max_energy_bound,
+    real_l_operator,
 )
 from .stepping import one_blas_thread
 from .wavepotential import PhiState
@@ -141,58 +140,45 @@ _KERNEL_RESIDUAL_TOL = 1e-12
 
 
 def _fourier_preconditioner(grid: Grid, v: np.ndarray, params: QuantumParams, method: str):
-    """Inverse of the symbol -kin Lap + mean V - min(0, min V): the kinetic part of H
-    plus the mean potential, shifted up by the depth of V below zero.
-
-    The shift is never negative, and for V >= 0 it is mean V itself; for a
-    deep well such as -20 cos x it keeps the symbol away from the near-zero
-    kinetic one that |mean V| would give. Positive definite for every V, so it
-    serves both CG on H and LOBPCG. Takes real arrays; a leading batch axis
-    passes through.
-    """
+    """The inverse of T + mean V - min(0, min V), H's kinetic part plus mean V shifted
+    up by the depth of V below zero: for a deep well such as -20 cos x the shift keeps
+    the symbol off the near-zero one |mean V| would give. Positive definite for every
+    V, so it preconditions both LOBPCG and CG on H; a leading batch axis passes."""
     shift = float(v.mean()) - min(0.0, float(v.min()))
-    sym = -params.kinetic * symbols(grid, method).lap + shift
+    sym = kinetic_symbol(grid, method, params.kinetic) + shift
     return fourier_multiplier(grid, 1.0 / np.where(np.abs(sym) < 1e-14, 1.0, sym), real=True)
 
 
 def _kernel_basis(
-    V: PotentialSpec, params: QuantumParams, method: str, zero_tol: float
+    grid: Grid, h: Callable, precondition: Callable, emax: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every eigenpair of H = -L with E <= zero_tol * emax: the energies,
-    ascending, and the eigenvectors as the rows of a ``(k, grid.size)`` array
-    over the flattened grid, orthonormal in the plain dot product.
+    """Every eigenpair of H = -L with E <= tol * emax, tol = _KERNEL_ZERO_TOL:
+    the energies, ascending, and the eigenvectors as the rows of a
+    ``(k, grid.size)`` array, orthonormal in the plain dot product.
 
-    emax is ``max_energy_bound``. The pairs with |E| <= zero_tol * emax span
-    the numerical kernel of L; those below -zero_tol * emax are the negative
-    spectrum of an indefinite H. ``linsolve.lowest_eigenpairs`` (LOBPCG,
-    Knyazev 2001) finds the lowest eigenpairs of H matrix-free, through
-    ``hamiltonian_array`` on whole blocks and the Fourier preconditioner of
-    ``solve_elliptic``, from a fixed pseudo-random start block, on one BLAS
-    thread (``stepping.one_blas_thread``). The block
-    doubles until the eigenpairs that converged, counted from the lowest up,
-    reach one above the threshold: that shows every eigenvalue at or below it
-    was found. A search that gets there only with more than
+    ``h`` applies H and ``precondition`` approximates its inverse, both as
+    ``solve_elliptic`` builds them; emax is ``max_energy_bound``. The pairs
+    with |E| <= tol * emax span the numerical kernel of L; those below
+    -tol * emax are the negative spectrum of an indefinite H.
+    ``linsolve.lowest_eigenpairs`` (LOBPCG, Knyazev 2001) finds the lowest
+    eigenpairs of H matrix-free, through ``h`` on whole blocks, from a fixed
+    pseudo-random start block, on one BLAS thread (``stepping.one_blas_thread``).
+    The block doubles until the eigenpairs that converged, counted from the
+    lowest up, reach one above the threshold: that shows every eigenvalue at
+    or below it was found. A search that gets there only with more than
     ``_KERNEL_BLOCK_CAP`` vectors raises SolverError; it never assumes the
     kernel away.
     """
-    grid = V.grid
     m = grid.size
-    v = V.sampled.values
-    emax = max_energy_bound(V, params, method)
-    threshold = zero_tol * emax
+    threshold = _KERNEL_ZERO_TOL * emax
     res_tol = _KERNEL_RESIDUAL_TOL * emax
-
-    def h(f: np.ndarray) -> np.ndarray:
-        return hamiltonian_array(f, v, grid, params, method)
-
-    preconditioner = _fourier_preconditioner(grid, v, params, method)
     block = min(_KERNEL_BLOCK_START, m)
     while True:
         start = np.random.default_rng(0).standard_normal((m, block))
         with one_blas_thread():
             energies, vectors = lowest_eigenpairs(
                 h, start.T.reshape((block,) + grid.shape),
-                tol=0.1 * res_tol, max_iter=_KERNEL_MAX_ITER, precondition=preconditioner,
+                tol=0.1 * res_tol, max_iter=_KERNEL_MAX_ITER, precondition=precondition,
             )
         flat = vectors.reshape(block, m)
         residual = np.linalg.norm(h(vectors).reshape(block, m) - energies[:, None] * flat, axis=1)
@@ -235,8 +221,15 @@ def solve_elliptic(
     grid = V.grid
     check_same_grid(grid, rhs)
     v = V.sampled.values
-    energies, low = _kernel_basis(V, params, method, _KERNEL_ZERO_TOL)
-    negative = energies < -_KERNEL_ZERO_TOL * max_energy_bound(V, params, method)
+    lop = real_l_operator(grid, v, params, method)
+
+    def apply_h(x: np.ndarray) -> np.ndarray:
+        return -lop(x)
+
+    precondition = _fourier_preconditioner(grid, v, params, method)
+    emax = max_energy_bound(V, params, method)
+    energies, low = _kernel_basis(grid, apply_h, precondition, emax)
+    negative = energies < -_KERNEL_ZERO_TOL * emax
     u, u_energies = low[negative], energies[negative]
 
     flat_rhs = rhs.values.ravel()
@@ -253,15 +246,10 @@ def solve_elliptic(
     def project(x: np.ndarray) -> np.ndarray:
         return x - (low.T @ (low @ x.ravel())).reshape(x.shape)
 
-    def apply_h(x: np.ndarray) -> np.ndarray:
-        return hamiltonian_array(x, v, grid, params, method)
-
-    preconditioner = _fourier_preconditioner(grid, v, params, method)
-
     def solve(b: np.ndarray) -> np.ndarray:
         x = project(conjugate_gradient(
             apply_h, b, tol=0.5 * _ELLIPTIC_TOL, max_iter=_ELLIPTIC_MAX_ITER,
-            precondition=preconditioner, project=project,
+            precondition=precondition, project=project,
         ))
         # add nothing when no pair is negative (any V >= 0): zeros would turn -0.0 into 0.0
         return x + (u.T @ ((u @ b.ravel()) / u_energies)).reshape(x.shape) if len(u) else x
@@ -269,7 +257,7 @@ def solve_elliptic(
     sol = solve(-rhs.values)  # H C = -rhs
     for passes in range(1, _ELLIPTIC_PASSES + 1):
         # L sol - rhs = -rhs - H sol is also the residual of H C = -rhs
-        residual = l_operator_array(sol, v, grid, params, method) - rhs.values
+        residual = lop(sol) - rhs.values
         rel = float(np.linalg.norm(residual.ravel())) / rhs_norm
         if rel <= _ELLIPTIC_TOL:
             return ScalarSampleField(grid, sol)

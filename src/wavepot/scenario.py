@@ -306,6 +306,10 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
         monitors={k: _get(parser, "monitors", k) for k in _keys(parser, "monitors")},
         inputs={key: _get(parser, "inputs", key) for key in spec.inputs},
     )
+    try:  # past the rules, hbar^2/2m can still overflow
+        schrodinger.QuantumParams(scenario.constants["hbar"], scenario.constants["m"])
+    except ValueError as exc:
+        raise ScenarioError(f"field [constants] {exc}") from None
 
     if "potential" in spec.sections:
         source = _get(parser, "potential", "v")

@@ -1,17 +1,20 @@
 """Schrodinger dynamics on the grid: the reference side of every equivalence test.
 
-The complex evolution i*hbar dPsi/dt = H Psi with H = -(hbar^2/2m) Lap + V is
-exposed three ways:
+All of it applies one operator. ``kinetic_symbol`` forms the Fourier symbol of
+T = -(hbar^2/2m) Lap, and ``real_l_operator`` applies L = -(T + V) through it
+to real or complex samples; H = -L. ``l_operator_array`` and
+``hamiltonian_array`` are one call of that closure, so phi-Verlet, the dense
+H, the Cayley step, the reverse map and compare's phi -> Psi map apply one L,
+bit for bit. The evolution i*hbar dPsi/dt = H Psi is exposed three ways:
 
 * ``apply_hamiltonian`` / ``canonical_rhs``: the first-order system for the
   real and imaginary parts (varphi, p), generated by the canonical Hamiltonian
   functional ``hamiltonian_canonical``.
 * ``generalized_rhs``: the same flow generated by the norm functional through
-  a non-canonical bracket whose kernel is the operator L = (hbar^2/2m) Lap - V
-  (= -H). Both right-hand sides must agree to roundoff.
+  a non-canonical bracket whose kernel is L.
 * Two propagators: ``crank_nicolson_step`` (Cayley form, exactly unitary up to
-  the linear-solve tolerance; CGLS preconditioned by the Fourier-diagonal
-  kinetic part of the Cayley matrix) and ``exact_propagate_small`` (dense
+  the linear-solve tolerance; CGLS preconditioned by M = 1 + i alpha (T + c),
+  diagonal in Fourier space) and ``exact_propagate_small`` (dense
   eigendecomposition, machine-precision for grids up to 4096 points).
 
 The potential must not depend on time; PotentialSpec enforces that at
@@ -30,13 +33,7 @@ from . import expressions
 from .errors import SolverError
 from .grids import ComplexSampleField, Grid, ScalarSampleField, check_same_grid
 from .linsolve import normal_equations_cg
-from .operators import (
-    fourier_multiplier,
-    gradient_arrays,
-    laplacian_array,
-    laplacian_spectral_radius,
-    symbols,
-)
+from .operators import fourier_multiplier, gradient_arrays, laplacian_spectral_radius, symbols
 from .expressions import Expression
 from .stepping import check_dt, drive, one_blas_thread
 
@@ -56,6 +53,8 @@ __all__ = [
     "DenseEigensystem",
     "dense_eigensystem",
     "max_energy_bound",
+    "kinetic_symbol",
+    "real_l_operator",
     "l_operator_array",
     "hamiltonian_array",
     "DENSE_GRID_LIMIT",
@@ -81,6 +80,8 @@ class QuantumParams:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if not (self.mass > 0 and np.isfinite(self.mass)):
             raise ValueError(f"mass must be positive, got {self.mass}")
+        if not np.isfinite(self.hbar * self.hbar / (2.0 * self.mass)):  # hbar**2 would raise
+            raise ValueError(f"hbar^2/2m overflows for hbar = {self.hbar}, m = {self.mass}")
 
     @property
     def kinetic(self) -> float:
@@ -133,35 +134,42 @@ class PotentialSpec:
         return self.sampled.grid
 
 
-def hamiltonian_array(
-    values: np.ndarray, v: np.ndarray, grid: Grid, params: QuantumParams, method: str
-) -> np.ndarray:
-    """H f = -(hbar^2/2m) Lap f + V f on raw samples (real or complex)."""
-    return -params.kinetic * laplacian_array(values, grid, method) + v * values
+@lru_cache(maxsize=32)
+def kinetic_symbol(grid: Grid, method: str, kinetic: float) -> np.ndarray:
+    """T = -kinetic * lap on the full spectrum, kinetic = hbar^2/2m: the kinetic
+    energy's Fourier symbol, the only place the package forms it. Read-only."""
+    t = -kinetic * symbols(grid, method).lap
+    t.setflags(write=False)
+    return t
+
+
+def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: str):
+    """L = -(T + V) as one closure, the package's one L: an apply is one transform
+    pair of real or complex samples around ``kinetic_symbol``, on the half or the
+    full spectrum, and one pointwise product. Leading batch axes pass through.
+    Given ``out``, an array of f's shape and dtype other than f, the closure
+    writes L f there and returns it, with the same bytes as a call without it."""
+    minus_t = -kinetic_symbol(grid, method, params.kinetic)
+    kinetic = {real: fourier_multiplier(grid, minus_t, real) for real in (True, False)}
+
+    def lop(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.subtract(kinetic[not np.iscomplexobj(f)](f), v * f, out=out)
+
+    return lop
 
 
 def l_operator_array(
     values: np.ndarray, v: np.ndarray, grid: Grid, params: QuantumParams, method: str
 ) -> np.ndarray:
-    """L f = (hbar^2/2m) Lap f - V f, the operator mapping potentials to -Re Psi."""
-    return params.kinetic * laplacian_array(values, grid, method) - v * values
+    """L f on raw samples (real or complex): one apply of ``real_l_operator``."""
+    return real_l_operator(grid, v, params, method)(values)
 
 
-def real_l_operator(grid: Grid, v: np.ndarray, params: QuantumParams, method: str):
-    """L for real fields as one closure, used by integrator hot loops.
-
-    The kinetic symbol is scaled once, so each apply is one real transform
-    pair and one pointwise product; equal to l_operator_array up to roundoff.
-    Leading batch axes pass through. Given ``out``, a C-contiguous float64
-    array of f's shape other than f, the closure writes L f there and returns
-    it, with the same bytes as a call without it.
-    """
-    kinetic = fourier_multiplier(grid, params.kinetic * symbols(grid, method).lap, real=True)
-
-    def lop(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.subtract(kinetic(f), v * f, out=out)
-
-    return lop
+def hamiltonian_array(
+    values: np.ndarray, v: np.ndarray, grid: Grid, params: QuantumParams, method: str
+) -> np.ndarray:
+    """H f = -L f on raw samples (real or complex): one apply of ``real_l_operator``."""
+    return -real_l_operator(grid, v, params, method)(values)
 
 
 def apply_hamiltonian(
@@ -187,12 +195,10 @@ def canonical_rhs(
     """
     grid = varphi.grid
     check_same_grid(grid, p, V.sampled)
-    v = V.sampled.values
-    lp = l_operator_array(p.values, v, grid, params, method)
-    lphi = l_operator_array(varphi.values, v, grid, params, method)
+    lop = real_l_operator(grid, V.sampled.values, params, method)
     return (
-        ScalarSampleField(grid, -lp / params.hbar),
-        ScalarSampleField(grid, lphi / params.hbar),
+        ScalarSampleField(grid, -lop(p.values) / params.hbar),
+        ScalarSampleField(grid, lop(varphi.values) / params.hbar),
     )
 
 
@@ -211,12 +217,10 @@ def generalized_rhs(
     """
     grid = varphi.grid
     check_same_grid(grid, p, V.sampled)
-    v = V.sampled.values
-    dh_dp = p.values / params.hbar
-    dh_dphi = varphi.values / params.hbar
+    lop = real_l_operator(grid, V.sampled.values, params, method)
     return (
-        ScalarSampleField(grid, -l_operator_array(dh_dp, v, grid, params, method)),
-        ScalarSampleField(grid, l_operator_array(dh_dphi, v, grid, params, method)),
+        ScalarSampleField(grid, -lop(p.values / params.hbar)),
+        ScalarSampleField(grid, lop(varphi.values / params.hbar)),
     )
 
 
@@ -253,11 +257,12 @@ def norm_functional(psi: WaveFunction) -> float:
 def _inverse_cayley_kinetic_symbol(
     grid: Grid, method: str, kin: float, alpha: float, c: float
 ) -> np.ndarray:
-    """1/m for m(k) = 1 + i alpha (-kin lap(k) + c), the Fourier symbol of M.
+    """1/m for m(k) = 1 + i alpha (T(k) + c), the Fourier symbol of M; T is
+    ``kinetic_symbol`` for hbar^2/2m = ``kin``.
 
     |m| >= 1 for real ``c``, so M^-1 never amplifies.
     """
-    inv = 1.0 / (1.0 + 1j * alpha * (-kin * symbols(grid, method).lap + c))
+    inv = 1.0 / (1.0 + 1j * alpha * (kinetic_symbol(grid, method, kin) + c))
     inv.setflags(write=False)
     return inv
 

@@ -235,6 +235,9 @@ def read_snapshot(path: str | Path) -> SnapshotData:
                 raise ValueError(
                     f"{path} has a provenance.constants that is not an object of finite numbers"
                 )
+            for key in ("potential", "backend"):  # read as an expression and an operator backend
+                if type(provenance.get(key, "")) is not str:
+                    raise ValueError(f"{path} has a provenance.{key} that is not a string")
             count = header["frame_count"]
             if type(count) is not int or count < 1:  # a run records its first and last step
                 raise ValueError(f"{path} has frame_count {count!r}, not a positive integer")

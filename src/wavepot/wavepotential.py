@@ -246,11 +246,9 @@ def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> 
 
 def to_wavefunction(state: PhiState, method: str = "spectral") -> WaveFunction:
     """Psi = -L phi + i hbar phi_dot."""
-    grid = state.grid
-    v = state.potential.sampled.values
-    lphi = l_operator_array(state.phi.values, v, grid, state.params, method)
-    psi = -lphi + 1j * state.params.hbar * state.phi_dot.values
-    return WaveFunction(ComplexSampleField(grid, psi), state.params)
+    lop = real_l_operator(state.grid, state.potential.sampled.values, state.params, method)
+    psi = -lop(state.phi.values) + 1j * state.params.hbar * state.phi_dot.values
+    return WaveFunction(ComplexSampleField(state.grid, psi), state.params)
 
 
 def stationary_phi(

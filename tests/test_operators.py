@@ -397,7 +397,7 @@ class TestRealLOperator:
         params = QuantumParams(1.3, 0.7)
         got = real_l_operator(grid, v, params, method)(f)
         assert got.shape == f.shape
-        assert_close(got, l_operator_array(f, v, grid, params, method), rel=1e-13)
+        assert got.tobytes() == l_operator_array(f, v, grid, params, method).tobytes()
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize(
@@ -420,6 +420,30 @@ class TestRealLOperator:
         assert lop(f, out=buf) is buf
         assert buf.tobytes() == lop(f).tobytes()
         assert f.tobytes() == kept.tobytes()
+
+
+class TestOneL:
+    """l_operator_array is one apply of real_l_operator and hamiltonian_array its
+    negation, bit for bit, for real and complex samples, with and without ``out``."""
+
+    @pytest.mark.parametrize("out", [False, True], ids=["fresh", "out"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_h_and_l_are_the_closure(self, name, method, complex_, out, rng):
+        grid = GRIDS[name]
+        f = random_samples((2,) + grid.shape, rng, complex_)  # a leading batch axis
+        v = rng.uniform(0.0, 3.0, grid.shape)
+        params = QuantumParams(1.3, 0.7)  # hbar^2/2m is no power of two
+        lop = real_l_operator(grid, v, params, method)
+        ref = lop(f, out=np.full_like(f, np.nan)) if out else lop(f)
+        assert ref.dtype == f.dtype and ref.shape == f.shape
+        for got, want in [
+            (l_operator_array(f, v, grid, params, method), ref),
+            (hamiltonian_array(f, v, grid, params, method), -ref),
+        ]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDeadModes:
@@ -483,6 +507,48 @@ def test_transforms_only_in_the_operator_layer():
     assert any(p.name == "operators.py" for p in paths)
     found = [hit for path in paths for hit in _misplaced_transforms(path)]
     assert not found, found
+
+
+# The quantum side of the package, where the kinetic symbol T = -(hbar^2/2m) Lap
+# is formed once, by schrodinger.kinetic_symbol, and read from there.
+QUANTUM_SIDE = ("schrodinger.py", "wavepotential.py", "reconstruction.py", "scenario.py")
+
+
+def _laplacians_formed(path: Path) -> list[tuple[str, str | None]]:
+    """(file, enclosing function) of each read of a ``.lap`` symbol and each call
+    of ``laplacian_array`` or ``laplacian``."""
+    found = []
+    for child, function in _nodes_with_function(path):
+        if isinstance(child, ast.Attribute) and child.attr == "lap":
+            found.append((path.name, function))
+        elif isinstance(child, ast.Call) and getattr(
+            child.func, "id", getattr(child.func, "attr", None)
+        ) in ("laplacian_array", "laplacian"):
+            found.append((path.name, function))
+    return found
+
+
+def test_kinetic_symbol_formed_once():
+    found = [hit for name in QUANTUM_SIDE for hit in _laplacians_formed(SRC / name)]
+    assert found == [("schrodinger.py", "kinetic_symbol")], found
+
+
+def test_kinetic_symbol_guard_flags_a_mutated_copy(tmp_path):
+    source = (SRC / "reconstruction.py").read_text()
+    anchor = "kinetic_symbol(grid, method, params.kinetic) + shift"
+    assert source.count(anchor) == 1
+    mutated = tmp_path / "reconstruction.py"
+    mutated.write_text(source.replace(anchor, "-params.kinetic * symbols(grid, method).lap + shift"))
+    assert _laplacians_formed(mutated) == [("reconstruction.py", "_fourier_preconditioner")]
+    source = (SRC / "schrodinger.py").read_text()
+    anchor = "    return -real_l_operator(grid, v, params, method)(values)\n"
+    assert source.count(anchor) == 1
+    inline = "    return -params.kinetic * laplacian_array(values, grid, method) + v * values\n"
+    mutated = tmp_path / "schrodinger.py"
+    mutated.write_text(source.replace(anchor, inline))
+    assert _laplacians_formed(mutated) == [
+        ("schrodinger.py", "kinetic_symbol"), ("schrodinger.py", "hamiltonian_array"),
+    ]
 
 
 def _scipy_imports(path: Path) -> list[tuple[str, str | None, str]]:

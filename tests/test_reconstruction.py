@@ -26,6 +26,8 @@ from wavepot.maxwell import (
 from wavepot.operators import curl, divergence
 from wavepot.reconstruction import (
     _KERNEL_BLOCK_CAP,
+    _KERNEL_ZERO_TOL,
+    _fourier_preconditioner,
     _interval_widths,
     _kernel_basis,
     _running_trapezoid,
@@ -43,6 +45,7 @@ from wavepot.schrodinger import (
     l_operator_array,
     max_energy_bound,
     propagate_cn,
+    real_l_operator,
 )
 from wavepot.wavepotential import gauge_shift, stationary_phi, to_wavefunction
 
@@ -322,6 +325,14 @@ _KERNEL_POTENTIALS = {
 }
 
 
+def _kernel(V: PotentialSpec, method: str):
+    """``_kernel_basis`` with the H and preconditioner that ``solve_elliptic`` hands it."""
+    grid, v = V.grid, V.sampled.values
+    lop = real_l_operator(grid, v, PARAMS, method)
+    precondition = _fourier_preconditioner(grid, v, PARAMS, method)
+    return _kernel_basis(grid, lambda f: -lop(f), precondition, max_energy_bound(V, PARAMS, method))
+
+
 class TestKernelBasis:
     @pytest.mark.parametrize("potential", sorted(_KERNEL_POTENTIALS))
     @pytest.mark.parametrize("method", ["spectral", "central2"])
@@ -332,15 +343,14 @@ class TestKernelBasis:
     )
     def test_matches_dense_oracle(self, grid, method, potential):
         V = _KERNEL_POTENTIALS[potential](grid, method)
-        zero_tol = 1e-10
         system = dense_eigensystem(V, PARAMS, method)
-        threshold = zero_tol * max_energy_bound(V, PARAMS, method)
+        threshold = _KERNEL_ZERO_TOL * max_energy_bound(V, PARAMS, method)
         if np.sum(system.energies <= threshold) >= _KERNEL_BLOCK_CAP:
             # central2 on the cube: 108 eigenvalues below zero, more than the search's block cap
             with pytest.raises(SolverError, match="cap of"):
-                _kernel_basis(V, PARAMS, method, zero_tol)
+                _kernel(V, method)
             return
-        energies, low = _kernel_basis(V, PARAMS, method, zero_tol)
+        energies, low = _kernel(V, method)
         below = system.energies <= threshold
         assert len(energies) == np.sum(below)
         # a Ritz value lies within its residual, 1e-12 of emax, of an eigenvalue
@@ -361,7 +371,7 @@ class TestKernelBasis:
         grid = Grid.line(512, 20.0)
         V = _tuned_constant(grid, "spectral")
         (first_energies, first), (second_energies, second) = (
-            _kernel_basis(V, PARAMS, "spectral", 1e-10) for _ in range(2)
+            _kernel(V, "spectral") for _ in range(2)
         )
         assert len(first) == len(second) == 3  # the constant mode below the two zero modes
         assert first_energies.tobytes() == second_energies.tobytes()

@@ -1,14 +1,19 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepot import maxwell, schrodinger, stepping, wavepotential
 from wavepot import scenario as scenario_module
@@ -486,13 +491,15 @@ class TestCli:
          "field [constants] hbar must be a positive finite number, got 0.0"),
         ("phi", _PHI_16, ["constants.m=-1"],
          "field [constants] m must be a positive finite number, got -1.0"),
+        # hbar**2 raised OverflowError in a traceback
+        ("phi", _PHI_16, ["constants.hbar=1e200"], "hbar^2/2m overflows for hbar = 1e+200, m = 1.0"),
         ("maxwell-fields", MAXWELL, ["constants.c=0"],
          "field [constants] c must be a positive finite number, got 0.0"),
         ("maxwell-fields", MAXWELL, ["integrator.dt=1e200", "integrator.dt_scale=1e200"],
          "field [integrator] dt times dt_scale must be a positive finite number, got inf"),
         ("phi", _PHI_16, ["integrator.dt=1e-200", "integrator.dt_scale=1e-200"],
          "field [integrator] dt times dt_scale must be a positive finite number, got 0.0"),
-    ], ids=["phi-hbar-zero", "phi-m-negative", "maxwell-c-zero", "maxwell-dt-overflow",
+    ], ids=["phi-hbar-zero", "phi-m-negative", "phi-kinetic-overflow", "maxwell-c-zero", "maxwell-dt-overflow",
             "phi-dt-underflow"])
     def test_constants_and_resolved_dt_checked_exit_one(
         self, tmp_path, capsys, kind, text, overrides, message
@@ -1095,6 +1102,8 @@ def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, changes, 
     ({"provenance": [1]}, "has a provenance that is not an object"),
     ({"provenance": {"constants": "abc"}}, "has a provenance.constants that is not an object"),
     ({"provenance": {"constants": {"hbar": "1.0"}}}, "provenance.constants that is not an object"),
+    ({"provenance": {"potential": 5}}, "has a provenance.potential that is not a string"),
+    ({"provenance": {"potential": "0", "backend": []}}, "has a provenance.backend that is not a string"),
     ({"frame_count": 10**12}, "is truncated: its header promises 1024000000000000 bytes of frames"),
     ({"grid": {"points": [10**6] * 3, "lengths": [20.0] * 3}},
      "is truncated: its header promises 64000000000000000000 bytes of frames"),
@@ -1106,7 +1115,7 @@ def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, changes, 
     ({"grid": {"points": [64], "lengths": ["20.0"]}}, "has grid.lengths ['20.0'], not a list of numbers"),
     ({"grid": {"points": [64], "lengths": [False]}}, "has grid.lengths [False], not a list of numbers"),
 ], ids=["kind", "fields-repeated", "fields-other", "provenance", "constants", "constant-string",
-        "frame-count-huge", "points-huge", "points-string", "points-fraction", "points-float",
+        "potential-number", "backend-list", "frame-count-huge", "points-huge", "points-string", "points-fraction", "points-float",
         "points-bool", "points-not-a-list", "lengths-string", "lengths-bool"])
 def test_header_that_does_not_fit_its_kind_exit_one(tmp_path, capsys, changes, message):
     # on a valid 4-frame phi record: dump wrote a kind of "banana" out with exit 0,
@@ -1114,7 +1123,8 @@ def test_header_that_does_not_fit_its_kind_exit_one(tmp_path, capsys, changes, m
     # provenance in AttributeError; a frame count of 10**12 ended in MemoryError from
     # the 7.28 TiB time array, and 10**18 grid points from reading one frame's bytes.
     # Grid read points of "64" or 64.5 as 64, and the record then failed as having
-    # trailing bytes
+    # trailing bytes. A potential of 5 or a backend of [] ended compare's
+    # phi_to_psi in a TypeError traceback
     argv = ["phi", "--scenario", str(write(tmp_path, "phi.scn", MINIMAL_PHI))]
     assert main(argv + ["--out", str(tmp_path / "bad"), "--override", "integrator.steps=30"]) == 0
     path = tmp_path / "bad" / SNAPSHOT
@@ -1138,6 +1148,69 @@ def test_header_that_does_not_fit_its_kind_exit_one(tmp_path, capsys, changes, m
     assert main(["dump", "--snapshot", str(path), "--out", str(tmp_path / "dump.csv")]) == 1
     assert not (tmp_path / "dump.csv").exists()
     assert capsys.readouterr().err.count(message) == 4
+
+
+# JSON values of every type: null, booleans, integers of any size, floats (NaN and
+# the infinities too, which Python's json writes and reads), strings, and lists and
+# objects of these
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+HEADER_KEYS = (
+    "provenance.potential", "provenance.backend", "provenance.constants.hbar",
+    "provenance.constants.m", "provenance.constants.c", "provenance.constants.other", "time_end",
+)
+
+
+@pytest.fixture(scope="module")
+def valid_records(tmp_path_factory):
+    """The bytes of a valid phi record and a valid maxwell-potential record, by the
+    transform compare maps each with."""
+    work = tmp_path_factory.mktemp("records")
+    records = {}
+    for kind, text, transform in [
+        ("phi", MINIMAL_PHI, "phi_to_psi"), ("maxwell-potential", MAXWELL_POTENTIAL, "a_to_fields"),
+    ]:
+        argv = [kind, "--scenario", str(write(work, f"{kind}.scn", text)), "--out", str(work / kind)]
+        assert main(argv) == 0
+        records[transform] = (work / kind / SNAPSHOT).read_bytes()
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    transform=st.sampled_from(["phi_to_psi", "a_to_fields"]),
+    key=st.sampled_from(HEADER_KEYS),
+    value=JSON_VALUES,
+)
+def test_any_json_value_in_a_header_ends_in_a_message(valid_records, transform, key, value):
+    magic, header, frames = valid_records[transform].split(b"\n", 2)
+    header = json.loads(header)
+    *parents, name = key.split(".")
+    target = header
+    for part in parents:
+        target = target[part]
+    target[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "r1").mkdir()
+        (work / "r1" / SNAPSHOT).write_bytes(b"\n".join([magic, json.dumps(header).encode(), frames]))
+        text = COMPARE.replace("r2", "r1") + f"transform_a = {transform}\ntransform_b = {transform}\n"
+        compare = ["compare", "--scenario", str(write(work, "c.scn", text)), "--out", str(work / "c")]
+        dump = ["dump", "--snapshot", str(work / "r1"), "--out", str(work / "dump.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(compare), main(dump)]  # an uncaught exception fails the test here
+        # a finite but extreme constant (hbar = 1e154, c = 1e-320) overflows the
+        # forward map itself: compare's documented numerical failure, exit 2
+        assert codes[0] in (0, 1, 2) and codes[1] in (0, 1), (codes, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if codes[0]:
+            assert not (work / "c").exists() or not list((work / "c").iterdir())
+        if codes[1]:
+            assert not (work / "dump.csv").exists()
 
 
 class TestAtomicSnapshots:

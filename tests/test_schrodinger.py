@@ -38,6 +38,15 @@ def plane_wave(grid: Grid, mode: int = 1) -> WaveFunction:
     return WaveFunction(ComplexSampleField(grid, np.exp(1j * k * x)), PARAMS)
 
 
+class TestQuantumParams:
+    @pytest.mark.parametrize("hbar, mass", [(1e200, 1.0), (1.0, 5e-324)], ids=["hbar", "mass"])
+    def test_overflowing_kinetic_coefficient_rejected(self, hbar, mass):
+        # hbar = 1e200 made hbar**2 raise OverflowError at the first apply of L, and a
+        # record carrying it ended compare's phi_to_psi in a traceback
+        with pytest.raises(ValueError, match="hbar\\^2/2m overflows"):
+            QuantumParams(hbar, mass)
+
+
 class TestApplyHamiltonian:
     def test_plane_wave_is_eigenmode(self, grid64):
         psi = plane_wave(grid64)
