@@ -15,7 +15,6 @@ from wavepot.schrodinger import (
     QuantumParams,
     WaveFunction,
     dense_eigensystem,
-    eigenpairs_small,
     exact_propagate_small,
     propagate_cn,
 )
@@ -44,7 +43,7 @@ def main() -> None:
         errs.append(l2_norm(ComplexSampleField(grid, state.psi.values - ref.psi.values)))
     print(f"Crank-Nicolson order: {fit_order(dts, errs):.3f} (expected 2)")
 
-    e1, psi1 = eigenpairs_small(V, params, 2, eig=eig)[1]
+    e1, psi1 = float(eig.energies[1]), eig.eigenfield(1)
     state0 = stationary_phi(psi1, e1, 0.0, params, V)
     psi_init = to_wavefunction(state0)
     ref = exact_propagate_small(psi_init, V, t_final, eig=eig)

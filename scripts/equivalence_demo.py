@@ -19,7 +19,6 @@ from wavepot.schrodinger import (
     QuantumParams,
     WaveFunction,
     dense_eigensystem,
-    eigenpairs_small,
     exact_propagate_small,
     propagate_cn,
 )
@@ -39,7 +38,7 @@ def main() -> None:
         "0.5*(x-c0)^2", grid, {"c0": args.length / 2}
     )
     eig = dense_eigensystem(V, params)
-    e0, psi0 = eigenpairs_small(V, params, 1, eig=eig)[0]
+    e0, psi0 = float(eig.energies[0]), eig.eigenfield(0)
 
     print(f"harmonic background on [0, {args.length}) with {args.points} points")
     print(f"ground level E0 = {e0:.12f}\n")

@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MonitorError, NonFiniteSampleError, SolverError, StabilityError
 from . import scenario as scn
 from .snapshots import dump_csv, read_snapshot
@@ -45,6 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(all="ignore")  # an overflow fails with its one line, not after numpy's warnings
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -67,8 +70,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        report = scn.run(loaded, args.out)
-        _print_report(report)
+        _print_report(scn.run(loaded, args.out))
         return 0
     except MonitorError as exc:
         print(f"invariant ceiling exceeded: {exc}", file=sys.stderr)

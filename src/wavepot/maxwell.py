@@ -13,8 +13,8 @@ the checked claims). The second-order vector potential obeys
 
     d^2A/dt^2 = c^2 (Lap A - grad div A) + c J,
 
-integrated with velocity-Verlet exactly like the wave potential, on the spectra
-of A and dA/dt, and maps to fields through B = curl A, E = -(1/c) dA/dt. Both
+integrated with the wave potential's velocity-Verlet, ``stepping.verlet``, on the
+spectra of A and dA/dt, and maps to fields through B = curl A, E = -(1/c) dA/dt. Both
 integrators hand their observer blocks of the state's half spectrum and make
 samples only for a frame or the returned state; ``modal_diagnostics`` reads a
 diagnostics row off each spectrum. The complex combination B + i E
@@ -49,7 +49,7 @@ from .operators import (
     modes,
     symbols,
 )
-from .stepping import check_dt, drive
+from .stepping import check_dt, drive, verlet
 
 __all__ = [
     "EMState",
@@ -400,33 +400,26 @@ def run_potential_verlet(
     method: str = "spectral",
     observer: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> PotentialState:
-    """Velocity-Verlet of the potential dynamics from t=0; see ``stepping.drive``.
+    """``stepping.verlet`` of the potential dynamics from t=0, driven by ``stepping.drive``.
 
     The state is the half spectrum of (A, dA/dt), transformed once at the
-    start, so a kick is mode-wise arithmetic; each step takes the spectrum of
-    J(n dt) from ``SourceSpec.current_modes``. The observer sees blocks of the
-    spectrum, A and dA/dt stacked on axis 0. The potential is sampled by one
-    inverse transform of the spectrum, and only for a frame or the returned
-    state; frame 0 is the initial state itself.
+    start, so the kick, (c^2 (Lap A - grad div A) + c J(n dt)) dt/2, is
+    mode-wise arithmetic, with the spectrum of J from
+    ``SourceSpec.current_modes``. The observer sees blocks of the spectrum, A
+    and dA/dt stacked on axis 0. The potential is sampled by one inverse
+    transform of the spectrum, and only for a frame or the returned state;
+    frame 0 is the initial state itself.
     """
     grid = state.grid
     check_dt(dt, potential_dt_bound(grid, state.c), "potential Verlet")
     c = state.c
     spectrum = modes(np.stack((state.a.values, state.a_dot.values)), grid, method)
-    a, vel = spectrum.hat  # views: the kicks and drifts below step spectrum.hat in place
+    a, vel = spectrum.hat  # views: the kicks and drifts step spectrum.hat in place
 
-    def accel(t: float) -> np.ndarray:
-        j = sources.current_modes(t, grid, method)
-        return c * c * _potential_accel_modes(a, spectrum.sym) + c * j
-
-    acc = accel(0.0)
-
-    def advance(n: int) -> None:
-        nonlocal a, vel, acc
-        vel += 0.5 * dt * acc
-        a += dt * vel
-        acc = accel(n * dt)
-        vel += 0.5 * dt * acc
+    def kick(n: int, a: np.ndarray, out: np.ndarray) -> None:
+        j = sources.current_modes(n * dt, grid, method)
+        accel = c * c * _potential_accel_modes(a, spectrum.sym) + c * j
+        np.multiply(accel, 0.5 * dt, out=out)
 
     def box() -> PotentialState:
         a_values, vel_values = from_modes(spectrum)
@@ -435,7 +428,8 @@ def run_potential_verlet(
         )
 
     return drive(
-        advance, box, lambda: (spectrum.hat,), state, steps, snapshot_stride, sink, observer
+        verlet(a, vel, dt, kick), box, lambda: (spectrum.hat,), state, steps, snapshot_stride,
+        sink, observer,
     )
 
 

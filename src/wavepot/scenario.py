@@ -257,6 +257,16 @@ def _number(raw: str, section: str, key: str, last: int | None = None):
     return value
 
 
+def _constants(texts: dict[str, str]) -> dict[str, float]:
+    """[constants] over their defaults, each read by ``_number``."""
+    constants = {**_DEFAULT_CONSTANTS, **{k: _number(t, "constants", k) for k, t in texts.items()}}
+    try:  # past the rules, hbar^2/2m can still overflow
+        schrodinger.QuantumParams(constants["hbar"], constants["m"])
+    except ValueError as exc:
+        raise ScenarioError(f"field [constants] {exc}") from None
+    return constants
+
+
 def load_scenario(path: str | Path, overrides=()) -> Scenario:
     """Parse and validate a scenario file; resolves dt="auto" immediately."""
     path = Path(path)
@@ -298,18 +308,13 @@ def load_scenario(path: str | Path, overrides=()) -> Scenario:
             raise ScenarioError(
                 f"unknown field [inputs] {key} for kind={kind}; expected one of {spec.inputs}"
             )
-    constants = {k: _get(parser, "constants", k) for k in _keys(parser, "constants")}
+    constants = _constants({k: parser.get("constants", k) for k in _keys(parser, "constants")})
     scenario = Scenario(
         kind=kind, path=path, sha256=sha, seed=_get(parser, "scenario", "seed"),
-        backend=_get(parser, "operators", "backend"),
-        constants={**_DEFAULT_CONSTANTS, **constants},
+        backend=_get(parser, "operators", "backend"), constants=constants,
         monitors={k: _get(parser, "monitors", k) for k in _keys(parser, "monitors")},
         inputs={key: _get(parser, "inputs", key) for key in spec.inputs},
     )
-    try:  # past the rules, hbar^2/2m can still overflow
-        schrodinger.QuantumParams(scenario.constants["hbar"], scenario.constants["m"])
-    except ValueError as exc:
-        raise ScenarioError(f"field [constants] {exc}") from None
 
     if "potential" in spec.sections:
         source = _get(parser, "potential", "v")
@@ -584,8 +589,10 @@ def _phi_evolution(scenario: Scenario):
     if init["type"] == "stationary":
         mode = init["mode"]
         t0 = init["time"]
-        energy_n, psi_n = schrodinger.eigenpairs_small(V, params, mode + 1, scenario.backend)[mode]
-        state = wavepotential.stationary_phi(psi_n, energy_n, t0, params, V, scenario.backend)
+        eig = schrodinger.dense_eigensystem(V, params, scenario.backend)
+        state = wavepotential.stationary_phi(
+            eig.eigenfield(mode), float(eig.energies[mode]), t0, params, V, scenario.backend
+        )
     elif init["type"] == "random":
         state = _initial_state(scenario, [_random_band_limited(scenario), np.zeros(grid.shape)])
     else:
@@ -669,15 +676,20 @@ def _decoder(data: SnapshotData):
     """The scenario a record was made with, and the map from one of its frames to a state.
 
     That scenario holds the backend, constants and potential in the record's
-    provenance, with load_scenario's defaults for constants it lacks."""
+    provenance, read by a scenario's rules with load_scenario's defaults for
+    constants it lacks; a provenance they refuse fails naming the record."""
     prov = data.provenance
-    constants = {**_DEFAULT_CONSTANTS, **prov.get("constants", {})}
-    scn = Scenario(data.kind, None, "", 0, prov.get("backend", "spectral"), constants, data.grid)
     spec = KIND[data.kind]
-    if "potential" in spec.sections:
-        if "potential" not in prov:
-            raise ScenarioError(f"{data.kind} run lacks a potential in its provenance")
-        scn.potential = _sample_potential(prov["potential"], data.grid, constants)
+    try:
+        backend = _number(prov.get("backend", "spectral"), "operators", "backend")
+        constants = _constants({k: str(v) for k, v in prov.get("constants", {}).items()})
+        scn = Scenario(data.kind, None, "", 0, backend, constants, data.grid)
+        if "potential" in spec.sections:
+            if "potential" not in prov:
+                raise ScenarioError(f"{data.kind} run lacks a potential in its provenance")
+            scn.potential = _sample_potential(prov["potential"], data.grid, constants)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{data.path}: {exc}") from None
     return scn, lambda frame: spec.from_arrays(scn, [frame[name] for name in spec.fields])
 
 
@@ -718,7 +730,9 @@ def _run_reconstruct(scenario: Scenario, out_dir: Path) -> RunReport:
     source_kind = KIND[out_kind].forward
     data = _load_run(scenario, "source")
     if data.kind != source_kind:
-        raise ScenarioError(f"{scenario.kind} needs a {source_kind} run, got {data.kind!r}")
+        raise ScenarioError(
+            f"{data.path}: {scenario.kind} needs a {source_kind} run, got {data.kind!r}"
+        )
     scn = replace(scenario, grid=data.grid)
     if scn.potential_source is not None:
         scn.potential = _sample_potential(scn.potential_source, data.grid, scn.constants)
@@ -756,7 +770,9 @@ def _transform_frames(data: SnapshotData, transform: str):
     if kind is None:
         return data.fields, iter(data.frames)
     if data.kind != kind:
-        raise ScenarioError(f"transform {transform} needs a {kind} run, got {data.kind!r}")
+        raise ScenarioError(
+            f"{data.path}: transform {transform} needs a {kind} run, got {data.kind!r}"
+        )
     scn, decode = _decoder(data)
     fields = KIND[KIND[kind].forward].fields
     return fields, (

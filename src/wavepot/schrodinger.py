@@ -49,7 +49,6 @@ __all__ = [
     "crank_nicolson_step",
     "propagate_cn",
     "exact_propagate_small",
-    "eigenpairs_small",
     "DenseEigensystem",
     "dense_eigensystem",
     "max_energy_bound",
@@ -402,20 +401,6 @@ def dense_eigensystem(
     lead = np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0), axis=0)
     np.negative(vectors, out=vectors, where=vectors[lead, np.arange(lead.size)] < 0)
     return DenseEigensystem(V.grid, energies, vectors, params)
-
-
-def eigenpairs_small(
-    V: PotentialSpec,
-    params: QuantumParams,
-    count: int,
-    method: str = "spectral",
-    *,
-    eig: DenseEigensystem | None = None,
-) -> list[tuple[float, ScalarSampleField]]:
-    """Lowest ``count`` eigenpairs of the discrete H, ascending, grid-orthonormal."""
-    system = eig if eig is not None else dense_eigensystem(V, params, method)
-    count = min(count, system.energies.size)
-    return [(float(system.energies[n]), system.eigenfield(n)) for n in range(count)]
 
 
 def exact_propagate_small(

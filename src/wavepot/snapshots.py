@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -163,7 +164,7 @@ class SnapshotWriter(StagedFile):
 
 @dataclass(frozen=True)
 class SnapshotData:
-    """A fully loaded snapshot file; ``time_end`` as in its header (or None)."""
+    """A fully loaded snapshot file, read from ``path``; ``time_end`` as in its header or None."""
 
     kind: str
     grid: Grid
@@ -172,6 +173,7 @@ class SnapshotData:
     frames: list[dict[str, np.ndarray]]
     provenance: dict
     time_end: float | None
+    path: Path
 
 
 def write_snapshot(
@@ -243,8 +245,10 @@ def read_snapshot(path: str | Path) -> SnapshotData:
                 raise ValueError(f"{path} has frame_count {count!r}, not a positive integer")
             start, step = header["time_start"], header["time_step"]
             time_end = header.get("time_end")
-            if not np.isfinite([start, step, start if time_end is None else time_end]).all():
-                raise ValueError(f"{path} has a time that is not finite in its header")
+            for key in ("time_start", "time_step", "time_end")[: 2 if time_end is None else 3]:
+                value = header[key]  # a finite JSON number, not a bool; abs() takes any integer
+                if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                    raise ValueError(f"{path} has a time that is not finite in its header: {key}")
             # the header's promise checked against the file before anything is allocated
             body = count * len(fields) * grid.size * 8
             left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -253,6 +257,8 @@ def read_snapshot(path: str | Path) -> SnapshotData:
                 raise ValueError(
                     f"{path} {fault}: its header promises {body} bytes of frames, and {left} follow"
                 )
+            if not abs(start + step * (count - 1)) <= sys.float_info.max:  # np.arange's last time
+                raise ValueError(f"{path} has frame times that are not finite")
             times = start + step * np.arange(count, dtype=float)
             if time_end is not None:
                 times[-1] = time_end
@@ -272,7 +278,7 @@ def read_snapshot(path: str | Path) -> SnapshotData:
                     np.frombuffer(raw, dtype="<f8").reshape(grid.shape, order="F").copy()
                 )
             frames.append(entry)
-    return SnapshotData(kind, grid, fields, times, frames, provenance, time_end)
+    return SnapshotData(kind, grid, fields, times, frames, provenance, time_end, path)
 
 
 def dump_csv(data: SnapshotData, out_path: str | Path, frame: int | None = None) -> None:

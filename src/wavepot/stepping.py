@@ -1,17 +1,17 @@
-"""The one time-stepping loop behind every integrator.
+"""The one stepping loop and the one Verlet scheme behind every integrator.
 
 ``run_verlet``, ``propagate_cn``, ``run_rk4`` and ``run_potential_verlet``
 pass their dt through ``check_dt`` and write their scheme once, as an
 ``advance(n)`` that moves the state from step n-1 to step n (in place on raw
-arrays where the scheme allows), for ``drive``. All four take ``steps`` and
-the keywords ``sink``, ``snapshot_stride``, ``method`` and ``observer``, and
-return the final state, so ``steps=1`` is a single step. Frames reach the sink
-as soon as they exist; no run holds more than one. The observer sees each
-step's observed arrays a block of steps at a time, in blocks of at most
-``_OBSERVED_BLOCK_BYTES``. Under glibc the first ``drive`` of a process keeps
-freed heap for reuse, so steps do not fault their temporaries in again.
-``one_blas_thread`` runs the dense eigensolves, whose bytes depend on
-OpenBLAS's thread count, on one thread.
+arrays where the scheme allows), for ``drive``; both Verlet runs take theirs
+from ``verlet``. All four take ``steps`` and the keywords ``sink``,
+``snapshot_stride``, ``method`` and ``observer``, and return the final state,
+so ``steps=1`` is a single step. Frames reach the sink as soon as they exist;
+no run holds more than one. The observer sees each step's observed arrays a
+block of steps at a time, in blocks of at most ``_OBSERVED_BLOCK_BYTES``.
+Under glibc the first ``drive`` of a process keeps freed heap for reuse, so
+steps do not fault their temporaries in again. ``one_blas_thread`` runs the
+dense eigensolves, whose bytes depend on OpenBLAS's thread count, on one thread.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import StabilityError
 
-__all__ = ["check_dt", "frame_steps", "drive", "one_blas_thread"]
+__all__ = ["check_dt", "frame_steps", "drive", "verlet", "one_blas_thread"]
 
 State = TypeVar("State")
 
@@ -200,3 +200,22 @@ def drive(
             if sink is not None:
                 sink(n, state)
     return state
+
+
+def verlet(x: np.ndarray, v: np.ndarray, dt: float, kick: Callable) -> Callable[[int], None]:
+    """The ``advance`` of kick-drift-kick velocity-Verlet, stepping ``x`` and ``v`` in
+    place: v += half, x += v dt, kick(n, x, half), v += half. ``kick(n, x, out)``
+    writes dt/2 times the acceleration at step n into ``out``. The step-0 kick runs
+    here, so what it fills is ready before ``drive`` observes step 0."""
+    half, drift = np.empty_like(v), np.empty_like(x)
+    full_dt = np.array(dt)  # 0-d: a ufunc converts a float operand on every call
+    kick(0, x, half)
+
+    def advance(n: int) -> None:
+        nonlocal x, v
+        v += half
+        x += np.multiply(v, full_dt, out=drift)
+        kick(n, x, half)
+        v += half
+
+    return advance

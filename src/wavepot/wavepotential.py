@@ -4,17 +4,17 @@ A real field phi with velocity phi_dot generates a wave function through
 
     Re Psi = -L phi,   Im Psi = hbar * phi_dot,   L = (hbar^2/2m) Lap - V,
 
-and obeys hbar^2 phi_ddot + L^2 phi = 0, integrated here with velocity-Verlet
-(symplectic, time-reversible). L is real and symmetric, so in its orthonormal
-eigenbasis L = Q Lambda Q^T that equation is one oscillator per mode, of
-frequency |Lambda|/hbar. That basis is the stationary states of
+and obeys hbar^2 phi_ddot + L^2 phi = 0, integrated here with velocity-Verlet,
+``stepping.verlet`` (symplectic, time-reversible). L is real and symmetric, so
+in its orthonormal eigenbasis L = Q Lambda Q^T that equation is one oscillator
+per mode, of frequency |Lambda|/hbar. That basis is the stationary states of
 ``schrodinger.dense_eigensystem``, with Lambda = -E, since its H is -L built
 from the same closure ``real_l_operator``: on grids of at most
-``DENSE_L_LIMIT`` points ``run_verlet`` steps those modes, and on larger
-grids the samples through that closure. |Psi|^2 equals 2*hbar times the
-field energy density pointwise, so probability conservation is literally
-energy conservation of this field. Functions alpha with L alpha = 0 shift phi
-without changing Psi; that kernel is the gauge sector.
+``DENSE_L_LIMIT`` points ``run_verlet`` steps those modes, and on larger grids
+the samples through that closure. |Psi|^2 equals 2*hbar times the field energy
+density pointwise, so probability conservation is literally energy
+conservation of this field. Functions alpha with L alpha = 0 shift phi without
+changing Psi; that kernel is the gauge sector.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .schrodinger import (
     max_energy_bound,
     real_l_operator,
 )
-from .stepping import check_dt, drive
+from .stepping import check_dt, drive, verlet
 
 __all__ = [
     "PhiState",
@@ -56,7 +56,7 @@ SAFETY = 0.2
 # Largest ||L alpha|| / (||alpha|| E_max) of a gauge function alpha.
 _GAUGE_TOL = 1e-10
 # Largest grid, in points and in any dimension, on which run_verlet steps the
-# normal modes of L. There a step is four O(N) ufuncs, an observed step O(N)
+# normal modes of L. There a step is five O(N) ufuncs, an observed step O(N)
 # more, and a run adds one O(N^3) eigensolve. The value is where the dense L
 # matvec used to stop, not a measured crossover of the modal path: that path
 # was about twice as fast as the samples at 512 points, and where it stops
@@ -123,8 +123,8 @@ def run_verlet(
     method: str = "spectral",
     observer: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> PhiState:
-    """Kick-drift-kick velocity-Verlet, driven by ``stepping.drive``. Refuses
-    unstable dt, and on the modes a state whose acceleration overflows.
+    """Kick-drift-kick velocity-Verlet, ``stepping.verlet`` driven by ``stepping.drive``.
+    Refuses unstable dt, and on the modes a state whose acceleration overflows.
 
     On grids of at most ``DENSE_L_LIMIT`` points the state is the coordinates
     of phi and phi_dot in the eigenbasis ``dense_eigensystem`` gives for
@@ -146,58 +146,47 @@ def run_verlet(
         dt, stable_dt(state.potential, params, method), "Verlet",
         f" (E_max={emax:g}, hard stability limit {2 * params.hbar / emax:g})",
     )
-    verlet = _modal_verlet if state.grid.size <= DENSE_L_LIMIT else _sampled_verlet
-    return verlet(state, dt, steps, sink, snapshot_stride, method, observer)
+    run = _modal_verlet if state.grid.size <= DENSE_L_LIMIT else _sampled_verlet
+    return run(state, dt, steps, sink, snapshot_stride, method, observer)
 
 
 def _sampled_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> PhiState:
-    """``run_verlet`` on raw samples: the kicks, the drift and both applies of L
-    write into arrays made once, and the observer sees two of them."""
-    grid = state.grid
-    params = state.params
+    """``run_verlet`` on raw samples. The kick is L(L phi), through arrays made
+    once, times -1/hbar^2 and then dt/2; the observer sees L phi and phi_dot."""
+    grid, params = state.grid, state.params
     lop = real_l_operator(grid, state.potential.sampled.values, params, method)
-    phi = state.phi.values.copy()
-    vel = state.phi_dot.values.copy()
+    phi, vel = state.phi.values.copy(), state.phi_dot.values.copy()
     # 0-d arrays, not Python floats: a ufunc converts a float operand on every
     # call, which on small grids costs more than the multiply
-    neg_inv_hbar2, half_dt, full_dt = (np.array(x) for x in (-1.0 / params.hbar**2, 0.5 * dt, dt))
-    lphi = lop(phi)
-    accel = np.multiply(lop(lphi), neg_inv_hbar2)
-    tmp = np.empty_like(phi)
+    neg_inv_hbar2, half_dt = np.array(-1.0 / params.hbar**2), np.array(0.5 * dt)
+    lphi = np.empty_like(phi)
 
-    def advance(n: int) -> None:
-        nonlocal phi, vel
-        vel += np.multiply(accel, half_dt, out=tmp)
-        phi += np.multiply(vel, full_dt, out=tmp)
-        lop(phi, out=lphi)
-        np.multiply(lop(lphi, out=accel), neg_inv_hbar2, out=accel)
-        vel += np.multiply(accel, half_dt, out=tmp)
+    def kick(n: int, phi: np.ndarray, out: np.ndarray) -> None:
+        lop(lop(phi, out=lphi), out=out)
+        np.multiply(out, neg_inv_hbar2, out=out)
+        np.multiply(out, half_dt, out=out)
 
     def box() -> PhiState:
-        return PhiState(
-            ScalarSampleField(grid, phi.copy()),
-            ScalarSampleField(grid, vel.copy()),
-            params,
-            state.potential,
-        )
+        fields = (ScalarSampleField(grid, f.copy()) for f in (phi, vel))
+        return PhiState(*fields, params, state.potential)
 
+    advance = verlet(phi, vel, dt, kick)
     return drive(advance, box, lambda: (lphi, vel), state, steps, snapshot_stride, sink, observer)
 
 
 def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> PhiState:
     """``run_verlet`` on the mode coordinates a = Q^T phi and a_dot = Q^T phi_dot.
 
-    Q is ``dense_eigensystem``'s vectors and Lambda = -E its energies
-    negated, so Lambda descends. The acceleration is -(Lambda/hbar)^2 a, so
-    a step is four ufuncs on arrays made once. ``drive`` observes (a, a_dot)
-    as one (2, N) array, and the observer gets a block of k steps as its
-    (k, N) rows Lambda a = Q^T L phi and a_dot, the a rows scaled in place in
-    ``drive``'s block. Frames are Q a and Q a_dot. A state whose modal
-    acceleration can overflow raises NonFiniteSampleError before the first
-    step.
+    Q is ``dense_eigensystem``'s vectors and Lambda = -E its energies negated,
+    so Lambda descends. The acceleration is -(Lambda/hbar)^2 a, so the kick is
+    one ufunc and a step five, on arrays made once. ``drive`` observes
+    (a, a_dot) as one (2, N) array, and the observer gets a block of k steps
+    as its (k, N) rows Lambda a = Q^T L phi and a_dot, the a rows scaled in
+    place in ``drive``'s block. Frames are Q a and Q a_dot. A state whose
+    modal acceleration can overflow raises NonFiniteSampleError before the
+    first step.
     """
-    grid = state.grid
-    params = state.params
+    grid, params = state.grid, state.params
     size = grid.size
     eig = dense_eigensystem(state.potential, params, method)
     lam = -eig.energies
@@ -215,33 +204,21 @@ def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> 
             f"overflows in {int(np.count_nonzero(~np.isfinite(peak)))} of {size} modes of L"
         )
     half_kick = lam**2 * (-0.5 * dt / params.hbar**2)  # -(dt/2)(Lambda/hbar)^2
-    full_dt = np.array(dt)
-    kick = a * half_kick  # what a half kick adds to a_dot
-    tmp = np.empty_like(a)
 
-    def advance(n: int) -> None:
-        nonlocal a, vel
-        vel += kick
-        a += np.multiply(vel, full_dt, out=tmp)
-        np.multiply(a, half_kick, out=kick)
-        vel += kick
+    def kick(n: int, a: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(a, half_kick, out=out)
 
     def box() -> PhiState:
-        return PhiState(
-            ScalarSampleField(grid, (a @ qt).reshape(grid.shape)),
-            ScalarSampleField(grid, (vel @ qt).reshape(grid.shape)),
-            params,
-            state.potential,
-        )
+        fields = (ScalarSampleField(grid, (f @ qt).reshape(grid.shape)) for f in (a, vel))
+        return PhiState(*fields, params, state.potential)
 
     def observe_modes(ns: np.ndarray, block: np.ndarray) -> None:
         block[:, 0] *= lam  # Q^T L phi = Lambda a, in drive's block, never in coords
         observer(ns, block[:, 0], block[:, 1])
 
-    return drive(
-        advance, box, lambda: (coords,), state, steps, snapshot_stride,
-        sink, None if observer is None else observe_modes,
-    )
+    observe = None if observer is None else observe_modes
+    advance = verlet(a, vel, dt, kick)
+    return drive(advance, box, lambda: (coords,), state, steps, snapshot_stride, sink, observe)
 
 
 def to_wavefunction(state: PhiState, method: str = "spectral") -> WaveFunction:

@@ -55,7 +55,6 @@ from wavepot.schrodinger import (
     canonical_rhs,
     crank_nicolson_step,
     dense_eigensystem,
-    eigenpairs_small,
     exact_propagate_small,
     generalized_rhs,
     hamiltonian_array,
@@ -162,7 +161,7 @@ def check_forward_equivalence(tag: str, state0: PhiState, eig) -> None:
 def test_c01_forward_equivalence(harmonic_256):
     """Wave-potential trajectory reproduces the dense reference propagator."""
     grid, V, eig = harmonic_256
-    e0, psi0 = eigenpairs_small(V, PARAMS, 1, eig=eig)[0]
+    e0, psi0 = float(eig.energies[0]), eig.eigenfield(0)
     state0 = stationary_phi(psi0, e0, 0.0, PARAMS, V)
     check_forward_equivalence("criterion 01 forward equivalence", state0, eig)
 
@@ -173,7 +172,8 @@ def test_c01_forward_equivalence_in_boxes(box):
     grid, potential = BOXES[box]
     V = PotentialSpec.from_expression(potential, grid)
     eig = dense_eigensystem(V, PARAMS)
-    (e0, psi0), (e1, psi1) = eigenpairs_small(V, PARAMS, 2, eig=eig)
+    e0, e1 = eig.energies[:2].tolist()
+    psi0, psi1 = eig.eigenfield(0), eig.eigenfield(1)
     assert e1 - e0 > 0.1 * e0
     s0, s1 = (stationary_phi(psi, e, 0.0, PARAMS, V) for e, psi in ((e0, psi0), (e1, psi1)))
     state0 = PhiState(s0.phi + s1.phi, s0.phi_dot + s1.phi_dot, PARAMS, V)
@@ -240,7 +240,7 @@ def test_c02_reverse_equivalence_in_boxes(box):
 def test_c03_probability_energy_identity(harmonic_128):
     """|Psi|^2 = 2 hbar (T + U) pointwise; norm drift bounded with no secular trend."""
     grid, V, eig = harmonic_128
-    e0, psi0 = eigenpairs_small(V, PARAMS, 1, eig=eig)[0]
+    e0, psi0 = float(eig.energies[0]), eig.eigenfield(0)
     state0 = stationary_phi(psi0, e0, 0.0, PARAMS, V)
     dt = stable_dt(V, PARAMS)
     steps = 10_000
@@ -296,7 +296,7 @@ def test_c04_gauge_freedom(harmonic_128, rng):
     shift_err = float(np.max(np.abs(psi_a - psi_b)) / np.max(np.abs(psi_a)))
 
     _, V, eig = harmonic_128
-    e0, psi0 = eigenpairs_small(V, PARAMS, 1, eig=eig)[0]
+    e0, psi0 = float(eig.energies[0]), eig.eigenfield(0)
     harm_state = stationary_phi(psi0, e0, 0.0, PARAMS, V)
     rejected, residual = False, 0.0
     try:

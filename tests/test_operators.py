@@ -551,6 +551,56 @@ def test_kinetic_symbol_guard_flags_a_mutated_copy(tmp_path):
     ]
 
 
+def _names_updated_twice(path: Path) -> list[tuple[str, str, str]]:
+    """(file, function, name) of each name that one function, not counting the
+    functions nested in it, updates by augmented assignment more than once; a
+    subscript or attribute counts as its base name."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names, stack = [], list(function.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.AugAssign):
+                target = node.target
+                while isinstance(target, (ast.Subscript, ast.Attribute)):
+                    target = target.value
+                names.append(getattr(target, "id", None))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+        found += [(path.name, function.name, n) for n in set(names) if names.count(n) > 1]
+    return sorted(found)
+
+
+# Velocity-Verlet is written once, in stepping.verlet, whose step updates v twice
+# (the two half kicks). Both Verlet runs hand it their kick; a run that writes
+# its own kick-drift-kick again updates its velocity twice.
+def test_verlet_written_once():
+    found = [
+        hit for name in ("wavepotential.py", "maxwell.py") for hit in _names_updated_twice(SRC / name)
+    ]
+    assert found == [], found
+    assert _names_updated_twice(SRC / "stepping.py") == [("stepping.py", "advance", "v")]
+
+
+def test_verlet_guard_flags_a_mutated_copy(tmp_path):
+    source = (SRC / "wavepotential.py").read_text()
+    anchor = "        np.multiply(a, half_kick, out=out)\n"
+    assert source.count(anchor) == 1
+    inline = "        vel += out\n        a += vel * dt\n" + anchor + "        vel += out\n"
+    mutated = tmp_path / "wavepotential.py"
+    mutated.write_text(source.replace(anchor, inline))
+    assert _names_updated_twice(mutated) == [("wavepotential.py", "kick", "vel")]
+    source = (SRC / "maxwell.py").read_text()
+    anchor = "        np.multiply(accel, 0.5 * dt, out=out)\n"
+    assert source.count(anchor) == 1
+    inline = "        vel[:] += out\n        a += dt * vel\n" + anchor + "        vel[:] += out\n"
+    mutated = tmp_path / "maxwell.py"
+    mutated.write_text(source.replace(anchor, inline))
+    assert _names_updated_twice(mutated) == [("maxwell.py", "kick", "vel")]
+
+
 def _scipy_imports(path: Path) -> list[tuple[str, str | None, str]]:
     """(file, enclosing function or None at module level, module) of each scipy import."""
     found = []

@@ -41,7 +41,6 @@ from wavepot.schrodinger import (
     QuantumParams,
     WaveFunction,
     dense_eigensystem,
-    eigenpairs_small,
     l_operator_array,
     max_energy_bound,
     propagate_cn,
@@ -228,7 +227,7 @@ class TestSolveElliptic:
         grid = Grid.line(128, 20.0)
         V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
         eig = dense_eigensystem(V, PARAMS)
-        e0, psi0 = eigenpairs_small(V, PARAMS, 1, eig=eig)[0]
+        e0, psi0 = float(eig.energies[0]), eig.eigenfield(0)
         rhs = ScalarSampleField(grid, -psi0.values)
         sol = solve_elliptic(V, rhs, PARAMS)
         expected = psi0.values / e0
@@ -501,7 +500,7 @@ class TestReconstructPhi:
         grid = Grid.line(128, 20.0)
         V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
         eig = dense_eigensystem(V, PARAMS)
-        e0, psi0 = eigenpairs_small(V, PARAMS, 1, eig=eig)[0]
+        e0, psi0 = float(eig.energies[0]), eig.eigenfield(0)
         dt = 1e-3
         times = np.arange(801) * dt
         psis = [

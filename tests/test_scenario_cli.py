@@ -1114,9 +1114,16 @@ def test_frame_count_not_a_positive_integer_exit_one(tmp_path, capsys, changes, 
     ({"grid": {"points": 64, "lengths": [20.0]}}, "has grid.points 64, not a list of integers"),
     ({"grid": {"points": [64], "lengths": ["20.0"]}}, "has grid.lengths ['20.0'], not a list of numbers"),
     ({"grid": {"points": [64], "lengths": [False]}}, "has grid.lengths [False], not a list of numbers"),
+    ({"time_start": [0.0]}, "has a time that is not finite in its header: time_start"),
+    ({"time_start": None}, "has a time that is not finite in its header: time_start"),
+    ({"time_step": 10**400}, "has a time that is not finite in its header: time_step"),
+    ({"time_step": True}, "has a time that is not finite in its header: time_step"),
+    ({"time_end": "0"}, "has a time that is not finite in its header: time_end"),
+    ({"time_step": 1e308}, "has frame times that are not finite"),
 ], ids=["kind", "fields-repeated", "fields-other", "provenance", "constants", "constant-string",
         "potential-number", "backend-list", "frame-count-huge", "points-huge", "points-string", "points-fraction", "points-float",
-        "points-bool", "points-not-a-list", "lengths-string", "lengths-bool"])
+        "points-bool", "points-not-a-list", "lengths-string", "lengths-bool", "start-list", "start-null",
+        "step-past-float-range", "step-bool", "end-string", "times-overflow"])
 def test_header_that_does_not_fit_its_kind_exit_one(tmp_path, capsys, changes, message):
     # on a valid 4-frame phi record: dump wrote a kind of "banana" out with exit 0,
     # compare ended fields ["phi", "phi"] in KeyError 'phi_dot' and a list
@@ -1124,7 +1131,10 @@ def test_header_that_does_not_fit_its_kind_exit_one(tmp_path, capsys, changes, m
     # the 7.28 TiB time array, and 10**18 grid points from reading one frame's bytes.
     # Grid read points of "64" or 64.5 as 64, and the record then failed as having
     # trailing bytes. A potential of 5 or a backend of [] ended compare's
-    # phi_to_psi in a TypeError traceback
+    # phi_to_psi in a TypeError traceback. A list as a time ended in numpy's
+    # "setting an array element with a sequence", which names no file; 10**400 or
+    # "0" in "ufunc 'isfinite' not supported"; true was read as 1.0 and compared
+    # with exit 0; and a step whose frame times pass the float range exited 3
     argv = ["phi", "--scenario", str(write(tmp_path, "phi.scn", MINIMAL_PHI))]
     assert main(argv + ["--out", str(tmp_path / "bad"), "--override", "integrator.steps=30"]) == 0
     path = tmp_path / "bad" / SNAPSHOT
@@ -1160,8 +1170,13 @@ JSON_VALUES = st.recursive(
 )
 HEADER_KEYS = (
     "provenance.potential", "provenance.backend", "provenance.constants.hbar",
-    "provenance.constants.m", "provenance.constants.c", "provenance.constants.other", "time_end",
+    "provenance.constants.m", "provenance.constants.c", "provenance.constants.other",
+    "time_start", "time_step", "time_end", "frame_count",
 )
+# the reconstruct kind beside each record's compare transform, with the sections it
+# reads besides [inputs]; neither takes a phi or maxwell-potential record, so both
+# fail, after reading the header
+RECONSTRUCT = {"phi_to_psi": ("reconstruct-phi", "[potential]\nv = 0\n"), "a_to_fields": ("reconstruct-a", "")}
 
 
 @pytest.fixture(scope="module")
@@ -1195,22 +1210,60 @@ def test_any_json_value_in_a_header_ends_in_a_message(valid_records, transform, 
     target[name] = value
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        (work / "r1").mkdir()
-        (work / "r1" / SNAPSHOT).write_bytes(b"\n".join([magic, json.dumps(header).encode(), frames]))
+        record = work / "r1" / SNAPSHOT
+        record.parent.mkdir()
+        record.write_bytes(b"\n".join([magic, json.dumps(header).encode(), frames]))
         text = COMPARE.replace("r2", "r1") + f"transform_a = {transform}\ntransform_b = {transform}\n"
-        compare = ["compare", "--scenario", str(write(work, "c.scn", text)), "--out", str(work / "c")]
-        dump = ["dump", "--snapshot", str(work / "r1"), "--out", str(work / "dump.csv")]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            codes = [main(compare), main(dump)]  # an uncaught exception fails the test here
-        # a finite but extreme constant (hbar = 1e154, c = 1e-320) overflows the
-        # forward map itself: compare's documented numerical failure, exit 2
-        assert codes[0] in (0, 1, 2) and codes[1] in (0, 1), (codes, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if codes[0]:
-            assert not (work / "c").exists() or not list((work / "c").iterdir())
-        if codes[1]:
-            assert not (work / "dump.csv").exists()
+        reconstruct, sections = RECONSTRUCT[transform]
+        reconstruct_text = f"[scenario]\nkind = {reconstruct}\n{sections}[inputs]\nsource = r1\n"
+        # each run's argv, its output, and the exit codes it may end with. A finite
+        # but extreme constant (hbar = 1e154, c = 1e-320) overflows compare's forward
+        # map itself: the documented numerical failure, exit 2
+        runs = [
+            (["compare", "--scenario", str(write(work, "c.scn", text))], work / "c", (0, 1, 2)),
+            ([reconstruct, "--scenario", str(write(work, "r.scn", reconstruct_text))], work / "r", (1,)),
+            (["dump", "--snapshot", str(work / "r1")], work / "dump.csv", (0, 1)),
+        ]
+        for argv, out, codes in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", str(out)])  # an uncaught exception fails the test here
+            assert code in codes and "Traceback" not in err.getvalue(), (argv[0], code, err.getvalue())
+            if code == 1:  # one line, naming the record
+                (line,) = err.getvalue().splitlines()
+                assert str(record) in line, line
+            if code:
+                assert not out.exists() or out.is_dir() and not list(out.iterdir())
+
+
+@pytest.mark.parametrize("transform, constant, value", [
+    ("phi_to_psi", "hbar", 1e154), ("a_to_fields", "c", 1e-320),
+], ids=["phi-hbar", "maxwell-potential-c"])
+def test_constant_that_overflows_the_map_prints_one_line(
+    valid_records, tmp_path, transform, constant, value
+):
+    # numpy's RuntimeWarnings ("overflow encountered in multiply" from the kinetic
+    # symbol, "overflow encountered in divide" from maxwell.py), with their source
+    # lines, came on stderr before compare's exit-2 line. A subprocess with
+    # warnings on, so that no test runner catches them first
+    magic, header, frames = valid_records[transform].split(b"\n", 2)
+    header = json.loads(header)
+    header["provenance"]["constants"][constant] = value
+    (tmp_path / "r1").mkdir()
+    (tmp_path / "r1" / SNAPSHOT).write_bytes(b"\n".join([magic, json.dumps(header).encode(), frames]))
+    text = COMPARE.replace("r2", "r1") + f"transform_a = {transform}\ntransform_b = {transform}\n"
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    src = str(SCENARIO_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    scenario = str(write(tmp_path, "c.scn", text))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavepot.cli", "compare", "--scenario", scenario,
+         "--out", str(tmp_path / "c")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: "), line
 
 
 class TestAtomicSnapshots:

@@ -12,7 +12,6 @@ from wavepot.schrodinger import (
     canonical_rhs,
     crank_nicolson_step,
     dense_eigensystem,
-    eigenpairs_small,
     exact_propagate_small,
     generalized_rhs,
     hamiltonian_canonical,
@@ -163,7 +162,7 @@ class TestCrankNicolson:
 
     def test_eigenstate_pure_phase(self, harmonic):
         grid, V, eig = harmonic
-        e0, psi0 = eigenpairs_small(V, PARAMS, 1, eig=eig)[0]
+        e0, psi0 = float(eig.energies[0]), eig.eigenfield(0)
         psi = WaveFunction(ComplexSampleField(grid, psi0.values.astype(complex)), PARAMS)
         dt = 1e-3
         stepped = crank_nicolson_step(psi, V, dt)
@@ -435,33 +434,31 @@ class TestEigensolverAgainstScipy:
 
 class TestEigenpairs:
     def test_free_particle_zero_mode(self, grid64):
-        V = PotentialSpec.zero(grid64)
-        e0, psi0 = eigenpairs_small(V, PARAMS, 1)[0]
-        assert abs(e0) <= 1e-10
+        eig = dense_eigensystem(PotentialSpec.zero(grid64), PARAMS)
+        psi0 = eig.eigenfield(0)
+        assert abs(eig.energies[0]) <= 1e-10
         assert np.max(np.abs(psi0.values - psi0.values.mean())) <= 1e-8 * np.abs(
             psi0.values.mean()
         )
 
     def test_free_particle_dispersion(self, grid64):
-        V = PotentialSpec.zero(grid64)
-        pairs = eigenpairs_small(V, PARAMS, 5)
+        energies = dense_eigensystem(PotentialSpec.zero(grid64), PARAMS).energies
         k1 = 2 * np.pi / grid64.lengths[0]
         expected = PARAMS.hbar**2 * k1**2 / (2 * PARAMS.mass)
         # modes 1 and 2 are the degenerate +-k1 pair
-        assert pairs[1][0] == pytest.approx(expected, abs=1e-10)
-        assert pairs[2][0] == pytest.approx(expected, abs=1e-10)
+        assert energies[1] == pytest.approx(expected, abs=1e-10)
+        assert energies[2] == pytest.approx(expected, abs=1e-10)
 
     def test_harmonic_level_spacing(self, harmonic):
         grid, V, eig = harmonic
-        pairs = eigenpairs_small(V, PARAMS, 2, eig=eig)
-        assert abs((pairs[1][0] - pairs[0][0]) - 1.0) <= 1e-4
+        assert abs((eig.energies[1] - eig.energies[0]) - 1.0) <= 1e-4
 
     def test_orthonormal_in_grid_inner_product(self, harmonic):
         grid, V, eig = harmonic
-        pairs = eigenpairs_small(V, PARAMS, 3, eig=eig)
+        fields = [eig.eigenfield(n) for n in range(3)]
         vol = grid.cell_volume
-        for i, (_, fi) in enumerate(pairs):
-            for j, (_, fj) in enumerate(pairs):
+        for i, fi in enumerate(fields):
+            for j, fj in enumerate(fields):
                 val = float(np.sum(fi.values * fj.values) * vol)
                 assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 

@@ -11,7 +11,6 @@ from wavepot.schrodinger import (
     PotentialSpec,
     QuantumParams,
     dense_eigensystem,
-    eigenpairs_small,
     exact_propagate_small,
     hamiltonian_array,
     max_energy_bound,
@@ -38,7 +37,7 @@ def harmonic():
     grid = Grid.line(128, 20.0)
     V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
     eig = dense_eigensystem(V, PARAMS)
-    pairs = eigenpairs_small(V, PARAMS, 3, eig=eig)
+    pairs = [(float(eig.energies[n]), eig.eigenfield(n)) for n in range(3)]
     return grid, V, eig, pairs
 
 
@@ -461,7 +460,8 @@ class TestStationary:
 
     def test_zero_energy_rejected(self, grid64):
         V = PotentialSpec.zero(grid64)
-        e0, psi0 = eigenpairs_small(V, PARAMS, 1)[0]
+        eig = dense_eigensystem(V, PARAMS)
+        e0, psi0 = float(eig.energies[0]), eig.eigenfield(0)
         with pytest.raises(ValueError, match="gauge"):
             stationary_phi(psi0, e0, 0.0, PARAMS, V)
 
