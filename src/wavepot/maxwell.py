@@ -49,7 +49,7 @@ from .operators import (
     modes,
     symbols,
 )
-from .stepping import check_dt, drive, verlet
+from .stepping import check_dt, drive, stepwise, verlet
 
 __all__ = [
     "EMState",
@@ -302,7 +302,7 @@ def run_rk4(
     def current(t: float) -> np.ndarray:
         return sources.current_modes(t, grid, method)
 
-    def advance(n: int) -> None:
+    def step(n: int) -> None:
         nonlocal hat
         t = (n - 1) * dt
         j0, j_half, j1 = current(t), current(t + 0.5 * dt), current(t + dt)
@@ -316,8 +316,9 @@ def run_rk4(
         e, b = from_modes(spectrum)
         return EMState(VectorSampleField3(grid, e), VectorSampleField3(grid, b), c)
 
+    observed = lambda: (spectrum.hat,)
     return drive(
-        advance, box, lambda: (spectrum.hat,), state, steps, snapshot_stride, sink, observer
+        stepwise(step, observed), box, observed, state, steps, snapshot_stride, sink, observer
     )
 
 
@@ -427,9 +428,10 @@ def run_potential_verlet(
             VectorSampleField3(grid, a_values), VectorSampleField3(grid, vel_values), c
         )
 
+    observed = lambda: (spectrum.hat,)
     return drive(
-        verlet(a, vel, dt, kick), box, lambda: (spectrum.hat,), state, steps, snapshot_stride,
-        sink, observer,
+        stepwise(verlet(a, vel, dt, kick), observed), box, observed, state, steps,
+        snapshot_stride, sink, observer,
     )
 
 

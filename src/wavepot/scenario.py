@@ -60,7 +60,8 @@ class _Kind:
     forward_map: Callable | None = None  # (state, backend) -> state of the forward kind
     # each [initial] type, default first -> the keys it takes besides the expressions
     initial: dict = field(default_factory=dict)
-    # scenario -> (initial state, its diagnostics columns after step and time, observe)
+    # scenario -> (initial state, its diagnostics columns after step and time, observe,
+    # keywords the integrator takes from the set-up)
     setup: Callable | None = None
     integrate: Callable | None = None  # (scenario, state, **options): run the integrator
     auto_dt: Callable | None = None  # scenario -> the stability bound "dt = auto" resolves to
@@ -521,7 +522,7 @@ def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     """
     kind = scenario.kind
     spec = KIND[kind]
-    state, columns, observe = spec.setup(scenario)
+    state, columns, observe, keywords = spec.setup(scenario)
     dt, steps, stride = scenario.dt, scenario.steps, scenario.snapshot_stride
     if scenario.sources is not None:
         scenario.sources.validate_continuity(scenario.grid, dt, steps * dt, scenario.backend)
@@ -545,7 +546,7 @@ def _run_evolving(scenario: Scenario, out_dir: Path) -> RunReport:
     ) as diag:
         spec.integrate(
             scenario, state, sink=lambda n, recorded: snap.write_frame(spec.to_arrays(recorded)),
-            snapshot_stride=stride, method=scenario.backend, observer=observer,
+            snapshot_stride=stride, method=scenario.backend, observer=observer, **keywords,
         )
     return RunReport(kind, out_dir, diag.peaks, diag.baselines(), diag.non_finite)
 
@@ -578,7 +579,7 @@ def _schrodinger_evolution(scenario: Scenario):
         norms = _rows(psi.real**2 + psi.imag**2).sum(axis=1)
         return [x * grid.cell_volume / (2.0 * params.hbar) for x in (norms, products)]
 
-    return state, ("norm", "energy"), observe
+    return state, ("norm", "energy"), observe, {}
 
 
 def _phi_evolution(scenario: Scenario):
@@ -586,10 +587,11 @@ def _phi_evolution(scenario: Scenario):
     params = scenario.params
     V = scenario.potential
     init = scenario.initial
+    keywords = {}  # a stationary run's eigensystem, which the modes of run_verlet read too
     if init["type"] == "stationary":
         mode = init["mode"]
         t0 = init["time"]
-        eig = schrodinger.dense_eigensystem(V, params, scenario.backend)
+        eig = keywords["eig"] = schrodinger.dense_eigensystem(V, params, scenario.backend)
         state = wavepotential.stationary_phi(
             eig.eigenfield(mode), float(eig.energies[mode]), t0, params, V, scenario.backend
         )
@@ -621,7 +623,7 @@ def _phi_evolution(scenario: Scenario):
         identity_rel = _rows(work).max(axis=1) / scale
         return [_rows(psi_sq).sum(axis=1) * vol, _rows(energy).sum(axis=1) * vol, identity_rel]
 
-    return state, ("psi_norm", "total_energy", "identity_residual"), observe
+    return state, ("psi_norm", "total_energy", "identity_residual"), observe, keywords
 
 
 def _maxwell_fields_evolution(scenario: Scenario):
@@ -636,12 +638,12 @@ def _maxwell_fields_evolution(scenario: Scenario):
         e0 = VectorSampleField3(grid, state.e.values + longitudinal.values)
         state = maxwell.EMState(e0, solenoidal_projection(state.b, scenario.backend), c)
 
-    return state, ("h_prime", "div_e_residual", "div_b_residual"), _maxwell_observe(scenario)
+    return state, ("h_prime", "div_e_residual", "div_b_residual"), _maxwell_observe(scenario), {}
 
 
 def _maxwell_potential_evolution(scenario: Scenario):
     columns = ("h_prime", "potential_constraint_residual", "div_b_residual")
-    return _initial_state(scenario), columns, _maxwell_observe(scenario, potential=True)
+    return _initial_state(scenario), columns, _maxwell_observe(scenario, potential=True), {}
 
 
 def _maxwell_observe(scenario: Scenario, potential: bool = False) -> Callable:

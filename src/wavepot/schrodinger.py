@@ -35,7 +35,7 @@ from .grids import ComplexSampleField, Grid, ScalarSampleField, check_same_grid
 from .linsolve import normal_equations_cg
 from .operators import fourier_multiplier, gradient_arrays, laplacian_spectral_radius, symbols
 from .expressions import Expression
-from .stepping import check_dt, drive, one_blas_thread
+from .stepping import check_dt, drive, one_blas_thread, stepwise
 
 __all__ = [
     "QuantumParams",
@@ -331,12 +331,13 @@ def propagate_cn(
     """
     current = psi
 
-    def advance(n: int) -> None:
+    def step(n: int) -> None:
         nonlocal current
         current = crank_nicolson_step(current, V, dt, method)
 
+    observed = lambda: (current.psi.values,)
     return drive(
-        advance, lambda: current, lambda: (current.psi.values,), psi,
+        stepwise(step, observed), lambda: current, observed, psi,
         steps, snapshot_stride, sink, observer,
     )
 

@@ -1,17 +1,22 @@
 """The one stepping loop and the one Verlet scheme behind every integrator.
 
 ``run_verlet``, ``propagate_cn``, ``run_rk4`` and ``run_potential_verlet``
-pass their dt through ``check_dt`` and write their scheme once, as an
-``advance(n)`` that moves the state from step n-1 to step n (in place on raw
-arrays where the scheme allows), for ``drive``; both Verlet runs take theirs
-from ``verlet``. All four take ``steps`` and the keywords ``sink``,
-``snapshot_stride``, ``method`` and ``observer``, and return the final state,
-so ``steps=1`` is a single step. Frames reach the sink as soon as they exist;
-no run holds more than one. The observer sees each step's observed arrays a
-block of steps at a time, in blocks of at most ``_OBSERVED_BLOCK_BYTES``.
-Under glibc the first ``drive`` of a process keeps freed heap for reuse, so
-steps do not fault their temporaries in again. ``one_blas_thread`` runs the
-dense eigensolves, whose bytes depend on OpenBLAS's thread count, on one thread.
+pass their dt through ``check_dt`` and hand ``drive`` an ``advance(n, k, rows)``
+that moves the state from step n to step n + k (in place on raw arrays where
+the scheme allows) and writes the observed arrays of those steps into the
+observer's block rows. The Cayley step, RK4, A-Verlet and phi-Verlet on samples
+write their scheme once, as one step, and reach that contract through
+``stepwise``, the only per-step loop; both Verlet runs take their step from
+``verlet``. Modal phi-Verlet advances a block of steps by the transfer matrices
+of that same step (``wavepotential``). All four take ``steps`` and the keywords
+``sink``, ``snapshot_stride``, ``method`` and ``observer``, and return the
+final state, so ``steps=1`` is a single step. Frames reach the sink as soon as
+they exist; no run holds more than one. The observer sees each step's observed
+arrays a block of steps at a time, in blocks of at most
+``_OBSERVED_BLOCK_BYTES``. Under glibc the first ``drive`` of a process keeps
+freed heap for reuse, so steps do not fault their temporaries in again.
+``one_blas_thread`` runs the dense eigensolves, whose bytes depend on
+OpenBLAS's thread count, on one thread.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import StabilityError
 
-__all__ = ["check_dt", "frame_steps", "drive", "verlet", "one_blas_thread"]
+__all__ = ["check_dt", "frame_steps", "drive", "stepwise", "verlet", "one_blas_thread"]
 
 State = TypeVar("State")
 
@@ -139,7 +144,7 @@ def one_blas_thread():
 
 
 def drive(
-    advance: Callable[[int], None],
+    advance: Callable[[int, int, list | None], None],
     box: Callable[[], State],
     observed: Callable[[], tuple],
     initial: State,
@@ -148,7 +153,15 @@ def drive(
     sink: Callable[[int, State], None] | None,
     observer: Callable[..., None] | None,
 ) -> State:
-    """Call ``advance(n)`` for n = 1..steps and return the final state.
+    """Move the state from step 0 to ``steps`` a block of steps per ``advance`` call
+    and return the final state.
+
+    ``advance(n, k, rows)`` moves the state from step n to step n + k, k >= 1. With
+    an observer, ``rows`` holds one array per observed array, each of k rows, and
+    ``advance`` writes the observed arrays of step n + j + 1 into row j of each;
+    without one, ``rows`` is None and k runs to the next step that is boxed. A
+    scheme written as one step at a time reaches this contract through
+    ``stepwise``.
 
     ``sink(n, state)`` runs at each of ``frame_steps(steps, snapshot_stride)``:
     with ``initial`` itself at step 0, and with ``box()`` at the others, which
@@ -157,56 +170,82 @@ def drive(
     ``box`` must return arrays that later steps leave alone: a copy, or arrays
     no step writes into.
 
-    ``observed()`` is read for step 0 and after every step, and its arrays are
-    copied into one block each, the steps on a new leading axis. A block holds
-    at most ``_OBSERVED_BLOCK_BYTES`` (one step if a step is larger) and at
-    most ``steps + 1`` steps. ``observer(ns, *blocks)`` runs when the blocks are
-    full and after the last step, with ``ns`` the block's step numbers, so it
-    sees every step once and in order, though possibly after the sink of that
-    step; the next block is written into the same arrays. The observed arrays
-    are the integrator's working state, so that a diagnostics row costs no
-    transform of it: L phi and phi_dot for phi-Verlet, as samples or, on the
-    normal modes of L, as mode coordinates (modal phi-Verlet scales the a rows
-    of its block by Lambda first); Psi samples for the Cayley step; and for
-    both Maxwell integrators the half spectrum of the state. Either callback
-    may be None.
+    ``observed()`` gives the observed arrays of step 0, and with them the shape
+    and dtype of every step's. The steps' arrays go into one block each, the
+    steps on a new leading axis. A block holds at most ``_OBSERVED_BLOCK_BYTES``
+    (one step if a step is larger) and at most ``steps + 1`` steps.
+    ``observer(ns, *blocks)`` runs when the blocks are full and after the last
+    step, with ``ns`` the block's step numbers, so it sees every step once and
+    in order, though possibly after the sink of that step; the next block is
+    written into the same arrays. The observed arrays are the integrator's
+    working state, so that a diagnostics row costs no transform of it: L phi and
+    phi_dot for phi-Verlet, as samples or, on the normal modes of L, as mode
+    coordinates (modal phi-Verlet scales the a rows of its block by Lambda
+    first); Psi samples for the Cayley step; and for both Maxwell integrators
+    the half spectrum of the state. Either callback may be None.
     """
     _keep_freed_heap()
+    filled = 0  # rows of the blocks in use, for the steps up to the current one
     if observer is not None:
         arrays = observed()
         rows = min(max(1, _OBSERVED_BLOCK_BYTES // sum(a.nbytes for a in arrays)), steps + 1)
         blocks = [np.empty((rows, *a.shape), a.dtype) for a in arrays]
 
-    def watch(n: int) -> None:
-        k = n % rows  # steps arrive as 0, 1, ..., steps
-        for block, a in zip(blocks, observed()):
-            block[k] = a
-        if k == rows - 1 or n == steps:
-            observer(np.arange(n - k, n + 1), *(block[: k + 1] for block in blocks))
+    def watched(n: int, k: int) -> None:
+        """The blocks hold k more steps, up to step n; hand them over when full."""
+        nonlocal filled
+        filled += k
+        if filled == rows or n == steps:
+            observer(np.arange(n - filled + 1, n + 1), *(block[:filled] for block in blocks))
+            filled = 0
 
     if observer is not None:
-        watch(0)
+        for block, a in zip(blocks, arrays):
+            block[0] = a
+        watched(0, 1)
     if sink is not None:
         sink(0, initial)
     state, n = initial, 0
-    for target in frame_steps(steps, snapshot_stride)[1:]:
+    # without a sink only the last step is boxed, so no recorded step splits a block
+    for target in frame_steps(steps, snapshot_stride if sink is not None else max(steps, 1))[1:]:
         while n < target:
-            n += 1
-            advance(n)
+            if observer is None:
+                k = target - n
+                advance(n, k, None)
+            else:
+                k = min(target - n, rows - filled)
+                advance(n, k, [block[filled : filled + k] for block in blocks])
+            n += k
             if observer is not None:
-                watch(n)
-        if sink is not None or n == steps:
-            state = box()
-            if sink is not None:
-                sink(n, state)
+                watched(n, k)
+        state = box()
+        if sink is not None:
+            sink(n, state)
     return state
 
 
+def stepwise(step: Callable[[int], None], observed: Callable[[], tuple]) -> Callable:
+    """The block ``advance`` of ``drive`` for a scheme written one step at a time:
+    ``step(m)`` moves the state from step m-1 to m, and the arrays ``observed()``
+    gives after it go into the step's rows. The only per-step loop of a run."""
+
+    def advance(n: int, k: int, rows: list | None) -> None:
+        for j in range(k):
+            step(n + j + 1)
+            if rows is not None:
+                for block, a in zip(rows, observed()):
+                    block[j] = a
+
+    return advance
+
+
 def verlet(x: np.ndarray, v: np.ndarray, dt: float, kick: Callable) -> Callable[[int], None]:
-    """The ``advance`` of kick-drift-kick velocity-Verlet, stepping ``x`` and ``v`` in
-    place: v += half, x += v dt, kick(n, x, half), v += half. ``kick(n, x, out)``
-    writes dt/2 times the acceleration at step n into ``out``. The step-0 kick runs
-    here, so what it fills is ready before ``drive`` observes step 0."""
+    """The one-step ``step(n)`` of kick-drift-kick velocity-Verlet for ``stepwise``,
+    stepping ``x`` and ``v`` in place: v += half, x += v dt, kick(n, x, half),
+    v += half. ``kick(n, x, out)`` writes dt/2 times the acceleration at step n into
+    ``out``. The step-0 kick runs here, so what it fills is ready before ``drive``
+    observes step 0. The scheme is linear in (x, v) when the kick is, so its steps
+    from unit states are its transfer matrices."""
     half, drift = np.empty_like(v), np.empty_like(x)
     full_dt = np.array(dt)  # 0-d: a ufunc converts a float operand on every call
     kick(0, x, half)

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import GaugeError, NonFiniteSampleError
 from .grids import Grid, ComplexSampleField, ScalarSampleField, check_same_grid
 from .schrodinger import (
+    DenseEigensystem,
     PotentialSpec,
     QuantumParams,
     WaveFunction,
@@ -35,7 +36,7 @@ from .schrodinger import (
     max_energy_bound,
     real_l_operator,
 )
-from .stepping import check_dt, drive, verlet
+from .stepping import check_dt, drive, stepwise, verlet
 
 __all__ = [
     "PhiState",
@@ -56,15 +57,20 @@ SAFETY = 0.2
 # Largest ||L alpha|| / (||alpha|| E_max) of a gauge function alpha.
 _GAUGE_TOL = 1e-10
 # Largest grid, in points and in any dimension, on which run_verlet steps the
-# normal modes of L. There a step is five O(N) ufuncs, an observed step O(N)
-# more, and a run adds one O(N^3) eigensolve. The value is where the dense L
-# matvec used to stop, not a measured crossover of the modal path: that path
-# was about twice as fast as the samples at 512 points, and where it stops
-# paying is unmeasured. At 256 points (2-vCPU VM, one BLAS thread, 20000
-# steps) a step took 1.9 us (15 us with two dense matvecs), 3.1 us with a
-# no-op observer, after 6.0 ms of set-up. A constant, never timed at run
-# time, so that the bytes a run writes do not depend on the machine.
+# normal modes of L. There a step costs O(N) and a run adds one O(N^3)
+# eigensolve. The value is where the dense L matvec used to stop, not a
+# measured crossover of the modal path: that path was about twice as fast as
+# the samples at 512 points, and where it stops paying is unmeasured. A
+# constant, never timed at run time, so that the bytes a run writes do not
+# depend on the machine.
 DENSE_L_LIMIT = 256
+# Steps in one epoch of modal phi-Verlet: the run keeps its state every this
+# many steps and reaches the steps between by the transfer matrices M^1 ..
+# M^_EPOCH_STEPS, 4 N floats each. 64 keeps those rows at 512 KiB on a
+# DENSE_L_LIMIT grid, and matches the 64-step observer blocks of a 256-point
+# grid (stepping._OBSERVED_BLOCK_BYTES), so a block spans at most two epochs;
+# a run without an observer takes one product per 64 steps.
+_EPOCH_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -122,14 +128,18 @@ def run_verlet(
     snapshot_stride: int = 1,
     method: str = "spectral",
     observer: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+    eig: DenseEigensystem | None = None,
 ) -> PhiState:
     """Kick-drift-kick velocity-Verlet, ``stepping.verlet`` driven by ``stepping.drive``.
     Refuses unstable dt, and on the modes a state whose acceleration overflows.
 
     On grids of at most ``DENSE_L_LIMIT`` points the state is the coordinates
     of phi and phi_dot in the eigenbasis ``dense_eigensystem`` gives for
-    ``method``, and a step is O(N); above it, the samples, with L applied
-    through ``real_l_operator``. The dense H is -L from that closure, so both
+    ``method``, and a block of steps is a few O(N) products per step by the
+    scheme's transfer matrices; ``eig``, when the caller already holds that
+    eigensystem, is read in place of a second eigensolve. Above the limit the
+    state is the samples, with L applied through ``real_l_operator``, and
+    ``eig`` is unused. The dense H is -L from that closure, so both
     step one L by one scheme, and their trajectories agree to roundoff. The
     observer sees blocks of L(phi) and phi_dot, every step once and in order
     (see ``stepping.drive``), in an orthonormal basis: on the modes their
@@ -146,8 +156,9 @@ def run_verlet(
         dt, stable_dt(state.potential, params, method), "Verlet",
         f" (E_max={emax:g}, hard stability limit {2 * params.hbar / emax:g})",
     )
-    run = _modal_verlet if state.grid.size <= DENSE_L_LIMIT else _sampled_verlet
-    return run(state, dt, steps, sink, snapshot_stride, method, observer)
+    if state.grid.size <= DENSE_L_LIMIT:
+        return _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer, eig)
+    return _sampled_verlet(state, dt, steps, sink, snapshot_stride, method, observer)
 
 
 def _sampled_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> PhiState:
@@ -170,29 +181,40 @@ def _sampled_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -
         fields = (ScalarSampleField(grid, f.copy()) for f in (phi, vel))
         return PhiState(*fields, params, state.potential)
 
-    advance = verlet(phi, vel, dt, kick)
-    return drive(advance, box, lambda: (lphi, vel), state, steps, snapshot_stride, sink, observer)
+    observed = lambda: (lphi, vel)
+    return drive(
+        stepwise(verlet(phi, vel, dt, kick), observed), box, observed, state, steps,
+        snapshot_stride, sink, observer,
+    )
 
 
-def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> PhiState:
+def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer, eig) -> PhiState:
     """``run_verlet`` on the mode coordinates a = Q^T phi and a_dot = Q^T phi_dot.
 
-    Q is ``dense_eigensystem``'s vectors and Lambda = -E its energies negated,
-    so Lambda descends. The acceleration is -(Lambda/hbar)^2 a, so the kick is
-    one ufunc and a step five, on arrays made once. ``drive`` observes
-    (a, a_dot) as one (2, N) array, and the observer gets a block of k steps
-    as its (k, N) rows Lambda a = Q^T L phi and a_dot, the a rows scaled in
-    place in ``drive``'s block. Frames are Q a and Q a_dot. A state whose
-    modal acceleration can overflow raises NonFiniteSampleError before the
-    first step.
+    Q is ``eig``'s vectors and Lambda = -E its energies negated, so Lambda
+    descends. The acceleration is -(Lambda/hbar)^2 a, a kick of one ufunc, so a
+    step is a fixed 2x2 map M per mode and j steps are M^j. The run builds the
+    transfer rows M^1 .. M^_EPOCH_STEPS once, by ``stepping.verlet`` with that
+    kick from the unit states (a, a_dot) = (1, 0) and (0, 1), and keeps the
+    state only at the epoch starts, every _EPOCH_STEPS steps: step e + j of the
+    epoch that starts at step e is M^j applied to the state at e, in the same
+    ufuncs whether it is a row, a frame, the final state or the next epoch
+    start. So a step's bits do not depend on the block cap, the stride or the
+    observer, and a run without an observer jumps from frame to frame an epoch
+    at a time. ``drive`` observes (a, a_dot) as one (2, N) array, and the
+    observer gets a block of k steps as its (k, N) rows Lambda a = Q^T L phi
+    and a_dot, the a rows scaled in place in ``drive``'s block, which no epoch
+    start is read from. Frames are Q a and Q a_dot. A state whose modal
+    acceleration can overflow raises NonFiniteSampleError before the first step.
     """
     grid, params = state.grid, state.params
     size = grid.size
-    eig = dense_eigensystem(state.potential, params, method)
+    if eig is None:
+        eig = dense_eigensystem(state.potential, params, method)
     lam = -eig.energies
     qt = eig.vectors.T.copy()  # one mode a row: coordinates are Q^T f, and samples a Q^T
     coords = np.stack([qt @ f.values.reshape(size) for f in (state.phi, state.phi_dot)])
-    a, vel = coords  # views: the steps write into coords, which drive observes
+    a, vel = coords
     # each mode's acceleration peaks at |Lambda| |Psi_k| / hbar^2 over an
     # oscillation, Psi_k = -Lambda a_k + i hbar a_dot_k. Where that overflows,
     # the run cannot represent L(L phi), which on samples turns the state
@@ -208,16 +230,49 @@ def _modal_verlet(state, dt, steps, sink, snapshot_stride, method, observer) -> 
     def kick(n: int, a: np.ndarray, out: np.ndarray) -> None:
         np.multiply(a, half_kick, out=out)
 
+    # units[:, c] is the state (a, a_dot) stepped from unit state c, so after j steps
+    # it is column c of M^j: from_a[j - 1] and from_v[j - 1] hold the two columns
+    units = np.zeros((2, 2, size))
+    units[0, 0] = units[1, 1] = 1.0
+    from_a, from_v = transfer = np.empty((2, _EPOCH_STEPS, 2, size))
+    observed_units = lambda: (units[:, 0], units[:, 1])
+    stepwise(verlet(*units, dt, kick), observed_units)(0, _EPOCH_STEPS, list(transfer))
+    epoch, start, reached = coords, 0, 0  # the state at step start, a multiple of _EPOCH_STEPS
+
+    def stepped(first: int, last: int, out: np.ndarray) -> np.ndarray:
+        """Steps first..last of the current epoch, M^j (a, a_dot) of its start, into out."""
+        j = slice(first - start - 1, last - start)
+        np.multiply(from_a[j], epoch[0], out=out)
+        out += from_v[j] * epoch[1]
+        return out
+
+    def seek(n: int) -> None:
+        """Move the epoch start to the last one before step n >= 1."""
+        nonlocal epoch, start
+        while start + _EPOCH_STEPS < n:
+            epoch = stepped(start + _EPOCH_STEPS, start + _EPOCH_STEPS, np.empty((1, 2, size)))[0]
+            start += _EPOCH_STEPS
+
+    def advance(n: int, k: int, rows: list | None) -> None:
+        nonlocal reached
+        first, reached = n + 1, n + k
+        while rows is not None and first <= reached:
+            seek(first)
+            last = min(reached, start + _EPOCH_STEPS)
+            stepped(first, last, rows[0][first - n - 1 : last - n])
+            first = last + 1
+        seek(reached)
+
     def box() -> PhiState:
-        fields = (ScalarSampleField(grid, (f @ qt).reshape(grid.shape)) for f in (a, vel))
+        now = stepped(reached, reached, np.empty((1, 2, size)))[0]
+        fields = (ScalarSampleField(grid, (f @ qt).reshape(grid.shape)) for f in now)
         return PhiState(*fields, params, state.potential)
 
     def observe_modes(ns: np.ndarray, block: np.ndarray) -> None:
-        block[:, 0] *= lam  # Q^T L phi = Lambda a, in drive's block, never in coords
+        block[:, 0] *= lam  # Q^T L phi = Lambda a, in drive's block, never in an epoch start
         observer(ns, block[:, 0], block[:, 1])
 
     observe = None if observer is None else observe_modes
-    advance = verlet(a, vel, dt, kick)
     return drive(advance, box, lambda: (coords,), state, steps, snapshot_stride, sink, observe)
 
 

@@ -167,12 +167,13 @@ def test_marks_and_tracer_see_every_integrator(tmp_path):
     # operators.potential_accel span at the start and at each step (5). Up to
     # DENSE_L_LIMIT points phi-Verlet steps the normal modes of L, so the two 6-step
     # phi runs no longer make two operators.real_l spans at the start and at each
-    # step (2 x 14): each makes one, the apply to the unit vectors that builds L
-    assert metrics["operators.applies"] == 208
-    # the tracer wraps dense_eigensystem by name, so every eigensolve is counted: the
-    # stationary one, and one a phi run up to DENSE_L_LIMIT points, whose modes are
-    # dense_eigensystem's (the two 6-step phi runs)
-    assert metrics["schrodinger.dense_eig_calls"] == 3
+    # step (2 x 14): each eigensolve makes one, the apply to the unit vectors that
+    # builds L, and the stationary run's modes read its initial data's eigensolve
+    assert metrics["operators.applies"] == 207
+    # the tracer wraps dense_eigensystem by name, so every eigensolve is counted: one
+    # a phi run up to DENSE_L_LIMIT points, whose modes are dense_eigensystem's (the
+    # two 6-step phi runs), the stationary one handing its modes its initial data's
+    assert metrics["schrodinger.dense_eig_calls"] == 2
 
 
 def test_every_workload_scenario_loads(tmp_path, monkeypatch):

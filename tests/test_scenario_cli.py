@@ -610,6 +610,29 @@ class TestCli:
         for name in ("snapshots.wps", "diagnostics.csv"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
+    @pytest.mark.parametrize("initial, points, solves", [
+        ("stationary", 256, 1),
+        ("stationary", 2 * wavepotential.DENSE_L_LIMIT, 1),
+        ("expressions", 256, 1),
+        ("expressions", 2 * wavepotential.DENSE_L_LIMIT, 0),
+    ])
+    def test_one_eigensolve_per_phi_run(self, tmp_path, monkeypatch, initial, points, solves):
+        # the stationary data and, up to DENSE_L_LIMIT points, the modes run_verlet
+        # steps read one dense_eigensystem call
+        calls = []
+        solve = schrodinger.dense_eigensystem
+        counted = lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs)
+        monkeypatch.setattr(schrodinger, "dense_eigensystem", counted)
+        monkeypatch.setattr(wavepotential, "dense_eigensystem", counted)
+        text = HARMONIC_PHI.replace("points = 64", f"points = {points}")
+        if initial == "stationary":
+            text = text.replace("type = expressions\nphi = cos(2*pi*x/20)\nphi_dot = 0",
+                                "type = stationary\nmode = 1\ntime = 0.3")
+        scn = load_scenario(write(tmp_path, "a.scn", text))
+        assert scn.initial["type"] == initial
+        run(scn, tmp_path / "out")
+        assert len(calls) == solves
+
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # on grids up to DENSE_L_LIMIT points phi steps in L's eigenbasis, from a dense
         # eigensolve, and stationary data come from another: neither may move a bit
@@ -1194,6 +1217,38 @@ def valid_records(tmp_path_factory):
     return records
 
 
+def _record_runs_end_in_a_message(record: Path, transform: str) -> list[int]:
+    """The exit codes of compare, the reconstruct kind and dump of ``record``
+    (``r1/`` under its work directory), each of which ends in a message: one
+    line naming the record on exit 1, no traceback, and no output left on
+    failure."""
+    work = record.parent.parent
+    text = COMPARE.replace("r2", "r1") + f"transform_a = {transform}\ntransform_b = {transform}\n"
+    reconstruct, sections = RECONSTRUCT[transform]
+    reconstruct_text = f"[scenario]\nkind = {reconstruct}\n{sections}[inputs]\nsource = r1\n"
+    # each run's argv, its output, and the exit codes it may end with. A finite
+    # but extreme constant (hbar = 1e154, c = 1e-320) overflows compare's forward
+    # map itself: the documented numerical failure, exit 2
+    runs = [
+        (["compare", "--scenario", str(write(work, "c.scn", text))], work / "c", (0, 1, 2)),
+        ([reconstruct, "--scenario", str(write(work, "r.scn", reconstruct_text))], work / "r", (1,)),
+        (["dump", "--snapshot", str(work / "r1")], work / "dump.csv", (0, 1)),
+    ]
+    exits = []
+    for argv, out, codes in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", str(out)])  # an uncaught exception fails the test here
+        assert code in codes and "Traceback" not in err.getvalue(), (argv[0], code, err.getvalue())
+        if code == 1:  # one line, naming the record
+            (line,) = err.getvalue().splitlines()
+            assert str(record) in line, line
+        if code:
+            assert not out.exists() or out.is_dir() and not list(out.iterdir())
+        exits.append(code)
+    return exits
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     transform=st.sampled_from(["phi_to_psi", "a_to_fields"]),
@@ -1209,31 +1264,29 @@ def test_any_json_value_in_a_header_ends_in_a_message(valid_records, transform, 
         target = target[part]
     target[name] = value
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        record = work / "r1" / SNAPSHOT
+        record = Path(tmp) / "r1" / SNAPSHOT
         record.parent.mkdir()
         record.write_bytes(b"\n".join([magic, json.dumps(header).encode(), frames]))
-        text = COMPARE.replace("r2", "r1") + f"transform_a = {transform}\ntransform_b = {transform}\n"
-        reconstruct, sections = RECONSTRUCT[transform]
-        reconstruct_text = f"[scenario]\nkind = {reconstruct}\n{sections}[inputs]\nsource = r1\n"
-        # each run's argv, its output, and the exit codes it may end with. A finite
-        # but extreme constant (hbar = 1e154, c = 1e-320) overflows compare's forward
-        # map itself: the documented numerical failure, exit 2
-        runs = [
-            (["compare", "--scenario", str(write(work, "c.scn", text))], work / "c", (0, 1, 2)),
-            ([reconstruct, "--scenario", str(write(work, "r.scn", reconstruct_text))], work / "r", (1,)),
-            (["dump", "--snapshot", str(work / "r1")], work / "dump.csv", (0, 1)),
-        ]
-        for argv, out, codes in runs:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv + ["--out", str(out)])  # an uncaught exception fails the test here
-            assert code in codes and "Traceback" not in err.getvalue(), (argv[0], code, err.getvalue())
-            if code == 1:  # one line, naming the record
-                (line,) = err.getvalue().splitlines()
-                assert str(record) in line, line
-            if code:
-                assert not out.exists() or out.is_dir() and not list(out.iterdir())
+        _record_runs_end_in_a_message(record, transform)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    transform=st.sampled_from(["phi_to_psi", "a_to_fields"]),
+    cut=st.integers(min_value=1, max_value=1 << 20),
+    extra=st.binary(max_size=4096),
+    extend=st.booleans(),
+)
+def test_a_truncated_or_extended_body_ends_in_a_message(valid_records, transform, cut, extra, extend):
+    # the body loses up to all of its bytes, or gains up to 4 KiB (the phi record's
+    # body is 5 KiB), and the header is left as written
+    magic, header, frames = valid_records[transform].split(b"\n", 2)
+    body = frames + (extra or b"\0") if extend else frames[: max(0, len(frames) - cut)]
+    with tempfile.TemporaryDirectory() as tmp:
+        record = Path(tmp) / "r1" / SNAPSHOT
+        record.parent.mkdir()
+        record.write_bytes(b"\n".join([magic, header, body]))
+        assert _record_runs_end_in_a_message(record, transform) == [1, 1, 1]
 
 
 @pytest.mark.parametrize("transform, constant, value", [
@@ -1404,13 +1457,13 @@ def _wrap_observe(monkeypatch, kind: str, record) -> None:
     spec = scenario_module.KIND[kind]
 
     def setup(scn):
-        state, columns, observe = spec.setup(scn)
+        state, columns, observe, keywords = spec.setup(scn)
 
         def watched(times, *blocks):
             record(times, blocks)
             return observe(times, *blocks)
 
-        return state, columns, watched
+        return state, columns, watched, keywords
 
     monkeypatch.setitem(scenario_module.KIND, kind, dataclasses.replace(spec, setup=setup))
 
@@ -1468,10 +1521,10 @@ class TestDiagnosticBlocks:
         real_drive = wavepotential.drive
 
         def failing_drive(advance, *args):
-            def advance_or_fail(n):
-                if n == 5:
+            def advance_or_fail(n, k, rows):
+                if n < 5 <= n + k:
                     raise SolverError("injected failure at step 5")
-                advance(n)
+                advance(n, k, rows)
 
             return real_drive(advance_or_fail, *args)
 

@@ -116,9 +116,9 @@ def test_box_runs_once_per_recorded_step(monkeypatch, name):
     def counting_drive(advance, box, *args):
         last = [0]
 
-        def stepped(n):
-            last[0] = n
-            advance(n)
+        def stepped(n, k, rows):
+            last[0] = n + k
+            advance(n, k, rows)
 
         def counted():
             boxed.append(last[0])

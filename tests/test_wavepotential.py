@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import band_limited
 from test_acceptance import report
+from wavepot import stepping
 from wavepot.errors import GaugeError, NonFiniteSampleError, StabilityError
 from wavepot.grids import ComplexSampleField, Grid, ScalarSampleField, l2_norm, max_norm
 from wavepot.schrodinger import (
@@ -17,6 +18,7 @@ from wavepot.schrodinger import (
     real_l_operator,
 )
 from wavepot.wavepotential import (
+    _EPOCH_STEPS,
     DENSE_L_LIMIT,
     PhiState,
     energy_density,
@@ -166,25 +168,46 @@ def allocating_verlet(state, dt, steps, method):
     return seen, (phi.tobytes(), vel.tobytes())
 
 
-def allocating_modal_verlet(state, dt, steps, method):
-    """The same scheme on the coordinates a = Q^T phi, a_dot = Q^T phi_dot in L's
-    eigenbasis, written out with a new array per operation: up to DENSE_L_LIMIT
-    points run_verlet must match it byte for byte. The observer sees each step's
-    mode coordinates (Lambda a, a_dot) of (L phi, phi_dot) as they are. Returns
-    what the observer should see and the final (phi, phi_dot)."""
-    grid = state.grid
+def modal_coordinates(state, dt, method):
+    """(Lambda, Q^T, the half kick -(dt/2)(Lambda/hbar)^2, a, a_dot) of run_verlet's modes."""
     eig = dense_eigensystem(state.potential, state.params, method)
     lam = -eig.energies
     qt = eig.vectors.T.copy()
     half_kick = lam**2 * (-0.5 * dt / state.params.hbar**2)
-    a = qt @ state.phi.values.reshape(grid.size)
-    vel = qt @ state.phi_dot.values.reshape(grid.size)
-    seen = []
-    for n in range(steps + 1):
-        if n:
-            vel = vel + a * half_kick
-            a = a + vel * dt
-            vel = vel + a * half_kick
+    a, vel = (qt @ f.values.reshape(state.grid.size) for f in (state.phi, state.phi_dot))
+    return lam, qt, half_kick, a, vel
+
+
+def allocating_modal_steps(a, vel, half_kick, dt, steps):
+    """Kick-drift-kick on mode coordinates, written out with a new array per
+    operation: (a, a_dot) after each of ``steps`` steps from (a, vel)."""
+    for _ in range(steps):
+        vel = vel + a * half_kick
+        a = a + vel * dt
+        vel = vel + a * half_kick
+        yield a, vel
+
+
+def allocating_modal_verlet(state, dt, steps, method):
+    """The same scheme on the coordinates a = Q^T phi, a_dot = Q^T phi_dot in L's
+    eigenbasis, by epochs of _EPOCH_STEPS steps: the transfer matrices M^j come
+    from the allocating per-step loop on the unit states (1, 0) and (0, 1), and
+    step e + j of the epoch that starts at step e is M^j of the state at e. Up to
+    DENSE_L_LIMIT points run_verlet must match it byte for byte. The observer
+    sees each step's mode coordinates (Lambda a, a_dot) of (L phi, phi_dot) as
+    they are. Returns what the observer should see and the final (phi, phi_dot)."""
+    lam, qt, half_kick, a, vel = modal_coordinates(state, dt, method)
+    ones, zeros = np.ones(state.grid.size), np.zeros(state.grid.size)
+    from_a = list(allocating_modal_steps(ones, zeros, half_kick, dt, _EPOCH_STEPS))  # (M00, M10)
+    from_v = list(allocating_modal_steps(zeros, ones, half_kick, dt, _EPOCH_STEPS))  # (M01, M11)
+    start, start_a, start_v = 0, a, vel
+    seen = [(0, (lam * a).tobytes(), vel.tobytes())]
+    for n in range(1, steps + 1):
+        if n - start > _EPOCH_STEPS:  # step n - 1 starts the next epoch
+            start, start_a, start_v = n - 1, a, vel
+        (m00, m10), (m01, m11) = from_a[n - start - 1], from_v[n - start - 1]
+        a = m00 * start_a + m01 * start_v
+        vel = m10 * start_a + m11 * start_v
         seen.append((n, (lam * a).tobytes(), vel.tobytes()))
     return seen, ((a @ qt).tobytes(), (vel @ qt).tobytes())
 
@@ -286,6 +309,72 @@ class TestModalVerlet:
         for (n, lphi, vel), (_, lphi_ref, vel_ref) in zip(observed, seen):
             assert relative_gap((lphi @ qt).reshape(grid.shape), as_array(lphi_ref)) <= 1e-12, n
             assert relative_gap((vel @ qt).reshape(grid.shape), as_array(vel_ref)) <= 1e-12, n
+
+    @SMALL_GRIDS
+    def test_epochs_stay_within_roundoff_of_the_per_step_loop(self, grid, v, rng):
+        # In the frame Psi_k = -Lambda a_k + i hbar a_dot_k a step of either form is a
+        # rotation up to Verlet's modified energy (a factor under 1.03 at w dt <= 0.4),
+        # so no error grows, and each rounding moves Psi_k by at most u |Psi_k|: the
+        # per-step loop rounds 6 values a step, the transfer rows as many, and
+        # applying a row to an epoch start 3. After n steps and n // _EPOCH_STEPS
+        # epochs the two agree to u (12 n + 3 (epochs + 1)) of |Psi|, 2.7e-11 at
+        # 20000 steps; they sat near 1.3e-13 when this bound was set
+        V = PotentialSpec.from_expression(v, grid)
+        params = QuantumParams(0.9, 1.1)
+        st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng), params)
+        dt, steps = stable_dt(V, params), 20_000
+        lam, _, half_kick, a, vel = modal_coordinates(st0, dt, "spectral")
+        reference = allocating_modal_steps(a, vel, half_kick, dt, steps)
+        psi = lambda lphi, vel: -lphi + 1j * params.hbar * vel
+        norm = np.linalg.norm(psi(lam * a, vel))
+        u = np.finfo(float).eps / 2
+        seen = []
+
+        def observer(ns, lphis, vels):
+            for n, lphi, vel in zip(ns[ns > 0].tolist(), lphis[ns > 0], vels[ns > 0]):
+                ref_a, ref_vel = next(reference)
+                gap = np.linalg.norm(psi(lphi - lam * ref_a, vel - ref_vel)) / norm
+                seen.append((n, gap / (u * (12 * n + 3 * (n // _EPOCH_STEPS + 1)))))
+
+        run_verlet(st0, dt, steps, sink=None, observer=observer)
+        assert [n for n, _ in seen] == list(range(1, steps + 1))
+        assert max(ratio for _, ratio in seen) <= 1.0
+
+    def test_epochs_change_no_byte_of_any_step(self, monkeypatch, rng):
+        # a step's bits are M^j of its epoch start whatever asks for it: observed
+        # rows, frames and the final state match one run's at every step count
+        # around an epoch boundary, every block cap, stride and with no observer
+        grid = Grid.line(16, 20.0)
+        V = PotentialSpec.from_expression("0.5*(x-10)^2", grid)
+        st0 = make_state(grid, V, band_limited(grid, rng), band_limited(grid, rng))
+        dt, epoch = stable_dt(V, PARAMS), _EPOCH_STEPS
+        as_bytes = lambda s: (s.phi.values.tobytes(), s.phi_dot.values.tobytes())
+
+        def run(steps, stride, cap, observe):
+            rows, frames = {}, {}
+            monkeypatch.setattr(stepping, "_OBSERVED_BLOCK_BYTES", cap)
+            observer = lambda ns, lphis, vels: rows.update(
+                (n, (lphi.tobytes(), vel.tobytes())) for n, lphi, vel in zip(ns, lphis, vels)
+            )
+            final = run_verlet(st0, dt, steps, sink=lambda n, s: frames.update({n: as_bytes(s)}),
+                               snapshot_stride=stride, observer=observer if observe else None)
+            return rows, frames, as_bytes(final)
+
+        default, step_bytes = stepping._OBSERVED_BLOCK_BYTES, 2 * grid.size * 8
+        longest = 3 * epoch + 5
+        all_rows, all_frames, _ = run(longest, 1, default, True)
+        assert sorted(all_rows) == sorted(all_frames) == list(range(longest + 1))
+        assert len(set(all_frames.values())) == longest + 1  # the state moves
+        for steps in (1, epoch - 1, epoch, epoch + 1, longest):
+            for stride in (1, 7, steps):
+                for cap in (step_bytes, 3 * step_bytes + 1, default):
+                    for observe in (True, False):
+                        rows, frames, final = run(steps, stride, cap, observe)
+                        assert sorted(rows) == (list(range(steps + 1)) if observe else [])
+                        assert sorted(frames) == stepping.frame_steps(steps, stride)
+                        assert all(rows[n] == all_rows[n] for n in rows)
+                        assert all(frames[n] == all_frames[n] for n in frames)
+                        assert final == all_frames[steps]
 
     @SMALL_GRIDS
     def test_observer_never_reaches_the_state(self, grid, v, rng):
